@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from .errors import InsufficientData, StepFailed
+from .errors import InsufficientData, NotInCatalog, StepFailed
 from .problems import REF_AGREE_TOL, make_problem, reference_solution
-from .schemes import Scheme, builtin_scheme, load_scheme
-from .stepper import (StepperConfig, ext4_step, integrate, integrate_with,
-                      strang_step)
+from .schemes import Scheme, builtin_scheme, expand, load_scheme
+from .stepper import (RunRecord, StepperConfig, _run_stages, compile_stages,
+                      ext4_step, integrate_with, strang_step)
 
 #: A-flow stages per step, the cost unit of the efficiency comparisons.
 METHOD_STAGES = {
@@ -40,20 +41,17 @@ def resolve_method(name, a_flow_kind="cf4", freeze_convention="midpoint"):
     else:
         try:
             scheme = builtin_scheme(name)
-        except Exception:
-            from pathlib import Path
+        except NotInCatalog:
             path = Path(name)
             if not path.exists():
                 raise
             scheme = load_scheme(path.read_text())
     cfg = StepperConfig(scheme=scheme, a_flow_kind=a_flow_kind)
-    from .stepper import _run_stages
-    from .schemes import expand
-    seq = expand(scheme)
-    n_a = sum(1 for st in seq if st.role == "A")
+    plan = compile_stages(expand(scheme))
+    n_a = sum(1 for role, _, _ in plan if role == "A")
 
     def fn(problem, state, h, record):
-        return _run_stages(cfg, problem, state, h, seq, record)
+        return _run_stages(cfg, problem, state, h, plan, record)
     return fn, n_a
 
 
@@ -83,7 +81,6 @@ def run_point(problem, method, n_steps, reference, a_flow_kind="cf4",
                                        problem.t0, problem.tf, n_steps, method)
         record.error_l2 = float(np.linalg.norm(state.values.real - reference))
     except StepFailed:
-        from .stepper import RunRecord
         record = RunRecord(method=method, h=(problem.tf - problem.t0) / n_steps,
                            n_steps=n_steps, failed=True)
     return record

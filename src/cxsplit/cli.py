@@ -167,7 +167,6 @@ def build_parser():
         p.add_argument("--freeze", default="midpoint", choices=("literal", "midpoint"))
         p.add_argument("--cache-dir", default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=int, default=0)
         if cmd == "sweep":
             p.add_argument("--methods", required=True, help="comma list")
         else:

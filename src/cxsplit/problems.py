@@ -11,9 +11,8 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-import struct
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +20,7 @@ import numpy as np
 from .errors import ReferenceInconsistent, StepFailed
 from .propagators import CirculantLaplacian, exp_2x2, exp_circulant
 from .schemes import builtin_scheme
+from .stepper import StepperConfig, integrate
 
 TWO_PI = 2.0 * math.pi
 
@@ -72,6 +72,15 @@ class OscillatorProblem:
             - self.epsilon * sum(np.sin(q - w * t) for w in self.omega_j)
         return np.array([p, force], dtype=u.dtype)
 
+    def rhs_pair(self, t, q, p):
+        """rhs on Python floats, operation for operation: (dq/dt, dp/dt)."""
+        # a left fold, as sum() does over numpy scalars; sum() over floats
+        # rounds differently from Python 3.12 on
+        kick = 0.0
+        for w in self.omega_j:
+            kick += math.sin(q - w * t)
+        return p, -self.big_omega(t) ** 2 * q - self.epsilon * kick
+
     def key(self):
         return "osc"
 
@@ -96,15 +105,16 @@ class ParabolicProblem:
         self.x = self.dx * np.arange(1, self.n_grid + 1)
         self.lap = CirculantLaplacian(self.n_grid, self.dx)
         self.dim = self.n_grid
+        self.sin_2pi_x = np.sin(TWO_PI * self.x)
 
     def alpha(self, t):
         return 0.25 + self.mu * math.cos(self.w * t)
 
     def potential(self, t):
-        return 0.1 * (3.0 * (1.0 - math.exp(-t)) + np.sin(TWO_PI * self.x))
+        return 0.1 * (3.0 * (1.0 - math.exp(-t)) + self.sin_2pi_x)
 
     def u0(self):
-        return np.sin(TWO_PI * self.x).astype(complex)
+        return self.sin_2pi_x.astype(complex)
 
     def a_frozen_exp(self, times, weights, duration, state):
         coeff = sum(w * self.alpha(t) ** 2 for t, w in zip(times, weights))
@@ -181,7 +191,15 @@ def make_problem(name, **overrides):
 # ---------------------------------------------------------------------------
 
 def rk4_integrate(rhs, u0, t0, tf, n_steps):
-    """Classical fourth-order one-step method on the full right-hand side."""
+    """Classical fourth-order one-step method on the full right-hand side.
+
+    An array state u0 takes rhs(t, u) -> array.  A (q, p) tuple of floats
+    takes rhs(t, q, p) -> (dq, dp) and runs the same arithmetic in the same
+    order on Python floats, without numpy's per-operation overhead on a
+    2-vector; it returns a (q, p) tuple.
+    """
+    if isinstance(u0, tuple):
+        return _rk4_pair(rhs, u0, t0, tf, n_steps)
     u = np.asarray(u0).copy()
     h = (tf - t0) / n_steps
     t = t0
@@ -195,6 +213,22 @@ def rk4_integrate(rhs, u0, t0, tf, n_steps):
     return u
 
 
+def _rk4_pair(rhs, u0, t0, tf, n_steps):
+    q, p = u0
+    h = (tf - t0) / n_steps
+    half, sixth = 0.5 * h, h / 6.0
+    t = t0
+    for _ in range(n_steps):
+        k1q, k1p = rhs(t, q, p)
+        k2q, k2p = rhs(t + half, q + half * k1q, p + half * k1p)
+        k3q, k3p = rhs(t + half, q + half * k2q, p + half * k2p)
+        k4q, k4p = rhs(t + h, q + h * k3q, p + h * k3p)
+        q = q + sixth * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+        p = p + sixth * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        t += h
+    return q, p
+
+
 def _rk4_steps_for(problem):
     if isinstance(problem, ParabolicProblem):
         return problem.stiff_rk4_steps()
@@ -202,8 +236,6 @@ def _rk4_steps_for(problem):
 
 
 def _splitting_oracle(problem):
-    from .stepper import StepperConfig, integrate
-
     cfg = StepperConfig(scheme=builtin_scheme("SM4"), a_flow_kind="cf4")
     state, _ = integrate(cfg, problem, problem.u0(), problem.t0, problem.tf,
                          REF_SPLIT_STEPS)
@@ -211,8 +243,12 @@ def _splitting_oracle(problem):
 
 
 def _classical_oracle(problem):
-    u = rk4_integrate(problem.rhs, problem.u0().real.astype(float),
-                      problem.t0, problem.tf, _rk4_steps_for(problem))
+    u0 = problem.u0().real.astype(float)
+    if isinstance(problem, OscillatorProblem):
+        rhs, u0 = problem.rhs_pair, tuple(map(float, u0))
+    else:
+        rhs = problem.rhs
+    u = rk4_integrate(rhs, u0, problem.t0, problem.tf, _rk4_steps_for(problem))
     return np.asarray(u, dtype=float)
 
 
@@ -242,9 +278,11 @@ def _write_cache(path, digest, values):
             os.unlink(tmp)
 
 
-def _read_cache(path, digest):
+def _read_cache(path, digest, dim):
+    """The cached reference, or None for a foreign, stale or truncated entry."""
     blob = path.read_bytes()
-    if blob[:8] != REF_MAGIC or blob[8:24] != digest.encode():
+    if (blob[:8] != REF_MAGIC or blob[8:24] != digest.encode()
+            or len(blob) - 24 != 8 * dim):
         return None
     return np.frombuffer(blob[24:], dtype="<f8").copy()
 
@@ -259,7 +297,7 @@ def reference_solution(problem, cache_dir=None, verbose=False):
     cache_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     path, digest = _cache_path(problem, cache_dir)
     if path.exists():
-        cached = _read_cache(path, digest)
+        cached = _read_cache(path, digest, problem.dim)
         if cached is not None:
             return cached
     split = _splitting_oracle(problem)

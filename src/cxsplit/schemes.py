@@ -9,7 +9,7 @@ unique (symmetry-reduced) coefficient values and expanded on demand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import NotInCatalog, ParseError, ValidationError

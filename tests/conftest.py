@@ -1,7 +1,25 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from cxsplit.problems import make_problem, reference_solution
+
+# References built by the tests are cached in this git-ignored directory of
+# the checkout, never in ~/.cache/cxsplit.
+REF_CACHE_DIR = Path(__file__).resolve().parent.parent / ".test_refcache"
+
+
+@pytest.fixture(scope="session", autouse=True)
+def repo_local_reference_cache():
+    """Point CXSPLIT_CACHE_DIR at REF_CACHE_DIR for the whole session.
+
+    Autouse at session scope, so it is set before the reference fixtures,
+    and in-process CLI runs and subprocesses see it as well.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("CXSPLIT_CACHE_DIR", str(REF_CACHE_DIR))
+        yield REF_CACHE_DIR
 
 
 @pytest.fixture(scope="session")

@@ -1,13 +1,14 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cxsplit.errors import ReferenceInconsistent, StepFailed
-from cxsplit.problems import (REF_MAGIC, FisherProblem, OscillatorProblem,
-                              ParabolicProblem, _cache_path, _read_cache,
-                              _write_cache, make_problem, reference_solution,
-                              rk4_integrate)
+from cxsplit.problems import (REF_MAGIC, TWO_PI, FisherProblem,
+                              OscillatorProblem, ParabolicProblem, _cache_path,
+                              _read_cache, _write_cache, default_cache_dir,
+                              make_problem, reference_solution, rk4_integrate)
 
 
 def test_make_problem_dispatch():
@@ -44,6 +45,13 @@ def test_parabolic_kick_is_pointwise_exponential():
     tau = 0.02 - 0.01j
     kicked = problem.b_kick(0.4, tau, u)
     assert np.allclose(kicked, u * np.exp(tau * problem.potential(0.4)))
+
+
+def test_parabolic_potential_matches_closed_form_bitwise():
+    problem = make_problem("parabolic")
+    for t in (0.0, 0.4, 1.0):
+        direct = 0.1 * (3.0 * (1.0 - math.exp(-t)) + np.sin(TWO_PI * problem.x))
+        assert np.array_equal(problem.potential(t), direct)
 
 
 def test_parabolic_apply_laplacian_matches_dense():
@@ -98,6 +106,20 @@ def test_rk4_is_fourth_order_on_scalar():
     assert math.log2(errs[0] / errs[1]) == pytest.approx(4.0, abs=0.2)
 
 
+@pytest.mark.parametrize("epsilon", [0.25, 0.1, 0.0])
+def test_rk4_float_pair_matches_array_loop(epsilon):
+    # the (q, p) float path is the osc classical oracle; the array loop on
+    # the numpy rhs is its reference (bitwise equal where libm's sin and
+    # numpy's agree, within an ulp-level bound elsewhere)
+    problem = make_problem("osc", epsilon=epsilon)
+    u0 = problem.u0().real.astype(float)
+    args = (problem.t0, problem.tf, 2 ** 12)
+    pair = rk4_integrate(problem.rhs_pair, tuple(map(float, u0)), *args)
+    array = rk4_integrate(problem.rhs, u0, *args)
+    assert isinstance(pair, tuple) and all(type(x) is float for x in pair)
+    assert np.max(np.abs(np.array(pair) - array)) < 1e-12
+
+
 def test_stiff_rk4_steps_scales_with_grid():
     coarse = make_problem("parabolic", n_grid=100)
     fine = make_problem("parabolic", n_grid=200)
@@ -112,10 +134,40 @@ def test_cache_round_trip(tmp_path):
     path, digest = _cache_path(problem, tmp_path)
     values = np.linspace(0.0, 1.0, 8)
     _write_cache(path, digest, values)
-    assert np.allclose(_read_cache(path, digest), values)
+    assert np.allclose(_read_cache(path, digest, problem.dim), values)
+    blob = path.read_bytes()
+    # a truncated or overlong payload is a miss, not a short reference
+    path.write_bytes(blob[:-8])
+    assert _read_cache(path, digest, problem.dim) is None
+    path.write_bytes(blob + blob[-8:])
+    assert _read_cache(path, digest, problem.dim) is None
     # corrupted magic is rejected, not trusted
-    path.write_bytes(b"XXXXXXXX" + path.read_bytes()[8:])
-    assert _read_cache(path, digest) is None
+    path.write_bytes(b"XXXXXXXX" + blob[8:])
+    assert _read_cache(path, digest, problem.dim) is None
+
+
+def test_truncated_cache_entry_is_rebuilt(tmp_path, monkeypatch):
+    problem = make_problem("parabolic", n_grid=8)
+    import cxsplit.problems as mod
+    builds = []
+
+    def oracle(p):
+        builds.append(p)
+        return np.linspace(0.0, 1.0, p.n_grid)
+    monkeypatch.setattr(mod, "_splitting_oracle", oracle)
+    monkeypatch.setattr(mod, "_classical_oracle", oracle)
+    ref = reference_solution(problem, cache_dir=tmp_path)
+    path, _ = _cache_path(problem, tmp_path)
+    path.write_bytes(path.read_bytes()[:-16])
+    assert np.array_equal(reference_solution(problem, cache_dir=tmp_path), ref)
+    assert len(builds) == 4                          # built, then rebuilt
+    assert len(path.read_bytes()) == 24 + 8 * problem.dim
+
+
+def test_session_reference_cache_is_repo_local(repo_local_reference_cache):
+    # tests/conftest.py keeps every reference of the suite out of ~/.cache
+    assert default_cache_dir() == repo_local_reference_cache
+    assert Path(__file__).resolve().parent.parent in repo_local_reference_cache.parents
 
 
 def test_reference_solution_caches(tmp_path):

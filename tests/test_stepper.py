@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from cxsplit.errors import RealTimeViolation, ValidationError
+from cxsplit.errors import RealTimeViolation, StepFailed, ValidationError
 from cxsplit.problems import make_problem
-from cxsplit.schemes import Scheme, builtin_scheme
+from cxsplit.schemes import Scheme, builtin_scheme, expand
 from cxsplit.stepper import (State, StepperConfig, ext4_step, integrate,
                              integrate_with, step, strang_step)
 
@@ -56,6 +56,47 @@ def test_complex_flow_coefficient_triggers_realness_guard():
     cfg = StepperConfig(scheme=bad)
     with pytest.raises(RealTimeViolation):
         step(cfg, problem, State(problem.u0(), 0.0), 0.1)
+
+
+class CountingStub:
+    """A 1-component problem that counts kernel calls.
+
+    A poisoned stub returns NaN from every kick after t = 0.
+    """
+
+    commuting = True
+
+    def __init__(self, poisoned=False):
+        self.poisoned = poisoned
+        self.calls = 0
+
+    def a_frozen_exp(self, times, weights, duration, state):
+        self.calls += 1
+        return state
+
+    def b_kick(self, t_frozen, tau, state):
+        self.calls += 1
+        if self.poisoned and t_frozen > 0.0:
+            return state * np.nan
+        return state
+
+
+def test_complex_flow_coefficient_rejected_before_any_kernel_call():
+    bad = Scheme("bad", "BAB", 1, (1.0 + 0.2j,), (0.5 - 0.1j,), 2, True)
+    stub = CountingStub()
+    with pytest.raises(RealTimeViolation):
+        integrate(StepperConfig(scheme=bad), stub, np.ones(1), 0.0, 1.0, 4)
+    assert stub.calls == 0
+
+
+def test_nan_from_a_mid_step_kick_fails_the_step():
+    # the state turns NaN at the second kick of the first step; the later
+    # stages of that step still run, and the step as a whole must fail
+    stub = CountingStub(poisoned=True)
+    cfg = StepperConfig(scheme=builtin_scheme("SM4"))
+    with pytest.raises(StepFailed):
+        integrate(cfg, stub, np.ones(1), 0.0, 1.0, 4)
+    assert stub.calls == len(expand(builtin_scheme("SM4")))
 
 
 def test_conjugate_scheme_same_projected_step():
