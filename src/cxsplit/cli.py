@@ -1,7 +1,7 @@
 """Command-line driver: scheme validation, scheme design, sweeps, slope fits.
 
-Exit codes: 0 ok, 1 validation failure, 2 runtime failure, 3 reference
-inconsistency.
+Exit codes: 0 ok, 1 validation failure, 2 runtime failure or malformed
+command line (argparse), 3 reference inconsistency.
 """
 
 from __future__ import annotations
@@ -100,7 +100,18 @@ def _parse_fraction(token):
 
 
 def _parse_nsteps(text):
-    return [int(tok) for tok in text.split(",")]
+    """--nsteps: a comma list of strictly increasing positive step counts."""
+    try:
+        grid = [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma list of integers, got {text!r}") from None
+    if min(grid) < 1:
+        raise argparse.ArgumentTypeError(f"step counts must be >= 1, got {text!r}")
+    if any(a >= b for a, b in zip(grid, grid[1:])):
+        raise argparse.ArgumentTypeError(
+            f"step counts must be strictly increasing, got {text!r}")
+    return grid
 
 
 def cmd_sweep(args):
@@ -108,7 +119,7 @@ def cmd_sweep(args):
     spec = bench.SweepSpec(
         problem=args.problem,
         methods=args.methods.split(","),
-        n_steps_grid=_parse_nsteps(args.nsteps),
+        n_steps_grid=args.nsteps,
         params=params,
         a_flow_kind=args.aflow,
         freeze_convention="literal" if args.freeze == "literal" else "midpoint",
@@ -127,7 +138,7 @@ def cmd_sweep(args):
 def cmd_converge(args):
     params = {"epsilon": args.eps} if args.problem == "osc" and args.eps else {}
     slope, resid, _ = bench.converge(
-        args.problem, args.method, _parse_nsteps(args.nsteps), params=params,
+        args.problem, args.method, args.nsteps, params=params,
         a_flow_kind=args.aflow,
         freeze_convention="literal" if args.freeze == "literal" else "midpoint",
         cache_dir=args.cache_dir)
@@ -162,7 +173,8 @@ def build_parser():
         p.add_argument("--problem", required=True,
                        choices=("osc", "parabolic", "fisher"))
         p.add_argument("--eps", type=float, default=None)
-        p.add_argument("--nsteps", required=True, help="comma list, dyadic")
+        p.add_argument("--nsteps", required=True, type=_parse_nsteps,
+                       help="comma list, dyadic")
         p.add_argument("--aflow", default="cf4", choices=("cf2", "cf4", "exact"))
         p.add_argument("--freeze", default="midpoint", choices=("literal", "midpoint"))
         p.add_argument("--cache-dir", default=None)

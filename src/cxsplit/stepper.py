@@ -5,6 +5,14 @@ A-flows over real subintervals, projects onto the real axis after the full
 step, and counts A-flow evaluations, which is the benchmark cost metric.
 A scheme is compiled once into a plan of real nodes and durations, so the
 realness of its flow times is checked once per plan, not per stage per step.
+
+Kernel contract: a problem's ``a_frozen_exp`` and ``b_kick`` may return any
+state that its next kernel accepts (an ndarray, or the oscillator's (q, p)
+tuple); the step makes the result an ndarray once, after its last stage,
+before the finiteness check and the real projection.  A kernel that fails
+on non-finite or overflowing input raises one of KERNEL_ERRORS (``cmath``
+raises ValueError or OverflowError where numpy returns inf or nan), and the
+step turns it into StepFailed.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from .propagators import cf2_step, cf4_step
 from .schemes import Stage, expand
 
 REAL_TIME_TOL = 1e-12
+KERNEL_ERRORS = (FloatingPointError, ZeroDivisionError, OverflowError, ValueError)
 
 
 @dataclass
@@ -108,7 +117,7 @@ def _run_stages(cfg, problem, state, h, plan, record):
     if isinstance(plan[0], Stage):
         plan = compile_stages(plan)
     t_n = state.t
-    u = np.asarray(state.values, dtype=complex)
+    u = state.values
     kind, b_kick = cfg.a_flow_kind, problem.b_kick
     for idx, (role, c0, dur) in enumerate(plan):
         try:
@@ -116,8 +125,9 @@ def _run_stages(cfg, problem, state, h, plan, record):
                 u = a_flow(problem, kind, t_n + c0 * h, dur * h, u, record)
             else:
                 u = b_kick(t_n + c0 * h, dur * h, u)
-        except (FloatingPointError, ZeroDivisionError, OverflowError) as exc:
+        except KERNEL_ERRORS as exc:
             raise StepFailed(str(exc), stage=idx) from exc
+    u = np.asarray(u, dtype=complex)
     # the kernels keep a non-finite state non-finite: one check per step
     if not np.all(np.isfinite(u)):
         raise StepFailed("non-finite state")
@@ -134,14 +144,17 @@ def strang_step(problem, state, h, freeze_convention="midpoint", record=None,
     literal convention, at the midpoint for the time-symmetric one.
     """
     t_n = state.t
-    u = np.asarray(state.values, dtype=complex)
-    u = problem.b_kick(t_n, 0.5 * h, u)
     t_freeze = t_n if freeze_convention == "literal" else t_n + 0.5 * h
-    u = problem.a_frozen_exp((t_freeze,), (1.0,), h, u)
-    if record is not None:
-        record.a_flow_evals += 1
-        record.kernel_evals += 1
-    u = problem.b_kick(t_n + h, 0.5 * h, u)
+    try:
+        u = problem.b_kick(t_n, 0.5 * h, state.values)
+        u = problem.a_frozen_exp((t_freeze,), (1.0,), h, u)
+        if record is not None:
+            record.a_flow_evals += 1
+            record.kernel_evals += 1
+        u = problem.b_kick(t_n + h, 0.5 * h, u)
+    except KERNEL_ERRORS as exc:
+        raise StepFailed(str(exc)) from exc
+    u = np.asarray(u, dtype=complex)
     if not np.all(np.isfinite(u)):
         raise StepFailed("non-finite state")
     if project_real:

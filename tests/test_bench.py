@@ -3,6 +3,7 @@ import pytest
 
 from cxsplit import bench
 from cxsplit.errors import InsufficientData, NotInCatalog
+from cxsplit.problems import make_problem
 from cxsplit.schemes import serialize_scheme, builtin_scheme
 
 
@@ -40,6 +41,16 @@ def test_run_point_records_error_and_cost(osc_ref):
     assert record.a_flow_evals == 64
     assert np.isfinite(record.error_l2) and record.error_l2 > 0.0
     assert not record.failed
+
+
+@pytest.mark.parametrize("q0,p0", [(np.inf, 1.0), (0.0, 1e308j)],
+                         ids=["inf", "huge-imag"])
+@pytest.mark.parametrize("method", ["sm4", "strang", "ext4"])
+def test_run_point_marks_non_finite_osc_failed(method, q0, p0):
+    problem = make_problem("osc", q0=q0, p0=p0)
+    record = bench.run_point(problem, method, 4, np.zeros(2))
+    assert record.failed
+    assert (record.method, record.n_steps) == (method, 4)
 
 
 def test_sweep_rows_sorted_and_csv_shape(osc_ref):

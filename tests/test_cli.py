@@ -80,6 +80,21 @@ def test_sweep_stdout_and_eps(osc_ref_eps01, capsys):
     assert "s62" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("grid,reason", [
+    ("8,4", "strictly increasing"), ("0,8", "must be >= 1"),
+    ("8,x", "comma list of integers")])
+def test_sweep_bad_nsteps_is_a_usage_error(grid, reason, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--problem", "osc", "--methods", "sm4",
+                  "--nsteps", grid])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    last = err.strip().splitlines()[-1]
+    assert last.startswith("cxsplit sweep: error: argument --nsteps:")
+    assert reason in last
+
+
 def test_converge_prints_slope(osc_ref, capsys):
     code = cli.main(["converge", "--problem", "osc", "--method", "strang",
                      "--nsteps", "64,128,256,512"])

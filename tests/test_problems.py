@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from cxsplit.errors import ReferenceInconsistent, StepFailed
-from cxsplit.problems import (REF_MAGIC, TWO_PI, FisherProblem,
+from cxsplit.problems import (REF_AGREE_TOL, REF_MAGIC, TWO_PI, FisherProblem,
                               OscillatorProblem, ParabolicProblem, _cache_path,
                               _read_cache, _write_cache, default_cache_dir,
                               make_problem, reference_solution, rk4_integrate)
+from cxsplit.propagators import CF4_ALPHA, CF4_BETA, exp_2x2
 
 
 def test_make_problem_dispatch():
@@ -37,6 +38,48 @@ def test_oscillator_frozen_exp_is_exact_for_constant_omega():
     u = problem.a_frozen_exp((0.7,), (1.0,), 0.2, np.array([1.0, 0.0 + 0j]))
     assert u[0].real == pytest.approx(math.cos(0.2 * w))
     assert u[1].real == pytest.approx(-w * math.sin(0.2 * w))
+
+
+def _numpy_a_frozen_exp(problem, times, weights, duration, state):
+    """The osc A-kernel on numpy complex scalars: the reference for a_frozen_exp."""
+    omega_sq = sum(w * problem.big_omega(t) ** 2 for t, w in zip(times, weights))
+    q, p = exp_2x2(omega_sq, duration, (state[0], state[1]))
+    return np.array([q, p], dtype=complex)
+
+
+def _numpy_b_kick(problem, t_frozen, tau, state):
+    """The osc B-kick on numpy complex scalars and np.sin: the reference for b_kick."""
+    q, p = state[0], state[1]
+    kick = sum(np.sin(q - w * t_frozen) for w in problem.omega_j)
+    return np.array([q, p - tau * problem.epsilon * kick], dtype=complex)
+
+
+def test_osc_kernels_match_numpy_formulas():
+    # Bitwise equal on x86-64 with glibc (200k random calls checked); the
+    # bound leaves room for a last-bit difference between cmath.sin and
+    # np.sin, or CPython's and numpy's complex arithmetic, elsewhere.
+    problem = make_problem("osc")
+    rng = np.random.default_rng(20)
+    rules = ((1.0,), (CF4_BETA, CF4_ALPHA), (CF4_ALPHA, CF4_BETA), (0.5, 0.5))
+    worst = 0.0
+    for _ in range(300):
+        state = rng.uniform(-12.0, 12.0, 2) + 1j * rng.uniform(-1.0, 1.0, 2)
+        t = rng.uniform(0.0, TWO_PI)
+        weights = rules[rng.integers(len(rules))]
+        times = tuple(t + 0.2 * rng.uniform(size=len(weights)))
+        duration = rng.uniform(-0.2, 0.2)
+        tau = complex(rng.uniform(-0.2, 0.2), rng.uniform(-0.1, 0.1))
+        expect_a = _numpy_a_frozen_exp(problem, times, weights, duration, state)
+        expect_b = _numpy_b_kick(problem, t, tau, state)
+        for given in (state, tuple(map(complex, state))):
+            got_a = problem.a_frozen_exp(times, weights, duration, given)
+            got_b = problem.b_kick(t, tau, given)
+            for got, expect in ((got_a, expect_a), (got_b, expect_b)):
+                assert type(got) is tuple and len(got) == 2
+                assert all(type(x) is complex for x in got)
+                err = np.max(np.abs(np.array(got) - expect))
+                worst = max(worst, err / max(1.0, np.max(np.abs(expect))))
+    assert worst <= 1e-15
 
 
 def test_parabolic_kick_is_pointwise_exponential():
@@ -146,16 +189,32 @@ def test_cache_round_trip(tmp_path):
     assert _read_cache(path, digest, problem.dim) is None
 
 
-def test_truncated_cache_entry_is_rebuilt(tmp_path, monkeypatch):
-    problem = make_problem("parabolic", n_grid=8)
+def _stub_oracles(monkeypatch, gap=0.0):
+    """Replace both reference oracles by cheap stand-ins; returns their call log.
+
+    The split stand-in is linspace(0, 1, dim).  The classical one differs from
+    it by `gap` in the first entry, where the split value is 0.0, so the oracle
+    gap is exactly `gap`.
+    """
     import cxsplit.problems as mod
     builds = []
 
-    def oracle(p):
+    def split(p):
         builds.append(p)
-        return np.linspace(0.0, 1.0, p.n_grid)
-    monkeypatch.setattr(mod, "_splitting_oracle", oracle)
-    monkeypatch.setattr(mod, "_classical_oracle", oracle)
+        return np.linspace(0.0, 1.0, p.dim)
+
+    def classical(p):
+        u = split(p)
+        u[0] = gap
+        return u
+    monkeypatch.setattr(mod, "_splitting_oracle", split)
+    monkeypatch.setattr(mod, "_classical_oracle", classical)
+    return builds
+
+
+def test_truncated_cache_entry_is_rebuilt(tmp_path, monkeypatch):
+    problem = make_problem("parabolic", n_grid=8)
+    builds = _stub_oracles(monkeypatch)
     ref = reference_solution(problem, cache_dir=tmp_path)
     path, _ = _cache_path(problem, tmp_path)
     path.write_bytes(path.read_bytes()[:-16])
@@ -170,8 +229,11 @@ def test_session_reference_cache_is_repo_local(repo_local_reference_cache):
     assert Path(__file__).resolve().parent.parent in repo_local_reference_cache.parents
 
 
-def test_reference_solution_caches(tmp_path):
+def test_reference_solution_caches(tmp_path, monkeypatch):
+    # the real oracles are covered by the session fixtures and by
+    # test_acceptance.py::test_criterion_7_reference_integrity
     problem = make_problem("parabolic", n_grid=8)
+    builds = _stub_oracles(monkeypatch)
     ref1 = reference_solution(problem, cache_dir=tmp_path)
     path, _ = _cache_path(problem, tmp_path)
     assert path.exists()
@@ -179,16 +241,20 @@ def test_reference_solution_caches(tmp_path):
     before = path.stat().st_mtime_ns
     ref2 = reference_solution(problem, cache_dir=tmp_path)
     assert path.stat().st_mtime_ns == before       # served from cache
+    assert len(builds) == 2                        # both oracles ran once
     assert np.array_equal(ref1, ref2)
 
 
 def test_reference_inconsistency_is_fatal(tmp_path, monkeypatch):
     problem = make_problem("parabolic", n_grid=8)
-    import cxsplit.problems as mod
-    monkeypatch.setattr(mod, "_classical_oracle",
-                        lambda p: np.zeros(p.n_grid))
+    _stub_oracles(monkeypatch, gap=1.01 * REF_AGREE_TOL)
     with pytest.raises(ReferenceInconsistent):
         reference_solution(problem, cache_dir=tmp_path)
+    assert not any(tmp_path.iterdir())            # nothing cached
+    _stub_oracles(monkeypatch, gap=0.99 * REF_AGREE_TOL)
+    ref = reference_solution(problem, cache_dir=tmp_path)
+    assert np.array_equal(ref, np.linspace(0.0, 1.0, problem.dim))
+    assert _cache_path(problem, tmp_path)[0].exists()
 
 
 def test_default_params_match_benchmarks():

@@ -26,7 +26,10 @@ def test_cost_counters(name, a_stages, kicks):
     problem = make_problem("osc")
     cfg = StepperConfig(scheme=builtin_scheme(name))
     n_steps = 5
-    _, record = integrate(cfg, problem, problem.u0(), 0.0, 0.5, n_steps)
+    state, record = integrate(cfg, problem, problem.u0(), 0.0, 0.5, n_steps)
+    # the osc kernels pass tuples between stages; integrate hands out an ndarray
+    assert isinstance(state.values, np.ndarray)
+    assert state.values.dtype == complex and state.values.shape == (2,)
     assert record.a_flow_evals == n_steps * a_stages
     # non-commuting problem: CF4 costs two kernel calls per A-stage
     assert record.kernel_evals == 2 * n_steps * a_stages
@@ -145,6 +148,32 @@ def test_exact_a_flow_kind_on_parabolic():
     se, _ = integrate(cfg_exact, problem, problem.u0(), 0.0, 0.5, 8)
     sc, _ = integrate(cfg_cf4, problem, problem.u0(), 0.0, 0.5, 8)
     assert np.max(np.abs(se.values - sc.values)) < 1e-8
+
+
+OSC_STEPS = {
+    "sm4": lambda p, s: step(StepperConfig(scheme=builtin_scheme("SM4")), p, s, 0.1),
+    "strang": lambda p, s: strang_step(p, s, 0.1),
+    "ext4": lambda p, s: ext4_step(p, s, 0.1),
+}
+
+
+@pytest.mark.parametrize("method", sorted(OSC_STEPS))
+def test_osc_step_returns_complex_ndarray(method):
+    problem = make_problem("osc")
+    state = OSC_STEPS[method](problem, State(problem.u0(), 0.0))
+    assert isinstance(state.values, np.ndarray)
+    assert state.values.dtype == complex and state.values.shape == (2,)
+
+
+@pytest.mark.parametrize("values", [[np.inf, 1.0], [0.0, 1e308j]],
+                         ids=["inf", "huge-imag"])
+@pytest.mark.parametrize("method", sorted(OSC_STEPS))
+def test_non_finite_osc_state_fails_the_step(method, values):
+    # cmath.sin raises ValueError (infinite argument) or OverflowError (huge
+    # imaginary part) where np.sin returns inf or nan: still StepFailed
+    problem = make_problem("osc")
+    with pytest.raises(StepFailed):
+        OSC_STEPS[method](problem, State(np.array(values, dtype=complex), 0.0))
 
 
 def test_integrate_with_rejects_bad_n_steps():
