@@ -9,8 +9,9 @@ from .problems import (FisherProblem, OscillatorProblem, ParabolicProblem,
 from .propagators import (CirculantLaplacian, cf2_step, cf4_step, exp_2x2,
                           exp_circulant)
 from .schemes import (Scheme, builtin_names, builtin_scheme, expand,
-                      load_scheme, serialize_scheme, validate_scheme)
-from .stepper import (RunRecord, State, StepperConfig, ext4_step, integrate,
-                      step, strang_step)
+                      load_scheme, resolve_scheme, serialize_scheme,
+                      validate_scheme)
+from .stepper import (RunRecord, State, StepperConfig, extrapolate, integrate,
+                      plan_step, step)
 
 __version__ = "0.1.0"

@@ -4,55 +4,48 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .errors import InsufficientData, NotInCatalog, StepFailed
+from .errors import InsufficientData, StepFailed
 from .problems import REF_AGREE_TOL, make_problem, reference_solution
-from .schemes import Scheme, builtin_scheme, expand, load_scheme
-from .stepper import (RunRecord, StepperConfig, _run_stages, compile_stages,
-                      ext4_step, integrate_with, strang_step)
-
-#: A-flow stages per step, the cost unit of the efficiency comparisons.
-METHOD_STAGES = {
-    "strang": 1, "s62": 3, "ext4": 3, "sm4": 4, "sm64": 6, "cf4": 1,
-}
+from .schemes import Scheme, builtin_scheme, resolve_scheme
+from .stepper import RunRecord, StepperConfig, extrapolate, integrate_with, plan_step
 
 _CF4_ONLY = Scheme("cf4", "ABA", 0, (1.0,), (), 4, False)
 
+#: method name -> (scheme, pinned A-flow kind or None, Richardson-extrapolated)
+METHODS = {
+    "strang": (builtin_scheme("STRANG_BAB"), "cf2", False),
+    "ext4": (builtin_scheme("STRANG_BAB"), "cf2", True),
+    "s62": (builtin_scheme("S62"), None, False),
+    "sm4": (builtin_scheme("SM4"), None, False),
+    "sm64": (builtin_scheme("SM64"), None, False),
+    "cf4": (_CF4_ONLY, None, False),
+}
+
+
+def _a_stages(scheme, extrapolated):
+    # an extrapolated step runs the plan three times: two half steps, one whole
+    return scheme.n_a * (3 if extrapolated else 1)
+
+
+#: A-flow stages per step, the cost unit of the efficiency comparisons.
+METHOD_STAGES = {name: _a_stages(scheme, ext)
+                 for name, (scheme, _, ext) in METHODS.items()}
+
 
 def resolve_method(name, a_flow_kind="cf4", freeze_convention="midpoint"):
-    """Map a method identifier (or scheme file path) to a one-step function.
+    """Map a method name, builtin scheme or scheme file to a one-step function.
 
     Returns (step_fn, a_stages_per_step).
     """
-    key = name.lower()
-    if key == "strang":
-        def fn(problem, state, h, record):
-            return strang_step(problem, state, h, freeze_convention, record)
-        return fn, 1
-    if key == "ext4":
-        def fn(problem, state, h, record):
-            return ext4_step(problem, state, h, freeze_convention, record)
-        return fn, 3
-    if key == "cf4":
-        scheme = _CF4_ONLY
-    else:
-        try:
-            scheme = builtin_scheme(name)
-        except NotInCatalog:
-            path = Path(name)
-            if not path.exists():
-                raise
-            scheme = load_scheme(path.read_text())
-    cfg = StepperConfig(scheme=scheme, a_flow_kind=a_flow_kind)
-    plan = compile_stages(expand(scheme))
-    n_a = sum(1 for role, _, _ in plan if role == "A")
-
-    def fn(problem, state, h, record):
-        return _run_stages(cfg, problem, state, h, plan, record)
-    return fn, n_a
+    scheme, pinned, ext = (METHODS.get(name.lower())
+                           or (resolve_scheme(name)[0], None, False))
+    cfg = StepperConfig(scheme, pinned or a_flow_kind, project_real=not ext,
+                        freeze_convention=freeze_convention)
+    step_fn = extrapolate(plan_step(cfg)) if ext else plan_step(cfg)
+    return step_fn, _a_stages(scheme, ext)
 
 
 @dataclass
@@ -64,7 +57,6 @@ class SweepSpec:
     a_flow_kind: str = "cf4"
     freeze_convention: str = "midpoint"
     cache_dir: str | None = None
-    out_path: str | None = None
 
     def __post_init__(self):
         grid = list(self.n_steps_grid)

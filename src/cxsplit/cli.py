@@ -13,8 +13,8 @@ from pathlib import Path
 from . import bench, designer
 from .errors import CxsplitError, ReferenceInconsistent
 from .order_conditions import residuals
-from .schemes import (BUILTIN_TOL, FILE_TOL, builtin_names, builtin_scheme,
-                      expand, load_scheme, serialize_scheme, validate_scheme)
+from .schemes import (builtin_names, expand, resolve_scheme, serialize_scheme,
+                      validate_scheme)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -22,18 +22,11 @@ EXIT_RUNTIME = 2
 EXIT_REFERENCE = 3
 
 
-def _load_any(spec):
-    path = Path(spec)
-    if path.exists():
-        return load_scheme(path.read_text()), FILE_TOL
-    return builtin_scheme(spec), BUILTIN_TOL
-
-
 def cmd_validate(args):
     status = EXIT_OK
     for name in args.schemes:
         try:
-            scheme, tol = _load_any(name)
+            scheme, tol = resolve_scheme(name)
         except CxsplitError as exc:
             print(f"{name}: INVALID ({exc})")
             status = EXIT_VALIDATION
@@ -114,19 +107,19 @@ def _parse_nsteps(text):
     return grid
 
 
+def _run_options(args):
+    """Problem parameters and flow options shared by sweep and converge."""
+    if args.eps is not None and args.problem != "osc":
+        args.error(f"argument --eps: --problem {args.problem} takes no epsilon")
+    return {"params": {} if args.eps is None else {"epsilon": args.eps},
+            "a_flow_kind": args.aflow, "freeze_convention": args.freeze,
+            "cache_dir": args.cache_dir}
+
+
 def cmd_sweep(args):
-    params = {"epsilon": args.eps} if args.problem == "osc" and args.eps else {}
-    spec = bench.SweepSpec(
-        problem=args.problem,
-        methods=args.methods.split(","),
-        n_steps_grid=args.nsteps,
-        params=params,
-        a_flow_kind=args.aflow,
-        freeze_convention="literal" if args.freeze == "literal" else "midpoint",
-        cache_dir=args.cache_dir,
-    )
-    records = bench.sweep(spec)
-    csv_text = bench.records_to_csv(records)
+    spec = bench.SweepSpec(args.problem, args.methods.split(","), args.nsteps,
+                           **_run_options(args))
+    csv_text = bench.records_to_csv(bench.sweep(spec))
     if args.out:
         with open(args.out, "w", newline="\n") as fh:
             fh.write(csv_text)
@@ -136,12 +129,8 @@ def cmd_sweep(args):
 
 
 def cmd_converge(args):
-    params = {"epsilon": args.eps} if args.problem == "osc" and args.eps else {}
-    slope, resid, _ = bench.converge(
-        args.problem, args.method, args.nsteps, params=params,
-        a_flow_kind=args.aflow,
-        freeze_convention="literal" if args.freeze == "literal" else "midpoint",
-        cache_dir=args.cache_dir)
+    slope, resid, _ = bench.converge(args.problem, args.method, args.nsteps,
+                                     **_run_options(args))
     print(f"slope = {slope:.4f}  fit_residual = {resid:.3e}")
     return EXIT_OK
 
@@ -172,18 +161,19 @@ def build_parser():
         p = sub.add_parser(cmd)
         p.add_argument("--problem", required=True,
                        choices=("osc", "parabolic", "fisher"))
-        p.add_argument("--eps", type=float, default=None)
+        p.add_argument("--eps", type=float, default=None, help="osc only")
         p.add_argument("--nsteps", required=True, type=_parse_nsteps,
                        help="comma list, dyadic")
         p.add_argument("--aflow", default="cf4", choices=("cf2", "cf4", "exact"))
-        p.add_argument("--freeze", default="midpoint", choices=("literal", "midpoint"))
+        p.add_argument("--freeze", default="midpoint", choices=("literal", "midpoint"),
+                       help="where CF2 flows freeze A (cf4/exact ignore it)")
         p.add_argument("--cache-dir", default=None)
-        p.add_argument("--out", default=None)
         if cmd == "sweep":
             p.add_argument("--methods", required=True, help="comma list")
+            p.add_argument("--out", default=None)
         else:
             p.add_argument("--method", required=True)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, error=p.error)
     return parser
 
 

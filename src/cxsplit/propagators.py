@@ -24,11 +24,14 @@ SHEAR_THRESHOLD = 1e-14
 EXP_OVERFLOW = 709.0
 
 
-def cf2_step(t0, h, state, frozen_exponential):
-    """Midpoint frozen exponential: exp(h A(t0 + h/2))."""
+def cf2_step(t0, h, state, frozen_exponential, node=0.5):
+    """Frozen exponential exp(h A(t0 + node h)): the midpoint rule by default.
+
+    node=0 freezes A at the start of the flow (the literal convention).
+    """
     if h == 0.0:
         return state
-    return frozen_exponential((t0 + 0.5 * h,), (1.0,), h, state)
+    return frozen_exponential((t0 + node * h,), (1.0,), h, state)
 
 
 def cf4_step(t0, h, state, frozen_exponential, commuting=False):

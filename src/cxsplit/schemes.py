@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import NamedTuple
 
 from .errors import NotInCatalog, ParseError, ValidationError
@@ -191,6 +192,21 @@ def builtin_scheme(name):
         return _CATALOG[key]
     except KeyError:
         raise NotInCatalog(f"unknown scheme {name!r}; builtins: {builtin_names()}") from None
+
+
+def resolve_scheme(spec):
+    """(scheme, validation tolerance) of a builtin name, else of a scheme file."""
+    try:
+        return builtin_scheme(spec), BUILTIN_TOL
+    except NotInCatalog:
+        path = Path(spec)
+        if not path.exists():
+            raise
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {spec}: {exc}") from None
+    return load_scheme(text), FILE_TOL
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,12 @@
 A step alternates B-kicks (frozen real time, complex duration) with
 A-flows over real subintervals, projects onto the real axis after the full
 step, and counts A-flow evaluations, which is the benchmark cost metric.
-A scheme is compiled once into a plan of real nodes and durations, so the
-realness of its flow times is checked once per plan, not per stage per step.
+There is one engine: ``plan_step`` compiles a scheme once into a plan of
+real nodes and durations (so the realness of its flow times is checked
+once per plan, not per stage per step) and returns the step that runs it.
+Strang is the STRANG_BAB plan with a CF2 flow, EXT4 the ``extrapolate`` of
+its unprojected step.  ``freeze_convention`` sets where a CF2 flow freezes
+A: at its midpoint, or at its start for "literal"; CF4 and exact ignore it.
 
 Kernel contract: a problem's ``a_frozen_exp`` and ``b_kick`` may return any
 state that its next kernel accepts (an ndarray, or the oscillator's (q, p)
@@ -28,6 +32,8 @@ from .schemes import Stage, expand
 
 REAL_TIME_TOL = 1e-12
 KERNEL_ERRORS = (FloatingPointError, ZeroDivisionError, OverflowError, ValueError)
+#: where a CF2 flow over [t0, t0 + h] freezes A, as a fraction of h
+FREEZE_NODES = {"midpoint": 0.5, "literal": 0.0}
 
 
 @dataclass
@@ -41,12 +47,12 @@ class StepperConfig:
     scheme: object
     a_flow_kind: str = "cf4"        # "exact" | "cf2" | "cf4"
     project_real: bool = True
-    freeze_convention: str = "midpoint"   # for Strang/EXT4: "midpoint" | "literal"
+    freeze_convention: str = "midpoint"   # CF2 flows: "midpoint" | "literal"
 
     def __post_init__(self):
         if self.a_flow_kind not in ("exact", "cf2", "cf4"):
             raise ValidationError(f"unknown A-flow kind {self.a_flow_kind!r}")
-        if self.freeze_convention not in ("midpoint", "literal"):
+        if self.freeze_convention not in FREEZE_NODES:
             raise ValidationError(f"unknown freeze convention {self.freeze_convention!r}")
         if self.scheme is not None and not self.project_real and self.scheme.has_complex_b():
             raise ValidationError("complex-kick schemes require real projection")
@@ -71,14 +77,14 @@ def _real(value, what):
     return z.real
 
 
-def a_flow(problem, kind, t0, h, values, record=None):
-    """Advance the dominant part over the real interval [t0, t0 + h]."""
+def a_flow(problem, kind, t0, h, values, record=None, node=0.5):
+    """Advance the dominant part over [t0, t0 + h]; CF2 freezes A at t0 + node h."""
     commuting = getattr(problem, "commuting", False)
     if kind == "exact":
         out = problem.a_exact_flow(t0, h, values)
         kernels = 1
     elif kind == "cf2":
-        out = cf2_step(t0, h, values, problem.a_frozen_exp)
+        out = cf2_step(t0, h, values, problem.a_frozen_exp, node)
         kernels = 1
     else:
         out = cf4_step(t0, h, values, problem.a_frozen_exp, commuting=commuting)
@@ -93,7 +99,8 @@ def compile_stages(seq):
     """Compile an expanded stage sequence into a plan: (role, c0, duration).
 
     A-flows carry a real start node and a real duration, B-kicks a real
-    frozen node and their complex coefficient; both are scaled by h at run
+    frozen node and their coefficient, a float if it is real (numpy's complex
+    exp differs from its real exp in the last bit); all scale with h at run
     time.  Raises RealTimeViolation if a flow time has an imaginary part.
     """
     plan = []
@@ -102,87 +109,74 @@ def compile_stages(seq):
             plan.append(("A", _real(stage.c0, "A-flow start node"),
                          _real(stage.coeff, "A-flow duration")))
         else:
-            plan.append(("B", _real(stage.c0, "B-kick node"), stage.coeff))
+            coeff = complex(stage.coeff)
+            plan.append(("B", _real(stage.c0, "B-kick node"),
+                         coeff.real if coeff.imag == 0.0 else coeff))
     return tuple(plan)
+
+
+def plan_step(cfg):
+    """Compile cfg.scheme once; return its map step_fn(problem, state, h, record)."""
+    plan = compile_stages(expand(cfg.scheme))
+
+    def step_fn(problem, state, h, record=None):
+        return _run_stages(cfg, problem, state, h, plan, record)
+    return step_fn
 
 
 def step(cfg, problem, state, h, record=None):
     """One composition step of cfg.scheme from state.t to state.t + h."""
-    return _run_stages(cfg, problem, state, h,
-                       compile_stages(expand(cfg.scheme)), record)
+    return plan_step(cfg)(problem, state, h, record)
 
 
 def _run_stages(cfg, problem, state, h, plan, record):
     """Apply a compiled plan once; raw expand() output is compiled first."""
     if isinstance(plan[0], Stage):
         plan = compile_stages(plan)
-    t_n = state.t
-    u = state.values
+    t_n, u = state.t, state.values
     kind, b_kick = cfg.a_flow_kind, problem.b_kick
+    node = FREEZE_NODES[cfg.freeze_convention]
     for idx, (role, c0, dur) in enumerate(plan):
         try:
             if role == "A":
-                u = a_flow(problem, kind, t_n + c0 * h, dur * h, u, record)
+                u = a_flow(problem, kind, t_n + c0 * h, dur * h, u, record, node)
             else:
                 u = b_kick(t_n + c0 * h, dur * h, u)
         except KERNEL_ERRORS as exc:
             raise StepFailed(str(exc), stage=idx) from exc
+    return _finish(u, t_n + h, cfg.project_real)
+
+
+def _finish(u, t, project_real):
+    """The state after a step: an ndarray, finite, projected on request."""
     u = np.asarray(u, dtype=complex)
     # the kernels keep a non-finite state non-finite: one check per step
     if not np.all(np.isfinite(u)):
         raise StepFailed("non-finite state")
-    if cfg.project_real:
-        u = u.real.astype(complex)
-    return State(u, t_n + h)
-
-
-def strang_step(problem, state, h, freeze_convention="midpoint", record=None,
-                project_real=True):
-    """Strang step with B frozen at the interval endpoints.
-
-    The A-flow is a single frozen exponential: at the left endpoint for the
-    literal convention, at the midpoint for the time-symmetric one.
-    """
-    t_n = state.t
-    t_freeze = t_n if freeze_convention == "literal" else t_n + 0.5 * h
-    try:
-        u = problem.b_kick(t_n, 0.5 * h, state.values)
-        u = problem.a_frozen_exp((t_freeze,), (1.0,), h, u)
-        if record is not None:
-            record.a_flow_evals += 1
-            record.kernel_evals += 1
-        u = problem.b_kick(t_n + h, 0.5 * h, u)
-    except KERNEL_ERRORS as exc:
-        raise StepFailed(str(exc)) from exc
-    u = np.asarray(u, dtype=complex)
-    if not np.all(np.isfinite(u)):
-        raise StepFailed("non-finite state")
     if project_real:
         u = u.real.astype(complex)
-    return State(u, t_n + h)
+    return State(u, t)
 
 
-def ext4_step(problem, state, h, freeze_convention="midpoint", record=None):
-    """Richardson extrapolation of Strang: (4/3) S(h/2)S(h/2) - (1/3) S(h)."""
-    half = strang_step(problem, state, 0.5 * h, freeze_convention, record,
-                       project_real=False)
-    half = strang_step(problem, half, 0.5 * h, freeze_convention, record,
-                       project_real=False)
-    whole = strang_step(problem, state, h, freeze_convention, record,
-                        project_real=False)
-    u = (4.0 / 3.0) * half.values - (1.0 / 3.0) * whole.values
-    if not np.all(np.isfinite(u)):
-        raise StepFailed("non-finite state")
-    return State(u.real.astype(complex), state.t + h)
+def extrapolate(step_fn):
+    """Richardson extrapolation of a second-order unprojected step_fn.
+
+    (4/3) S(h/2)S(h/2) - (1/3) S(h), projected onto the real axis: EXT4
+    when step_fn is Strang (Blanes, Casas & Ros 1999).
+    """
+    def extrapolated(problem, state, h, record=None):
+        half = step_fn(problem, state, 0.5 * h, record)
+        half = step_fn(problem, half, 0.5 * h, record)
+        whole = step_fn(problem, state, h, record)
+        u = (4.0 / 3.0) * half.values - (1.0 / 3.0) * whole.values
+        return _finish(u, state.t + h, True)
+    return extrapolated
 
 
 def integrate(cfg, problem, u0, t0, tf, n_steps, method_name=None):
     """n_steps composition steps over [t0, tf]; error_l2 is left to the bench."""
-    plan = compile_stages(expand(cfg.scheme))
-    name = method_name or cfg.scheme.name
-    return integrate_with(
-        lambda prob, st, h, rec: _run_stages(cfg, prob, st, h, plan, rec),
-        problem, u0, t0, tf, n_steps, name)
+    return integrate_with(plan_step(cfg), problem, u0, t0, tf, n_steps,
+                          method_name or cfg.scheme.name)
 
 
 def integrate_with(step_fn, problem, u0, t0, tf, n_steps, method_name):

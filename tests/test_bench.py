@@ -5,6 +5,7 @@ from cxsplit import bench
 from cxsplit.errors import InsufficientData, NotInCatalog
 from cxsplit.problems import make_problem
 from cxsplit.schemes import serialize_scheme, builtin_scheme
+from cxsplit.stepper import RunRecord, State
 
 
 @pytest.mark.parametrize("name,stages", sorted(bench.METHOD_STAGES.items()))
@@ -12,6 +13,15 @@ def test_resolve_method_stage_counts(name, stages):
     fn, a_stages = bench.resolve_method(name)
     assert callable(fn)
     assert a_stages == stages
+
+
+@pytest.mark.parametrize("name", sorted(bench.METHOD_STAGES))
+def test_method_stages_count_one_step(name):
+    problem = make_problem("osc")
+    fn, _ = bench.resolve_method(name)
+    record = RunRecord()
+    fn(problem, State(problem.u0(), 0.0), 0.1, record)
+    assert record.a_flow_evals == bench.METHOD_STAGES[name]
 
 
 def test_resolve_method_from_file(tmp_path):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cxsplit import cli
+from cxsplit import bench, cli
 from cxsplit.schemes import load_scheme
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -30,6 +30,11 @@ def test_validate_bad_file_exits_one(tmp_path, capsys):
 
 def test_validate_unknown_scheme_exits_one(capsys):
     assert cli.main(["validate", "nope"]) == cli.EXIT_VALIDATION
+
+
+def test_validate_directory_is_invalid(tmp_path, capsys):
+    assert cli.main(["validate", str(tmp_path)]) == cli.EXIT_VALIDATION
+    assert "INVALID (cannot read" in capsys.readouterr().out
 
 
 def test_design_fixed_a1_writes_loadable_scheme(tmp_path, capsys):
@@ -78,6 +83,39 @@ def test_sweep_stdout_and_eps(osc_ref_eps01, capsys):
                      "--methods", "s62", "--nsteps", "8,16"])
     assert code == cli.EXIT_OK
     assert "s62" in capsys.readouterr().out
+
+
+def test_sweep_eps_zero_is_not_the_default(osc_ref, osc_ref_eps0, capsys):
+    def error_l2(argv):
+        assert cli.main(["sweep", "--problem", "osc", "--methods", "strang",
+                         "--nsteps", "8", *argv]) == cli.EXIT_OK
+        return capsys.readouterr().out.splitlines()[1].split(",")[5]
+
+    spec = bench.SweepSpec("osc", ["strang"], [8], params={"epsilon": 0.0})
+    [record] = bench.sweep(spec)
+    assert error_l2(["--eps", "0"]) == repr(record.error_l2)
+    assert error_l2(["--eps", "0"]) != error_l2([])
+
+
+@pytest.mark.parametrize("cmd", [["sweep", "--methods", "sm4"],
+                                 ["converge", "--method", "sm4"]])
+def test_eps_on_a_pde_problem_is_a_usage_error(cmd, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([cmd[0], "--problem", "parabolic", "--eps", "0.1", *cmd[1:],
+                  "--nsteps", "8,16,32,64"])
+    assert exc.value.code == 2
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert last.startswith(f"cxsplit {cmd[0]}: error: argument --eps:")
+
+
+def test_sweep_binary_scheme_file_exits_runtime(tmp_path, osc_ref, capsys):
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"\xff\xfe\x00\x81")
+    code = cli.main(["sweep", "--problem", "osc", "--methods", str(binary),
+                     "--nsteps", "8"])
+    assert code == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("grid,reason", [

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from cxsplit.errors import NotInCatalog, ParseError, ValidationError
-from cxsplit.schemes import (BUILTIN_TOL, Scheme, builtin_names,
+from cxsplit.schemes import (BUILTIN_TOL, FILE_TOL, Scheme, builtin_names,
                              builtin_scheme, expand, load_scheme,
-                             serialize_scheme, validate_scheme)
+                             resolve_scheme, serialize_scheme, validate_scheme)
 
 
 def test_builtin_names_and_aliases():
@@ -20,6 +20,25 @@ def test_builtin_names_and_aliases():
 def test_unknown_scheme_raises():
     with pytest.raises(NotInCatalog):
         builtin_scheme("nope")
+
+
+def test_resolve_scheme_builtin_first_then_file(tmp_path, monkeypatch):
+    # a file named like a builtin does not shadow the builtin
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "SM4").write_text(serialize_scheme(builtin_scheme("S62")))
+    assert resolve_scheme("SM4") == (builtin_scheme("SM4"), BUILTIN_TOL)
+    scheme, tol = resolve_scheme(str(tmp_path / "SM4"))
+    assert scheme.name == "S62" and tol == FILE_TOL
+    with pytest.raises(NotInCatalog):
+        resolve_scheme(str(tmp_path / "missing.txt"))
+
+
+def test_resolve_scheme_unreadable_file_is_a_parse_error(tmp_path):
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"\xff\xfe\x00\x81")
+    for spec in (tmp_path, binary):
+        with pytest.raises(ParseError, match="cannot read"):
+            resolve_scheme(str(spec))
 
 
 @pytest.mark.parametrize("name", builtin_names())

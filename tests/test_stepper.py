@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from cxsplit import bench
 from cxsplit.errors import RealTimeViolation, StepFailed, ValidationError
 from cxsplit.problems import make_problem
 from cxsplit.schemes import Scheme, builtin_scheme, expand
-from cxsplit.stepper import (State, StepperConfig, ext4_step, integrate,
-                             integrate_with, step, strang_step)
+from cxsplit.stepper import (RunRecord, State, StepperConfig, integrate,
+                             integrate_with, step)
+
+STRANG = builtin_scheme("Strang_BAB")
 
 
 def test_config_rejects_unknown_kinds():
@@ -62,7 +65,7 @@ def test_complex_flow_coefficient_triggers_realness_guard():
 
 
 class CountingStub:
-    """A 1-component problem that counts kernel calls.
+    """A 1-component problem that counts kernel calls and records kick durations.
 
     A poisoned stub returns NaN from every kick after t = 0.
     """
@@ -72,6 +75,7 @@ class CountingStub:
     def __init__(self, poisoned=False):
         self.poisoned = poisoned
         self.calls = 0
+        self.taus = []
 
     def a_frozen_exp(self, times, weights, duration, state):
         self.calls += 1
@@ -79,6 +83,7 @@ class CountingStub:
 
     def b_kick(self, t_frozen, tau, state):
         self.calls += 1
+        self.taus.append(tau)
         if self.poisoned and t_frozen > 0.0:
             return state * np.nan
         return state
@@ -112,33 +117,83 @@ def test_conjugate_scheme_same_projected_step():
     assert np.max(np.abs(s1.values - s2.values)) < 1e-14
 
 
+def test_real_kick_coefficients_reach_the_kernel_as_floats():
+    # a real kick must run real arithmetic: numpy's complex exp differs from
+    # its real exp in the last bit, which would move Strang and S62 results
+    for name, kind in (("Strang_BAB", float), ("S62", float), ("SM4", complex)):
+        stub = CountingStub()
+        integrate(StepperConfig(scheme=builtin_scheme(name)), stub, np.ones(1),
+                  0.0, 1.0, 2)
+        assert stub.taus and all(type(tau) is kind for tau in stub.taus), name
+
+
 def test_strang_freeze_conventions_differ_but_agree_at_order_two():
     problem = make_problem("osc")
     state = State(problem.u0(), 0.0)
-    mid = strang_step(problem, state, 0.1, "midpoint")
-    lit = strang_step(problem, state, 0.1, "literal")
+    mid = step(StepperConfig(STRANG, "cf2"), problem, state, 0.1)
+    lit = step(StepperConfig(STRANG, "cf2", freeze_convention="literal"),
+               problem, state, 0.1)
     gap = np.max(np.abs(mid.values - lit.values))
     assert 0.0 < gap < 0.2
 
 
-def test_strang_equals_scheme_strang_midpoint():
-    # the dedicated Strang step with midpoint freezing reproduces the
-    # catalog Strang_BAB composition with a CF2 A-flow
+def test_freeze_convention_moves_cf2_flows_only():
     problem = make_problem("osc")
     state = State(problem.u0(), 0.0)
-    direct = strang_step(problem, state, 0.05, "midpoint")
-    cfg = StepperConfig(scheme=builtin_scheme("Strang_BAB"), a_flow_kind="cf2")
+    s62 = builtin_scheme("S62")
+    for kind, moves in (("cf2", True), ("cf4", False)):
+        mid = step(StepperConfig(s62, kind), problem, state, 0.1)
+        lit = step(StepperConfig(s62, kind, freeze_convention="literal"),
+                   problem, state, 0.1)
+        assert np.any(mid.values != lit.values) == moves, kind
+
+
+def _textbook_strang(problem, state, h, t_freeze):
+    u = problem.b_kick(state.t, 0.5 * h, state.values)
+    u = problem.a_frozen_exp((t_freeze,), (1.0,), h, u)
+    return np.asarray(problem.b_kick(state.t + h, 0.5 * h, u), dtype=complex).real
+
+
+def _assert_strang_plan(freeze, offset):
+    # the strang method is the catalog Strang_BAB composition with a CF2
+    # A-flow, and both equal the textbook kick-flow-kick step with A frozen
+    # at offset * h into the step
+    problem = make_problem("osc")
+    state = State(problem.u0(), 0.0)
+    direct = _textbook_strang(problem, state, 0.05, offset * 0.05)
+    method, _ = bench.resolve_method("strang", freeze_convention=freeze)
+    cfg = StepperConfig(scheme=STRANG, a_flow_kind="cf2", freeze_convention=freeze)
     composed = step(cfg, problem, state, 0.05)
-    assert np.max(np.abs(direct.values - composed.values)) < 1e-15
+    assert np.max(np.abs(direct - composed.values)) < 1e-15
+    assert np.array_equal(method(problem, state, 0.05, None).values, composed.values)
+
+
+def test_strang_equals_scheme_strang_midpoint():
+    _assert_strang_plan("midpoint", 0.5)
+
+
+def test_literal_strang_freezes_at_the_step_start():
+    _assert_strang_plan("literal", 0.0)
 
 
 def test_ext4_counts_three_flows_and_projects():
     problem = make_problem("osc")
-    from cxsplit.stepper import RunRecord
     record = RunRecord()
-    state = ext4_step(problem, State(problem.u0(), 0.0), 0.1, "midpoint", record)
+    ext4, _ = bench.resolve_method("ext4")
+    state = ext4(problem, State(problem.u0(), 0.0), 0.1, record)
     assert record.a_flow_evals == 3
     assert np.all(state.values.imag == 0.0)
+
+
+def test_ext4_is_the_richardson_combination_of_strang():
+    problem = make_problem("osc")
+    start = State(problem.u0(), 0.0)
+    cfg = StepperConfig(STRANG, "cf2", project_real=False)
+    half = step(cfg, problem, step(cfg, problem, start, 0.05), 0.05)
+    whole = step(cfg, problem, start, 0.1)
+    combined = (4.0 / 3.0) * half.values - (1.0 / 3.0) * whole.values
+    ext4, _ = bench.resolve_method("ext4")
+    assert np.array_equal(ext4(problem, start, 0.1, None).values, combined.real)
 
 
 def test_exact_a_flow_kind_on_parabolic():
@@ -152,8 +207,8 @@ def test_exact_a_flow_kind_on_parabolic():
 
 OSC_STEPS = {
     "sm4": lambda p, s: step(StepperConfig(scheme=builtin_scheme("SM4")), p, s, 0.1),
-    "strang": lambda p, s: strang_step(p, s, 0.1),
-    "ext4": lambda p, s: ext4_step(p, s, 0.1),
+    "strang": lambda p, s: bench.resolve_method("strang")[0](p, s, 0.1),
+    "ext4": lambda p, s: bench.resolve_method("ext4")[0](p, s, 0.1),
 }
 
 
