@@ -3,7 +3,7 @@ evolution equations, with the order-condition algebra to re-derive the
 fourth-order schemes and a benchmark harness."""
 
 from .designer import DesignProblem, DesignSolution, scan_a1, solve_b
-from .order_conditions import Residuals, residual_jacobian, residuals
+from .order_conditions import Residuals, residuals
 from .problems import (FisherProblem, OscillatorProblem, ParabolicProblem,
                        make_problem, reference_solution)
 from .propagators import (CirculantLaplacian, cf2_step, cf4_step, exp_2x2,

@@ -25,27 +25,19 @@ METHODS = {
 }
 
 
-def _a_stages(scheme, extrapolated):
-    # an extrapolated step runs the plan three times: two half steps, one whole
-    return scheme.n_a * (3 if extrapolated else 1)
-
-
-#: A-flow stages per step, the cost unit of the efficiency comparisons.
-METHOD_STAGES = {name: _a_stages(scheme, ext)
+#: A-flow stages per step, the cost unit of the efficiency comparisons; an
+#: extrapolated step runs the plan three times: two half steps, one whole.
+METHOD_STAGES = {name: scheme.n_a * (3 if ext else 1)
                  for name, (scheme, _, ext) in METHODS.items()}
 
 
 def resolve_method(name, a_flow_kind="cf4", freeze_convention="midpoint"):
-    """Map a method name, builtin scheme or scheme file to a one-step function.
-
-    Returns (step_fn, a_stages_per_step).
-    """
+    """Map a method name, builtin scheme or scheme file to a one-step function."""
     scheme, pinned, ext = (METHODS.get(name.lower())
                            or (resolve_scheme(name)[0], None, False))
     cfg = StepperConfig(scheme, pinned or a_flow_kind, project_real=not ext,
                         freeze_convention=freeze_convention)
-    step_fn = extrapolate(plan_step(cfg)) if ext else plan_step(cfg)
-    return step_fn, _a_stages(scheme, ext)
+    return extrapolate(plan_step(cfg)) if ext else plan_step(cfg)
 
 
 @dataclass
@@ -67,7 +59,7 @@ class SweepSpec:
 def run_point(problem, method, n_steps, reference, a_flow_kind="cf4",
               freeze_convention="midpoint"):
     """One (method, n_steps) benchmark point measured against the reference."""
-    step_fn, _ = resolve_method(method, a_flow_kind, freeze_convention)
+    step_fn = resolve_method(method, a_flow_kind, freeze_convention)
     try:
         state, record = integrate_with(step_fn, problem, problem.u0(),
                                        problem.t0, problem.tf, n_steps, method)
@@ -132,7 +124,7 @@ def self_converge(problem, method, n_steps_grid, refine=16, a_flow_kind="cf4",
     """
     if len(n_steps_grid) < 3:
         raise InsufficientData("need at least 3 grid points for a slope fit")
-    step_fn, _ = resolve_method(method, a_flow_kind, freeze_convention)
+    step_fn = resolve_method(method, a_flow_kind, freeze_convention)
     n_fine = max(n_steps_grid) * refine
     fine, _ = integrate_with(step_fn, problem, problem.u0(), problem.t0,
                              problem.tf, n_fine, method)
@@ -147,15 +139,16 @@ def self_converge(problem, method, n_steps_grid, refine=16, a_flow_kind="cf4",
     return slope, errors
 
 
-def converge(problem_name, method, n_steps_grid, params=None, a_flow_kind="cf4",
-             freeze_convention="midpoint", cache_dir=None):
-    """Measured global convergence order of one method on one problem."""
-    if len(n_steps_grid) < 4:
+def converge(spec):
+    """Measured global convergence order of the one method of a sweep spec.
+
+    Returns (slope, fit residual, records); needs at least 4 grid points.
+    """
+    if len(spec.methods) != 1:
+        raise ValueError("converge needs a spec with exactly one method")
+    if len(spec.n_steps_grid) < 4:
         raise InsufficientData("need at least 4 grid points for a slope fit")
-    problem = make_problem(problem_name, **(params or {}))
-    reference = reference_solution(problem, cache_dir=cache_dir)
-    records = [run_point(problem, method, n, reference, a_flow_kind,
-                         freeze_convention) for n in n_steps_grid]
+    records = sweep(spec)
     slope, resid = fit_order([r.h for r in records],
                              [r.error_l2 for r in records])
     return slope, resid, records

@@ -22,6 +22,10 @@ from .schemes import Scheme
 NEWTON_TOL = 1e-14
 NEWTON_MAXITER = 50
 DEDUP_DIST = 1e-8
+SOLVE_STARTS = 64            # Newton starts of one solve_b
+SCAN_STARTS = 24             # Newton starts per a1 of the scan
+SCAN_MARGIN = 1e-3           # the scan grid spans [margin, 1/2 - margin]
+SCAN_REFINE_TOL = 1e-10      # golden-section bracket width that ends the scan
 
 
 @dataclass
@@ -118,7 +122,7 @@ def _newton(problem, b0):
     return (bu, rnorm) if rnorm < NEWTON_TOL else (None, rnorm)
 
 
-def solve_b(problem, starts=64, seed=0):
+def solve_b(problem, starts=SOLVE_STARTS, seed=0):
     """Solve the order conditions for the kicks of a fixed-a BAB design."""
     rng = np.random.default_rng(seed)
     k = problem.n_unknowns
@@ -153,34 +157,27 @@ def solve_b(problem, starts=64, seed=0):
     )
 
 
-OBJECTIVES = {
-    # "re": the default objective.  Minimising the signed real part
-    # locates the interior stationary point of Re(p_abaaa); the |Re| global
-    # minimum is a sign crossing elsewhere in (0, 1/2) and not a useful
-    # design point.
-    "re": lambda sol: sol.re_p_abaaa,
-    "abs_re": lambda sol: abs(sol.re_p_abaaa),
-}
-
 _SENTINEL_FAIL = object()
 
 
-def _objective(a1, starts, seed, measure):
+def _objective(a1, seed):
+    # Minimising the signed real part locates the interior stationary point
+    # of Re(p_abaaa); the |Re| global minimum is a sign crossing elsewhere in
+    # (0, 1/2) and not a useful design point.
     try:
-        sol = solve_b(DesignProblem(4, (a1, 0.5 - a1)), starts=starts, seed=seed)
+        sol = solve_b(DesignProblem(4, (a1, 0.5 - a1)), starts=SCAN_STARTS,
+                      seed=seed)
     except NoStableSolution:
         return None            # solved, but inadmissible: excluded, not a failure
     except NoSolutionFound:
         return _SENTINEL_FAIL
-    return measure(sol)
+    return sol.re_p_abaaa
 
 
-def scan_a1(grid_points=200, refine_tol=1e-10, starts=24, seed=0, margin=1e-3,
-            objective="re"):
-    """Grid-then-golden-section minimisation of the p_abaaa objective over a1."""
-    measure = OBJECTIVES[objective] if isinstance(objective, str) else objective
-    grid = np.linspace(margin, 0.5 - margin, grid_points)
-    values = [_objective(a1, starts, seed, measure) for a1 in grid]
+def scan_a1(grid_points=200, seed=0):
+    """Grid-then-golden-section minimisation of Re(p_abaaa) over a1."""
+    grid = np.linspace(SCAN_MARGIN, 0.5 - SCAN_MARGIN, grid_points)
+    values = [_objective(a1, seed) for a1 in grid]
     failures = sum(v is _SENTINEL_FAIL for v in values)
     if failures > 0.1 * grid_points:
         raise DesignScanUnreliable(
@@ -195,14 +192,14 @@ def scan_a1(grid_points=200, refine_tol=1e-10, starts=24, seed=0, margin=1e-3,
     hi = grid[min(idx + 1, grid_points - 1)]
 
     def fval(x):
-        v = _objective(x, starts, seed, measure)
+        v = _objective(x, seed)
         return np.inf if v is None or v is _SENTINEL_FAIL else v
 
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - invphi * (hi - lo)
     x2 = lo + invphi * (hi - lo)
     f1, f2 = fval(x1), fval(x2)
-    while hi - lo > refine_tol:
+    while hi - lo > SCAN_REFINE_TOL:
         if f2 < f1:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + invphi * (hi - lo)
@@ -221,5 +218,6 @@ def scan_a1(grid_points=200, refine_tol=1e-10, starts=24, seed=0, margin=1e-3,
             shift = 0.5 * delta * (f0 - f2_) / denom
             if abs(shift) < 2.0 * delta:
                 a1_opt = a1_opt + shift
-    sol = solve_b(DesignProblem(4, (a1_opt, 0.5 - a1_opt)), starts=starts, seed=seed)
+    sol = solve_b(DesignProblem(4, (a1_opt, 0.5 - a1_opt)), starts=SCAN_STARTS,
+                  seed=seed)
     return a1_opt, sol

@@ -22,7 +22,7 @@ class ValidationError(CxsplitError):
 
 
 class InvalidSequence(CxsplitError):
-    """A stage sequence is empty or indexed out of range."""
+    """A stage sequence is empty."""
 
 
 class NoSolutionFound(CxsplitError):

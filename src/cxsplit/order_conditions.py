@@ -90,21 +90,3 @@ def order_poly_jacobian(b, c):
             + sum(b[j] * c[j] for j in range(k + 1, n))
     jac[2] = c ** 4
     return jac
-
-
-def residual_jacobian(seq, unknowns):
-    """Jacobian of (p_aba, p_abb, p_abaaa) w.r.t. selected kick coefficients.
-
-    ``unknowns`` is a list whose entries are either a kick index or a group
-    of kick indices sharing one unknown (mirrored positions).
-    """
-    b, c = kicks_of(seq)
-    full = order_poly_jacobian(b, c)
-    cols = []
-    for u in unknowns:
-        group = (u,) if np.isscalar(u) else tuple(u)
-        for i in group:
-            if not 0 <= i < len(b):
-                raise InvalidSequence(f"kick index {i} out of range (s={len(b)})")
-        cols.append(full[:, list(group)].sum(axis=1))
-    return np.array(cols, dtype=complex).T

@@ -298,7 +298,7 @@ def _read_cache(path, digest, dim):
     return np.frombuffer(blob[24:], dtype="<f8").copy()
 
 
-def reference_solution(problem, cache_dir=None, verbose=False):
+def reference_solution(problem, cache_dir=None):
     """Final-time reference state, cross-validated by two independent oracles.
 
     Oracle one is the best builtin splitting scheme run at a very fine step;
@@ -314,8 +314,6 @@ def reference_solution(problem, cache_dir=None, verbose=False):
     split = _splitting_oracle(problem)
     classical = _classical_oracle(problem)
     gap = float(np.linalg.norm(split - classical))
-    if verbose:
-        print(f"reference[{problem.key()}]: oracle agreement {gap:.3e}")
     if gap > REF_AGREE_TOL:
         raise ReferenceInconsistent(
             f"{problem.key()}: oracle disagreement {gap:.3e} > {REF_AGREE_TOL:.1e}")

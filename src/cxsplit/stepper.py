@@ -81,7 +81,11 @@ def a_flow(problem, kind, t0, h, values, record=None, node=0.5):
     """Advance the dominant part over [t0, t0 + h]; CF2 freezes A at t0 + node h."""
     commuting = getattr(problem, "commuting", False)
     if kind == "exact":
-        out = problem.a_exact_flow(t0, h, values)
+        exact_flow = getattr(problem, "a_exact_flow", None)
+        if exact_flow is None:
+            raise ValidationError(
+                f"{type(problem).__name__} has no exact A-flow (use cf2 or cf4)")
+        out = exact_flow(t0, h, values)
         kernels = 1
     elif kind == "cf2":
         out = cf2_step(t0, h, values, problem.a_frozen_exp, node)

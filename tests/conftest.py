@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cxsplit.problems import make_problem, reference_solution
+from cxsplit.schemes import builtin_scheme, serialize_scheme
 
 # References built by the tests are cached in this git-ignored directory of
 # the checkout, never in ~/.cache/cxsplit.
@@ -50,6 +51,21 @@ def parabolic_ref():
 def fisher_ref():
     problem = make_problem("fisher")
     return problem, reference_solution(problem)
+
+
+def near_tolerance_sm64_text():
+    """An SM64 file whose mirrored b rows sit 0.9e-9 above the first half's.
+
+    The centre row is lowered by 2.7e-9, so the rows sum to 1 and every
+    mirrored pair passes the FILE_TOL row check.  The scheme that runs keeps
+    the first half and the centre, so its expanded kicks miss 1 by 2.7e-9.
+    """
+    lines = serialize_scheme(builtin_scheme("SM64")).splitlines()
+    rows = [i for i, line in enumerate(lines) if line.startswith("b ")]
+    for i, shift in zip(rows[3:], (-2.7e-9, 0.9e-9, 0.9e-9, 0.9e-9)):
+        _, real, imag = lines[i].split()
+        lines[i] = f"b {float(real) + shift!r} {imag}"
+    return "\n".join(lines) + "\n"
 
 
 def dense_expm(mat):

@@ -10,15 +10,19 @@ from cxsplit.stepper import RunRecord, State
 
 @pytest.mark.parametrize("name,stages", sorted(bench.METHOD_STAGES.items()))
 def test_resolve_method_stage_counts(name, stages):
-    fn, a_stages = bench.resolve_method(name)
+    # the count does not depend on the problem or the flow kind
+    problem = make_problem("parabolic")
+    fn = bench.resolve_method(name, a_flow_kind="cf2")
     assert callable(fn)
-    assert a_stages == stages
+    record = RunRecord()
+    fn(problem, State(problem.u0(), 0.0), 0.01, record)
+    assert record.a_flow_evals == stages
 
 
 @pytest.mark.parametrize("name", sorted(bench.METHOD_STAGES))
 def test_method_stages_count_one_step(name):
     problem = make_problem("osc")
-    fn, _ = bench.resolve_method(name)
+    fn = bench.resolve_method(name)
     record = RunRecord()
     fn(problem, State(problem.u0(), 0.0), 0.1, record)
     assert record.a_flow_evals == bench.METHOD_STAGES[name]
@@ -27,8 +31,11 @@ def test_method_stages_count_one_step(name):
 def test_resolve_method_from_file(tmp_path):
     path = tmp_path / "s62.txt"
     path.write_text(serialize_scheme(builtin_scheme("S62")))
-    fn, a_stages = bench.resolve_method(str(path))
-    assert a_stages == 3
+    fn = bench.resolve_method(str(path))
+    problem = make_problem("osc")
+    record = RunRecord()
+    fn(problem, State(problem.u0(), 0.0), 0.1, record)
+    assert record.a_flow_evals == 3
 
 
 def test_resolve_method_unknown():
@@ -108,13 +115,23 @@ def test_fit_order_skips_nan():
 
 def test_converge_needs_four_points():
     with pytest.raises(InsufficientData):
-        bench.converge("osc", "strang", [8, 16, 32])
+        bench.converge(bench.SweepSpec("osc", ["strang"], [8, 16, 32]))
+
+
+def test_converge_needs_one_method():
+    with pytest.raises(ValueError, match="exactly one method"):
+        bench.converge(bench.SweepSpec("osc", ["strang", "sm4"], [8, 16, 32, 64]))
 
 
 def test_converge_strang_on_oscillator(osc_ref):
-    slope, resid, records = bench.converge("osc", "strang", [64, 128, 256, 512])
+    spec = bench.SweepSpec("osc", ["strang"], [64, 128, 256, 512])
+    slope, resid, records = bench.converge(spec)
     assert slope == pytest.approx(2.0, abs=0.2)
     assert len(records) == 4
+    # the fit is over the sweep's own records
+    assert [r.error_l2 for r in records] == [r.error_l2 for r in bench.sweep(spec)]
+    assert (slope, resid) == bench.fit_order([r.h for r in records],
+                                             [r.error_l2 for r in records])
 
 
 def test_self_converge_needs_three_points(osc_ref):

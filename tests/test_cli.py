@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import near_tolerance_sm64_text
 from cxsplit import bench, cli
 from cxsplit.schemes import load_scheme
 
@@ -18,6 +19,7 @@ def test_validate_builtins_ok(capsys):
     out = capsys.readouterr().out
     assert "SM4: pattern=BAB stages=4 order=4" in out
     assert "sum_a = 1" in out
+    assert "min_re_b" in out
     assert "p_abaaa" in out
 
 
@@ -26,6 +28,25 @@ def test_validate_bad_file_exits_one(tmp_path, capsys):
     bad.write_text("name=t\npattern=BAB\norder=2\nb 0.4 0.0\na 1.0 0.0\nb 0.5 0.0\n")
     assert cli.main(["validate", str(bad)]) == cli.EXIT_VALIDATION
     assert "INVALID" in capsys.readouterr().out
+
+
+def test_validate_near_tolerance_file_is_invalid(tmp_path, capsys):
+    path = tmp_path / "sm64_edge.txt"
+    path.write_text(near_tolerance_sm64_text())
+    assert cli.main(["validate", str(path)]) == cli.EXIT_VALIDATION
+    out = capsys.readouterr().out
+    assert out == f"{path}: INVALID (SM64: consistency-b defect 2.700e-09)\n"
+
+
+def test_sweep_near_tolerance_file_exits_runtime(tmp_path, osc_ref, capsys):
+    path = tmp_path / "sm64_edge.txt"
+    path.write_text(near_tolerance_sm64_text())
+    code = cli.main(["sweep", "--problem", "osc", "--methods", str(path),
+                     "--nsteps", "16"])
+    assert code == cli.EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: SM64: consistency-b defect 2.700e-09\n"
 
 
 def test_validate_unknown_scheme_exits_one(capsys):
@@ -66,6 +87,26 @@ def test_design_fraction_parsing(capsys):
 
 def test_design_without_a_exits_runtime(capsys):
     assert cli.main(["design", "--stages", "4"]) == cli.EXIT_RUNTIME
+
+
+@pytest.mark.parametrize("flags", [
+    ["--scan", "--a1", "0.3"], ["--a1", "0.3", "--a", "0.1,0.4"],
+    ["--scan", "--a", "0.1,0.4"], ["--scan", "--starts", "1"]],
+    ids=["scan-a1", "a1-a", "scan-a", "scan-starts"])
+def test_design_conflicting_flags_are_usage_errors(flags, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["design", "--stages", "4", *flags, "--grid-points", "2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    last = err.strip().splitlines()[-1]
+    assert last.startswith("cxsplit design: error: argument --")
+    assert "not allowed with argument" in last
+
+
+def test_design_starts_reaches_the_solver(capsys):
+    assert cli.main(["design", "--a1", "0.2", "--starts", "0"]) == cli.EXIT_RUNTIME
+    assert "in 0 Newton starts" in capsys.readouterr().err
 
 
 def test_sweep_writes_csv(tmp_path, osc_ref, capsys):
@@ -131,6 +172,28 @@ def test_sweep_bad_nsteps_is_a_usage_error(grid, reason, capsys):
     last = err.strip().splitlines()[-1]
     assert last.startswith("cxsplit sweep: error: argument --nsteps:")
     assert reason in last
+
+
+@pytest.mark.parametrize("cmd", [["sweep", "--methods", "strang,sm4"],
+                                 ["converge", "--method", "sm4"]])
+def test_exact_aflow_on_osc_exits_runtime(cmd, osc_ref, capsys):
+    code = cli.main([cmd[0], "--problem", "osc", "--aflow", "exact", *cmd[1:],
+                     "--nsteps", "8,16,32,64"])
+    assert code == cli.EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: OscillatorProblem has no exact A-flow "
+                            "(use cf2 or cf4)\n")
+
+
+def test_exact_aflow_on_osc_runs_strang(osc_ref, capsys):
+    # strang pins its CF2 flow, so --aflow exact never reaches the oscillator
+    code = cli.main(["sweep", "--problem", "osc", "--aflow", "exact",
+                     "--methods", "strang", "--nsteps", "8"])
+    assert code == cli.EXIT_OK
+    default = capsys.readouterr().out.splitlines()[1].split(",")[5]
+    cli.main(["sweep", "--problem", "osc", "--methods", "strang", "--nsteps", "8"])
+    assert capsys.readouterr().out.splitlines()[1].split(",")[5] == default
 
 
 def test_converge_prints_slope(osc_ref, capsys):

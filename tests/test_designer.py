@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cxsplit.designer import (DesignProblem, OBJECTIVES, solve_b)
+from cxsplit.designer import DesignProblem, solve_b
 from cxsplit.errors import NoSolutionFound
 from cxsplit.order_conditions import residuals
 from cxsplit.schemes import builtin_scheme, expand, validate_scheme
@@ -53,7 +53,7 @@ def test_solution_scheme_is_valid_fourth_order():
     problem = DesignProblem(4, (0.2,))
     sol = solve_b(problem, seed=0)
     scheme = sol.scheme(problem, name="designed-test")
-    validate_scheme(scheme, raise_on_error=True)
+    validate_scheme(scheme)
     res = residuals(expand(scheme))
     assert abs(res.p_aba) < 1e-12
     assert abs(res.p_abb) < 1e-12
@@ -67,7 +67,3 @@ def test_solve_b_collects_all_solutions():
 def test_solve_b_no_starts_raises():
     with pytest.raises(NoSolutionFound):
         solve_b(DesignProblem(4, (0.2,)), starts=0)
-
-
-def test_objectives_table():
-    assert set(OBJECTIVES) == {"re", "abs_re"}

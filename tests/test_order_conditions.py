@@ -3,8 +3,7 @@ import pytest
 
 from cxsplit.errors import InvalidSequence
 from cxsplit.order_conditions import (kicks_of, order_poly_jacobian,
-                                      order_polys, residual_jacobian,
-                                      residuals)
+                                      order_polys, residuals)
 from cxsplit.schemes import builtin_scheme, expand
 
 
@@ -67,19 +66,3 @@ def test_jacobian_matches_finite_differences():
         bm[k] -= eps
         fd = (np.array(order_polys(bp, c)) - np.array(order_polys(bm, c))) / (2 * eps)
         assert np.max(np.abs(jac[:, k] - fd)) < 1e-6
-
-
-def test_residual_jacobian_groups_mirror_kicks():
-    seq = expand(builtin_scheme("SM4"))
-    b, c = kicks_of(seq)
-    full = order_poly_jacobian(b, c)
-    grouped = residual_jacobian(seq, [(0, 4), (1, 3), 2])
-    assert grouped.shape == (3, 3)
-    assert np.allclose(grouped[:, 0], full[:, 0] + full[:, 4])
-    assert np.allclose(grouped[:, 2], full[:, 2])
-
-
-def test_residual_jacobian_bad_index():
-    seq = expand(builtin_scheme("SM4"))
-    with pytest.raises(InvalidSequence):
-        residual_jacobian(seq, [9])

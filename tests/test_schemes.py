@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import near_tolerance_sm64_text
 from cxsplit.errors import NotInCatalog, ParseError, ValidationError
 from cxsplit.schemes import (BUILTIN_TOL, FILE_TOL, Scheme, builtin_names,
                              builtin_scheme, expand, load_scheme,
@@ -44,10 +45,18 @@ def test_resolve_scheme_unreadable_file_is_a_parse_error(tmp_path):
 @pytest.mark.parametrize("name", builtin_names())
 def test_builtins_are_consistent_and_symmetric(name):
     scheme = builtin_scheme(name)
-    report = validate_scheme(scheme, tol=BUILTIN_TOL, raise_on_error=True)
+    report = validate_scheme(scheme, tol=BUILTIN_TOL)
     assert abs(report.sum_a - 1.0) < BUILTIN_TOL
     assert abs(report.sum_b - 1.0) < BUILTIN_TOL
-    assert report.symmetry_defect < BUILTIN_TOL
+
+
+def test_validate_scheme_raises_on_a_consistency_defect():
+    scheme = Scheme("t", "BAB", 1, (1.0,), (0.4, 0.5), 2, False)
+    with pytest.raises(ValidationError, match="consistency-b"):
+        validate_scheme(scheme)
+    # within a looser tolerance the same sums pass and are reported
+    report = validate_scheme(scheme, tol=0.2)
+    assert report.sum_b == pytest.approx(0.9)
 
 
 @pytest.mark.parametrize("name", builtin_names())
@@ -130,6 +139,17 @@ def test_load_missing_header():
 
 def test_load_consistency_violation():
     text = "name=t\npattern=BAB\norder=2\nb 0.4 0.0\na 1.0 0.0\nb 0.5 0.0\n"
+    with pytest.raises(ValidationError, match="consistency-b"):
+        load_scheme(text)
+
+
+def test_load_rejects_near_tolerance_mirrored_rows():
+    # the rows as written pass both row checks; the scheme that runs does not
+    text = near_tolerance_sm64_text()
+    rows = [complex(float(re), float(im)) for _, re, im in
+            (line.split() for line in text.splitlines() if line.startswith("b "))]
+    assert abs(sum(rows) - 1.0) < FILE_TOL
+    assert max(abs(x - y) for x, y in zip(rows, reversed(rows))) < FILE_TOL
     with pytest.raises(ValidationError, match="consistency-b"):
         load_scheme(text)
 

@@ -161,7 +161,7 @@ def _assert_strang_plan(freeze, offset):
     problem = make_problem("osc")
     state = State(problem.u0(), 0.0)
     direct = _textbook_strang(problem, state, 0.05, offset * 0.05)
-    method, _ = bench.resolve_method("strang", freeze_convention=freeze)
+    method = bench.resolve_method("strang", freeze_convention=freeze)
     cfg = StepperConfig(scheme=STRANG, a_flow_kind="cf2", freeze_convention=freeze)
     composed = step(cfg, problem, state, 0.05)
     assert np.max(np.abs(direct - composed.values)) < 1e-15
@@ -179,7 +179,7 @@ def test_literal_strang_freezes_at_the_step_start():
 def test_ext4_counts_three_flows_and_projects():
     problem = make_problem("osc")
     record = RunRecord()
-    ext4, _ = bench.resolve_method("ext4")
+    ext4 = bench.resolve_method("ext4")
     state = ext4(problem, State(problem.u0(), 0.0), 0.1, record)
     assert record.a_flow_evals == 3
     assert np.all(state.values.imag == 0.0)
@@ -192,7 +192,7 @@ def test_ext4_is_the_richardson_combination_of_strang():
     half = step(cfg, problem, step(cfg, problem, start, 0.05), 0.05)
     whole = step(cfg, problem, start, 0.1)
     combined = (4.0 / 3.0) * half.values - (1.0 / 3.0) * whole.values
-    ext4, _ = bench.resolve_method("ext4")
+    ext4 = bench.resolve_method("ext4")
     assert np.array_equal(ext4(problem, start, 0.1, None).values, combined.real)
 
 
@@ -205,10 +205,18 @@ def test_exact_a_flow_kind_on_parabolic():
     assert np.max(np.abs(se.values - sc.values)) < 1e-8
 
 
+def test_exact_a_flow_on_osc_is_a_validation_error():
+    # the oscillator's A(t) has no closed-form flow
+    problem = make_problem("osc")
+    cfg = StepperConfig(scheme=builtin_scheme("SM4"), a_flow_kind="exact")
+    with pytest.raises(ValidationError, match="has no exact A-flow"):
+        step(cfg, problem, State(problem.u0(), 0.0), 0.1)
+
+
 OSC_STEPS = {
     "sm4": lambda p, s: step(StepperConfig(scheme=builtin_scheme("SM4")), p, s, 0.1),
-    "strang": lambda p, s: bench.resolve_method("strang")[0](p, s, 0.1),
-    "ext4": lambda p, s: bench.resolve_method("ext4")[0](p, s, 0.1),
+    "strang": lambda p, s: bench.resolve_method("strang")(p, s, 0.1),
+    "ext4": lambda p, s: bench.resolve_method("ext4")(p, s, 0.1),
 }
 
 
