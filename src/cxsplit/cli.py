@@ -47,29 +47,21 @@ def cmd_design(args):
         if args.starts is not None:
             args.error("argument --starts: not allowed with argument --scan")
         if args.stages != 4:
-            print("--scan supports 4-stage designs only", file=sys.stderr)
-            return EXIT_RUNTIME
+            args.error("argument --scan: 4-stage designs only")
         a1_opt, sol = designer.scan_a1(grid_points=args.grid_points, seed=args.seed)
-        fixed = (a1_opt, 0.5 - a1_opt)
+        problem = designer.DesignProblem(4, (a1_opt,))
         print(f"a1_opt = {a1_opt:.17g}")
     else:
         if args.a is not None:
-            fixed = tuple(_parse_fraction(tok) for tok in args.a.split(","))
+            fixed = args.a
         elif args.a1 is not None:
-            fixed = (args.a1,) if args.stages == 4 else None
-            if fixed is None:
-                print("6-stage designs need --a a1,a2,a3", file=sys.stderr)
-                return EXIT_RUNTIME
-        elif args.stages == 6:
-            fixed = (1.0 / 6.0, 1.0 / 6.0, 1.0 / 6.0)
-        else:
-            print("give --a1, --a, or --scan", file=sys.stderr)
-            return EXIT_RUNTIME
+            fixed = (args.a1,)
+        else:   # a 4-stage design has no default a1
+            fixed = (1.0 / 6.0,) * 3 if args.stages == 6 else ()
+        problem = designer.DesignProblem(args.stages, fixed)
         starts = designer.SOLVE_STARTS if args.starts is None else args.starts
-        sol = designer.solve_b(designer.DesignProblem(args.stages, fixed),
-                               starts=starts, seed=args.seed)
-    problem = designer.DesignProblem(args.stages, fixed)
-    scheme = sol.scheme(problem, name=args.name)
+        sol = designer.solve_b(problem, starts=starts, seed=args.seed)
+    scheme = problem.scheme(sol.b, name=args.name)
     print(f"|Re(p_abaaa)| = {abs(sol.re_p_abaaa):.6e}")
     print(f"residual_norm = {sol.residual_norm:.3e}")
     text = serialize_scheme(scheme)
@@ -81,11 +73,26 @@ def cmd_design(args):
     return EXIT_OK
 
 
-def _parse_fraction(token):
-    if "/" in token:
-        num, den = token.split("/")
-        return float(num) / float(den)
-    return float(token)
+def _parse_fraction(text):
+    """--a: a comma list of numbers or fractions p/q."""
+    try:
+        fractions = [token.partition("/") for token in text.split(",")]
+        return tuple(float(num) / (float(den) if slash else 1.0)
+                     for num, slash, den in fractions)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"expected a comma list of numbers or fractions p/q, got {text!r}") from None
+
+
+def _parse_grid_points(text):
+    """--grid-points: a positive integer."""
+    try:
+        points = int(text)
+        if points >= 1:
+            return points
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
 
 
 def _parse_nsteps(text):
@@ -141,10 +148,11 @@ def build_parser():
     p.add_argument("--stages", type=int, default=4, choices=(4, 6))
     fixed = p.add_mutually_exclusive_group()
     fixed.add_argument("--a1", type=float, default=None)
-    fixed.add_argument("--a", default=None, help="comma list of fixed a values")
+    fixed.add_argument("--a", type=_parse_fraction, default=None,
+                       help="comma list of fixed a values (p/q allowed)")
     fixed.add_argument("--scan", action="store_true",
                        help="optimize a1 over (0, 1/2) (4-stage only)")
-    p.add_argument("--grid-points", type=int, default=200)
+    p.add_argument("--grid-points", type=_parse_grid_points, default=200)
     p.add_argument("--starts", type=int, default=None,
                    help=f"Newton starts (default {designer.SOLVE_STARTS}; "
                    "not with --scan)")

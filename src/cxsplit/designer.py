@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DesignScanUnreliable, NoSolutionFound, NoStableSolution
-from .order_conditions import order_poly_jacobian, order_polys
-from .schemes import Scheme
+from .errors import (DesignScanUnreliable, NoSolutionFound, NoStableSolution,
+                     ValidationError)
+from .order_conditions import kicks_of, order_poly_jacobian, order_polys
+from .schemes import Scheme, expand
 
 NEWTON_TOL = 1e-14
 NEWTON_MAXITER = 50
@@ -32,35 +33,27 @@ SCAN_REFINE_TOL = 1e-10      # golden-section bracket width that ends the scan
 class DesignProblem:
     stages: int                  # 4 or 6
     fixed_a: tuple               # reduced real a values: (a1,) or (a1, a2, a3)
+    # unknown kicks b_1..b_k and conditions solved: p_aba, p_abb (+ p_abaaa)
+    k: int = field(init=False)
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.stages == 4:
-            if len(self.fixed_a) == 1:
-                self.fixed_a = (self.fixed_a[0], 0.5 - self.fixed_a[0])
-            if len(self.fixed_a) != 2 or abs(sum(self.fixed_a) - 0.5) > 1e-13:
-                raise ValueError("4-stage design needs a1 (a2 = 1/2 - a1)")
-        elif self.stages == 6:
-            if len(self.fixed_a) != 3 or abs(sum(self.fixed_a) - 0.5) > 1e-13:
-                raise ValueError("6-stage design needs (a1, a2, a3) with sum 1/2")
-        else:
-            raise ValueError("only 4- and 6-stage designs are supported")
-        if any(not 0.0 < ai < 1.0 for ai in self.fixed_a):
-            raise ValueError("fixed a values must lie in (0, 1)")
+        if self.stages == 4 and len(self.fixed_a) == 1:
+            self.fixed_a = (self.fixed_a[0], 0.5 - self.fixed_a[0])
+        self.k = self.stages // 2
+        if (self.stages not in (4, 6) or len(self.fixed_a) != self.k
+                or abs(sum(self.fixed_a) - 0.5) > 1e-13
+                or not all(0.0 < ai < 1.0 for ai in self.fixed_a)):
+            raise ValidationError(
+                "a 4- or 6-stage design needs stages/2 flow coefficients in "
+                "(0, 1) with sum 1/2, or a1 alone for 4 stages; got "
+                f"stages={self.stages}, a={self.fixed_a}")
+        # the kick nodes of the composition the stepper runs, rounding included
+        self.nodes = kicks_of(expand(self.scheme((0.0,) * (self.k + 1))))[1]
 
-    @property
-    def n_unknowns(self):
-        return self.stages // 2
-
-    @property
-    def n_conditions(self):
-        # p_aba, p_abb for 4 stages; plus p_abaaa for 6
-        return self.stages // 2
-
-    def kick_nodes(self):
-        """Nodes of the m+1 kicks of the symmetric BAB composition."""
-        half = np.cumsum(np.concatenate(([0.0], self.fixed_a)))
-        full = np.concatenate((half, (1.0 - half[:-1])[::-1]))
-        return full
+    def scheme(self, b, name="designed"):
+        """The BAB scheme with these flows and symmetry-reduced kicks b."""
+        return Scheme(name, "BAB", self.stages, tuple(self.fixed_a), tuple(b), 4, True)
 
     def full_b(self, bu):
         """Expand unknowns (b_1..b_k) into the palindromic kick vector."""
@@ -76,25 +69,16 @@ class DesignSolution:
     re_p_abaaa: float
     all_solutions: list = field(default_factory=list)
 
-    def scheme(self, problem, name="designed"):
-        return Scheme(name, "BAB", problem.stages, tuple(problem.fixed_a),
-                      tuple(self.b), 4, True)
-
 
 def _system(problem, bu):
     b = problem.full_b(bu)
-    c = problem.kick_nodes()
-    polys = order_polys(b, c)
-    res = np.array(polys[:problem.n_conditions], dtype=complex)
-    full_jac = order_poly_jacobian(b, c)[:problem.n_conditions]
-    k = problem.n_unknowns
-    m1 = len(b)
-    jac = np.empty((problem.n_conditions, k), dtype=complex)
-    for j in range(k):
-        # unknown j sits at positions j and m1-1-j; the centre kick
-        # carries -2 of every unknown through consistency elimination
-        jac[:, j] = full_jac[:, j] + full_jac[:, m1 - 1 - j] - 2.0 * full_jac[:, k]
-    return res, jac, b, polys
+    k = problem.k
+    polys = order_polys(b, problem.nodes)
+    full_jac = order_poly_jacobian(b, problem.nodes)[:k]
+    # unknown j sits at positions j and 2k - j; the centre kick k carries
+    # -2 of every unknown through consistency elimination
+    jac = full_jac[:, :k] + full_jac[:, :k:-1] - 2.0 * full_jac[:, k:k + 1]
+    return np.array(polys[:k], dtype=complex), jac, b, polys
 
 
 def _newton(problem, b0):
@@ -125,7 +109,7 @@ def _newton(problem, b0):
 def solve_b(problem, starts=SOLVE_STARTS, seed=0):
     """Solve the order conditions for the kicks of a fixed-a BAB design."""
     rng = np.random.default_rng(seed)
-    k = problem.n_unknowns
+    k = problem.k
     found = []
     for _ in range(starts):
         radius = np.sqrt(rng.uniform(size=k))
@@ -157,67 +141,60 @@ def solve_b(problem, starts=SOLVE_STARTS, seed=0):
     )
 
 
-_SENTINEL_FAIL = object()
-
-
 def _objective(a1, seed):
-    # Minimising the signed real part locates the interior stationary point
-    # of Re(p_abaaa); the |Re| global minimum is a sign crossing elsewhere in
-    # (0, 1/2) and not a useful design point.
+    """(Re(p_abaaa), failed) at a1; the value is inf where no kick is usable.
+
+    Minimising the signed real part locates the interior stationary point of
+    Re(p_abaaa); the |Re| global minimum is a sign crossing elsewhere in
+    (0, 1/2) and not a useful design point.
+    """
     try:
-        sol = solve_b(DesignProblem(4, (a1, 0.5 - a1)), starts=SCAN_STARTS,
-                      seed=seed)
+        sol = solve_b(DesignProblem(4, (a1,)), starts=SCAN_STARTS, seed=seed)
     except NoStableSolution:
-        return None            # solved, but inadmissible: excluded, not a failure
+        return np.inf, False   # solved, but inadmissible: excluded, not a failure
     except NoSolutionFound:
-        return _SENTINEL_FAIL
-    return sol.re_p_abaaa
+        return np.inf, True
+    return sol.re_p_abaaa, False
 
 
 def scan_a1(grid_points=200, seed=0):
     """Grid-then-golden-section minimisation of Re(p_abaaa) over a1."""
     grid = np.linspace(SCAN_MARGIN, 0.5 - SCAN_MARGIN, grid_points)
-    values = [_objective(a1, seed) for a1 in grid]
-    failures = sum(v is _SENTINEL_FAIL for v in values)
+    scored = [_objective(a1, seed) for a1 in grid]
+    values = np.array([value for value, _ in scored])
+    failures = sum(failed for _, failed in scored)
     if failures > 0.1 * grid_points:
         raise DesignScanUnreliable(
             f"{failures}/{grid_points} grid points failed to solve")
-    usable = [(v, a1) for v, a1 in zip(values, grid)
-              if v is not None and v is not _SENTINEL_FAIL]
-    if not usable:
+    if not np.isfinite(values).any():
         raise DesignScanUnreliable("no admissible solution anywhere on the grid")
-    _, a_best = min(usable)
-    idx = int(np.argmin(np.abs(grid - a_best)))
+    idx = int(np.argmin(values))
     lo = grid[max(idx - 1, 0)]
     hi = grid[min(idx + 1, grid_points - 1)]
-
-    def fval(x):
-        v = _objective(x, seed)
-        return np.inf if v is None or v is _SENTINEL_FAIL else v
 
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - invphi * (hi - lo)
     x2 = lo + invphi * (hi - lo)
-    f1, f2 = fval(x1), fval(x2)
+    f1, f2 = _objective(x1, seed)[0], _objective(x2, seed)[0]
     while hi - lo > SCAN_REFINE_TOL:
         if f2 < f1:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + invphi * (hi - lo)
-            f2 = fval(x2)
+            f2 = _objective(x2, seed)[0]
         else:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - invphi * (hi - lo)
-            f1 = fval(x1)
+            f1 = _objective(x1, seed)[0]
     a1_opt = 0.5 * (lo + hi)
     # golden section is noise-limited near a flat quadratic minimum; a few
     # successive parabolic-vertex fits recover the last digits
     for delta in (1e-3, 1e-4, 1e-5):
-        f0, f1_, f2_ = fval(a1_opt - delta), fval(a1_opt), fval(a1_opt + delta)
+        f0, f1_, f2_ = (_objective(x, seed)[0]
+                        for x in (a1_opt - delta, a1_opt, a1_opt + delta))
         denom = f0 - 2.0 * f1_ + f2_
         if np.isfinite(denom) and denom > 0.0:
             shift = 0.5 * delta * (f0 - f2_) / denom
             if abs(shift) < 2.0 * delta:
                 a1_opt = a1_opt + shift
-    sol = solve_b(DesignProblem(4, (a1_opt, 0.5 - a1_opt)), starts=SCAN_STARTS,
-                  seed=seed)
+    sol = solve_b(DesignProblem(4, (a1_opt,)), starts=SCAN_STARTS, seed=seed)
     return a1_opt, sol

@@ -54,16 +54,18 @@ def _kahan_sum(terms):
     return s
 
 
+def _before(x):
+    """Exclusive prefix sums: entry j is sum_{i<j} x_i."""
+    return np.concatenate(([0.0], np.cumsum(x)[:-1]))
+
+
 def order_polys(b, c):
     """Evaluate (p_aba, p_abb, p_abaaa) for kick coefficients b at nodes c."""
     b = np.asarray(b, dtype=complex)
     c = np.asarray(c, dtype=complex)
     p_aba = 0.5 * _kahan_sum(b * c * (1.0 - c)) - 1.0 / 12.0
-    terms = [0.5 * b[i] ** 2 * c[i] for i in range(len(b))]
-    for j in range(len(b)):
-        for i in range(j):
-            terms.append(b[i] * b[j] * c[j])
-    p_abb = _kahan_sum(terms) - 1.0 / 3.0
+    # sum_j b_j c_j (b_j / 2 + sum_{i<j} b_i): the double sum of p_abb in O(n)
+    p_abb = _kahan_sum(b * c * (0.5 * b + _before(b))) - 1.0 / 3.0
     p_abaaa = _kahan_sum(b * c ** 4) - 0.2
     return p_aba, p_abb, p_abaaa
 
@@ -82,11 +84,9 @@ def order_poly_jacobian(b, c):
     """Analytic d(p_aba, p_abb, p_abaaa)/db_i, one column per kick."""
     b = np.asarray(b, dtype=complex)
     c = np.asarray(c, dtype=complex)
-    n = len(b)
-    jac = np.zeros((3, n), dtype=complex)
+    jac = np.empty((3, len(b)), dtype=complex)
     jac[0] = 0.5 * c * (1.0 - c)
-    for k in range(n):
-        jac[1, k] = b[k] * c[k] + sum(b[i] * c[k] for i in range(k)) \
-            + sum(b[j] * c[j] for j in range(k + 1, n))
+    # c_k (b_k + sum_{i<k} b_i) + sum_{j>k} b_j c_j
+    jac[1] = c * (b + _before(b)) + _before((b * c)[::-1])[::-1]
     jac[2] = c ** 4
     return jac

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import RealTimeViolation, StepFailed, ValidationError
 from .propagators import cf2_step, cf4_step
-from .schemes import Stage, expand
+from .schemes import expand
 
 REAL_TIME_TOL = 1e-12
 KERNEL_ERRORS = (FloatingPointError, ZeroDivisionError, OverflowError, ValueError)
@@ -134,9 +134,7 @@ def step(cfg, problem, state, h, record=None):
 
 
 def _run_stages(cfg, problem, state, h, plan, record):
-    """Apply a compiled plan once; raw expand() output is compiled first."""
-    if isinstance(plan[0], Stage):
-        plan = compile_stages(plan)
+    """Apply a plan compiled by compile_stages once."""
     t_n, u = state.t, state.values
     kind, b_kick = cfg.a_flow_kind, problem.b_kick
     node = FREEZE_NODES[cfg.freeze_convention]

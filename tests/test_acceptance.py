@@ -16,7 +16,8 @@ from cxsplit.problems import (REF_AGREE_TOL, _classical_oracle,
                               _splitting_oracle, make_problem)
 from cxsplit.propagators import exp_circulant
 from cxsplit.schemes import builtin_scheme, expand, validate_scheme
-from cxsplit.stepper import State, StepperConfig, _run_stages
+from cxsplit.stepper import (State, StepperConfig, _run_stages,
+                             compile_stages)
 
 from conftest import dense_expm
 
@@ -161,7 +162,7 @@ def test_criterion_6_oracle_equivalence():
     cfg = StepperConfig(scheme=scheme, a_flow_kind="cf4")
     cfg.project_real = False        # compare the raw complex step
     stepped = _run_stages(cfg, problem, State(problem.u0(), 0.0), h,
-                          expand(scheme), None)
+                          compile_stages(expand(scheme)), None)
 
     lap = problem.lap.dense()
     u = problem.u0().copy()

@@ -104,6 +104,32 @@ def test_design_conflicting_flags_are_usage_errors(flags, capsys):
     assert "not allowed with argument" in last
 
 
+@pytest.mark.parametrize("flags", [["--a1", "0.6"], ["--stages", "6", "--a", "1/6,1/6"]],
+                         ids=["a1-out-of-range", "six-stage-two-a"])
+def test_design_bad_flow_coefficients_exit_runtime(flags, capsys):
+    assert cli.main(["design", *flags]) == cli.EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: a 4- or 6-stage design needs")
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("flags,arg", [
+    (["--stages", "6", "--a", "1/0,1/6,1/6"], "--a"), (["--a", "x"], "--a"),
+    (["--scan", "--grid-points", "-1"], "--grid-points"),
+    (["--scan", "--grid-points", "x"], "--grid-points"),
+    (["--stages", "6", "--scan"], "--scan")],
+    ids=["a-zero-denominator", "a-not-a-number", "grid-points-negative",
+         "grid-points-not-an-integer", "scan-six-stages"])
+def test_design_bad_arguments_are_usage_errors(flags, arg, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["design", *flags])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1].startswith(f"cxsplit design: error: argument {arg}: ")
+
+
 def test_design_starts_reaches_the_solver(capsys):
     assert cli.main(["design", "--a1", "0.2", "--starts", "0"]) == cli.EXIT_RUNTIME
     assert "in 0 Newton starts" in capsys.readouterr().err

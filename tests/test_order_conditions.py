@@ -54,15 +54,28 @@ def test_kicks_of_extracts_nodes():
     assert abs(c[-1] - 1.0) < 1e-15
 
 
+@pytest.mark.parametrize("n", range(2, 10))
+def test_p_abb_is_the_double_sum(n):
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        b = rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
+        c = rng.uniform(size=n) + 1j * rng.uniform(size=n)
+        want = (0.5 * sum(b[i] ** 2 * c[i] for i in range(n))
+                + sum(b[i] * b[j] * c[j] for j in range(n) for i in range(j))
+                - 1.0 / 3.0)
+        assert abs(order_polys(b, c)[1] - want) < 1e-14
+
+
 def test_jacobian_matches_finite_differences():
     rng = np.random.default_rng(3)
-    b = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    c = np.sort(rng.uniform(size=5)).astype(complex)
-    jac = order_poly_jacobian(b, c)
-    eps = 1e-7
-    for k in range(5):
-        bp, bm = b.copy(), b.copy()
-        bp[k] += eps
-        bm[k] -= eps
-        fd = (np.array(order_polys(bp, c)) - np.array(order_polys(bm, c))) / (2 * eps)
-        assert np.max(np.abs(jac[:, k] - fd)) < 1e-6
+    for n in range(2, 10):
+        b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        c = np.sort(rng.uniform(size=n)).astype(complex)
+        jac = order_poly_jacobian(b, c)
+        eps = 1e-7
+        for k in range(n):
+            bp, bm = b.copy(), b.copy()
+            bp[k] += eps
+            bm[k] -= eps
+            fd = (np.array(order_polys(bp, c)) - np.array(order_polys(bm, c))) / (2 * eps)
+            assert np.max(np.abs(jac[:, k] - fd)) < 1e-6, (n, k)
