@@ -120,22 +120,18 @@ def self_converge(problem, method, n_steps_grid, refine=16, a_flow_kind="cf4",
 
     Removes the oracle's own error from the fit, which matters for schemes
     whose errors approach the oracle accuracy on the finest grids.  Returns
-    (slope, errors); needs at least 3 grid points.
+    (slope, errors); needs at least 3 grid points.  A failed grid point has
+    a NaN error, which the fit skips.
     """
     if len(n_steps_grid) < 3:
         raise InsufficientData("need at least 3 grid points for a slope fit")
-    step_fn = resolve_method(method, a_flow_kind, freeze_convention)
-    n_fine = max(n_steps_grid) * refine
-    fine, _ = integrate_with(step_fn, problem, problem.u0(), problem.t0,
-                             problem.tf, n_fine, method)
-    fine_real = fine.values.real
-    h_values, errors = [], []
-    for n in n_steps_grid:
-        state, record = integrate_with(step_fn, problem, problem.u0(),
-                                       problem.t0, problem.tf, n, method)
-        h_values.append(record.h)
-        errors.append(float(np.linalg.norm(state.values.real - fine_real)))
-    slope = float(np.polyfit(np.log(h_values), np.log(errors), 1)[0])
+    fine, _ = integrate_with(resolve_method(method, a_flow_kind, freeze_convention),
+                             problem, problem.u0(), problem.t0, problem.tf,
+                             max(n_steps_grid) * refine, method)
+    records = [run_point(problem, method, n, fine.values.real, a_flow_kind,
+                         freeze_convention) for n in n_steps_grid]
+    errors = [r.error_l2 for r in records]
+    slope, _ = fit_order([r.h for r in records], errors, floor=0.0)
     return slope, errors
 
 

@@ -41,16 +41,16 @@ class DesignScanUnreliable(CxsplitError):
     """Too many solve failures across the a1 scan grid."""
 
 
-class StepTooLarge(CxsplitError):
-    """Exponential argument would overflow."""
-
-
 class StepFailed(CxsplitError):
     """A flow evaluation failed mid-step; carries the stage index."""
 
     def __init__(self, message, stage=None):
         super().__init__(message if stage is None else f"stage {stage}: {message}")
         self.stage = stage
+
+
+class StepTooLarge(StepFailed):
+    """Exponential argument would overflow: the step fails."""
 
 
 class ReferenceInconsistent(CxsplitError):

@@ -1,4 +1,4 @@
-"""Consistency sums and perturbed-problem order-condition polynomials.
+"""Perturbed-problem order-condition polynomials.
 
 For a consistent symmetric composition with kicks b_i applied at nodes c_i
 (cumulative sums of the flow coefficients, with a leading zero for BAB),
@@ -9,7 +9,8 @@ the residual polynomials are
     p_abaaa = sum_i b_i c_i^4 - 1/5
 
 whose simultaneous zeros characterise the fourth-order (and, for p_abaaa,
-the dominant-error-free) members of the family.
+the dominant-error-free) members of the family.  Consistency (sum a_i =
+sum b_i = 1) is checked by ``schemes.validate_scheme`` alone.
 """
 
 from __future__ import annotations
@@ -23,16 +24,9 @@ from .errors import InvalidSequence
 
 @dataclass
 class Residuals:
-    consistency_a: complex
-    consistency_b: complex
     p_aba: complex
     p_abb: complex
     p_abaaa: complex
-
-    def conjugate(self):
-        return Residuals(*(complex(getattr(self, f)).conjugate()
-                           for f in ("consistency_a", "consistency_b",
-                                     "p_aba", "p_abb", "p_abaaa")))
 
 
 def kicks_of(seq):
@@ -75,13 +69,10 @@ def order_polys(b, c):
 
 
 def residuals(seq):
-    """Consistency and order-condition residuals of a stage sequence."""
+    """Order-condition residuals of a stage sequence."""
     if not seq:
         raise InvalidSequence("empty stage sequence")
-    a_sum = _kahan_sum([st.coeff for st in seq if st.role == "A"])
-    b, c = kicks_of(seq)
-    p_aba, p_abb, p_abaaa = order_polys(b, c)
-    return Residuals(a_sum - 1.0, _kahan_sum(b) - 1.0, p_aba, p_abb, p_abaaa)
+    return Residuals(*order_polys(*kicks_of(seq)))
 
 
 def order_poly_jacobian(b, c):

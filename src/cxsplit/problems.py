@@ -1,7 +1,7 @@
 """The three benchmark problems and their high-accuracy reference oracle.
 
-Each problem supplies the frozen-exponential kernel for the dominant part,
-a B-kick valid for complex durations (closed forms, analytically continued
+Each problem supplies whether its A(t) commute, the frozen-exponential
+kernel for the dominant part, a B-kick valid for complex durations (closed forms, analytically continued
 in the duration), the full unsplit right-hand side for the classical
 cross-check integrator, initial data, and default parameters.
 """
@@ -130,13 +130,6 @@ class ParabolicProblem:
     def a_frozen_exp(self, times, weights, duration, state):
         coeff = sum(w * self.alpha(t) ** 2 for t, w in zip(times, weights))
         return exp_circulant(self.lap, duration * coeff, state)
-
-    def a_exact_flow(self, t0, h, state):
-        # exact non-autonomous flow: exp(int_t0^{t0+h} alpha(s)^2 ds * Lap)
-        nodes, wts = np.polynomial.legendre.leggauss(20)
-        s = t0 + 0.5 * h * (nodes + 1.0)
-        integral = 0.5 * h * sum(w * self.alpha(t) ** 2 for t, w in zip(s, wts))
-        return exp_circulant(self.lap, integral, state)
 
     def b_kick(self, t_frozen, tau, state):
         return state * np.exp(tau * self.potential(t_frozen))

@@ -1,8 +1,9 @@
 """Flow approximations for the dominant non-autonomous part u' = A(t)u.
 
-Provides the midpoint exponential (second order) and the two-exponential
-commutator-free fourth-order integrator, both expressed through a
-caller-supplied frozen-exponential kernel, plus the small exact kernels
+Provides the midpoint exponential (second order), the two-exponential
+commutator-free fourth-order integrator and the exact flow of a commuting
+family, all expressed through a caller-supplied frozen-exponential kernel
+exp(duration * sum_i weights_i A(times_i)), plus the small exact kernels
 used by the benchmark problems: the 2x2 oscillator exponential and the
 spectral exponential of the periodic finite-difference Laplacian.
 """
@@ -52,6 +53,18 @@ def cf4_step(t0, h, state, frozen_exponential, commuting=False):
         return frozen_exponential((tau1, tau2), (0.5, 0.5), h, state)
     state = frozen_exponential((tau1, tau2), (CF4_BETA, CF4_ALPHA), 0.5 * h, state)
     return frozen_exponential((tau1, tau2), (CF4_ALPHA, CF4_BETA), 0.5 * h, state)
+
+
+def exact_step(t0, h, state, frozen_exponential):
+    """Exact flow exp(int A) over [t0, t0 + h] of a commuting family A(t).
+
+    The integral is 20-point Gauss-Legendre quadrature; the caller checks
+    that the A(t) commute.
+    """
+    if h == 0.0:
+        return state
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    return frozen_exponential(t0 + 0.5 * h * (nodes + 1.0), weights, 0.5 * h, state)
 
 
 def exp_2x2(omega_sq, tau, state):

@@ -79,8 +79,7 @@ def _expand_coeffs(reduced, n, symmetric):
 class Stage(NamedTuple):
     role: str      # "A" or "B"
     coeff: complex
-    c0: complex    # node at the start of the stage (== c1 for kicks)
-    c1: complex
+    c0: complex    # node at the start of the stage
 
 
 def expand(scheme):
@@ -97,14 +96,14 @@ def expand(scheme):
     stages = []
     if scheme.pattern == "BAB":
         for i, ai in enumerate(a):
-            stages.append(Stage("B", b[i], nodes[i], nodes[i]))
-            stages.append(Stage("A", ai, nodes[i], nodes[i + 1]))
-        stages.append(Stage("B", b[-1], nodes[-1], nodes[-1]))
+            stages.append(Stage("B", b[i], nodes[i]))
+            stages.append(Stage("A", ai, nodes[i]))
+        stages.append(Stage("B", b[-1], nodes[-1]))
     else:
         for i, bi in enumerate(b):
-            stages.append(Stage("A", a[i], nodes[i], nodes[i + 1]))
-            stages.append(Stage("B", bi, nodes[i + 1], nodes[i + 1]))
-        stages.append(Stage("A", a[-1], nodes[-2] if b else nodes[0], nodes[-1]))
+            stages.append(Stage("A", a[i], nodes[i]))
+            stages.append(Stage("B", bi, nodes[i + 1]))
+        stages.append(Stage("A", a[-1], nodes[-2]))
     return tuple(stages)
 
 

@@ -10,13 +10,19 @@ Strang is the STRANG_BAB plan with a CF2 flow, EXT4 the ``extrapolate`` of
 its unprojected step.  ``freeze_convention`` sets where a CF2 flow freezes
 A: at its midpoint, or at its start for "literal"; CF4 and exact ignore it.
 
-Kernel contract: a problem's ``a_frozen_exp`` and ``b_kick`` may return any
-state that its next kernel accepts (an ndarray, or the oscillator's (q, p)
-tuple); the step makes the result an ndarray once, after its last stage,
-before the finiteness check and the real projection.  A kernel that fails
-on non-finite or overflowing input raises one of KERNEL_ERRORS (``cmath``
-raises ValueError or OverflowError where numpy returns inf or nan), and the
-step turns it into StepFailed.
+Problem protocol: the engine reads three members of a problem.
+``commuting`` says whether the A(t) commute (then CF4 fuses into one
+exponential and the exact flow exists); ``a_frozen_exp(times, weights,
+duration, state)`` applies exp(duration * sum_i weights_i A(times_i)), the
+one A-kernel of CF2, CF4 and the exact flow; ``b_kick(t, tau, state)`` is
+the B-flow frozen at real time t for a complex duration tau.  Both kernels
+may return any state that the next kernel accepts (an ndarray, or the
+oscillator's (q, p) tuple); the step makes the result an ndarray once,
+after its last stage, before the finiteness check and the real projection.
+A kernel that fails on non-finite or overflowing input raises StepFailed
+(StepTooLarge is one) or one of KERNEL_ERRORS (``cmath`` raises ValueError
+or OverflowError where numpy returns inf or nan), which the step turns
+into StepFailed.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RealTimeViolation, StepFailed, ValidationError
-from .propagators import cf2_step, cf4_step
+from .propagators import cf2_step, cf4_step, exact_step
 from .schemes import expand
 
 REAL_TIME_TOL = 1e-12
@@ -54,7 +60,7 @@ class StepperConfig:
             raise ValidationError(f"unknown A-flow kind {self.a_flow_kind!r}")
         if self.freeze_convention not in FREEZE_NODES:
             raise ValidationError(f"unknown freeze convention {self.freeze_convention!r}")
-        if self.scheme is not None and not self.project_real and self.scheme.has_complex_b():
+        if not self.project_real and self.scheme.has_complex_b():
             raise ValidationError("complex-kick schemes require real projection")
 
 
@@ -79,23 +85,21 @@ def _real(value, what):
 
 def a_flow(problem, kind, t0, h, values, record=None, node=0.5):
     """Advance the dominant part over [t0, t0 + h]; CF2 freezes A at t0 + node h."""
-    commuting = getattr(problem, "commuting", False)
-    if kind == "exact":
-        exact_flow = getattr(problem, "a_exact_flow", None)
-        if exact_flow is None:
-            raise ValidationError(
-                f"{type(problem).__name__} has no exact A-flow (use cf2 or cf4)")
-        out = exact_flow(t0, h, values)
-        kernels = 1
-    elif kind == "cf2":
-        out = cf2_step(t0, h, values, problem.a_frozen_exp, node)
-        kernels = 1
+    kernel, commuting = problem.a_frozen_exp, problem.commuting
+    if kind == "cf2":
+        out = cf2_step(t0, h, values, kernel, node)
+    elif kind == "cf4":
+        out = cf4_step(t0, h, values, kernel, commuting)
+    elif commuting:
+        out = exact_step(t0, h, values, kernel)
     else:
-        out = cf4_step(t0, h, values, problem.a_frozen_exp, commuting=commuting)
-        kernels = 1 if (commuting or h == 0.0) else 2
+        raise ValidationError(
+            f"{type(problem).__name__} has no exact A-flow (use cf2 or cf4)")
     if record is not None:
         record.a_flow_evals += 1
-        record.kernel_evals += kernels
+        # a zero-duration flow calls no kernel; split CF4 calls two
+        if h != 0.0:
+            record.kernel_evals += 2 if kind == "cf4" and not commuting else 1
     return out
 
 

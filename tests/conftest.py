@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cxsplit.problems import make_problem, reference_solution
-from cxsplit.schemes import builtin_scheme, serialize_scheme
+from cxsplit.schemes import Scheme, builtin_scheme, serialize_scheme
 
 # References built by the tests are cached in this git-ignored directory of
 # the checkout, never in ~/.cache/cxsplit.
@@ -66,6 +66,20 @@ def near_tolerance_sm64_text():
         _, real, imag = lines[i].split()
         lines[i] = f"b {float(real) + shift!r} {imag}"
     return "\n".join(lines) + "\n"
+
+
+def yoshida_text():
+    """The Yoshida triple jump of Strang_BAB as a scheme file.
+
+    A real, symmetric, fourth-order BAB scheme whose middle flow runs
+    backwards, w0 = -2^(1/3) / (2 - 2^(1/3)): real schemes of order above
+    two need negative coefficients, which blow up on a parabolic problem.
+    """
+    cbrt2 = 2.0 ** (1.0 / 3.0)
+    w1, w0 = 1.0 / (2.0 - cbrt2), -cbrt2 / (2.0 - cbrt2)
+    scheme = Scheme("yoshida", "BAB", 3, (w1, w0), (0.5 * w1, 0.5 * (w1 + w0)),
+                    4, True)
+    return serialize_scheme(scheme)
 
 
 def dense_expm(mat):

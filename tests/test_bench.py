@@ -7,6 +7,8 @@ from cxsplit.problems import make_problem
 from cxsplit.schemes import serialize_scheme, builtin_scheme
 from cxsplit.stepper import RunRecord, State
 
+from conftest import yoshida_text
+
 
 @pytest.mark.parametrize("name,stages", sorted(bench.METHOD_STAGES.items()))
 def test_resolve_method_stage_counts(name, stages):
@@ -138,3 +140,17 @@ def test_self_converge_needs_three_points(osc_ref):
     problem, _ = osc_ref
     with pytest.raises(InsufficientData):
         bench.self_converge(problem, "strang", [8, 16])
+
+
+def test_self_converge_skips_failed_points(tmp_path):
+    # the triple jump's backward flow blows up the coarse parabolic steps;
+    # those points fail with a NaN error and the fit runs on the rest
+    path = tmp_path / "yoshida.txt"
+    path.write_text(yoshida_text())
+    problem = make_problem("parabolic")
+    slope, errors = bench.self_converge(problem, str(path),
+                                        [16, 32, 256, 512, 1024], refine=2)
+    assert np.isnan(errors[:2]).all() and np.isfinite(errors[2:]).all()
+    assert slope == pytest.approx(4.0, abs=0.3)
+    assert slope == bench.fit_order([1.0 / n for n in (256, 512, 1024)],
+                                    errors[2:], floor=0.0)[0]

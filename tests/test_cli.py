@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import near_tolerance_sm64_text
+from conftest import near_tolerance_sm64_text, yoshida_text
 from cxsplit import bench, cli, designer
 from cxsplit.schemes import load_scheme
 
@@ -233,6 +233,27 @@ def test_exact_aflow_on_osc_runs_strang(osc_ref, capsys):
     default = capsys.readouterr().out.splitlines()[1].split(",")[5]
     cli.main(["sweep", "--problem", "osc", "--methods", "strang", "--nsteps", "8"])
     assert capsys.readouterr().out.splitlines()[1].split(",")[5] == default
+
+
+def test_sweep_overflowing_scheme_fails_rows_not_the_sweep(tmp_path,
+                                                          parabolic_ref, capsys):
+    # the triple jump's backward flow trips the exponential overflow guard
+    # on coarse parabolic steps: those rows fail, the other method's survive
+    path = tmp_path / "yoshida.txt"
+    path.write_text(yoshida_text())
+
+    def rows(methods):
+        code = cli.main(["sweep", "--problem", "parabolic", "--methods", methods,
+                         "--nsteps", "2,4,8,16,32,64,128"])
+        assert code == cli.EXIT_OK
+        lines = capsys.readouterr().out.splitlines()[1:]
+        # drop wall_time
+        return [line.split(",")[:6] + line.split(",")[7:] for line in lines]
+
+    both = rows(f"sm4,{path}")
+    failed = {int(r[2]) for r in both if r[0] == str(path) and r[-1] == "1"}
+    assert failed >= {2, 4, 8, 16, 32, 64}
+    assert [r for r in both if r[0] == "sm4"] == rows("sm4")
 
 
 def test_converge_prints_slope(osc_ref, capsys):

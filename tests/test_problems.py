@@ -9,7 +9,8 @@ from cxsplit.problems import (REF_AGREE_TOL, REF_MAGIC, TWO_PI, FisherProblem,
                               OscillatorProblem, ParabolicProblem, _cache_path,
                               _read_cache, _write_cache, default_cache_dir,
                               make_problem, reference_solution, rk4_integrate)
-from cxsplit.propagators import CF4_ALPHA, CF4_BETA, exp_2x2
+from cxsplit.propagators import (CF4_ALPHA, CF4_BETA, exact_step, exp_2x2,
+                                 exp_circulant)
 
 
 def test_make_problem_dispatch():
@@ -106,13 +107,34 @@ def test_parabolic_apply_laplacian_matches_dense():
 def test_parabolic_exact_flow_matches_quadrature_limit():
     problem = make_problem("parabolic", n_grid=16)
     u = problem.u0()
-    out = problem.a_exact_flow(0.1, 0.2, u)
+    out = exact_step(0.1, 0.2, u, problem.a_frozen_exp)
     # brute-force Riemann integral of alpha^2
     s = np.linspace(0.1, 0.3, 20001)
     integral = np.trapezoid([problem.alpha(t) ** 2 for t in s], s)
-    from cxsplit.propagators import exp_circulant
     ref = exp_circulant(problem.lap, integral, u)
     assert np.max(np.abs(out - ref)) < 1e-10
+
+
+def _quadrature_exact_flow(problem, t0, h, state):
+    """exp(int_t0^{t0+h} alpha(s)^2 ds * Lap) by 20-point Gauss-Legendre.
+
+    The closed formula of the exact flow: the reference for exact_step.
+    """
+    nodes, wts = np.polynomial.legendre.leggauss(20)
+    s = t0 + 0.5 * h * (nodes + 1.0)
+    integral = 0.5 * h * sum(w * problem.alpha(t) ** 2 for t, w in zip(s, wts))
+    return exp_circulant(problem.lap, integral, state)
+
+
+@pytest.mark.parametrize("name", ["parabolic", "fisher"])
+def test_exact_step_equals_the_quadrature_formula_bitwise(name):
+    problem = make_problem(name)
+    rng = np.random.default_rng(9)
+    for _ in range(200):
+        t0, h = rng.uniform(0.0, 1.0), rng.uniform(-0.05, 0.25)
+        u = rng.standard_normal(problem.n_grid) + 1j * rng.standard_normal(problem.n_grid)
+        got = exact_step(t0, h, u, problem.a_frozen_exp)
+        assert got.tobytes() == _quadrature_exact_flow(problem, t0, h, u).tobytes()
 
 
 def test_fisher_kick_logistic_properties():

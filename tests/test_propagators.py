@@ -5,8 +5,8 @@ import pytest
 
 from cxsplit.errors import StepTooLarge
 from cxsplit.propagators import (CF4_ALPHA, CF4_BETA, CirculantLaplacian,
-                                 GAUSS_OFFSETS, cf2_step, cf4_step, exp_2x2,
-                                 exp_circulant)
+                                 GAUSS_OFFSETS, cf2_step, cf4_step, exact_step,
+                                 exp_2x2, exp_circulant)
 
 from conftest import dense_expm
 
@@ -47,6 +47,15 @@ def test_magnus_orders_on_scalar_model(step_fn, order):
     rates = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]
     for rate in rates:
         assert abs(rate - order) < 0.2
+
+
+def test_exact_step_on_scalar_model():
+    # scalar generators commute: the quadrature flow is the exact solution
+    for t0, h in ((0.3, 0.25), (1.1, -0.4)):
+        assert exact_step(t0, h, 1.7, _frozen) == pytest.approx(
+            _exact(t0, h, 1.7), rel=1e-14)
+    u = np.ones(3)
+    assert exact_step(0.3, 0.0, u, _frozen) is u
 
 
 def test_cf4_commuting_fuse_matches_split_form():

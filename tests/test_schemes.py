@@ -78,7 +78,6 @@ def test_expansion_palindrome_and_nodes(name):
         if st.role == "A":
             assert abs(st.c0 - node) < 1e-15
             node += st.coeff
-            assert abs(st.c1 - node) < 1e-15
         else:
             assert abs(st.c0 - node) < 1e-15
     assert abs(node - 1.0) < 1e-14

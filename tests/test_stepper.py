@@ -67,18 +67,20 @@ def test_complex_flow_coefficient_triggers_realness_guard():
 class CountingStub:
     """A 1-component problem that counts kernel calls and records kick durations.
 
-    A poisoned stub returns NaN from every kick after t = 0.
+    ``calls`` counts both kernels, ``a_calls`` the A-kernel alone.  A
+    poisoned stub returns NaN from every kick after t = 0.
     """
 
-    commuting = True
-
-    def __init__(self, poisoned=False):
+    def __init__(self, poisoned=False, commuting=True):
         self.poisoned = poisoned
+        self.commuting = commuting
         self.calls = 0
+        self.a_calls = 0
         self.taus = []
 
     def a_frozen_exp(self, times, weights, duration, state):
         self.calls += 1
+        self.a_calls += 1
         return state
 
     def b_kick(self, t_frozen, tau, state):
@@ -105,6 +107,25 @@ def test_nan_from_a_mid_step_kick_fails_the_step():
     with pytest.raises(StepFailed):
         integrate(cfg, stub, np.ones(1), 0.0, 1.0, 4)
     assert stub.calls == len(expand(builtin_scheme("SM4")))
+
+
+# a BAB scheme whose first flow has zero duration
+ZERO_FLOW = Scheme("zero-flow", "BAB", 2, (0.0, 1.0), (0.5, 0.0, 0.5), 2, False)
+
+
+@pytest.mark.parametrize("kind,commuting,per_flow", [
+    ("cf2", False, 1), ("cf4", False, 2), ("cf4", True, 1), ("exact", True, 1)])
+@pytest.mark.parametrize("scheme,tf,real_flows", [
+    (ZERO_FLOW, 1.0, 3), (builtin_scheme("SM4"), 0.0, 0)],
+    ids=["zero-first-flow", "t0-equals-tf"])
+def test_kernel_evals_count_real_kernel_calls(kind, commuting, per_flow, scheme,
+                                              tf, real_flows):
+    # a zero-duration flow calls no kernel and counts none
+    stub = CountingStub(commuting=commuting)
+    cfg = StepperConfig(scheme=scheme, a_flow_kind=kind)
+    _, record = integrate(cfg, stub, np.ones(1), 0.0, tf, 3)
+    assert stub.a_calls == record.kernel_evals == per_flow * real_flows
+    assert record.a_flow_evals == 3 * scheme.n_a
 
 
 def test_conjugate_scheme_same_projected_step():
