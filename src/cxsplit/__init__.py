@@ -12,6 +12,6 @@ from .schemes import (Scheme, builtin_names, builtin_scheme, expand,
                       load_scheme, resolve_scheme, serialize_scheme,
                       validate_scheme)
 from .stepper import (RunRecord, State, StepperConfig, extrapolate, integrate,
-                      plan_step, step)
+                      plan_step)
 
 __version__ = "0.1.0"

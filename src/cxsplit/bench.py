@@ -35,9 +35,8 @@ def resolve_method(name, a_flow_kind="cf4", freeze_convention="midpoint"):
     """Map a method name, builtin scheme or scheme file to a one-step function."""
     scheme, pinned, ext = (METHODS.get(name.lower())
                            or (resolve_scheme(name)[0], None, False))
-    cfg = StepperConfig(scheme, pinned or a_flow_kind, project_real=not ext,
-                        freeze_convention=freeze_convention)
-    return extrapolate(plan_step(cfg)) if ext else plan_step(cfg)
+    cfg = StepperConfig(scheme, pinned or a_flow_kind, freeze_convention)
+    return extrapolate(cfg) if ext else plan_step(cfg)
 
 
 @dataclass
@@ -63,11 +62,21 @@ def run_point(problem, method, n_steps, reference, a_flow_kind="cf4",
     try:
         state, record = integrate_with(step_fn, problem, problem.u0(),
                                        problem.t0, problem.tf, n_steps, method)
-        record.error_l2 = float(np.linalg.norm(state.values.real - reference))
+        record.error_l2 = _norm(state.values.real - reference)
     except StepFailed:
         record = RunRecord(method=method, h=(problem.tf - problem.t0) / n_steps,
                            n_steps=n_steps, failed=True)
     return record
+
+
+def _norm(x):
+    """The 2-norm of x, rescaled by its largest |component| if it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.linalg.norm(x)
+        if not math.isfinite(norm):
+            scale = np.max(np.abs(x))
+            norm = scale * np.linalg.norm(x / scale)
+    return float(norm)
 
 
 def sweep(spec):

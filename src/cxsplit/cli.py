@@ -13,8 +13,10 @@ from pathlib import Path
 from . import bench, designer
 from .errors import CxsplitError, ReferenceInconsistent
 from .order_conditions import residuals
+from .problems import PROBLEMS
 from .schemes import (builtin_names, expand, resolve_scheme, serialize_scheme,
                       validate_scheme)
+from .stepper import A_FLOW_KINDS, FREEZE_NODES
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -163,13 +165,12 @@ def build_parser():
 
     for cmd, fn in (("sweep", cmd_sweep), ("converge", cmd_converge)):
         p = sub.add_parser(cmd)
-        p.add_argument("--problem", required=True,
-                       choices=("osc", "parabolic", "fisher"))
+        p.add_argument("--problem", required=True, choices=tuple(PROBLEMS))
         p.add_argument("--eps", type=float, default=None, help="osc only")
         p.add_argument("--nsteps", required=True, type=_parse_nsteps,
                        help="comma list, dyadic")
-        p.add_argument("--aflow", default="cf4", choices=("cf2", "cf4", "exact"))
-        p.add_argument("--freeze", default="midpoint", choices=("literal", "midpoint"),
+        p.add_argument("--aflow", default="cf4", choices=A_FLOW_KINDS)
+        p.add_argument("--freeze", default="midpoint", choices=sorted(FREEZE_NODES),
                        help="where CF2 flows freeze A (cf4/exact ignore it)")
         p.add_argument("--cache-dir", default=None)
         if cmd == "sweep":

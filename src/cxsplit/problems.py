@@ -182,12 +182,15 @@ class FisherProblem(ParabolicProblem):
         return ("fisher", self.n_grid, self.mu, self.w, self.beta, self.t0, self.tf)
 
 
+#: problem name -> class, in the order the command line lists them
+PROBLEMS = {"osc": OscillatorProblem, "parabolic": ParabolicProblem,
+            "fisher": FisherProblem}
+
+
 def make_problem(name, **overrides):
-    table = {"osc": OscillatorProblem, "parabolic": ParabolicProblem,
-             "fisher": FisherProblem}
-    if name not in table:
-        raise ValueError(f"unknown problem {name!r}; choose from {sorted(table)}")
-    return table[name](**overrides)
+    if name not in PROBLEMS:
+        raise ValueError(f"unknown problem {name!r}; choose from {sorted(PROBLEMS)}")
+    return PROBLEMS[name](**overrides)
 
 
 # ---------------------------------------------------------------------------

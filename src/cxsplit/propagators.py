@@ -10,6 +10,7 @@ spectral exponential of the periodic finite-difference Laplacian.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -63,8 +64,16 @@ def exact_step(t0, h, state, frozen_exponential):
     """
     if h == 0.0:
         return state
-    nodes, weights = np.polynomial.legendre.leggauss(20)
+    nodes, weights = _gauss_legendre_20()
     return frozen_exponential(t0 + 0.5 * h * (nodes + 1.0), weights, 0.5 * h, state)
+
+
+@functools.cache
+def _gauss_legendre_20():
+    """The 20-point Gauss-Legendre rule on [-1, 1], computed once, on first use."""
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    weights.flags.writeable = False     # shared by every call: kernels only read it
+    return nodes, weights
 
 
 def exp_2x2(omega_sq, tau, state):

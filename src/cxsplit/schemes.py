@@ -56,9 +56,6 @@ class Scheme:
     def expanded_b(self):
         return _expand_coeffs(self.b, self.n_b, self.symmetric)
 
-    def has_complex_b(self):
-        return any(abs(bi.imag) > 0.0 for bi in map(complex, self.expanded_b()))
-
     def conjugate(self):
         return Scheme(self.name, self.pattern, self.stages,
                       tuple(complex(x).conjugate() for x in self.a),

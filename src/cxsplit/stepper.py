@@ -2,13 +2,15 @@
 
 A step alternates B-kicks (frozen real time, complex duration) with
 A-flows over real subintervals, projects onto the real axis after the full
-step, and counts A-flow evaluations, which is the benchmark cost metric.
+step (the projection is part of the method: every public step makes it),
+and counts A-flow evaluations, which is the benchmark cost metric.
 There is one engine: ``plan_step`` compiles a scheme once into a plan of
 real nodes and durations (so the realness of its flow times is checked
 once per plan, not per stage per step) and returns the step that runs it.
-Strang is the STRANG_BAB plan with a CF2 flow, EXT4 the ``extrapolate`` of
-its unprojected step.  ``freeze_convention`` sets where a CF2 flow freezes
-A: at its midpoint, or at its start for "literal"; CF4 and exact ignore it.
+Strang is the STRANG_BAB plan with a CF2 flow, EXT4 its ``extrapolate``,
+which combines unprojected steps and projects the result.
+``freeze_convention`` sets where a CF2 flow freezes A: at its midpoint, or
+at its start for "literal"; CF4 and exact ignore it.
 
 Problem protocol: the engine reads three members of a problem.
 ``commuting`` says whether the A(t) commute (then CF4 fuses into one
@@ -38,6 +40,8 @@ from .schemes import expand
 
 REAL_TIME_TOL = 1e-12
 KERNEL_ERRORS = (FloatingPointError, ZeroDivisionError, OverflowError, ValueError)
+#: the A-flow approximations, in the order the command line lists them
+A_FLOW_KINDS = ("cf2", "cf4", "exact")
 #: where a CF2 flow over [t0, t0 + h] freezes A, as a fraction of h
 FREEZE_NODES = {"midpoint": 0.5, "literal": 0.0}
 
@@ -51,17 +55,14 @@ class State:
 @dataclass
 class StepperConfig:
     scheme: object
-    a_flow_kind: str = "cf4"        # "exact" | "cf2" | "cf4"
-    project_real: bool = True
-    freeze_convention: str = "midpoint"   # CF2 flows: "midpoint" | "literal"
+    a_flow_kind: str = "cf4"        # one of A_FLOW_KINDS
+    freeze_convention: str = "midpoint"   # CF2 flows: a key of FREEZE_NODES
 
     def __post_init__(self):
-        if self.a_flow_kind not in ("exact", "cf2", "cf4"):
+        if self.a_flow_kind not in A_FLOW_KINDS:
             raise ValidationError(f"unknown A-flow kind {self.a_flow_kind!r}")
         if self.freeze_convention not in FREEZE_NODES:
             raise ValidationError(f"unknown freeze convention {self.freeze_convention!r}")
-        if not self.project_real and self.scheme.has_complex_b():
-            raise ValidationError("complex-kick schemes require real projection")
 
 
 @dataclass
@@ -128,17 +129,13 @@ def plan_step(cfg):
     plan = compile_stages(expand(cfg.scheme))
 
     def step_fn(problem, state, h, record=None):
-        return _run_stages(cfg, problem, state, h, plan, record)
+        raw = _run_stages(cfg, problem, state, h, plan, record)
+        return State(raw.values.real.astype(complex), raw.t)
     return step_fn
 
 
-def step(cfg, problem, state, h, record=None):
-    """One composition step of cfg.scheme from state.t to state.t + h."""
-    return plan_step(cfg)(problem, state, h, record)
-
-
 def _run_stages(cfg, problem, state, h, plan, record):
-    """Apply a plan compiled by compile_stages once."""
+    """Apply a plan compiled by compile_stages once; the step is not projected."""
     t_n, u = state.t, state.values
     kind, b_kick = cfg.a_flow_kind, problem.b_kick
     node = FREEZE_NODES[cfg.freeze_convention]
@@ -150,39 +147,40 @@ def _run_stages(cfg, problem, state, h, plan, record):
                 u = b_kick(t_n + c0 * h, dur * h, u)
         except KERNEL_ERRORS as exc:
             raise StepFailed(str(exc), stage=idx) from exc
-    return _finish(u, t_n + h, cfg.project_real)
+    return State(_finite(u), t_n + h)
 
 
-def _finish(u, t, project_real):
-    """The state after a step: an ndarray, finite, projected on request."""
+def _finite(u):
+    """The values after a step: an ndarray, checked finite."""
     u = np.asarray(u, dtype=complex)
     # the kernels keep a non-finite state non-finite: one check per step
     if not np.all(np.isfinite(u)):
         raise StepFailed("non-finite state")
-    if project_real:
-        u = u.real.astype(complex)
-    return State(u, t)
+    return u
 
 
-def extrapolate(step_fn):
-    """Richardson extrapolation of a second-order unprojected step_fn.
+def extrapolate(cfg):
+    """Richardson extrapolation of the second-order step of cfg.scheme.
 
-    (4/3) S(h/2)S(h/2) - (1/3) S(h), projected onto the real axis: EXT4
-    when step_fn is Strang (Blanes, Casas & Ros 1999).
+    (4/3) S(h/2)S(h/2) - (1/3) S(h) over the unprojected steps S, projected
+    onto the real axis once: EXT4 when cfg is Strang (Blanes, Casas & Ros
+    1999).
     """
+    plan = compile_stages(expand(cfg.scheme))
+
     def extrapolated(problem, state, h, record=None):
-        half = step_fn(problem, state, 0.5 * h, record)
-        half = step_fn(problem, half, 0.5 * h, record)
-        whole = step_fn(problem, state, h, record)
+        half = _run_stages(cfg, problem, state, 0.5 * h, plan, record)
+        half = _run_stages(cfg, problem, half, 0.5 * h, plan, record)
+        whole = _run_stages(cfg, problem, state, h, plan, record)
         u = (4.0 / 3.0) * half.values - (1.0 / 3.0) * whole.values
-        return _finish(u, state.t + h, True)
+        return State(_finite(u).real.astype(complex), state.t + h)
     return extrapolated
 
 
-def integrate(cfg, problem, u0, t0, tf, n_steps, method_name=None):
+def integrate(cfg, problem, u0, t0, tf, n_steps):
     """n_steps composition steps over [t0, tf]; error_l2 is left to the bench."""
     return integrate_with(plan_step(cfg), problem, u0, t0, tf, n_steps,
-                          method_name or cfg.scheme.name)
+                          cfg.scheme.name)
 
 
 def integrate_with(step_fn, problem, u0, t0, tf, n_steps, method_name):
@@ -193,7 +191,9 @@ def integrate_with(step_fn, problem, u0, t0, tf, n_steps, method_name):
     record = RunRecord(method=method_name, h=h, n_steps=n_steps)
     state = State(np.asarray(u0, dtype=complex), t0)
     start = time.perf_counter()
-    for _ in range(n_steps):
-        state = step_fn(problem, state, h, record)
+    # a step that overflows ends non-finite and fails: numpy's warning adds nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n_steps):
+            state = step_fn(problem, state, h, record)
     record.wall_time = time.perf_counter() - start
     return state, record

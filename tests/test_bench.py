@@ -72,6 +72,12 @@ def test_run_point_marks_non_finite_osc_failed(method, q0, p0):
     assert (record.method, record.n_steps) == (method, 4)
 
 
+def test_error_norm_rescales_only_when_the_plain_norm_overflows():
+    x = np.array([3.0, -4.0, 1e-3])
+    assert bench._norm(x) == np.linalg.norm(x)
+    assert bench._norm(np.array([3e200, -4e200])) == pytest.approx(5e200, rel=1e-15)
+
+
 def test_sweep_rows_sorted_and_csv_shape(osc_ref):
     spec = bench.SweepSpec(problem="osc", methods=["s62", "strang"],
                            n_steps_grid=[8, 16])

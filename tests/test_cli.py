@@ -1,7 +1,9 @@
 import importlib.metadata
+import math
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -254,6 +256,23 @@ def test_sweep_overflowing_scheme_fails_rows_not_the_sweep(tmp_path,
     failed = {int(r[2]) for r in both if r[0] == str(path) and r[-1] == "1"}
     assert failed >= {2, 4, 8, 16, 32, 64}
     assert [r for r in both if r[0] == "sm4"] == rows("sm4")
+
+
+def test_sweep_blown_up_row_is_measured_without_warnings(tmp_path, parabolic_ref,
+                                                         capsys):
+    # at n = 128 the triple jump passes the overflow guard but ends near
+    # 1e210: the row is not failed, and its error is measured, not NaN
+    path = tmp_path / "yoshida.txt"
+    path.write_text(yoshida_text())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["sweep", "--problem", "parabolic", "--methods", str(path),
+                         "--nsteps", "64,128"])
+    assert code == cli.EXIT_OK
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    row = capsys.readouterr().out.splitlines()[2].split(",")
+    assert row[2] == "128" and row[-1] == "0"
+    assert math.isfinite(float(row[5])) and float(row[5]) > 1e100
 
 
 def test_converge_prints_slope(osc_ref, capsys):

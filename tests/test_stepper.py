@@ -5,10 +5,22 @@ from cxsplit import bench
 from cxsplit.errors import RealTimeViolation, StepFailed, ValidationError
 from cxsplit.problems import make_problem
 from cxsplit.schemes import Scheme, builtin_scheme, expand
-from cxsplit.stepper import (RunRecord, State, StepperConfig, integrate,
-                             integrate_with, step)
+from cxsplit.stepper import (RunRecord, State, StepperConfig, _run_stages,
+                             compile_stages, extrapolate, integrate,
+                             integrate_with, plan_step)
 
 STRANG = builtin_scheme("Strang_BAB")
+
+
+def step(cfg, problem, state, h, record=None):
+    """One projected composition step of cfg.scheme."""
+    return plan_step(cfg)(problem, state, h, record)
+
+
+def raw_step(cfg, problem, state, h, record=None):
+    """One unprojected composition step of cfg.scheme."""
+    plan = compile_stages(expand(cfg.scheme))
+    return _run_stages(cfg, problem, state, h, plan, record)
 
 
 def test_config_rejects_unknown_kinds():
@@ -16,11 +28,6 @@ def test_config_rejects_unknown_kinds():
         StepperConfig(scheme=builtin_scheme("S62"), a_flow_kind="magic")
     with pytest.raises(ValidationError):
         StepperConfig(scheme=builtin_scheme("S62"), freeze_convention="left")
-
-
-def test_config_rejects_complex_kicks_without_projection():
-    with pytest.raises(ValidationError):
-        StepperConfig(scheme=builtin_scheme("SM4"), project_real=False)
 
 
 @pytest.mark.parametrize("name,a_stages,kicks", [
@@ -54,6 +61,32 @@ def test_projection_returns_real_valued_state():
     state = step(cfg, problem, State(problem.u0(), 0.0), 0.05)
     assert np.all(state.values.imag == 0.0)
     assert state.t == pytest.approx(0.05)
+
+
+def test_plan_step_is_the_real_part_of_the_raw_step():
+    # the stages of a complex-kick scheme leave an imaginary residue, which
+    # the projection of every plan step throws away
+    problem = make_problem("osc")
+    cfg = StepperConfig(scheme=builtin_scheme("SM4"))
+    state = State(problem.u0(), 0.0)
+    raw = raw_step(cfg, problem, state, 0.1)
+    projected = step(cfg, problem, state, 0.1)
+    assert np.any(raw.values.imag != 0.0)
+    assert projected.values.tobytes() == raw.values.real.astype(complex).tobytes()
+    assert raw.t == projected.t == pytest.approx(0.1)
+
+
+def test_extrapolated_complex_kick_scheme_runs():
+    # extrapolating a complex-kick scheme combines its unprojected steps
+    problem = make_problem("parabolic")
+    record = RunRecord()
+    ext = extrapolate(StepperConfig(scheme=builtin_scheme("SM4")))
+    state = State(problem.u0(), 0.0)
+    for _ in range(2):
+        state = ext(problem, state, 0.125, record)
+    assert np.all(state.values.imag == 0.0)
+    assert np.all(np.isfinite(state.values))
+    assert record.a_flow_evals == 2 * 12
 
 
 def test_complex_flow_coefficient_triggers_realness_guard():
@@ -209,9 +242,9 @@ def test_ext4_counts_three_flows_and_projects():
 def test_ext4_is_the_richardson_combination_of_strang():
     problem = make_problem("osc")
     start = State(problem.u0(), 0.0)
-    cfg = StepperConfig(STRANG, "cf2", project_real=False)
-    half = step(cfg, problem, step(cfg, problem, start, 0.05), 0.05)
-    whole = step(cfg, problem, start, 0.1)
+    cfg = StepperConfig(STRANG, "cf2")
+    half = raw_step(cfg, problem, raw_step(cfg, problem, start, 0.05), 0.05)
+    whole = raw_step(cfg, problem, start, 0.1)
     combined = (4.0 / 3.0) * half.values - (1.0 / 3.0) * whole.values
     ext4 = bench.resolve_method("ext4")
     assert np.array_equal(ext4(problem, start, 0.1, None).values, combined.real)
