@@ -1,7 +1,7 @@
 """Command-line driver: scheme validation, scheme design, sweeps, slope fits.
 
-Exit codes: 0 ok, 1 validation failure, 2 runtime failure or malformed
-command line (argparse), 3 reference inconsistency.
+Exit codes: 0 ok, 1 validation failure, 2 runtime or file-system failure
+or malformed command line (argparse), 3 reference inconsistency.
 """
 
 from __future__ import annotations
@@ -50,10 +50,13 @@ def cmd_design(args):
             args.error("argument --starts: not allowed with argument --scan")
         if args.stages != 4:
             args.error("argument --scan: 4-stage designs only")
-        a1_opt, sol = designer.scan_a1(grid_points=args.grid_points, seed=args.seed)
+        grid = {} if args.grid_points is None else {"grid_points": args.grid_points}
+        a1_opt, sol = designer.scan_a1(seed=args.seed, **grid)
         problem = designer.DesignProblem(4, (a1_opt,))
         print(f"a1_opt = {a1_opt:.17g}")
     else:
+        if args.grid_points is not None:
+            args.error("argument --grid-points: only allowed with argument --scan")
         if args.a is not None:
             fixed = args.a
         elif args.a1 is not None:
@@ -123,7 +126,10 @@ def _sweep_spec(args, methods):
 
 
 def cmd_sweep(args):
-    records = bench.sweep(_sweep_spec(args, args.methods.split(",")))
+    methods = args.methods.split(",")
+    if not all(methods):
+        args.error(f"argument --methods: empty method name in {args.methods!r}")
+    records = bench.sweep(_sweep_spec(args, methods))
     if args.out:
         bench.write_csv(records, args.out)
     else:
@@ -154,7 +160,7 @@ def build_parser():
                        help="comma list of fixed a values (p/q allowed)")
     fixed.add_argument("--scan", action="store_true",
                        help="optimize a1 over (0, 1/2) (4-stage only)")
-    p.add_argument("--grid-points", type=_parse_count, default=200)
+    p.add_argument("--grid-points", type=_parse_count, default=None)
     p.add_argument("--starts", type=_parse_count, default=None,
                    help=f"Newton starts (default {designer.SOLVE_STARTS}; "
                    "not with --scan)")
@@ -189,7 +195,7 @@ def main(argv=None):
     except ReferenceInconsistent as exc:
         print(f"reference inconsistency: {exc}", file=sys.stderr)
         return EXIT_REFERENCE
-    except CxsplitError as exc:
+    except (CxsplitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -65,10 +65,12 @@ class OscillatorProblem:
     # agree (bit for bit on x86-64 glibc).
 
     def a_frozen_exp(self, times, weights, duration, state):
-        omega_sq = 0.0
+        # sum_i w_i A(t_i) = w_sum * [[0, 1], [-omega_sq / w_sum, 0]]
+        omega_sq = w_sum = 0.0
         for t, w in zip(times, weights):
             omega_sq += w * self.big_omega(t) ** 2
-        return exp_2x2(omega_sq, duration, (complex(state[0]), complex(state[1])))
+            w_sum += w
+        return exp_2x2(omega_sq / w_sum, duration * w_sum, (complex(state[0]), complex(state[1])))
 
     def b_kick(self, t_frozen, tau, state):
         q, p = complex(state[0]), complex(state[1])

@@ -26,17 +26,15 @@ SHEAR_THRESHOLD = 1e-14
 EXP_OVERFLOW = 709.0
 
 
-def cf2_step(t0, h, state, frozen_exponential, node=0.5):
+def cf2_step(t0, h, state, frozen_exponential, commuting=False, node=0.5):
     """Frozen exponential exp(h A(t0 + node h)): the midpoint rule by default.
 
     node=0 freezes A at the start of the flow (the literal convention).
     """
-    if h == 0.0:
-        return state
     return frozen_exponential((t0 + node * h,), (1.0,), h, state)
 
 
-def cf4_step(t0, h, state, frozen_exponential, commuting=False):
+def cf4_step(t0, h, state, frozen_exponential, commuting=False, node=0.5):
     """Fourth-order commutator-free step over [t0, t0 + h].
 
     Applies exp((h/2)(beta A(tau1) + alpha A(tau2))) first and then the
@@ -46,8 +44,6 @@ def cf4_step(t0, h, state, frozen_exponential, commuting=False):
     families the two exponentials fuse into the 2-point Gauss quadrature
     exponential, which also avoids the transient negative weight alpha.
     """
-    if h == 0.0:
-        return state
     tau1 = t0 + GAUSS_OFFSETS[0] * h
     tau2 = t0 + GAUSS_OFFSETS[1] * h
     if commuting:
@@ -56,16 +52,21 @@ def cf4_step(t0, h, state, frozen_exponential, commuting=False):
     return frozen_exponential((tau1, tau2), (CF4_ALPHA, CF4_BETA), 0.5 * h, state)
 
 
-def exact_step(t0, h, state, frozen_exponential):
+def exact_step(t0, h, state, frozen_exponential, commuting=True, node=0.5):
     """Exact flow exp(int A) over [t0, t0 + h] of a commuting family A(t).
 
-    The integral is 20-point Gauss-Legendre quadrature; the caller checks
-    that the A(t) commute.
+    The integral is 20-point Gauss-Legendre quadrature.
     """
-    if h == 0.0:
-        return state
     nodes, weights = _gauss_legendre_20()
     return frozen_exponential(t0 + 0.5 * h * (nodes + 1.0), weights, 0.5 * h, state)
+
+
+#: kind -> (flow, kernel calls per flow if A(t) do not commute, if they do; None: cannot run)
+A_FLOWS = {
+    "cf2": (cf2_step, 1, 1),
+    "cf4": (cf4_step, 2, 1),
+    "exact": (exact_step, None, 1),
+}
 
 
 @functools.cache

@@ -9,8 +9,9 @@ real nodes and durations (so the realness of its flow times is checked
 once per plan, not per stage per step) and returns the step that runs it.
 Strang is the STRANG_BAB plan with a CF2 flow, EXT4 its ``extrapolate``,
 which combines unprojected steps and projects the result.
-``freeze_convention`` sets where a CF2 flow freezes A: at its midpoint, or
-at its start for "literal"; CF4 and exact ignore it.
+Each A-flow kind is a row of ``propagators.A_FLOWS``, looked up once per
+step.  A zero-duration flow is skipped: it counts in ``a_flow_evals`` but
+calls no kernel, so it adds nothing to ``kernel_evals``.
 
 Problem protocol: the engine reads three members of a problem.
 ``commuting`` says whether the A(t) commute (then CF4 fuses into one
@@ -35,13 +36,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RealTimeViolation, StepFailed, ValidationError
-from .propagators import cf2_step, cf4_step, exact_step
+from .propagators import A_FLOWS
 from .schemes import expand
 
 REAL_TIME_TOL = 1e-12
 KERNEL_ERRORS = (FloatingPointError, ZeroDivisionError, OverflowError, ValueError)
 #: the A-flow approximations, in the order the command line lists them
-A_FLOW_KINDS = ("cf2", "cf4", "exact")
+A_FLOW_KINDS = tuple(A_FLOWS)
 #: where a CF2 flow over [t0, t0 + h] freezes A, as a fraction of h
 FREEZE_NODES = {"midpoint": 0.5, "literal": 0.0}
 
@@ -84,26 +85,6 @@ def _real(value, what):
     return z.real
 
 
-def a_flow(problem, kind, t0, h, values, record=None, node=0.5):
-    """Advance the dominant part over [t0, t0 + h]; CF2 freezes A at t0 + node h."""
-    kernel, commuting = problem.a_frozen_exp, problem.commuting
-    if kind == "cf2":
-        out = cf2_step(t0, h, values, kernel, node)
-    elif kind == "cf4":
-        out = cf4_step(t0, h, values, kernel, commuting)
-    elif commuting:
-        out = exact_step(t0, h, values, kernel)
-    else:
-        raise ValidationError(
-            f"{type(problem).__name__} has no exact A-flow (use cf2 or cf4)")
-    if record is not None:
-        record.a_flow_evals += 1
-        # a zero-duration flow calls no kernel; split CF4 calls two
-        if h != 0.0:
-            record.kernel_evals += 2 if kind == "cf4" and not commuting else 1
-    return out
-
-
 def compile_stages(seq):
     """Compile an expanded stage sequence into a plan: (role, c0, duration).
 
@@ -136,13 +117,22 @@ def plan_step(cfg):
 
 def _run_stages(cfg, problem, state, h, plan, record):
     """Apply a plan compiled by compile_stages once; the step is not projected."""
-    t_n, u = state.t, state.values
-    kind, b_kick = cfg.a_flow_kind, problem.b_kick
+    t_n, u, kind = state.t, state.values, cfg.a_flow_kind
+    commuting, a_kernel, b_kick = problem.commuting, problem.a_frozen_exp, problem.b_kick
+    column = 2 if commuting else 1      # this problem's kernel calls in A_FLOWS
+    flow, kernel_calls = A_FLOWS[kind][0], A_FLOWS[kind][column]
+    if kernel_calls is None:    # before any kernel call
+        usable = " or ".join(k for k, row in A_FLOWS.items() if row[column] is not None)
+        raise ValidationError(f"{type(problem).__name__} has no {kind} A-flow (use {usable})")
     node = FREEZE_NODES[cfg.freeze_convention]
     for idx, (role, c0, dur) in enumerate(plan):
         try:
             if role == "A":
-                u = a_flow(problem, kind, t_n + c0 * h, dur * h, u, record, node)
+                if (tau := dur * h) != 0.0:     # a zero-duration flow is the identity
+                    u = flow(t_n + c0 * h, tau, u, a_kernel, commuting, node)
+                if record is not None:
+                    record.a_flow_evals += 1
+                    record.kernel_evals += kernel_calls if tau != 0.0 else 0
             else:
                 u = b_kick(t_n + c0 * h, dur * h, u)
         except KERNEL_ERRORS as exc:

@@ -160,7 +160,6 @@ def test_criterion_6_oracle_equivalence():
     scheme = builtin_scheme("SM4")
     h = 0.1
     cfg = StepperConfig(scheme=scheme, a_flow_kind="cf4")
-    cfg.project_real = False        # compare the raw complex step
     stepped = _run_stages(cfg, problem, State(problem.u0(), 0.0), h,
                           compile_stages(expand(scheme)), None)
 

@@ -11,6 +11,7 @@ import pytest
 
 from conftest import near_tolerance_sm64_text, yoshida_text
 from cxsplit import bench, cli, designer
+from cxsplit.errors import DesignScanUnreliable
 from cxsplit.schemes import load_scheme
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -123,10 +124,11 @@ def test_design_bad_flow_coefficients_exit_runtime(flags, capsys):
     (["--stages", "6", "--scan"], "--scan"),
     (["--a1", "0.2", "--starts", "0"], "--starts"),
     (["--a1", "0.2", "--starts", "-1"], "--starts"),
-    (["--a1", "0.2", "--starts", "x"], "--starts")],
+    (["--a1", "0.2", "--starts", "x"], "--starts"),
+    (["--a1", "0.2", "--grid-points", "5"], "--grid-points")],
     ids=["a-zero-denominator", "a-not-a-number", "grid-points-negative",
          "grid-points-not-an-integer", "scan-six-stages", "starts-zero",
-         "starts-negative", "starts-not-an-integer"])
+         "starts-negative", "starts-not-an-integer", "grid-points-without-scan"])
 def test_design_bad_arguments_are_usage_errors(flags, arg, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["design", *flags])
@@ -148,6 +150,31 @@ def test_design_starts_reaches_the_solver(monkeypatch):
     monkeypatch.setattr(designer, "solve_b", solve_b)
     assert cli.main(["design", "--a1", "0.2", "--starts", "3"]) == cli.EXIT_OK
     assert seen == [3]
+
+
+def test_design_scan_grid_points_default_is_the_designers(monkeypatch):
+    seen = []
+
+    def scan_a1(**kwargs):
+        seen.append(kwargs)
+        raise DesignScanUnreliable("stop after the call")
+
+    monkeypatch.setattr(designer, "scan_a1", scan_a1)
+    assert cli.main(["design", "--scan"]) == cli.EXIT_RUNTIME
+    assert cli.main(["design", "--scan", "--grid-points", "7"]) == cli.EXIT_RUNTIME
+    assert seen == [{"seed": 0}, {"seed": 0, "grid_points": 7}]
+
+
+@pytest.mark.parametrize("cmd", [
+    ["design", "--a1", "0.13505265889288437"],
+    ["sweep", "--problem", "osc", "--methods", "strang", "--nsteps", "8"]],
+    ids=["design", "sweep"])
+def test_out_in_a_missing_directory_is_one_error_line(cmd, tmp_path, osc_ref, capsys):
+    out = tmp_path / "missing" / "out.txt"
+    assert cli.main([*cmd, "--out", str(out)]) == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "No such file or directory" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_sweep_writes_csv(tmp_path, osc_ref, capsys):
@@ -213,6 +240,17 @@ def test_sweep_bad_nsteps_is_a_usage_error(grid, reason, capsys):
     last = err.strip().splitlines()[-1]
     assert last.startswith("cxsplit sweep: error: argument --nsteps:")
     assert reason in last
+
+
+@pytest.mark.parametrize("methods", ["sm4,", ",sm4", "strang,,sm4"])
+def test_sweep_empty_method_name_is_a_usage_error(methods, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--problem", "osc", "--methods", methods, "--nsteps", "8"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    last = err.strip().splitlines()[-1]
+    assert last == f"cxsplit sweep: error: argument --methods: empty method name in {methods!r}"
 
 
 @pytest.mark.parametrize("cmd", [["sweep", "--methods", "strang,sm4"],

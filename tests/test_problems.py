@@ -12,6 +12,8 @@ from cxsplit.problems import (REF_AGREE_TOL, REF_MAGIC, TWO_PI, FisherProblem,
 from cxsplit.propagators import (CF4_ALPHA, CF4_BETA, exact_step, exp_2x2,
                                  exp_circulant)
 
+from conftest import dense_expm
+
 
 def test_make_problem_dispatch():
     assert isinstance(make_problem("osc"), OscillatorProblem)
@@ -39,6 +41,27 @@ def test_oscillator_frozen_exp_is_exact_for_constant_omega():
     u = problem.a_frozen_exp((0.7,), (1.0,), 0.2, np.array([1.0, 0.0 + 0j]))
     assert u[0].real == pytest.approx(math.cos(0.2 * w))
     assert u[1].real == pytest.approx(-w * math.sin(0.2 * w))
+
+
+def _dense_a(problem, t):
+    """A(t) as a dense matrix: the generator that a_frozen_exp exponentiates."""
+    if isinstance(problem, OscillatorProblem):
+        return np.array([[0.0, 1.0], [-problem.big_omega(t) ** 2, 0.0]])
+    return problem.alpha(t) ** 2 * problem.lap.dense()
+
+
+@pytest.mark.parametrize("name", ["osc", "parabolic", "fisher"])
+def test_a_frozen_exp_exponentiates_the_weighted_generator(name):
+    # the protocol: exp(duration * sum_i w_i A(t_i)), whatever sum_i w_i is
+    problem = make_problem(name) if name == "osc" else make_problem(name, n_grid=16)
+    rng = np.random.default_rng(11)
+    for weights in ((1.0, 1.0), (0.3, 0.9, -0.4), (2.5,)):
+        times = tuple(rng.uniform(0.0, TWO_PI, len(weights)))
+        u = rng.standard_normal(problem.dim) + 1j * rng.standard_normal(problem.dim)
+        generator = sum(w * _dense_a(problem, t) for t, w in zip(times, weights))
+        expect = dense_expm(0.05 * generator) @ u
+        got = np.asarray(problem.a_frozen_exp(times, weights, 0.05, u), dtype=complex)
+        assert np.max(np.abs(got - expect)) < 1e-12 * np.max(np.abs(expect))
 
 
 def _numpy_a_frozen_exp(problem, times, weights, duration, state):

@@ -4,6 +4,7 @@ import pytest
 from cxsplit import bench
 from cxsplit.errors import RealTimeViolation, StepFailed, ValidationError
 from cxsplit.problems import make_problem
+from cxsplit.propagators import A_FLOWS
 from cxsplit.schemes import Scheme, builtin_scheme, expand
 from cxsplit.stepper import (RunRecord, State, StepperConfig, _run_stages,
                              compile_stages, extrapolate, integrate,
@@ -147,15 +148,22 @@ ZERO_FLOW = Scheme("zero-flow", "BAB", 2, (0.0, 1.0), (0.5, 0.0, 0.5), 2, False)
 
 
 @pytest.mark.parametrize("kind,commuting,per_flow", [
-    ("cf2", False, 1), ("cf4", False, 2), ("cf4", True, 1), ("exact", True, 1)])
+    (kind, commuting, row[2 if commuting else 1])
+    for kind, row in A_FLOWS.items() for commuting in (False, True)])
 @pytest.mark.parametrize("scheme,tf,real_flows", [
     (ZERO_FLOW, 1.0, 3), (builtin_scheme("SM4"), 0.0, 0)],
     ids=["zero-first-flow", "t0-equals-tf"])
 def test_kernel_evals_count_real_kernel_calls(kind, commuting, per_flow, scheme,
                                               tf, real_flows):
-    # a zero-duration flow calls no kernel and counts none
+    # a zero-duration flow calls no kernel and counts none; a kind the
+    # problem cannot use fails before any kernel call
     stub = CountingStub(commuting=commuting)
     cfg = StepperConfig(scheme=scheme, a_flow_kind=kind)
+    if per_flow is None:
+        with pytest.raises(ValidationError, match=f"has no {kind} A-flow"):
+            integrate(cfg, stub, np.ones(1), 0.0, tf, 3)
+        assert stub.calls == 0
+        return
     _, record = integrate(cfg, stub, np.ones(1), 0.0, tf, 3)
     assert stub.a_calls == record.kernel_evals == per_flow * real_flows
     assert record.a_flow_evals == 3 * scheme.n_a
