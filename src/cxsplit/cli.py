@@ -13,7 +13,7 @@ from pathlib import Path
 from . import bench, designer
 from .errors import CxsplitError, ReferenceInconsistent
 from .order_conditions import residuals
-from .problems import PROBLEMS
+from .problems import PROBLEMS, check_writable
 from .schemes import (builtin_names, expand, resolve_scheme, serialize_scheme,
                       validate_scheme)
 from .stepper import A_FLOW_KINDS, FREEZE_NODES
@@ -46,12 +46,10 @@ def cmd_validate(args):
 
 def cmd_design(args):
     if args.scan:
-        if args.starts is not None:
-            args.error("argument --starts: not allowed with argument --scan")
         if args.stages != 4:
             args.error("argument --scan: 4-stage designs only")
         grid = {} if args.grid_points is None else {"grid_points": args.grid_points}
-        a1_opt, sol = designer.scan_a1(seed=args.seed, **grid)
+        a1_opt, sol = designer.scan_a1(**grid)
         problem = designer.DesignProblem(4, (a1_opt,))
         print(f"a1_opt = {a1_opt:.17g}")
     else:
@@ -64,8 +62,7 @@ def cmd_design(args):
         else:   # a 4-stage design has no default a1
             fixed = (1.0 / 6.0,) * 3 if args.stages == 6 else ()
         problem = designer.DesignProblem(args.stages, fixed)
-        starts = designer.SOLVE_STARTS if args.starts is None else args.starts
-        sol = designer.solve_b(problem, starts=starts, seed=args.seed)
+        sol = designer.solve_b(problem)
     scheme = problem.scheme(sol.b, name=args.name)
     print(f"|Re(p_abaaa)| = {abs(sol.re_p_abaaa):.6e}")
     print(f"residual_norm = {sol.residual_norm:.3e}")
@@ -90,7 +87,7 @@ def _parse_fraction(text):
 
 
 def _parse_count(text):
-    """--grid-points, --starts: a positive integer."""
+    """--grid-points: a positive integer."""
     try:
         points = int(text)
         if points >= 1:
@@ -129,11 +126,12 @@ def cmd_sweep(args):
     methods = args.methods.split(",")
     if not all(methods):
         args.error(f"argument --methods: empty method name in {args.methods!r}")
-    records = bench.sweep(_sweep_spec(args, methods))
+    spec = _sweep_spec(args, methods)
     if args.out:
-        bench.write_csv(records, args.out)
+        check_writable(Path(args.out).parent)    # before the sweep, not after it
+        bench.write_csv(bench.sweep(spec), args.out)
     else:
-        sys.stdout.write(bench.records_to_csv(records))
+        sys.stdout.write(bench.records_to_csv(bench.sweep(spec)))
     return EXIT_OK
 
 
@@ -161,10 +159,8 @@ def build_parser():
     fixed.add_argument("--scan", action="store_true",
                        help="optimize a1 over (0, 1/2) (4-stage only)")
     p.add_argument("--grid-points", type=_parse_count, default=None)
-    p.add_argument("--starts", type=_parse_count, default=None,
-                   help=f"Newton starts (default {designer.SOLVE_STARTS}; "
-                   "not with --scan)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="no effect: the design solve is exact")
     p.add_argument("--name", default="designed")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_design, error=p.error)

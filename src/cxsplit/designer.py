@@ -1,12 +1,10 @@
 """Re-derivation of complex-kick BAB schemes.
 
-Fixing real, palindromic flow coefficients a_i leaves the kick coefficients
-b_i free to solve the order-condition polynomials.  The resulting small
-polynomial systems (2 or 3 complex unknowns after symmetry reduction and
-consistency elimination) are solved by multi-start Newton iteration with
-the analytic Jacobian, all starts as one batch; the free parameter a_1 of
-the 4-stage family is then tuned to minimise |Re(p_abaaa)|, the real part
-being what survives the post-step projection.
+Fixing real, palindromic flow coefficients a_i leaves the k reduced kicks
+free to solve k order conditions.  All but p_abb are linear in b, so the
+solutions lie on a line along which p_abb is a quadratic: its two roots are
+every solution, found exactly.  The free a_1 of the 4-stage family is then
+tuned to minimise Re(p_abaaa), what survives the post-step projection.
 """
 
 from __future__ import annotations
@@ -17,14 +15,10 @@ import numpy as np
 
 from .errors import (DesignScanUnreliable, NoSolutionFound, NoStableSolution,
                      ValidationError)
-from .order_conditions import kicks_of, order_poly_jacobian, order_polys
+from .order_conditions import kicks_of, order_polys
 from .schemes import Scheme, expand
 
-NEWTON_TOL = 1e-14
-NEWTON_MAXITER = 50
-DEDUP_DIST = 1e-8
-SOLVE_STARTS = 64            # Newton starts of one solve_b
-SCAN_STARTS = 24             # Newton starts per a1 of the scan
+RESIDUAL_TOL = 1e-14         # largest residual of an accepted solution
 SCAN_MARGIN = 1e-3           # the scan grid spans [margin, 1/2 - margin]
 SCAN_REFINE_TOL = 1e-10      # golden-section bracket width that ends the scan
 
@@ -70,80 +64,43 @@ class DesignSolution:
     all_solutions: list = field(default_factory=list)
 
 
-def _system(problem, bu):
-    """Residuals, folded Jacobian, kicks and polynomials at unknowns (..., k)."""
-    b = problem.full_b(bu)
-    k = problem.k
-    polys = order_polys(b, problem.nodes)
-    full_jac = order_poly_jacobian(b, problem.nodes)[..., :k, :]
-    # unknown j sits at positions j and 2k - j; the centre kick k carries
-    # -2 of every unknown through consistency elimination
-    jac = full_jac[..., :k] + full_jac[..., :k:-1] - 2.0 * full_jac[..., k:k + 1]
-    return np.stack(polys[:k], axis=-1), jac, b, polys
+def _solutions(problem):
+    """Every solution of the k conditions, as unknown vectors; [] if degenerate."""
+    k, c = problem.k, problem.nodes.real
+    base = problem.full_b(np.zeros(k)).real
+    basis = problem.full_b(np.eye(k)).real - base     # kicks = base + unknowns @ basis
+    # the k - 1 linear conditions: p_aba, then p_abaaa
+    rows = np.stack((0.5 * c * (1.0 - c), c ** 4))[:k - 1]
+    lin = rows @ basis.T
+    rhs = np.array([1.0 / 12.0, 0.2])[:k - 1] - rows @ base
+    if np.linalg.matrix_rank(lin) < k - 1:
+        return []
+    # the free unknown t is the one whose minor has the largest |det|: by
+    # Cramer's rule no other unknown then moves faster than t along the line
+    minors = np.stack([np.delete(lin, j, axis=1) for j in range(k)])
+    free = int(np.argmax(np.abs(np.linalg.det(minors))))
+    fixed = np.delete(np.arange(k), free)
+    u0, v = np.zeros(k), np.eye(k)[free]
+    u0[fixed], v[fixed] = np.linalg.solve(minors[free], np.stack((rhs, -lin[:, free]), 1)).T
+    # p_abb = b^T Q b / 2 - 1/3 with Q_ij = c_max(i, j) = max(c_i, c_j): nodes ascend
+    q = np.maximum.outer(c, c)
+    w0, w1 = base + u0 @ basis, v @ basis
+    coeffs = (0.5 * w1 @ q @ w1, w0 @ q @ w1, 0.5 * w0 @ q @ w0 - 1.0 / 3.0)
+    return [u0 + t * v for t in np.roots(coeffs)]
 
 
-def _steps(jac, res):
-    """Newton steps jac^-1 res per row, NaN on rows whose jac is singular.
+def solve_b(problem, starts=1, seed=0):
+    """Solve the order conditions for the kicks of a fixed-a BAB design, exactly.
 
-    No line search accepts a NaN step, so only such a row fails.
+    ``starts`` and ``seed`` are accepted and unused, as are ``scan_a1``'s
+    ``seed`` and ``design --seed``: perfbench and the acceptance test pass
+    them.  ``order_poly_jacobian`` stays public for its tests and the tracer.
     """
-    try:
-        return np.linalg.solve(jac, res[..., None])[..., 0]
-    except np.linalg.LinAlgError:    # raised for the whole batch: halve it to find the rows
-        if len(res) == 1:
-            return np.full_like(res, np.nan)
-        mid = len(res) // 2
-        return np.concatenate((_steps(jac[:mid], res[:mid]), _steps(jac[mid:], res[mid:])))
-
-
-def _newton(problem, b0):
-    """Damped Newton from every row of b0 (starts, k) at once; rows never interact.
-
-    Returns the final unknowns and the mask of rows that converged.
-    """
-    bu = np.array(b0, dtype=complex)
-    res, jac, _, _ = _system(problem, bu)
-    rnorm = np.abs(res).max(axis=-1)
-    live = np.ones(len(bu), dtype=bool)
-    for _ in range(NEWTON_MAXITER):
-        live &= ~(rnorm < NEWTON_TOL)
-        rows = np.flatnonzero(live)
-        if not rows.size:
-            break
-        delta = _steps(jac[rows], res[rows])
-        scale = 1.0
-        for _ in range(20):
-            trial = bu[rows] - scale * delta
-            tres, tjac, _, _ = _system(problem, trial)
-            tnorm = np.abs(tres).max(axis=-1)
-            better = tnorm < rnorm[rows]
-            at = rows[better]
-            bu[at], res[at], jac[at], rnorm[at] = (trial[better], tres[better],
-                                                   tjac[better], tnorm[better])
-            rows, delta = rows[~better], delta[~better]
-            if not rows.size:
-                break
-            scale *= 0.5
-        live[rows] = False    # 20 halvings without a smaller residual
-    return bu, rnorm < NEWTON_TOL
-
-
-def solve_b(problem, starts=SOLVE_STARTS, seed=0):
-    """Solve the order conditions for the kicks of a fixed-a BAB design."""
-    rng = np.random.default_rng(seed)
     k = problem.k
-    # start by start: k radii squared, then k angles over 2 pi
-    draws = rng.random((starts, 2, k))
-    b0 = np.sqrt(draws[:, 0]) * np.exp(1j * (2.0 * np.pi * draws[:, 1]))
-    bu, converged = _newton(problem, b0)
-    found = []
-    for z in bu[converged]:
-        if all(np.abs(z - prev).max() > DEDUP_DIST for prev in found):
-            found.append(z)
+    found = sorted(_solutions(problem), key=lambda z: (z[0].real, z[0].imag))
     if not found:
         raise NoSolutionFound(
-            f"no converged solution in {starts} Newton starts (stages={problem.stages})")
-    found.sort(key=lambda z: (z[0].real, z[0].imag))
+            f"degenerate linear order conditions (stages={problem.stages})")
     all_reduced = [tuple(problem.full_b(bu)[:k + 1]) for bu in found]
     accepted = [bu for bu in found if problem.full_b(bu).real.min() > 0.0]
     if not accepted:
@@ -152,16 +109,16 @@ def solve_b(problem, starts=SOLVE_STARTS, seed=0):
     best = min(accepted, key=lambda z: z[0].imag)
     if best[0].imag > 0.0:
         best = np.conjugate(best)
-    res, _, b_full, polys = _system(problem, best)
-    return DesignSolution(
-        b=tuple(b_full[:k + 1]),
-        residual_norm=float(np.abs(res).max()),
-        re_p_abaaa=float(polys[2].real),
-        all_solutions=all_reduced,
-    )
+    b_full = problem.full_b(best)
+    polys = order_polys(b_full, problem.nodes)
+    residual = float(np.abs(polys[:k]).max())
+    if not residual <= RESIDUAL_TOL:
+        raise NoSolutionFound(
+            f"solution residual {residual:.3e} > {RESIDUAL_TOL:.0e} (stages={problem.stages})")
+    return DesignSolution(tuple(b_full[:k + 1]), residual, float(polys[2].real), all_reduced)
 
 
-def _objective(a1, seed):
+def _objective(a1):
     """(Re(p_abaaa), failed) at a1; the value is inf where no kick is usable.
 
     Minimising the signed real part locates the interior stationary point of
@@ -169,7 +126,7 @@ def _objective(a1, seed):
     (0, 1/2) and not a useful design point.
     """
     try:
-        sol = solve_b(DesignProblem(4, (a1,)), starts=SCAN_STARTS, seed=seed)
+        sol = solve_b(DesignProblem(4, (a1,)))
     except NoStableSolution:
         return np.inf, False   # solved, but inadmissible: excluded, not a failure
     except NoSolutionFound:
@@ -180,7 +137,7 @@ def _objective(a1, seed):
 def scan_a1(grid_points=200, seed=0):
     """Grid-then-golden-section minimisation of Re(p_abaaa) over a1."""
     grid = np.linspace(SCAN_MARGIN, 0.5 - SCAN_MARGIN, grid_points)
-    scored = [_objective(a1, seed) for a1 in grid]
+    scored = [_objective(a1) for a1 in grid]
     values = np.array([value for value, _ in scored])
     failures = sum(failed for _, failed in scored)
     if failures > 0.1 * grid_points:
@@ -195,26 +152,26 @@ def scan_a1(grid_points=200, seed=0):
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - invphi * (hi - lo)
     x2 = lo + invphi * (hi - lo)
-    f1, f2 = _objective(x1, seed)[0], _objective(x2, seed)[0]
+    f1, f2 = _objective(x1)[0], _objective(x2)[0]
     while hi - lo > SCAN_REFINE_TOL:
         if f2 < f1:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + invphi * (hi - lo)
-            f2 = _objective(x2, seed)[0]
+            f2 = _objective(x2)[0]
         else:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - invphi * (hi - lo)
-            f1 = _objective(x1, seed)[0]
+            f1 = _objective(x1)[0]
     a1_opt = 0.5 * (lo + hi)
     # golden section is noise-limited near a flat quadratic minimum; a few
     # successive parabolic-vertex fits recover the last digits
     for delta in (1e-3, 1e-4, 1e-5):
-        f0, f1_, f2_ = (_objective(x, seed)[0]
+        f0, f1_, f2_ = (_objective(x)[0]
                         for x in (a1_opt - delta, a1_opt, a1_opt + delta))
         denom = f0 - 2.0 * f1_ + f2_
         if np.isfinite(denom) and denom > 0.0:
             shift = 0.5 * delta * (f0 - f2_) / denom
             if abs(shift) < 2.0 * delta:
                 a1_opt = a1_opt + shift
-    sol = solve_b(DesignProblem(4, (a1_opt,)), starts=SCAN_STARTS, seed=seed)
+    sol = solve_b(DesignProblem(4, (a1_opt,)))
     return a1_opt, sol

@@ -26,7 +26,7 @@ class InvalidSequence(CxsplitError):
 
 
 class NoSolutionFound(CxsplitError):
-    """Newton iteration found no converged solution."""
+    """The kick conditions are degenerate or their solution misses the residual bar."""
 
 
 class NoStableSolution(CxsplitError):

@@ -268,6 +268,14 @@ def default_cache_dir():
     return Path.home() / ".cache" / "cxsplit"
 
 
+def check_writable(directory):
+    """Raise OSError unless a file can be created in `directory`: fail before the work."""
+    try:
+        tempfile.TemporaryFile(dir=directory).close()
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, str(directory)) from None
+
+
 def _cache_path(problem, cache_dir):
     payload = repr(problem.params() + (REF_SPLIT_STEPS, _rk4_steps_for(problem)))
     digest = hashlib.sha256(payload.encode()).hexdigest()[:16]
@@ -275,7 +283,6 @@ def _cache_path(problem, cache_dir):
 
 
 def _write_cache(path, digest, values):
-    path.parent.mkdir(parents=True, exist_ok=True)
     blob = REF_MAGIC + digest.encode() + np.asarray(values, dtype="<f8").tobytes()
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
@@ -301,7 +308,8 @@ def reference_solution(problem, cache_dir=None):
 
     Oracle one is the best builtin splitting scheme run at a very fine step;
     oracle two is a classical one-step method on the unsplit right-hand side.
-    Disagreement beyond the tolerance is a hard failure.
+    Disagreement beyond the tolerance is a hard failure, and a cache
+    directory that cannot be created or written fails before either oracle.
     """
     cache_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     path, digest = _cache_path(problem, cache_dir)
@@ -309,6 +317,8 @@ def reference_solution(problem, cache_dir=None):
         cached = _read_cache(path, digest, problem.dim)
         if cached is not None:
             return cached
+    cache_dir.mkdir(parents=True, exist_ok=True)
+    check_writable(cache_dir)
     split = _splitting_oracle(problem)
     classical = _classical_oracle(problem)
     gap = float(np.linalg.norm(split - classical))

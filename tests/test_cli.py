@@ -11,7 +11,7 @@ import pytest
 
 from conftest import near_tolerance_sm64_text, yoshida_text
 from cxsplit import bench, cli, designer
-from cxsplit.errors import DesignScanUnreliable
+from cxsplit.errors import CxsplitError, DesignScanUnreliable
 from cxsplit.schemes import load_scheme
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -94,8 +94,8 @@ def test_design_without_a_exits_runtime(capsys):
 
 @pytest.mark.parametrize("flags", [
     ["--scan", "--a1", "0.3"], ["--a1", "0.3", "--a", "0.1,0.4"],
-    ["--scan", "--a", "0.1,0.4"], ["--scan", "--starts", "1"]],
-    ids=["scan-a1", "a1-a", "scan-a", "scan-starts"])
+    ["--scan", "--a", "0.1,0.4"]],
+    ids=["scan-a1", "a1-a", "scan-a"])
 def test_design_conflicting_flags_are_usage_errors(flags, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["design", "--stages", "4", *flags, "--grid-points", "2"])
@@ -122,13 +122,9 @@ def test_design_bad_flow_coefficients_exit_runtime(flags, capsys):
     (["--scan", "--grid-points", "-1"], "--grid-points"),
     (["--scan", "--grid-points", "x"], "--grid-points"),
     (["--stages", "6", "--scan"], "--scan"),
-    (["--a1", "0.2", "--starts", "0"], "--starts"),
-    (["--a1", "0.2", "--starts", "-1"], "--starts"),
-    (["--a1", "0.2", "--starts", "x"], "--starts"),
     (["--a1", "0.2", "--grid-points", "5"], "--grid-points")],
     ids=["a-zero-denominator", "a-not-a-number", "grid-points-negative",
-         "grid-points-not-an-integer", "scan-six-stages", "starts-zero",
-         "starts-negative", "starts-not-an-integer", "grid-points-without-scan"])
+         "grid-points-not-an-integer", "scan-six-stages", "grid-points-without-scan"])
 def test_design_bad_arguments_are_usage_errors(flags, arg, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["design", *flags])
@@ -137,19 +133,6 @@ def test_design_bad_arguments_are_usage_errors(flags, arg, capsys):
     assert "Traceback" not in err
     assert err.startswith("usage: cxsplit design")
     assert err.strip().splitlines()[-1].startswith(f"cxsplit design: error: argument {arg}: ")
-
-
-def test_design_starts_reaches_the_solver(monkeypatch):
-    seen = []
-
-    def solve_b(problem, starts, seed):
-        seen.append(starts)
-        return real_solve_b(problem, starts=starts, seed=seed)
-
-    real_solve_b = designer.solve_b
-    monkeypatch.setattr(designer, "solve_b", solve_b)
-    assert cli.main(["design", "--a1", "0.2", "--starts", "3"]) == cli.EXIT_OK
-    assert seen == [3]
 
 
 def test_design_scan_grid_points_default_is_the_designers(monkeypatch):
@@ -162,19 +145,37 @@ def test_design_scan_grid_points_default_is_the_designers(monkeypatch):
     monkeypatch.setattr(designer, "scan_a1", scan_a1)
     assert cli.main(["design", "--scan"]) == cli.EXIT_RUNTIME
     assert cli.main(["design", "--scan", "--grid-points", "7"]) == cli.EXIT_RUNTIME
-    assert seen == [{"seed": 0}, {"seed": 0, "grid_points": 7}]
+    assert seen == [{}, {"grid_points": 7}]
 
 
 @pytest.mark.parametrize("cmd", [
     ["design", "--a1", "0.13505265889288437"],
     ["sweep", "--problem", "osc", "--methods", "strang", "--nsteps", "8"]],
     ids=["design", "sweep"])
-def test_out_in_a_missing_directory_is_one_error_line(cmd, tmp_path, osc_ref, capsys):
+def test_out_in_a_missing_directory_is_one_error_line(cmd, tmp_path, osc_ref, capsys,
+                                                     monkeypatch):
+    swept = []
+    real_sweep = bench.sweep
+    monkeypatch.setattr(bench, "sweep", lambda spec: swept.append(spec) or real_sweep(spec))
     out = tmp_path / "missing" / "out.txt"
     assert cli.main([*cmd, "--out", str(out)]) == cli.EXIT_RUNTIME
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "No such file or directory" in err
     assert len(err.splitlines()) == 1
+    assert swept == []                   # the sweep fails before any point runs
+
+
+def test_failed_sweep_leaves_existing_out_unchanged(tmp_path, monkeypatch, capsys):
+    def sweep(spec):
+        raise CxsplitError("a sweep that fails")
+
+    monkeypatch.setattr(bench, "sweep", sweep)
+    out = tmp_path / "out.csv"
+    out.write_text("earlier rows\n")
+    assert cli.main(["sweep", "--problem", "osc", "--methods", "strang", "--nsteps", "8",
+                     "--out", str(out)]) == cli.EXIT_RUNTIME
+    assert out.read_text() == "earlier rows\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
 
 
 def test_sweep_writes_csv(tmp_path, osc_ref, capsys):

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from cxsplit import designer
 from cxsplit.designer import DesignProblem, scan_a1, solve_b
 from cxsplit.errors import NoSolutionFound, ValidationError
 from cxsplit.order_conditions import kicks_of, residuals
@@ -90,53 +89,46 @@ def test_solution_scheme_is_valid_fourth_order():
 
 
 def test_solve_b_collects_all_solutions():
-    sol = solve_b(DesignProblem(4, (SM4.a[0],)), starts=96, seed=2)
-    assert len(sol.all_solutions) >= 2    # conjugate pair at least
+    sol = solve_b(DesignProblem(4, (SM4.a[0],)))
+    assert len(sol.all_solutions) == 2    # the conjugate pair, nothing else
+    first, second = sol.all_solutions
+    assert np.array_equal(np.conjugate(first), second)
 
 
-def test_solve_b_no_starts_raises():
-    with pytest.raises(NoSolutionFound):
-        solve_b(DesignProblem(4, (0.2,)), starts=0)
-
-
-def test_batched_newton_rows_are_independent(monkeypatch):
-    problem = DesignProblem(4, (SM4.a[0],))
-    rng = np.random.default_rng(7)
-    b0 = np.sqrt(rng.uniform(size=(12, 2))) * np.exp(2j * np.pi * rng.uniform(size=(12, 2)))
-    nan_row, singular_row = 4, 9
-    b0[nan_row, 1] = np.nan
-    # the Jacobian at this start is declared singular, as LAPACK would
-    singular_jac = designer._system(problem, b0[singular_row])[1]
-    real_solve = np.linalg.solve
-    raised = []
-
-    def solve(a, b):
-        if (a == singular_jac).all(axis=(-2, -1)).any():
-            raised.append(len(a))
-            raise np.linalg.LinAlgError("Singular matrix")
-        return real_solve(a, b)
-
-    monkeypatch.setattr(designer.np.linalg, "solve", solve)
-    res, jac = designer._system(problem, b0)[:2]
-    for row, b_row in enumerate(b0):    # the batched algebra is the 1-D algebra
-        row_res, row_jac = designer._system(problem, b_row)[:2]
-        assert res[row].tobytes() == row_res.tobytes()
-        assert jac[row].tobytes() == row_jac.tobytes()
-    bu, converged = designer._newton(problem, b0)
-    assert len(b0) in raised              # the whole batch hit the singular row
-    assert not converged[nan_row] and not converged[singular_row]
-    assert converged.sum() == len(b0) - 2
-    for row in range(len(b0)):
-        alone_bu, alone_converged = designer._newton(problem, b0[row:row + 1])
-        assert alone_bu[0].tobytes() == bu[row].tobytes()
-        assert alone_converged[0] == converged[row]
-    others = np.delete(np.arange(len(b0)), [nan_row, singular_row])
-    clean_bu, clean_converged = designer._newton(problem, b0[others])
-    assert clean_bu.tobytes() == bu[others].tobytes()
-    assert clean_converged.all()
+@pytest.mark.parametrize("stages,fixed_a,message", [
+    (4, (5e-324,), "degenerate linear order conditions"),
+    (6, (0.25002717906008337, 2.9600062037488e-13, 0.24997282093962064), "solution residual")],
+    ids=["coalesced-nodes", "ill-conditioned"])
+def test_solve_b_without_an_accurate_solution_raises(stages, fixed_a, message):
+    with pytest.raises(NoSolutionFound, match=message):
+        solve_b(DesignProblem(stages, fixed_a))
 
 
 def test_scan_optimum_is_pinned():
-    a1_opt, sol = scan_a1(grid_points=50, seed=0)
-    assert abs(a1_opt - 0.13505259291539942) < 1e-12
+    a1_opt, sol = scan_a1(grid_points=50)
+    assert abs(a1_opt - 0.13505259292351063) < 1e-12
+    # the 50-digit optimum; the offset is the truncation of the last parabola fit
+    assert abs(a1_opt - 0.13505259273331706) < 2.5e-10
     assert sol.residual_norm < 1e-13
+
+
+@pytest.mark.parametrize("scheme,fixed_a", [(SM4, (SM4.a[0],)), (SM64, (1 / 6, 1 / 6, 1 / 6))],
+                         ids=["SM4", "SM64"])
+def test_solve_b_matches_a_40_digit_solve(scheme, fixed_a):
+    mp = pytest.importorskip("mpmath").mp
+    problem = DesignProblem(scheme.stages, fixed_a)
+    k = problem.k
+    c = [mp.mpf(float(ci)) for ci in problem.nodes.real]     # the same float nodes
+
+    def conditions(*bu):
+        b = [*bu, 1 - 2 * sum(bu), *bu[::-1]]
+        p_aba = sum(bi * ci * (1 - ci) for bi, ci in zip(b, c)) / 2 - mp.mpf(1) / 12
+        p_abb = sum(bj * cj * (bj / 2 + sum(b[:j])) for j, (bj, cj) in enumerate(zip(b, c)))
+        p_abaaa = sum(bi * ci ** 4 for bi, ci in zip(b, c)) - mp.mpf(1) / 5
+        return [p_aba, p_abb - mp.mpf(1) / 3, p_abaaa][:k]
+
+    with mp.workdps(40):
+        root = mp.findroot(conditions, [mp.mpc(bi) for bi in scheme.b[:k]])
+        bu = [root[i] for i in range(k)]
+        exact = [complex(bi) for bi in (*bu, 1 - 2 * sum(bu))]
+    assert np.max(np.abs(np.asarray(solve_b(problem).b) - exact)) < 3e-15

@@ -290,6 +290,17 @@ def test_reference_solution_caches(tmp_path, monkeypatch):
     assert np.array_equal(ref1, ref2)
 
 
+def test_unwritable_cache_fails_before_the_oracles(tmp_path, monkeypatch):
+    # the tests run as root, so an unwritable mode cannot be tested; a cache
+    # directory under a regular file cannot be created by anyone
+    problem = make_problem("parabolic", n_grid=8)
+    builds = _stub_oracles(monkeypatch)
+    (tmp_path / "file").write_text("")
+    with pytest.raises(OSError):
+        reference_solution(problem, cache_dir=tmp_path / "file" / "cache")
+    assert builds == []
+
+
 def test_reference_inconsistency_is_fatal(tmp_path, monkeypatch):
     problem = make_problem("parabolic", n_grid=8)
     _stub_oracles(monkeypatch, gap=1.01 * REF_AGREE_TOL)
