@@ -59,8 +59,8 @@ def cmd_design(args):
             fixed = args.a
         elif args.a1 is not None:
             fixed = (args.a1,)
-        else:   # a 4-stage design has no default a1
-            fixed = (1.0 / 6.0,) * 3 if args.stages == 6 else ()
+        else:   # equal flows; a 4-stage design has no default a1
+            fixed = () if args.stages == 4 else (1.0 / args.stages,) * (args.stages // 2)
         problem = designer.DesignProblem(args.stages, fixed)
         sol = designer.solve_b(problem)
     scheme = problem.scheme(sol.b, name=args.name)
@@ -151,7 +151,7 @@ def build_parser():
     p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("design", help="re-derive complex-kick BAB schemes")
-    p.add_argument("--stages", type=int, default=4, choices=(4, 6))
+    p.add_argument("--stages", type=int, default=4, choices=designer.STAGES)
     fixed = p.add_mutually_exclusive_group()
     fixed.add_argument("--a1", type=float, default=None)
     fixed.add_argument("--a", type=_parse_fraction, default=None,

@@ -1,10 +1,11 @@
 """Re-derivation of complex-kick BAB schemes.
 
 Fixing real, palindromic flow coefficients a_i leaves the k reduced kicks
-free to solve k order conditions.  All but p_abb are linear in b, so the
-solutions lie on a line along which p_abb is a quadratic: its two roots are
-every solution, found exactly.  The free a_1 of the 4-stage family is then
-tuned to minimise Re(p_abaaa), what survives the post-step projection.
+free to solve k order conditions: p_abb and the first k - 1 linear rows of
+``order_conditions``, which defines every row and target.  The linear rows
+put the solutions on a line along which p_abb is a quadratic: its two roots
+are every solution, found exactly.  The free a_1 of the 4-stage family is
+then tuned to minimise Re(p_abaaa), what survives the post-step projection.
 """
 
 from __future__ import annotations
@@ -15,32 +16,33 @@ import numpy as np
 
 from .errors import (DesignScanUnreliable, NoSolutionFound, NoStableSolution,
                      ValidationError)
-from .order_conditions import kicks_of, order_polys
+from .order_conditions import (ABB_TARGET, LINEAR_TARGETS, abb_form, kicks_of,
+                               linear_terms, order_polys)
 from .schemes import Scheme, expand
 
 RESIDUAL_TOL = 1e-14         # largest residual of an accepted solution
 SCAN_MARGIN = 1e-3           # the scan grid spans [margin, 1/2 - margin]
 SCAN_REFINE_TOL = 1e-10      # golden-section bracket width that ends the scan
+STAGES = (4, 6)              # k = stages/2 conditions: p_abb and k - 1 linear rows
 
 
 @dataclass
 class DesignProblem:
-    stages: int                  # 4 or 6
+    stages: int                  # one of STAGES
     fixed_a: tuple               # reduced real a values: (a1,) or (a1, a2, a3)
-    # unknown kicks b_1..b_k and conditions solved: p_aba, p_abb (+ p_abaaa)
-    k: int = field(init=False)
+    k: int = field(init=False)   # unknown kicks b_1..b_k, as many as conditions
     nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.stages == 4 and len(self.fixed_a) == 1:
             self.fixed_a = (self.fixed_a[0], 0.5 - self.fixed_a[0])
         self.k = self.stages // 2
-        if (self.stages not in (4, 6) or len(self.fixed_a) != self.k
+        if (self.stages not in STAGES or len(self.fixed_a) != self.k
                 or abs(sum(self.fixed_a) - 0.5) > 1e-13
                 or not all(0.0 < ai < 1.0 for ai in self.fixed_a)):
             raise ValidationError(
-                "a 4- or 6-stage design needs stages/2 flow coefficients in "
-                "(0, 1) with sum 1/2, or a1 alone for 4 stages; got "
+                f"a {'- or '.join(map(str, STAGES))}-stage design needs stages/2 flow "
+                "coefficients in (0, 1) with sum 1/2, or a1 alone for 4 stages; got "
                 f"stages={self.stages}, a={self.fixed_a}")
         # the kick nodes of the composition the stepper runs, rounding included
         self.nodes = kicks_of(expand(self.scheme((0.0,) * (self.k + 1))))[1]
@@ -69,10 +71,9 @@ def _solutions(problem):
     k, c = problem.k, problem.nodes.real
     base = problem.full_b(np.zeros(k)).real
     basis = problem.full_b(np.eye(k)).real - base     # kicks = base + unknowns @ basis
-    # the k - 1 linear conditions: p_aba, then p_abaaa
-    rows = np.stack((0.5 * c * (1.0 - c), c ** 4))[:k - 1]
+    rows = linear_terms(1.0, c)[:k - 1]
     lin = rows @ basis.T
-    rhs = np.array([1.0 / 12.0, 0.2])[:k - 1] - rows @ base
+    rhs = np.array(LINEAR_TARGETS[:k - 1]) - rows @ base
     if np.linalg.matrix_rank(lin) < k - 1:
         return []
     # the free unknown t is the one whose minor has the largest |det|: by
@@ -82,10 +83,9 @@ def _solutions(problem):
     fixed = np.delete(np.arange(k), free)
     u0, v = np.zeros(k), np.eye(k)[free]
     u0[fixed], v[fixed] = np.linalg.solve(minors[free], np.stack((rhs, -lin[:, free]), 1)).T
-    # p_abb = b^T Q b / 2 - 1/3 with Q_ij = c_max(i, j) = max(c_i, c_j): nodes ascend
-    q = np.maximum.outer(c, c)
+    q = abb_form(c)
     w0, w1 = base + u0 @ basis, v @ basis
-    coeffs = (0.5 * w1 @ q @ w1, w0 @ q @ w1, 0.5 * w0 @ q @ w0 - 1.0 / 3.0)
+    coeffs = (0.5 * w1 @ q @ w1, w0 @ q @ w1, 0.5 * w0 @ q @ w0 - ABB_TARGET)
     return [u0 + t * v for t in np.roots(coeffs)]
 
 
@@ -93,8 +93,7 @@ def solve_b(problem, starts=1, seed=0):
     """Solve the order conditions for the kicks of a fixed-a BAB design, exactly.
 
     ``starts`` and ``seed`` are accepted and unused, as are ``scan_a1``'s
-    ``seed`` and ``design --seed``: perfbench and the acceptance test pass
-    them.  ``order_poly_jacobian`` stays public for its tests and the tracer.
+    ``seed`` and ``design --seed``: perfbench and the acceptance test pass them.
     """
     k = problem.k
     found = sorted(_solutions(problem), key=lambda z: (z[0].real, z[0].imag))
@@ -115,7 +114,7 @@ def solve_b(problem, starts=1, seed=0):
     if not residual <= RESIDUAL_TOL:
         raise NoSolutionFound(
             f"solution residual {residual:.3e} > {RESIDUAL_TOL:.0e} (stages={problem.stages})")
-    return DesignSolution(tuple(b_full[:k + 1]), residual, float(polys[2].real), all_reduced)
+    return DesignSolution(tuple(b_full[:k + 1]), residual, float(polys.p_abaaa.real), all_reduced)
 
 
 def _objective(a1):

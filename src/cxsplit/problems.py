@@ -70,7 +70,10 @@ class OscillatorProblem:
         for t, w in zip(times, weights):
             omega_sq += w * self.big_omega(t) ** 2
             w_sum += w
-        return exp_2x2(omega_sq / w_sum, duration * w_sum, (complex(state[0]), complex(state[1])))
+        q, p = complex(state[0]), complex(state[1])
+        if w_sum == 0.0:   # [[0, 0], [-omega_sq, 0]] is nilpotent: exp is I + duration * it
+            return q, p - duration * omega_sq * q
+        return exp_2x2(omega_sq / w_sum, duration * w_sum, (q, p))
 
     def b_kick(self, t_frozen, tau, state):
         q, p = complex(state[0]), complex(state[1])

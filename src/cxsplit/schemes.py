@@ -115,9 +115,10 @@ class SchemeReport:
 def validate_scheme(scheme, tol=BUILTIN_TOL):
     """Consistency sums and coefficient sign margins of the expanded scheme.
 
-    Raises ValidationError if a sum misses 1 by tol or more in its real or
-    imaginary part.  A symmetric scheme expands to an exact palindrome, so
-    there is no symmetry to check here; load_scheme checks the file rows.
+    Raises ValidationError unless both parts of each sum lie within tol of
+    1, so a non-finite coefficient (its sum is inf or nan) fails too.  A
+    symmetric scheme expands to an exact palindrome, so there is no symmetry
+    to check here; load_scheme checks the file rows.
     """
     a = [complex(x) for x in scheme.expanded_a()]
     b = [complex(x) for x in scheme.expanded_b()]
@@ -129,7 +130,7 @@ def validate_scheme(scheme, tol=BUILTIN_TOL):
     )
     for tag, total in (("a", report.sum_a), ("b", report.sum_b)):
         d = total - 1.0
-        if max(abs(d.real), abs(d.imag)) >= tol:
+        if not (abs(d.real) < tol and abs(d.imag) < tol):
             raise ValidationError(f"{scheme.name}: consistency-{tag} defect {abs(d):.3e}")
     return report
 
@@ -241,7 +242,10 @@ def load_scheme(text, tol=FILE_TOL):
     pattern = header["pattern"].upper()
     if pattern not in ("BAB", "ABA"):
         raise ParseError(f"pattern must be BAB or ABA, got {header['pattern']!r}")
-    symmetric = header.get("symmetric", "false").lower() == "true"
+    try:
+        symmetric = {"true": True, "false": False}[header.get("symmetric", "false").lower()]
+    except KeyError:
+        raise ParseError(f"symmetric must be true or false, got {header['symmetric']!r}") from None
     try:
         order = int(header["order"])
     except ValueError:

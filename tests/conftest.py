@@ -68,6 +68,13 @@ def near_tolerance_sm64_text():
     return "\n".join(lines) + "\n"
 
 
+# BAB files with a non-finite coefficient: the sums they give are nan
+NON_FINITE_TEXTS = {
+    "a_nan": "name=t\npattern=BAB\norder=2\nb 0.5 0\na nan 0\nb 0.5 0\n",
+    "b_inf": "name=t\npattern=BAB\norder=2\nb inf 0\na 1 0\nb -inf 0\n",
+}
+
+
 def yoshida_text():
     """The Yoshida triple jump of Strang_BAB as a scheme file.
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import near_tolerance_sm64_text, yoshida_text
+from conftest import NON_FINITE_TEXTS, near_tolerance_sm64_text, yoshida_text
 from cxsplit import bench, cli, designer
 from cxsplit.errors import CxsplitError, DesignScanUnreliable
 from cxsplit.schemes import load_scheme
@@ -50,6 +50,18 @@ def test_sweep_near_tolerance_file_exits_runtime(tmp_path, osc_ref, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: SM64: consistency-b defect 2.700e-09\n"
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_TEXTS))
+def test_non_finite_file_is_invalid_without_warnings(name, tmp_path, osc_ref, capsys):
+    path = tmp_path / f"{name}.txt"
+    path.write_text(NON_FINITE_TEXTS[name])
+    assert cli.main(["validate", str(path)]) == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out.startswith(f"{path}: INVALID (t: consistency-")
+    assert captured.err == ""
+    assert cli.main(["sweep", "--problem", "osc", "--methods", str(path),
+                     "--nsteps", "16"]) == cli.EXIT_RUNTIME
 
 
 def test_validate_unknown_scheme_exits_one(capsys):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from cxsplit.errors import InvalidSequence
-from cxsplit.order_conditions import (kicks_of, order_poly_jacobian,
+from cxsplit.order_conditions import (ABB_TARGET, LINEAR_TARGETS, abb_form,
+                                      kicks_of, linear_terms, order_poly_jacobian,
                                       order_polys, residuals)
 from cxsplit.schemes import builtin_scheme, expand
 
@@ -49,30 +50,32 @@ def test_kicks_of_extracts_nodes():
     assert abs(c[-1] - 1.0) < 1e-15
 
 
-@pytest.mark.parametrize("n", range(2, 10))
-def test_p_abb_is_the_double_sum(n):
+def _random_kicks(n):
+    """20 random complex (b, c) pairs of length n."""
     rng = np.random.default_rng(n)
     for _ in range(20):
-        b = rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
-        c = rng.uniform(size=n) + 1j * rng.uniform(size=n)
-        want = (0.5 * sum(b[i] ** 2 * c[i] for i in range(n))
-                + sum(b[i] * b[j] * c[j] for j in range(n) for i in range(j))
-                - 1.0 / 3.0)
-        assert abs(order_polys(b, c)[1] - want) < 1e-14
+        yield (rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(-1.0, 1.0, n),
+               rng.uniform(size=n) + 1j * rng.uniform(size=n))
 
 
 @pytest.mark.parametrize("n", range(2, 10))
-def test_batched_rows_equal_single_calls(n):
-    rng = np.random.default_rng(100 + n)
-    b = rng.standard_normal((7, n)) + 1j * rng.standard_normal((7, n))
-    c = np.sort(rng.uniform(size=n)).astype(complex)
-    polys = np.stack(order_polys(b, c), axis=-1)
-    jac = order_poly_jacobian(b, c)
-    assert polys.shape == (7, 3) and jac.shape == (7, 3, n)
-    for row, b_row in enumerate(b):
-        # same IEEE operations per row, so bitwise equal
-        assert polys[row].tobytes() == np.array(order_polys(b_row, c)).tobytes()
-        assert jac[row].tobytes() == order_poly_jacobian(b_row, c).tobytes()
+def test_p_abb_is_the_double_sum(n):
+    for b, c in _random_kicks(n):
+        double_sum = (0.5 * sum(b[i] ** 2 * c[i] for i in range(n))
+                      + sum(b[i] * b[j] * c[j] for j in range(n) for i in range(j))
+                      - 1.0 / 3.0)
+        form = 0.5 * b @ abb_form(c) @ b - ABB_TARGET
+        for want in (double_sum, form):
+            assert abs(order_polys(b, c)[1] - want) < 1e-14
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_linear_polys_are_the_linear_rows(n):
+    for b, c in _random_kicks(n):
+        got = order_polys(b, c)
+        want = linear_terms(1.0, c) @ b - np.array(LINEAR_TARGETS)
+        assert abs(got.p_aba - want[0]) < 1e-15
+        assert abs(got.p_abaaa - want[1]) < 1e-15
 
 
 def test_jacobian_matches_finite_differences():

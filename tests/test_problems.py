@@ -55,7 +55,7 @@ def test_a_frozen_exp_exponentiates_the_weighted_generator(name):
     # the protocol: exp(duration * sum_i w_i A(t_i)), whatever sum_i w_i is
     problem = make_problem(name) if name == "osc" else make_problem(name, n_grid=16)
     rng = np.random.default_rng(11)
-    for weights in ((1.0, 1.0), (0.3, 0.9, -0.4), (2.5,)):
+    for weights in ((1.0, 1.0), (0.3, 0.9, -0.4), (2.5,), (1.0, -1.0)):
         times = tuple(rng.uniform(0.0, TWO_PI, len(weights)))
         u = rng.standard_normal(problem.dim) + 1j * rng.standard_normal(problem.dim)
         generator = sum(w * _dense_a(problem, t) for t, w in zip(times, weights))

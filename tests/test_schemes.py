@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import near_tolerance_sm64_text
+from conftest import NON_FINITE_TEXTS, near_tolerance_sm64_text
 from cxsplit.errors import NotInCatalog, ParseError, ValidationError
 from cxsplit.schemes import (BUILTIN_TOL, FILE_TOL, Scheme, builtin_names,
                              builtin_scheme, expand, load_scheme,
@@ -158,6 +158,19 @@ def test_load_symmetry_violation():
             "b 0.4 0.0\na 1.0 0.0\nb 0.6 0.0\n")
     with pytest.raises(ValidationError, match="symmetry-b"):
         load_scheme(text)
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_TEXTS))
+def test_load_rejects_non_finite_coefficients(name):
+    with pytest.raises(ValidationError, match="consistency-"):
+        load_scheme(NON_FINITE_TEXTS[name])
+
+
+def test_load_symmetric_is_true_or_false():
+    text = "name=t\npattern=BAB\norder=2\nsymmetric={}\nb 0.4 0.0\na 1.0 0.0\nb 0.6 0.0\n"
+    assert not load_scheme(text.format("FALSE")).symmetric
+    with pytest.raises(ParseError, match="'yes'"):
+        load_scheme(text.format("yes"))
 
 
 def test_load_interleave_mismatch():
