@@ -26,15 +26,15 @@ SHEAR_THRESHOLD = 1e-14
 EXP_OVERFLOW = 709.0
 
 
-def cf2_step(t0, h, state, frozen_exponential, commuting=False, node=0.5):
-    """Frozen exponential exp(h A(t0 + node h)): the midpoint rule by default.
+def cf2_step(t0, h, state, frozen_exponential, commuting, node):
+    """Frozen exponential exp(h A(t0 + node h)): node=0.5 is the midpoint rule.
 
     node=0 freezes A at the start of the flow (the literal convention).
     """
     return frozen_exponential((t0 + node * h,), (1.0,), h, state)
 
 
-def cf4_step(t0, h, state, frozen_exponential, commuting=False, node=0.5):
+def cf4_step(t0, h, state, frozen_exponential, commuting, node):
     """Fourth-order commutator-free step over [t0, t0 + h].
 
     Applies exp((h/2)(beta A(tau1) + alpha A(tau2))) first and then the
@@ -52,7 +52,7 @@ def cf4_step(t0, h, state, frozen_exponential, commuting=False, node=0.5):
     return frozen_exponential((tau1, tau2), (CF4_ALPHA, CF4_BETA), 0.5 * h, state)
 
 
-def exact_step(t0, h, state, frozen_exponential, commuting=True, node=0.5):
+def exact_step(t0, h, state, frozen_exponential, commuting, node):
     """Exact flow exp(int A) over [t0, t0 + h] of a commuting family A(t).
 
     The integral is 20-point Gauss-Legendre quadrature.

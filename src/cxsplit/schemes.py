@@ -216,7 +216,7 @@ def serialize_scheme(scheme):
     return "\n".join(lines) + "\n"
 
 
-def load_scheme(text, tol=FILE_TOL):
+def load_scheme(text):
     header = {}
     a_full, b_full = [], []
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -225,7 +225,12 @@ def load_scheme(text, tol=FILE_TOL):
             continue
         if "=" in line and line.split()[0] not in ("a", "b"):
             key, _, val = line.partition("=")
-            header[key.strip()] = val.strip()
+            key = key.strip()
+            if key not in ("name", "pattern", "order", "symmetric"):
+                raise ParseError(f"unknown header field {key!r}", line_no)
+            if key in header:
+                raise ParseError(f"repeated header field {key!r}", line_no)
+            header[key] = val.strip()
             continue
         parts = line.split()
         if len(parts) != 3 or parts[0] not in ("a", "b"):
@@ -260,7 +265,7 @@ def load_scheme(text, tol=FILE_TOL):
     if symmetric:
         for tag, seq in (("a", a_full), ("b", b_full)):
             for x, y in zip(seq, reversed(seq)):
-                if abs(x - y) >= tol:
+                if abs(x - y) >= FILE_TOL:
                     raise ValidationError(f"symmetry-{tag}: defect {abs(x - y):.3e}")
         a_red = tuple(a_full[:_reduced_len(len(a_full))])
         b_red = tuple(b_full[:_reduced_len(len(b_full))])
@@ -268,5 +273,5 @@ def load_scheme(text, tol=FILE_TOL):
         a_red, b_red = tuple(a_full), tuple(b_full)
 
     scheme = Scheme(header["name"], pattern, stages, a_red, b_red, order, symmetric)
-    validate_scheme(scheme, tol)
+    validate_scheme(scheme, FILE_TOL)
     return scheme

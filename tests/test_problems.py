@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from cxsplit.errors import ReferenceInconsistent, StepFailed
-from cxsplit.problems import (REF_AGREE_TOL, REF_MAGIC, TWO_PI, FisherProblem,
+from cxsplit.problems import (REF_AGREE_TOL, REF_MAGIC, REF_OSC_RK4_STEPS,
+                              REF_PDE_RK4_MIN_STEPS, TWO_PI, FisherProblem,
                               OscillatorProblem, ParabolicProblem, _cache_path,
                               _read_cache, _write_cache, default_cache_dir,
                               make_problem, reference_solution, rk4_integrate)
@@ -130,7 +131,7 @@ def test_parabolic_apply_laplacian_matches_dense():
 def test_parabolic_exact_flow_matches_quadrature_limit():
     problem = make_problem("parabolic", n_grid=16)
     u = problem.u0()
-    out = exact_step(0.1, 0.2, u, problem.a_frozen_exp)
+    out = exact_step(0.1, 0.2, u, problem.a_frozen_exp, commuting=True, node=0.5)
     # brute-force Riemann integral of alpha^2
     s = np.linspace(0.1, 0.3, 20001)
     integral = np.trapezoid([problem.alpha(t) ** 2 for t in s], s)
@@ -156,7 +157,7 @@ def test_exact_step_equals_the_quadrature_formula_bitwise(name):
     for _ in range(200):
         t0, h = rng.uniform(0.0, 1.0), rng.uniform(-0.05, 0.25)
         u = rng.standard_normal(problem.n_grid) + 1j * rng.standard_normal(problem.n_grid)
-        got = exact_step(t0, h, u, problem.a_frozen_exp)
+        got = exact_step(t0, h, u, problem.a_frozen_exp, commuting=True, node=0.5)
         assert got.tobytes() == _quadrature_exact_flow(problem, t0, h, u).tobytes()
 
 
@@ -211,10 +212,22 @@ def test_rk4_float_pair_matches_array_loop(epsilon):
 def test_stiff_rk4_steps_scales_with_grid():
     coarse = make_problem("parabolic", n_grid=100)
     fine = make_problem("parabolic", n_grid=200)
-    assert fine.stiff_rk4_steps() == pytest.approx(4 * coarse.stiff_rk4_steps(), rel=0.05)
+    assert fine.rk4_steps == pytest.approx(4 * coarse.rk4_steps, rel=0.05)
     # coarse grids hit the accuracy floor instead of the stability bound
-    from cxsplit.problems import REF_PDE_RK4_MIN_STEPS
-    assert make_problem("parabolic", n_grid=8).stiff_rk4_steps() == REF_PDE_RK4_MIN_STEPS
+    assert make_problem("parabolic", n_grid=8).rk4_steps == REF_PDE_RK4_MIN_STEPS
+
+
+@pytest.mark.parametrize("name,params,cache_file", [
+    ("osc", {}, "osc_8fd223ae5041c9c6.ref"),
+    ("osc", {"epsilon": 0.1}, "osc_5e2de432060c1063.ref"),
+    ("osc", {"epsilon": 0.0}, "osc_67c2f18f1aac0d2f.ref"),
+    ("parabolic", {}, "parabolic_c32372d88c413cf3.ref"),
+    ("parabolic", {"n_grid": 8}, "parabolic_4cda38c28a085d6f.ref"),
+    ("fisher", {}, "fisher_65a8cea540c67f5b.ref"),
+])
+def test_cache_file_names_are_pinned(tmp_path, name, params, cache_file):
+    # a new cache key orphans every cached reference: change these pins on purpose
+    assert _cache_path(make_problem(name, **params), tmp_path)[0].name == cache_file
 
 
 def test_cache_round_trip(tmp_path):
@@ -313,11 +326,28 @@ def test_reference_inconsistency_is_fatal(tmp_path, monkeypatch):
     assert _cache_path(problem, tmp_path)[0].exists()
 
 
+def test_nan_oracle_gap_is_fatal(tmp_path, monkeypatch):
+    # NaN compares false with everything: the check must not read it as agreement
+    problem = make_problem("parabolic", n_grid=8)
+    builds = _stub_oracles(monkeypatch, gap=math.nan)
+    with pytest.raises(ReferenceInconsistent, match="nan"):
+        reference_solution(problem, cache_dir=tmp_path)
+    assert len(builds) == 2                       # both oracles ran
+    assert not any(tmp_path.iterdir())            # nothing cached
+
+
 def test_default_params_match_benchmarks():
     osc = make_problem("osc")
     assert osc.epsilon == 0.25 and osc.p0 == 11.2075
-    assert osc.omega_j == [7.0, 14.0, 21.0]
+    assert osc.omega_j == (7.0, 14.0, 21.0)
+    assert (osc.t0, osc.tf) == (0.0, TWO_PI)
+    assert osc.rk4_steps == REF_OSC_RK4_STEPS == 2 ** 20
     par = make_problem("parabolic")
     assert par.n_grid == 100 and par.alpha(0.0) == pytest.approx(0.25 + 1 / 6)
+    assert (par.mu, par.w, par.t0, par.tf) == (1.0 / 6.0, 2.0, 0.0, 1.0)
+    assert par.rk4_steps == 6945
+    assert make_problem("parabolic", n_grid=8).rk4_steps == 4096
     fisher = make_problem("fisher")
     assert fisher.gamma(0.0) == pytest.approx(0.01)
+    assert (fisher.mu, fisher.w, fisher.beta) == (1.0 / 6.0, 2.0, 1.0)
+    assert (fisher.t0, fisher.tf) == (0.0, 1.0)

@@ -41,7 +41,7 @@ def test_magnus_orders_on_scalar_model(step_fn, order):
         u, t = u0, t0
         h = total / n
         for _ in range(n):
-            u = step_fn(t, h, u, _frozen)
+            u = step_fn(t, h, u, _frozen, commuting=False, node=0.5)
             t += h
         errors.append(abs(u - _exact(t0, total, u0)))
     rates = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]
@@ -52,29 +52,29 @@ def test_magnus_orders_on_scalar_model(step_fn, order):
 def test_exact_step_on_scalar_model():
     # scalar generators commute: the quadrature flow is the exact solution
     for t0, h in ((0.3, 0.25), (1.1, -0.4)):
-        assert exact_step(t0, h, 1.7, _frozen) == pytest.approx(
-            _exact(t0, h, 1.7), rel=1e-14)
+        got = exact_step(t0, h, 1.7, _frozen, commuting=True, node=0.5)
+        assert got == pytest.approx(_exact(t0, h, 1.7), rel=1e-14)
 
 
 def test_cf4_commuting_fuse_matches_split_form():
     # scalar generators always commute: fused and two-exponential CF4 agree
     u = 1.3 + 0.0j
-    full = cf4_step(0.2, 0.05, u, _frozen, commuting=False)
-    fused = cf4_step(0.2, 0.05, u, _frozen, commuting=True)
+    full = cf4_step(0.2, 0.05, u, _frozen, commuting=False, node=0.5)
+    fused = cf4_step(0.2, 0.05, u, _frozen, commuting=True, node=0.5)
     assert abs(full - fused) < 1e-14
 
 
 def test_cf4_time_symmetry():
     u = 0.8
-    forward = cf4_step(0.4, 0.1, u, _frozen)
-    back = cf4_step(0.5, -0.1, forward, _frozen)
+    forward = cf4_step(0.4, 0.1, u, _frozen, commuting=False, node=0.5)
+    back = cf4_step(0.5, -0.1, forward, _frozen, commuting=False, node=0.5)
     assert abs(back - u) < 1e-14
 
 
 def test_zero_step_is_identity():
     # exp(0 A) = I through the kernel; the engine skips such flows altogether
-    assert cf2_step(1.0, 0.0, 2.5, _frozen) == 2.5
-    assert cf4_step(1.0, 0.0, 2.5, _frozen) == 2.5
+    assert cf2_step(1.0, 0.0, 2.5, _frozen, commuting=False, node=0.5) == 2.5
+    assert cf4_step(1.0, 0.0, 2.5, _frozen, commuting=False, node=0.5) == 2.5
 
 
 @pytest.mark.parametrize("omega_sq", [4.0, -2.25, 0.0, 1e-16])

@@ -173,6 +173,20 @@ def test_load_symmetric_is_true_or_false():
         load_scheme(text.format("yes"))
 
 
+def test_load_rejects_an_unknown_header_field():
+    text = "name=t\npattern=BAB\norder=2\nsymetric=true\nb 0.5 0.0\na 1.0 0.0\nb 0.5 0.0\n"
+    with pytest.raises(ParseError, match="unknown header field 'symetric'") as info:
+        load_scheme(text)
+    assert info.value.line_no == 4
+
+
+def test_load_rejects_a_repeated_header_field():
+    text = "name=t\npattern=BAB\norder=2\norder=4\nb 0.5 0.0\na 1.0 0.0\nb 0.5 0.0\n"
+    with pytest.raises(ParseError, match="repeated header field 'order'") as info:
+        load_scheme(text)
+    assert info.value.line_no == 4
+
+
 def test_load_interleave_mismatch():
     text = "name=t\npattern=BAB\norder=2\na 1.0 0.0\nb 1.0 0.0\n"
     with pytest.raises(ValidationError, match="BAB"):
