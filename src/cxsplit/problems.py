@@ -14,13 +14,15 @@ import cmath
 import hashlib
 import math
 import os
+import pickle
+import signal
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ReferenceInconsistent, StepFailed
+from .errors import CxsplitError, ReferenceInconsistent, StepFailed
 from .propagators import CirculantLaplacian, exp_2x2, exp_circulant
 from .schemes import builtin_scheme
 from .stepper import StepperConfig, integrate
@@ -299,11 +301,39 @@ def _read_cache(path, digest, dim):
     return np.frombuffer(blob[24:], dtype="<f8").copy()
 
 
+def _start_classical_oracle(problem):
+    """Fork a child that runs _classical_oracle(problem); returns (pid, reader).
+
+    The child sends ("ok", value) or ("err", exception) pickled down the
+    pipe and leaves by os._exit, so it runs none of the parent's exit
+    handlers and flushes none of its buffers.
+    """
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                result = ("ok", _classical_oracle(problem))
+            except BaseException as exc:
+                result = ("err", exc)
+            with open(write_fd, "wb") as fh:
+                fh.write(pickle.dumps(result))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
 def reference_solution(problem, cache_dir=None):
     """Final-time reference state, cross-validated by two independent oracles.
 
     Oracle one is the best builtin splitting scheme run at a very fine step;
     oracle two is a classical one-step method on the unsplit right-hand side.
+    The two run at the same time in 2 processes: the classical oracle in a
+    child made by POSIX fork, the splitting oracle in this process.
     Disagreement beyond the tolerance is a hard failure, and a cache
     directory that cannot be created or written fails before either oracle.
     """
@@ -315,8 +345,23 @@ def reference_solution(problem, cache_dir=None):
             return cached
     cache_dir.mkdir(parents=True, exist_ok=True)
     check_writable(cache_dir)
-    split = _splitting_oracle(problem)
-    classical = _classical_oracle(problem)
+    pid, reader = _start_classical_oracle(problem)
+    try:
+        with reader:
+            split = _splitting_oracle(problem)
+            blob = reader.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code != 0 or not blob:
+        how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
+        raise CxsplitError(f"{problem.key()}: the classical oracle's process ended "
+                           f"without a result ({how})")
+    kind, classical = pickle.loads(blob)
+    if kind == "err":
+        raise classical
     gap = float(np.linalg.norm(split - classical))
     if not gap <= REF_AGREE_TOL:      # a NaN gap fails too
         raise ReferenceInconsistent(

@@ -1,10 +1,18 @@
 import math
+import os
+import pickle
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cxsplit.errors import ReferenceInconsistent, StepFailed
+from cxsplit import cli
+from cxsplit.errors import (CxsplitError, DesignScanUnreliable, InsufficientData,
+                            InvalidSequence, NoSolutionFound, NoStableSolution,
+                            NotInCatalog, ParseError, RealTimeViolation,
+                            ReferenceInconsistent, StepFailed, StepTooLarge,
+                            ValidationError)
 from cxsplit.problems import (REF_AGREE_TOL, REF_MAGIC, REF_OSC_RK4_STEPS,
                               REF_PDE_RK4_MIN_STEPS, TWO_PI, FisherProblem,
                               OscillatorProblem, ParabolicProblem, _cache_path,
@@ -247,37 +255,47 @@ def test_cache_round_trip(tmp_path):
     assert _read_cache(path, digest, problem.dim) is None
 
 
-def _stub_oracles(monkeypatch, gap=0.0):
-    """Replace both reference oracles by cheap stand-ins; returns their call log.
+@pytest.fixture
+def stub_oracles(monkeypatch, tmp_path_factory):
+    """Installs cheap stand-ins for both reference oracles; returns their call count.
 
     The split stand-in is linspace(0, 1, dim).  The classical one differs from
     it by `gap` in the first entry, where the split value is 0.0, so the oracle
-    gap is exactly `gap`.
+    gap is exactly `gap`.  `split` or `classical`, if given, runs first in its
+    stand-in.  The classical oracle runs in a forked child, so each call
+    appends a line to a log file outside the cache directory: a list in
+    memory would lose the child's calls.
     """
     import cxsplit.problems as mod
-    builds = []
 
-    def split(p):
-        builds.append(p)
-        return np.linspace(0.0, 1.0, p.dim)
+    def install(gap=0.0, split=None, classical=None):
+        log = tmp_path_factory.mktemp("oracle-calls") / "calls.log"
+        log.touch()
 
-    def classical(p):
-        u = split(p)
-        u[0] = gap
-        return u
-    monkeypatch.setattr(mod, "_splitting_oracle", split)
-    monkeypatch.setattr(mod, "_classical_oracle", classical)
-    return builds
+        def stub(name, hook, first):
+            def oracle(p):
+                with log.open("a") as fh:
+                    fh.write(f"{name}\n")
+                if hook is not None:
+                    hook()
+                u = np.linspace(0.0, 1.0, p.dim)
+                u[0] = first
+                return u
+            return oracle
+        monkeypatch.setattr(mod, "_splitting_oracle", stub("split", split, 0.0))
+        monkeypatch.setattr(mod, "_classical_oracle", stub("classical", classical, gap))
+        return lambda: len(log.read_text().splitlines())
+    return install
 
 
-def test_truncated_cache_entry_is_rebuilt(tmp_path, monkeypatch):
+def test_truncated_cache_entry_is_rebuilt(tmp_path, stub_oracles):
     problem = make_problem("parabolic", n_grid=8)
-    builds = _stub_oracles(monkeypatch)
+    builds = stub_oracles()
     ref = reference_solution(problem, cache_dir=tmp_path)
     path, _ = _cache_path(problem, tmp_path)
     path.write_bytes(path.read_bytes()[:-16])
     assert np.array_equal(reference_solution(problem, cache_dir=tmp_path), ref)
-    assert len(builds) == 4                          # built, then rebuilt
+    assert builds() == 4                         # built, then rebuilt
     assert len(path.read_bytes()) == 24 + 8 * problem.dim
 
 
@@ -287,11 +305,11 @@ def test_session_reference_cache_is_repo_local(repo_local_reference_cache):
     assert Path(__file__).resolve().parent.parent in repo_local_reference_cache.parents
 
 
-def test_reference_solution_caches(tmp_path, monkeypatch):
+def test_reference_solution_caches(tmp_path, stub_oracles):
     # the real oracles are covered by the session fixtures and by
     # test_acceptance.py::test_criterion_7_reference_integrity
     problem = make_problem("parabolic", n_grid=8)
-    builds = _stub_oracles(monkeypatch)
+    builds = stub_oracles()
     ref1 = reference_solution(problem, cache_dir=tmp_path)
     path, _ = _cache_path(problem, tmp_path)
     assert path.exists()
@@ -299,40 +317,46 @@ def test_reference_solution_caches(tmp_path, monkeypatch):
     before = path.stat().st_mtime_ns
     ref2 = reference_solution(problem, cache_dir=tmp_path)
     assert path.stat().st_mtime_ns == before       # served from cache
-    assert len(builds) == 2                        # both oracles ran once
+    assert builds() == 2                           # both oracles ran once
     assert np.array_equal(ref1, ref2)
 
 
-def test_unwritable_cache_fails_before_the_oracles(tmp_path, monkeypatch):
+def test_unwritable_cache_fails_before_the_oracles(tmp_path, stub_oracles):
     # the tests run as root, so an unwritable mode cannot be tested; a cache
     # directory under a regular file cannot be created by anyone
     problem = make_problem("parabolic", n_grid=8)
-    builds = _stub_oracles(monkeypatch)
+    builds = stub_oracles()
     (tmp_path / "file").write_text("")
     with pytest.raises(OSError):
         reference_solution(problem, cache_dir=tmp_path / "file" / "cache")
-    assert builds == []
+    assert builds() == 0
 
 
-def test_reference_inconsistency_is_fatal(tmp_path, monkeypatch):
+def test_reference_inconsistency_is_fatal(tmp_path, stub_oracles):
     problem = make_problem("parabolic", n_grid=8)
-    _stub_oracles(monkeypatch, gap=1.01 * REF_AGREE_TOL)
-    with pytest.raises(ReferenceInconsistent):
-        reference_solution(problem, cache_dir=tmp_path)
-    assert not any(tmp_path.iterdir())            # nothing cached
-    _stub_oracles(monkeypatch, gap=0.99 * REF_AGREE_TOL)
-    ref = reference_solution(problem, cache_dir=tmp_path)
-    assert np.array_equal(ref, np.linspace(0.0, 1.0, problem.dim))
-    assert _cache_path(problem, tmp_path)[0].exists()
+    # The classical values cross from the child bit for bit: a gap one ulp
+    # above the tolerance fails, and the tolerance itself passes, which it
+    # would not if any other entry had moved.
+    for gap in (1.01 * REF_AGREE_TOL, math.nextafter(REF_AGREE_TOL, math.inf)):
+        stub_oracles(gap=gap)
+        with pytest.raises(ReferenceInconsistent):
+            reference_solution(problem, cache_dir=tmp_path)
+        assert not any(tmp_path.iterdir())        # nothing cached
+    for gap, cache_dir in ((0.99 * REF_AGREE_TOL, tmp_path / "below"),
+                           (REF_AGREE_TOL, tmp_path / "at")):
+        stub_oracles(gap=gap)
+        ref = reference_solution(problem, cache_dir=cache_dir)
+        assert np.array_equal(ref, np.linspace(0.0, 1.0, problem.dim))
+        assert _cache_path(problem, cache_dir)[0].exists()
 
 
-def test_nan_oracle_gap_is_fatal(tmp_path, monkeypatch):
+def test_nan_oracle_gap_is_fatal(tmp_path, stub_oracles):
     # NaN compares false with everything: the check must not read it as agreement
     problem = make_problem("parabolic", n_grid=8)
-    builds = _stub_oracles(monkeypatch, gap=math.nan)
+    builds = stub_oracles(gap=math.nan)
     with pytest.raises(ReferenceInconsistent, match="nan"):
         reference_solution(problem, cache_dir=tmp_path)
-    assert len(builds) == 2                       # both oracles ran
+    assert builds() == 2                          # both oracles ran
     assert not any(tmp_path.iterdir())            # nothing cached
 
 
@@ -351,3 +375,87 @@ def test_default_params_match_benchmarks():
     assert fisher.gamma(0.0) == pytest.approx(0.01)
     assert (fisher.mu, fisher.w, fisher.beta) == (1.0 / 6.0, 2.0, 1.0)
     assert (fisher.t0, fisher.tf) == (0.0, 1.0)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_classical_oracle_error_is_raised_in_the_parent(tmp_path, stub_oracles):
+    def fail():
+        raise StepFailed("x", stage=3)
+    problem = make_problem("parabolic", n_grid=8)
+    builds = stub_oracles(classical=fail)
+    with pytest.raises(StepFailed) as info:
+        reference_solution(problem, cache_dir=tmp_path)
+    assert type(info.value) is StepFailed
+    assert str(info.value) == "stage 3: x" and info.value.stage == 3
+    assert builds() == 2
+    assert not any(tmp_path.iterdir())            # nothing cached
+    _assert_no_child_left()
+
+
+def test_classical_oracle_process_dying_is_a_cxsplit_error(tmp_path, stub_oracles,
+                                                           capsys):
+    problem = make_problem("parabolic", n_grid=8)
+    stub_oracles(classical=lambda: os._exit(1))
+    with pytest.raises(CxsplitError, match=r"without a result \(exit code 1\)") as info:
+        reference_solution(problem, cache_dir=tmp_path)
+    assert type(info.value) is CxsplitError
+    assert not any(tmp_path.iterdir())
+    code = cli.main(["sweep", "--problem", "parabolic", "--methods", "strang",
+                     "--nsteps", "4",
+                     "--cache-dir", str(tmp_path)])
+    assert code == cli.EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: parabolic: the classical oracle's process")
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("exc", [StepFailed("x", stage=1), KeyboardInterrupt()],
+                         ids=["StepFailed", "KeyboardInterrupt"])
+def test_splitting_oracle_failure_leaves_no_child(tmp_path, stub_oracles, exc):
+    def fail():
+        raise exc
+    problem = make_problem("parabolic", n_grid=8)
+    # the child would outlive the parent's failure without the kill
+    stub_oracles(split=fail, classical=lambda: time.sleep(60))
+    start = time.perf_counter()
+    with pytest.raises(type(exc)):
+        reference_solution(problem, cache_dir=tmp_path)
+    assert time.perf_counter() - start < 30
+    _assert_no_child_left()
+    assert not any(tmp_path.iterdir())
+
+
+# one instance of every typed error, with the attributes it carries
+TYPED_ERRORS = [
+    (StepFailed("x", stage=3), {"stage": 3}),
+    (StepTooLarge("overflow", stage=2), {"stage": 2}),
+    (ParseError("bad row", line_no=7), {"line_no": 7}),
+    (NoStableSolution("unstable", solutions=[[1 + 2j, 0.5]]),
+     {"solutions": [[1 + 2j, 0.5]]}),
+] + [(cls("msg"), {}) for cls in (CxsplitError, NotInCatalog, ValidationError,
+                                   InvalidSequence, NoSolutionFound,
+                                   DesignScanUnreliable, ReferenceInconsistent,
+                                   InsufficientData, RealTimeViolation)]
+
+
+@pytest.mark.parametrize("error, attrs", TYPED_ERRORS,
+                         ids=[type(error).__name__ for error, _ in TYPED_ERRORS])
+def test_typed_errors_survive_pickle(error, attrs):
+    # the classical oracle's process sends its exception back by pickle
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error)
+    assert str(copy) == str(error)
+    for name, value in attrs.items():
+        assert getattr(copy, name) == value
+
+
+def test_every_typed_error_is_pickle_tested():
+    def subclasses(cls):
+        return {cls}.union(*(subclasses(c) for c in cls.__subclasses__()))
+    assert subclasses(CxsplitError) == {type(error) for error, _ in TYPED_ERRORS}
