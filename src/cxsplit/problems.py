@@ -16,7 +16,9 @@ import math
 import os
 import pickle
 import signal
+import struct
 import tempfile
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,11 +37,20 @@ REF_OSC_RK4_STEPS = 2 ** 20
 REF_PDE_RK4_MIN_STEPS = 2 ** 12
 REF_AGREE_TOL = 1e-10
 REF_MAGIC = b"CXSPLITR"
+# The cache format and oracle-kernel version: raise it with any change to the
+# format or to a kernel that moves the oracles' bits, so that older entries
+# are rebuilt instead of read as valid.
+REF_VERSION = 2
+# magic, version, key digest, payload bytes, oracle gap, build seconds
+REF_HEADER = struct.Struct("<8sQ16sQdd")
 
 # The oscillator's forcing frequencies, read as a global by its kernels: on
 # CPython 3.11 a class attribute read through an instance costs about 45 ns
-# more, 0.2 s over the osc RK4 oracle's 2^22 rhs_pair calls.
+# more on each of the osc kernels' calls.
 OMEGA_J = (7.0, 14.0, 21.0)
+# Parabolic kick factors kept per problem: a fixed-step run uses a few, but a
+# run whose h changes from step to step would otherwise keep one per kick.
+KICK_FACTORS_KEPT = 64
 
 
 @dataclass
@@ -94,15 +105,6 @@ class OscillatorProblem:
             - self.epsilon * sum(np.sin(q - w * t) for w in OMEGA_J)
         return np.array([p, force], dtype=u.dtype)
 
-    def rhs_pair(self, t, q, p):
-        """rhs on Python floats, operation for operation: (dq/dt, dp/dt)."""
-        # a left fold, as sum() does over numpy scalars; sum() over floats
-        # rounds differently from Python 3.12 on
-        kick = 0.0
-        for w in OMEGA_J:
-            kick += math.sin(q - w * t)
-        return p, -self.big_omega(t) ** 2 * q - self.epsilon * kick
-
     def key(self):
         return "osc"
 
@@ -126,6 +128,7 @@ class ParabolicProblem:
         self.lap = CirculantLaplacian(self.n_grid, self.dx)
         self.dim = self.n_grid
         self.sin_2pi_x = np.sin(TWO_PI * self.x)
+        self._kick_factors = {}     # tau -> exp(0.1 tau sin(2 pi x)); see b_kick
         # stability bound of explicit RK4 on the diffusion spectrum; the
         # floor keeps the temporal error negligible on coarse grids, where
         # the stability bound alone would be accuracy-limited
@@ -143,11 +146,20 @@ class ParabolicProblem:
         return self.sin_2pi_x.astype(complex)
 
     def a_frozen_exp(self, times, weights, duration, state):
-        coeff = sum(w * self.alpha(t) ** 2 for t, w in zip(times, weights))
+        coeff = 0.0     # a left fold, as sum() adds these on Python 3.11
+        for t, w in zip(times, weights):
+            coeff += w * self.alpha(t) ** 2
         return exp_circulant(self.lap, duration * coeff, state)
 
     def b_kick(self, t_frozen, tau, state):
-        return state * np.exp(tau * self.potential(t_frozen))
+        # exp(tau V(x, t)) = exp(0.3 tau (1 - e^-t)) * exp(0.1 tau sin(2 pi x)):
+        # the second factor depends only on tau = b_i h, which repeats every step
+        factor = self._kick_factors.get(tau)
+        if factor is None:
+            if len(self._kick_factors) >= KICK_FACTORS_KEPT:
+                self._kick_factors.clear()
+            factor = self._kick_factors[tau] = np.exp(tau * (0.1 * self.sin_2pi_x))
+        return state * (cmath.exp(tau * (0.3 * (1.0 - math.exp(-t_frozen)))) * factor)
 
     def apply_laplacian(self, u):
         return (np.roll(u, 1) + np.roll(u, -1) - 2.0 * u) / self.dx ** 2
@@ -172,9 +184,9 @@ class FisherProblem(ParabolicProblem):
 
     def b_kick(self, t_frozen, tau, state):
         # exact logistic flow with gamma frozen at a real time
-        grow = np.exp(self.gamma(t_frozen) * tau)
+        grow = cmath.exp(self.gamma(t_frozen) * tau)
         denom = 1.0 + state * (grow - 1.0)
-        if np.any(np.abs(denom) <= 1e-12):
+        if np.abs(denom).min() <= 1e-12:      # False on a NaN, as np.any(... <= ...) is
             raise StepFailed("singular logistic denominator")
         return state * grow / denom
 
@@ -206,13 +218,13 @@ def make_problem(name, **overrides):
 def rk4_integrate(rhs, u0, t0, tf, n_steps):
     """Classical fourth-order one-step method on the full right-hand side.
 
-    An array state u0 takes rhs(t, u) -> array.  A (q, p) tuple of floats
-    takes rhs(t, q, p) -> (dq, dp) and runs the same arithmetic in the same
-    order on Python floats, without numpy's per-operation overhead on a
-    2-vector; it returns a (q, p) tuple.
+    An array state u0 takes rhs(t, u) -> array.  An OscillatorProblem in
+    place of rhs takes a (q, p) tuple of floats and runs the arithmetic of
+    the loop on its rhs, in the same order, on Python floats, without
+    numpy's per-operation overhead on a 2-vector; it returns a (q, p) tuple.
     """
-    if isinstance(u0, tuple):
-        return _rk4_pair(rhs, u0, t0, tf, n_steps)
+    if isinstance(rhs, OscillatorProblem):
+        return _rk4_osc(rhs.epsilon, *u0, t0, tf, n_steps)
     u = np.asarray(u0).copy()
     h = (tf - t0) / n_steps
     t = t0
@@ -226,19 +238,34 @@ def rk4_integrate(rhs, u0, t0, tf, n_steps):
     return u
 
 
-def _rk4_pair(rhs, u0, t0, tf, n_steps):
-    q, p = u0
+def _rk4_osc(epsilon, q, p, t0, tf, n_steps):
+    """The RK4 loop with OscillatorProblem.rhs written out on local floats.
+
+    dq/dt = p, dp/dt = -Omega(t)^2 q - epsilon * (left-fold sum of the three
+    sines).  Omega(t)^2 is computed once per time: the k2 and k3 stages share
+    t + h/2, and the k4 stage's t + h is the next step's t.
+    """
+    sin, cos = math.sin, math.cos
+    w1, w2, w3 = OMEGA_J
     h = (tf - t0) / n_steps
     half, sixth = 0.5 * h, h / 6.0
     t = t0
+    om_sq = (1.0 + 0.5 * cos(1.5 * t)) ** 2
     for _ in range(n_steps):
-        k1q, k1p = rhs(t, q, p)
-        k2q, k2p = rhs(t + half, q + half * k1q, p + half * k1p)
-        k3q, k3p = rhs(t + half, q + half * k2q, p + half * k2p)
-        k4q, k4p = rhs(t + h, q + h * k3q, p + h * k3p)
-        q = q + sixth * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+        k1p = -om_sq * q - epsilon * (sin(q - w1 * t) + sin(q - w2 * t) + sin(q - w3 * t))
+        t_mid = t + half
+        om_sq_mid = (1.0 + 0.5 * cos(1.5 * t_mid)) ** 2
+        x1, x2, x3 = w1 * t_mid, w2 * t_mid, w3 * t_mid
+        q2, k2q = q + half * p, p + half * k1p
+        k2p = -om_sq_mid * q2 - epsilon * (sin(q2 - x1) + sin(q2 - x2) + sin(q2 - x3))
+        q3, k3q = q + half * k2q, p + half * k2p
+        k3p = -om_sq_mid * q3 - epsilon * (sin(q3 - x1) + sin(q3 - x2) + sin(q3 - x3))
+        t = t + h
+        om_sq = (1.0 + 0.5 * cos(1.5 * t)) ** 2
+        q4, k4q = q + h * k3q, p + h * k3p
+        k4p = -om_sq * q4 - epsilon * (sin(q4 - w1 * t) + sin(q4 - w2 * t) + sin(q4 - w3 * t))
+        q = q + sixth * (p + 2.0 * k2q + 2.0 * k3q + k4q)
         p = p + sixth * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        t += h
     return q, p
 
 
@@ -252,7 +279,7 @@ def _splitting_oracle(problem):
 def _classical_oracle(problem):
     u0 = problem.u0().real.astype(float)
     if isinstance(problem, OscillatorProblem):
-        rhs, u0 = problem.rhs_pair, tuple(map(float, u0))
+        rhs, u0 = problem, tuple(map(float, u0))
     else:
         rhs = problem.rhs
     u = rk4_integrate(rhs, u0, problem.t0, problem.tf, problem.rk4_steps)
@@ -280,8 +307,10 @@ def _cache_path(problem, cache_dir):
     return Path(cache_dir) / f"{problem.key()}_{digest}.ref", digest
 
 
-def _write_cache(path, digest, values):
-    blob = REF_MAGIC + digest.encode() + np.asarray(values, dtype="<f8").tobytes()
+def _write_cache(path, digest, values, gap, build_s):
+    payload = np.asarray(values, dtype="<f8").tobytes()
+    blob = REF_HEADER.pack(REF_MAGIC, REF_VERSION, digest.encode(), len(payload),
+                           gap, build_s) + payload
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
@@ -293,12 +322,19 @@ def _write_cache(path, digest, values):
 
 
 def _read_cache(path, digest, dim):
-    """The cached reference, or None for a foreign, stale or truncated entry."""
+    """(reference, oracle gap, build seconds) as cached, or None.
+
+    None is a foreign, stale, truncated or overlong entry, or one written
+    under another REF_VERSION.
+    """
     blob = path.read_bytes()
-    if (blob[:8] != REF_MAGIC or blob[8:24] != digest.encode()
-            or len(blob) - 24 != 8 * dim):
+    if len(blob) < REF_HEADER.size:
         return None
-    return np.frombuffer(blob[24:], dtype="<f8").copy()
+    magic, version, key, length, gap, build_s = REF_HEADER.unpack_from(blob)
+    if (magic != REF_MAGIC or version != REF_VERSION or key != digest.encode()
+            or length != 8 * dim or len(blob) - REF_HEADER.size != length):
+        return None
+    return np.frombuffer(blob, dtype="<f8", offset=REF_HEADER.size).copy(), gap, build_s
 
 
 def _start_classical_oracle(problem):
@@ -342,9 +378,10 @@ def reference_solution(problem, cache_dir=None):
     if path.exists():
         cached = _read_cache(path, digest, problem.dim)
         if cached is not None:
-            return cached
+            return cached[0]
     cache_dir.mkdir(parents=True, exist_ok=True)
     check_writable(cache_dir)
+    start = time.perf_counter()
     pid, reader = _start_classical_oracle(problem)
     try:
         with reader:
@@ -366,5 +403,5 @@ def reference_solution(problem, cache_dir=None):
     if not gap <= REF_AGREE_TOL:      # a NaN gap fails too
         raise ReferenceInconsistent(
             f"{problem.key()}: oracle disagreement {gap:.3e} > {REF_AGREE_TOL:.1e}")
-    _write_cache(path, digest, split)
+    _write_cache(path, digest, split, gap, time.perf_counter() - start)
     return split

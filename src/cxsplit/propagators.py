@@ -107,6 +107,7 @@ class CirculantLaplacian:
         self.dx = float(dx)
         k = np.arange(self.n)
         self.eigenvalues = (2.0 / self.dx ** 2) * (np.cos(2.0 * np.pi * k / self.n) - 1.0)
+        self.lambda_min = float(self.eigenvalues.min())
 
     def dense(self):
         mat = np.zeros((self.n, self.n))
@@ -118,9 +119,20 @@ class CirculantLaplacian:
 
 
 def exp_circulant(lap, tau, state):
-    """Apply exp(tau * Laplacian) spectrally; tau may be complex."""
+    """Apply exp(tau * Laplacian) spectrally; tau may be complex.
+
+    A real tau (every A-flow of the stepper) takes a scalar overflow guard,
+    since the largest exponent is tau * lambda_min for tau < 0 and 0
+    otherwise, and scales the spectrum in place: the same bits as the
+    general path, which exponentiates a real array for a real tau as well.
+    """
+    spec = np.fft.fft(np.asarray(state, dtype=complex))
+    if isinstance(tau, float):
+        if tau * lap.lambda_min > EXP_OVERFLOW:
+            raise StepTooLarge(f"exp argument {tau * lap.lambda_min:.3g} exceeds overflow guard")
+        spec *= np.exp(tau * lap.eigenvalues)
+        return np.fft.ifft(spec)
     arg = tau * lap.eigenvalues
     if np.max(arg.real) > EXP_OVERFLOW:
         raise StepTooLarge(f"exp argument {np.max(arg.real):.3g} exceeds overflow guard")
-    spec = np.fft.fft(np.asarray(state, dtype=complex))
     return np.fft.ifft(np.exp(arg) * spec)

@@ -144,7 +144,7 @@ def _finite(u):
     """The values after a step: an ndarray, checked finite."""
     u = np.asarray(u, dtype=complex)
     # the kernels keep a non-finite state non-finite: one check per step
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         raise StepFailed("non-finite state")
     return u
 

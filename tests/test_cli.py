@@ -64,6 +64,35 @@ def test_non_finite_file_is_invalid_without_warnings(name, tmp_path, osc_ref, ca
                      "--nsteps", "16"]) == cli.EXIT_RUNTIME
 
 
+# A first-order BAB scheme whose kicks zero all three residual polynomials:
+# b solves sum b = 1, p_aba = p_abb = p_abaaa = 0 at equal flows a = 1/3, but
+# the odd moment sum b_i c_i is 0.5137, not 1/2, so it is not symmetric.
+NON_SYMMETRIC_TEXT = """name=nonsym
+pattern=BAB
+order=4
+symmetric=false
+b 0.15040014595123982 0.0
+a 0.3333333333333333 0.0
+b 0.25783921186330566 0.0
+a 0.3333333333333333 0.0
+b 0.4921607881366942 0.0
+a 0.3333333333333334 0.0
+b 0.09959985404876036 0.0
+"""
+
+
+def test_validate_does_not_print_symmetric_residuals_for_a_non_symmetric_file(
+        tmp_path, capsys):
+    path = tmp_path / "nonsym.txt"
+    path.write_text(NON_SYMMETRIC_TEXT)
+    assert cli.main(["validate", str(path)]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == "nonsym: pattern=BAB stages=3 order=4"
+    assert out.splitlines()[-1] == ("  not symmetric: p_aba, p_abb and p_abaaa are "
+                                    "conditions of symmetric schemes and are not checked")
+    assert "p_aba =" not in out
+
+
 def test_validate_unknown_scheme_exits_one(capsys):
     assert cli.main(["validate", "nope"]) == cli.EXIT_VALIDATION
 

@@ -13,8 +13,9 @@ from cxsplit.errors import (CxsplitError, DesignScanUnreliable, InsufficientData
                             NotInCatalog, ParseError, RealTimeViolation,
                             ReferenceInconsistent, StepFailed, StepTooLarge,
                             ValidationError)
-from cxsplit.problems import (REF_AGREE_TOL, REF_MAGIC, REF_OSC_RK4_STEPS,
-                              REF_PDE_RK4_MIN_STEPS, TWO_PI, FisherProblem,
+from cxsplit.problems import (REF_AGREE_TOL, REF_HEADER, REF_MAGIC,
+                              REF_OSC_RK4_STEPS, REF_PDE_RK4_MIN_STEPS,
+                              REF_VERSION, TWO_PI, FisherProblem,
                               OscillatorProblem, ParabolicProblem, _cache_path,
                               _read_cache, _write_cache, default_cache_dir,
                               make_problem, reference_solution, rk4_integrate)
@@ -123,6 +124,28 @@ def test_parabolic_kick_is_pointwise_exponential():
     assert np.allclose(kicked, u * np.exp(tau * problem.potential(0.4)))
 
 
+@pytest.mark.parametrize("tau", [0.013, -0.004, 0.02 - 0.01j, 0.005 + 0.003j])
+def test_parabolic_factored_kick_matches_the_pointwise_exponential(tau):
+    # exp(tau V) as exp(0.3 tau (1 - e^-t)) * exp(0.1 tau sin(2 pi x)), the
+    # second factor kept per tau: within 1e-14 of the one-exponential kick
+    problem = make_problem("parabolic")
+    rng = np.random.default_rng(4)
+    for t in (0.0, 0.37, 1.0, 0.37):
+        u = rng.standard_normal(problem.n_grid) + 1j * rng.standard_normal(problem.n_grid)
+        expect = u * np.exp(tau * problem.potential(t))
+        got = problem.b_kick(t, tau, u)
+        assert np.max(np.abs(got - expect) / np.abs(expect)) <= 1e-14
+
+
+def test_parabolic_kick_factors_are_per_problem():
+    # sin(2 pi x) depends on n_grid: a factor kept by one grid must not serve another
+    coarse, fine = make_problem("parabolic", n_grid=8), make_problem("parabolic", n_grid=12)
+    for problem in (coarse, fine, coarse):
+        u = problem.u0()
+        expect = u * np.exp(0.25 * problem.potential(0.5))
+        assert np.allclose(problem.b_kick(0.5, 0.25, u), expect, rtol=1e-14, atol=0.0)
+
+
 def test_parabolic_potential_matches_closed_form_bitwise():
     problem = make_problem("parabolic")
     for t in (0.0, 0.4, 1.0):
@@ -188,6 +211,22 @@ def test_fisher_kick_singular_denominator_raises():
         problem.b_kick(0.0, 1.0, bad)
 
 
+@pytest.mark.parametrize("gap,fails", [(0.9e-12, True), (1.1e-12, False)])
+def test_fisher_kick_guard_threshold(gap, fails):
+    # one entry puts |1 + u (grow - 1)| at `gap`: the step fails at or below 1e-12
+    problem = make_problem("fisher")
+    tau = 0.7
+    grow = math.exp(problem.gamma(0.2) * tau)
+    u = np.full(problem.n_grid, 0.5, dtype=complex)
+    u[3] = (gap - 1.0) / (grow - 1.0)
+    assert abs(1.0 + u[3] * (grow - 1.0)) == pytest.approx(gap, rel=1e-3)
+    if fails:
+        with pytest.raises(StepFailed, match="singular logistic denominator"):
+            problem.b_kick(0.2, tau, u)
+    else:
+        assert np.all(np.isfinite(problem.b_kick(0.2, tau, u)))
+
+
 def test_fisher_zero_reaction_reduces_to_diffusion():
     problem = make_problem("fisher")
     problem.gamma = lambda t: 0.0
@@ -205,16 +244,16 @@ def test_rk4_is_fourth_order_on_scalar():
 
 @pytest.mark.parametrize("epsilon", [0.25, 0.1, 0.0])
 def test_rk4_float_pair_matches_array_loop(epsilon):
-    # the (q, p) float path is the osc classical oracle; the array loop on
-    # the numpy rhs is its reference (bitwise equal where libm's sin and
-    # numpy's agree, within an ulp-level bound elsewhere)
+    # the (q, p) float loop with the rhs written out is the osc classical
+    # oracle; the array loop on the numpy rhs is its reference, bitwise
+    # (math.sin and np.sin agree on x86-64 glibc)
     problem = make_problem("osc", epsilon=epsilon)
     u0 = problem.u0().real.astype(float)
     args = (problem.t0, problem.tf, 2 ** 12)
-    pair = rk4_integrate(problem.rhs_pair, tuple(map(float, u0)), *args)
+    pair = rk4_integrate(problem, tuple(map(float, u0)), *args)
     array = rk4_integrate(problem.rhs, u0, *args)
     assert isinstance(pair, tuple) and all(type(x) is float for x in pair)
-    assert np.max(np.abs(np.array(pair) - array)) < 1e-12
+    assert np.array(pair).tobytes() == array.tobytes()
 
 
 def test_stiff_rk4_steps_scales_with_grid():
@@ -242,9 +281,12 @@ def test_cache_round_trip(tmp_path):
     problem = make_problem("parabolic", n_grid=8)
     path, digest = _cache_path(problem, tmp_path)
     values = np.linspace(0.0, 1.0, 8)
-    _write_cache(path, digest, values)
-    assert np.allclose(_read_cache(path, digest, problem.dim), values)
+    _write_cache(path, digest, values, 3.25e-12, 14.5)
+    cached, gap, build_s = _read_cache(path, digest, problem.dim)
+    assert cached.tobytes() == values.tobytes()
+    assert (gap, build_s) == (3.25e-12, 14.5)
     blob = path.read_bytes()
+    assert len(blob) == REF_HEADER.size + 8 * problem.dim
     # a truncated or overlong payload is a miss, not a short reference
     path.write_bytes(blob[:-8])
     assert _read_cache(path, digest, problem.dim) is None
@@ -296,7 +338,38 @@ def test_truncated_cache_entry_is_rebuilt(tmp_path, stub_oracles):
     path.write_bytes(path.read_bytes()[:-16])
     assert np.array_equal(reference_solution(problem, cache_dir=tmp_path), ref)
     assert builds() == 4                         # built, then rebuilt
-    assert len(path.read_bytes()) == 24 + 8 * problem.dim
+    assert len(path.read_bytes()) == REF_HEADER.size + 8 * problem.dim
+
+
+def test_cache_entry_of_an_older_version_is_rebuilt(tmp_path, stub_oracles):
+    # the version-1 layout: magic, key digest, payload; never read as valid
+    problem = make_problem("parabolic", n_grid=8)
+    path, digest = _cache_path(problem, tmp_path)
+    stale = np.full(problem.dim, 7.0)
+    path.write_bytes(REF_MAGIC + digest.encode() + stale.astype("<f8").tobytes())
+    assert _read_cache(path, digest, problem.dim) is None
+    builds = stub_oracles()
+    ref = reference_solution(problem, cache_dir=tmp_path)
+    assert builds() == 2
+    assert np.array_equal(ref, np.linspace(0.0, 1.0, problem.dim))
+    assert REF_HEADER.unpack_from(path.read_bytes())[1] == REF_VERSION
+    # an entry of any other version is a miss too
+    blob = bytearray(path.read_bytes())
+    blob[8:16] = (REF_VERSION + 1).to_bytes(8, "little")
+    path.write_bytes(bytes(blob))
+    assert _read_cache(path, digest, problem.dim) is None
+
+
+def test_cache_header_keeps_the_oracle_gap_and_build_seconds(tmp_path, stub_oracles):
+    problem = make_problem("parabolic", n_grid=8)
+    stub_oracles(gap=4.5e-11, split=lambda: time.sleep(0.05))
+    start = time.perf_counter()
+    reference_solution(problem, cache_dir=tmp_path)
+    elapsed = time.perf_counter() - start
+    path, digest = _cache_path(problem, tmp_path)
+    _, gap, build_s = _read_cache(path, digest, problem.dim)
+    assert gap == 4.5e-11
+    assert 0.05 <= build_s <= elapsed
 
 
 def test_session_reference_cache_is_repo_local(repo_local_reference_cache):

@@ -128,3 +128,35 @@ def test_exp_circulant_overflow_guard():
     lap = CirculantLaplacian(16, 1.0 / 16.0)
     with pytest.raises(StepTooLarge):
         exp_circulant(lap, -10.0, np.ones(16))
+
+
+@pytest.mark.parametrize("n", [16, 17])
+def test_exp_circulant_real_tau_is_the_general_formula_bitwise(n):
+    # the real-tau path (scalar guard, in-place scaling) gives the bits of
+    # ifft(exp(tau * lambda) * fft(u)); numpy's complex exp of x + 0j may
+    # differ from its real exp in the last bit, so the complex path is only
+    # ulp-close
+    lap = CirculantLaplacian(n, 1.0 / n)
+    rng = np.random.default_rng(n)
+    for _ in range(50):
+        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        for tau in (rng.uniform(0.0, 0.01), -rng.uniform(0.0, 0.001),
+                    np.float64(rng.uniform(-0.001, 0.01))):
+            got = exp_circulant(lap, tau, u)
+            general = np.fft.ifft(np.exp(tau * lap.eigenvalues) * np.fft.fft(u))
+            assert got.tobytes() == general.tobytes()
+            via_complex = exp_circulant(lap, complex(tau), u)
+            assert np.max(np.abs(got - via_complex)) <= 1e-15 * np.max(np.abs(u)) * n
+
+
+def test_exp_circulant_overflow_guard_real_tau_matches_the_array_max():
+    lap = CirculantLaplacian(16, 1.0 / 16.0)
+    assert lap.lambda_min == np.min(lap.eigenvalues) < 0.0
+    edge = 709.0 / lap.lambda_min         # the most negative tau the guard passes
+    for tau in (edge, np.float64(edge)):
+        exp_circulant(lap, tau, np.ones(16))
+    for tau in (math.nextafter(edge, -math.inf), -10.0, np.float64(-1e3)):
+        with pytest.raises(StepTooLarge, match="exceeds overflow guard"):
+            exp_circulant(lap, tau, np.ones(16))
+        with pytest.raises(StepTooLarge):
+            exp_circulant(lap, complex(tau), np.ones(16))
