@@ -48,9 +48,10 @@ REF_HEADER = struct.Struct("<8sQ16sQdd")
 # CPython 3.11 a class attribute read through an instance costs about 45 ns
 # more on each of the osc kernels' calls.
 OMEGA_J = (7.0, 14.0, 21.0)
-# Parabolic kick factors kept per problem: a fixed-step run uses a few, but a
-# run whose h changes from step to step would otherwise keep one per kick.
-KICK_FACTORS_KEPT = 64
+# Parabolic kick factors kept per problem: a fixed-step run of a catalog
+# scheme uses at most 4, but a run whose h changes from step to step would
+# otherwise keep one per kick.
+KICK_FACTORS_KEPT = 16
 
 
 @dataclass
@@ -146,7 +147,7 @@ class ParabolicProblem:
         return self.sin_2pi_x.astype(complex)
 
     def a_frozen_exp(self, times, weights, duration, state):
-        coeff = 0.0     # a left fold, as sum() adds these on Python 3.11
+        coeff = 0.0     # a left fold: sum() rounds differently from Python 3.12 on
         for t, w in zip(times, weights):
             coeff += w * self.alpha(t) ** 2
         return exp_circulant(self.lap, duration * coeff, state)
@@ -186,7 +187,8 @@ class FisherProblem(ParabolicProblem):
         # exact logistic flow with gamma frozen at a real time
         grow = cmath.exp(self.gamma(t_frozen) * tau)
         denom = 1.0 + state * (grow - 1.0)
-        if np.abs(denom).min() <= 1e-12:      # False on a NaN, as np.any(... <= ...) is
+        # a NaN entry passes here; the step's finiteness check fails it
+        if np.abs(denom).min() <= 1e-12:
             raise StepFailed("singular logistic denominator")
         return state * grow / denom
 

@@ -129,7 +129,8 @@ def exp_circulant(lap, tau, state):
     spec = np.fft.fft(np.asarray(state, dtype=complex))
     if isinstance(tau, float):
         if tau * lap.lambda_min > EXP_OVERFLOW:
-            raise StepTooLarge(f"exp argument {tau * lap.lambda_min:.3g} exceeds overflow guard")
+            raise StepTooLarge(
+                f"exp argument {tau * lap.lambda_min:.3g} exceeds overflow guard")
         spec *= np.exp(tau * lap.eigenvalues)
         return np.fft.ifft(spec)
     arg = tau * lap.eigenvalues

@@ -13,8 +13,8 @@ from cxsplit.errors import (CxsplitError, DesignScanUnreliable, InsufficientData
                             NotInCatalog, ParseError, RealTimeViolation,
                             ReferenceInconsistent, StepFailed, StepTooLarge,
                             ValidationError)
-from cxsplit.problems import (REF_AGREE_TOL, REF_HEADER, REF_MAGIC,
-                              REF_OSC_RK4_STEPS, REF_PDE_RK4_MIN_STEPS,
+from cxsplit.problems import (KICK_FACTORS_KEPT, REF_AGREE_TOL, REF_HEADER,
+                              REF_MAGIC, REF_OSC_RK4_STEPS, REF_PDE_RK4_MIN_STEPS,
                               REF_VERSION, TWO_PI, FisherProblem,
                               OscillatorProblem, ParabolicProblem, _cache_path,
                               _read_cache, _write_cache, default_cache_dir,
@@ -144,6 +144,15 @@ def test_parabolic_kick_factors_are_per_problem():
         u = problem.u0()
         expect = u * np.exp(0.25 * problem.potential(0.5))
         assert np.allclose(problem.b_kick(0.5, 0.25, u), expect, rtol=1e-14, atol=0.0)
+
+
+def test_parabolic_kick_factors_stay_bounded():
+    # a run whose h changes every step must not keep one factor per kick
+    problem = make_problem("parabolic", n_grid=8)
+    u = problem.u0()
+    for k in range(5 * KICK_FACTORS_KEPT):
+        problem.b_kick(0.5, 1e-3 * (k + 1), u)
+        assert len(problem._kick_factors) <= KICK_FACTORS_KEPT
 
 
 def test_parabolic_potential_matches_closed_form_bitwise():
