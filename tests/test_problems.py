@@ -255,7 +255,7 @@ def test_rk4_is_fourth_order_on_scalar():
 def test_rk4_float_pair_matches_array_loop(epsilon):
     # the (q, p) float loop with the rhs written out is the osc classical
     # oracle; the array loop on the numpy rhs is its reference, bitwise
-    # (math.sin and np.sin agree on x86-64 glibc)
+    # where math.sin and np.sin agree (as on x86-64 with glibc and numpy 2.4)
     problem = make_problem("osc", epsilon=epsilon)
     u0 = problem.u0().real.astype(float)
     args = (problem.t0, problem.tf, 2 ** 12)

@@ -153,7 +153,7 @@ def test_exp_circulant_overflow_guard_real_tau_matches_the_array_max():
     lap = CirculantLaplacian(16, 1.0 / 16.0)
     assert lap.lambda_min == np.min(lap.eigenvalues) < 0.0
     edge = 709.0 / lap.lambda_min         # the most negative tau the guard passes
-    for tau in (edge, np.float64(edge)):
+    for tau in (edge, np.float64(edge), complex(edge)):
         exp_circulant(lap, tau, np.ones(16))
     for tau in (math.nextafter(edge, -math.inf), -10.0, np.float64(-1e3)):
         with pytest.raises(StepTooLarge, match="exceeds overflow guard"):
