@@ -187,8 +187,8 @@ class FisherProblem(ParabolicProblem):
         # exact logistic flow with gamma frozen at a real time
         grow = cmath.exp(self.gamma(t_frozen) * tau)
         denom = 1.0 + state * (grow - 1.0)
-        # a NaN entry passes here; the step's finiteness check fails it
-        if np.abs(denom).min() <= 1e-12:
+        # fmin skips NaN entries, as a per-entry `<= 1e-12` test would
+        if np.fmin.reduce(np.abs(denom)) <= 1e-12:
             raise StepFailed("singular logistic denominator")
         return state * grow / denom
 

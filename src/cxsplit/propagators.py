@@ -121,19 +121,14 @@ class CirculantLaplacian:
 def exp_circulant(lap, tau, state):
     """Apply exp(tau * Laplacian) spectrally; tau may be complex.
 
-    A real tau (every A-flow of the stepper) takes a scalar overflow guard,
-    since the largest exponent is tau * lambda_min for tau < 0 and 0
-    otherwise, and scales the spectrum in place: the same bits as the
-    general path, which exponentiates a real array for a real tau as well.
+    The eigenvalues are real with maximum 0, so the largest exponent is
+    max(0, Re(tau) * lambda_min) and the overflow guard is a scalar test.
+    The factors are multiplied in the order exp * spectrum: numpy's complex
+    product is not bitwise commutative.
     """
     spec = np.fft.fft(np.asarray(state, dtype=complex))
-    if isinstance(tau, float):
-        if tau * lap.lambda_min > EXP_OVERFLOW:
-            raise StepTooLarge(
-                f"exp argument {tau * lap.lambda_min:.3g} exceeds overflow guard")
-        spec *= np.exp(tau * lap.eigenvalues)
-        return np.fft.ifft(spec)
-    arg = tau * lap.eigenvalues
-    if np.max(arg.real) > EXP_OVERFLOW:
-        raise StepTooLarge(f"exp argument {np.max(arg.real):.3g} exceeds overflow guard")
-    return np.fft.ifft(np.exp(arg) * spec)
+    if tau.real * lap.lambda_min > EXP_OVERFLOW:
+        raise StepTooLarge(
+            f"exp argument {tau.real * lap.lambda_min:.3g} exceeds overflow guard")
+    np.multiply(np.exp(tau * lap.eigenvalues), spec, out=spec)
+    return np.fft.ifft(spec)

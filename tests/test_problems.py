@@ -234,6 +234,14 @@ def test_fisher_kick_guard_threshold(gap, fails):
             problem.b_kick(0.2, tau, u)
     else:
         assert np.all(np.isfinite(problem.b_kick(0.2, tau, u)))
+    # a NaN entry neither masks a singular entry nor counts as one itself
+    u[7] = complex(math.nan, 0.0)
+    if fails:
+        with pytest.raises(StepFailed, match="singular logistic denominator"):
+            problem.b_kick(0.2, tau, u)
+    else:
+        with np.errstate(invalid="ignore"):
+            assert not np.all(np.isfinite(problem.b_kick(0.2, tau, u)))
 
 
 def test_fisher_zero_reaction_reduces_to_diffusion():

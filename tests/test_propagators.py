@@ -132,16 +132,16 @@ def test_exp_circulant_overflow_guard():
 
 @pytest.mark.parametrize("n", [16, 17])
 def test_exp_circulant_real_tau_is_the_general_formula_bitwise(n):
-    # the real-tau path (scalar guard, in-place scaling) gives the bits of
-    # ifft(exp(tau * lambda) * fft(u)); numpy's complex exp of x + 0j may
-    # differ from its real exp in the last bit, so the complex path is only
-    # ulp-close
+    # exp_circulant gives the bits of ifft(exp(tau * lambda) * fft(u)) for a
+    # real and a complex tau; numpy's complex exp of x + 0j may differ from
+    # its real exp in the last bit, so complex(tau) is only ulp-close to tau
     lap = CirculantLaplacian(n, 1.0 / n)
     rng = np.random.default_rng(n)
     for _ in range(50):
         u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         for tau in (rng.uniform(0.0, 0.01), -rng.uniform(0.0, 0.001),
-                    np.float64(rng.uniform(-0.001, 0.01))):
+                    np.float64(rng.uniform(-0.001, 0.01)),
+                    complex(rng.uniform(-0.001, 0.01), rng.uniform(-0.01, 0.01))):
             got = exp_circulant(lap, tau, u)
             general = np.fft.ifft(np.exp(tau * lap.eigenvalues) * np.fft.fft(u))
             assert got.tobytes() == general.tobytes()
