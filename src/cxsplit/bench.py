@@ -39,6 +39,15 @@ def resolve_method(name, a_flow_kind="cf4", freeze_convention="midpoint"):
     return extrapolate(cfg) if ext else plan_step(cfg)
 
 
+def check_step_grid(grid):
+    """Return grid; ValueError unless its step counts are >= 1 and strictly increase."""
+    if any(n < 1 for n in grid):
+        raise ValueError("step counts must be >= 1")
+    if any(a >= b for a, b in zip(grid, grid[1:])):
+        raise ValueError("step counts must be strictly increasing")
+    return grid
+
+
 @dataclass
 class SweepSpec:
     problem: str
@@ -50,9 +59,7 @@ class SweepSpec:
     cache_dir: str | None = None
 
     def __post_init__(self):
-        grid = list(self.n_steps_grid)
-        if grid != sorted(grid) or len(set(grid)) != len(grid):
-            raise ValueError("n_steps grid must be strictly increasing")
+        check_step_grid(self.n_steps_grid)
 
 
 def run_point(problem, method, n_steps, reference, a_flow_kind="cf4",
@@ -134,6 +141,7 @@ def self_converge(problem, method, n_steps_grid, refine=16, a_flow_kind="cf4",
     """
     if len(n_steps_grid) < 3:
         raise InsufficientData("need at least 3 grid points for a slope fit")
+    check_step_grid(n_steps_grid)
     fine, _ = integrate_with(resolve_method(method, a_flow_kind, freeze_convention),
                              problem, problem.u0(), problem.t0, problem.tf,
                              max(n_steps_grid) * refine, method)

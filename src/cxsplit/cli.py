@@ -103,18 +103,16 @@ def _parse_count(text):
 
 
 def _parse_nsteps(text):
-    """--nsteps: a comma list of strictly increasing positive step counts."""
+    """--nsteps: a comma list of integers that passes bench.check_step_grid."""
     try:
         grid = [int(tok) for tok in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected a comma list of integers, got {text!r}") from None
-    if min(grid) < 1:
-        raise argparse.ArgumentTypeError(f"step counts must be >= 1, got {text!r}")
-    if any(a >= b for a, b in zip(grid, grid[1:])):
-        raise argparse.ArgumentTypeError(
-            f"step counts must be strictly increasing, got {text!r}")
-    return grid
+    try:
+        return bench.check_step_grid(grid)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{exc}, got {text!r}") from None
 
 
 def _sweep_spec(args, methods):
@@ -175,7 +173,7 @@ def build_parser():
         p.add_argument("--problem", required=True, choices=tuple(PROBLEMS))
         p.add_argument("--eps", type=float, default=None, help="osc only")
         p.add_argument("--nsteps", required=True, type=_parse_nsteps,
-                       help="comma list, dyadic")
+                       help="comma list of strictly increasing step counts")
         p.add_argument("--aflow", default="cf4", choices=A_FLOW_KINDS)
         p.add_argument("--freeze", default="midpoint", choices=sorted(FREEZE_NODES),
                        help="where CF2 flows freeze A (cf4/exact ignore it)")

@@ -18,7 +18,7 @@ class ParseError(CxsplitError):
 
 
 class ValidationError(CxsplitError):
-    """A scheme invariant (consistency, symmetry, sign policy) is violated."""
+    """A scheme invariant (consistency, symmetry, sign policy) or a problem value is invalid."""
 
 
 class InvalidSequence(CxsplitError):

@@ -52,6 +52,31 @@ def test_sweep_spec_rejects_unordered_grid():
         bench.SweepSpec(problem="osc", methods=["strang"], n_steps_grid=[4, 4])
 
 
+@pytest.mark.parametrize("grid", [[8], (8, 16, 32), [1, 2]])
+def test_check_step_grid_accepts_increasing_counts(grid):
+    assert bench.check_step_grid(grid) is grid
+
+
+@pytest.mark.parametrize("grid,reason", [
+    ([0, 8], "must be >= 1"), ([-4, 8], "must be >= 1"),
+    ([8, 4], "strictly increasing"), ([4, 4], "strictly increasing")])
+def test_bad_step_grid_fails_before_any_reference(monkeypatch, grid, reason):
+    builds = []
+    monkeypatch.setattr(bench, "reference_solution", lambda *a, **kw: builds.append(a))
+    with pytest.raises(ValueError, match=reason):
+        bench.sweep(bench.SweepSpec("parabolic", ["sm4"], grid))
+    assert builds == []
+
+
+@pytest.mark.parametrize("grid", [[0, 8, 16], [16, 8, 32]])
+def test_self_converge_checks_the_grid_before_its_fine_run(monkeypatch, grid):
+    runs = []
+    monkeypatch.setattr(bench, "integrate_with", lambda *a: runs.append(a))
+    with pytest.raises(ValueError, match="step counts must be"):
+        bench.self_converge(make_problem("osc"), "strang", grid)
+    assert runs == []
+
+
 def test_run_point_records_error_and_cost(osc_ref):
     problem, reference = osc_ref
     record = bench.run_point(problem, "sm4", 16, reference)

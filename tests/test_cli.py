@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import NON_FINITE_TEXTS, near_tolerance_sm64_text, yoshida_text
-from cxsplit import bench, cli, designer
+from cxsplit import bench, cli, designer, problems
 from cxsplit.errors import CxsplitError, DesignScanUnreliable
 from cxsplit.schemes import load_scheme
 
@@ -257,6 +257,22 @@ def test_eps_on_a_pde_problem_is_a_usage_error(cmd, capsys):
     assert exc.value.code == 2
     last = capsys.readouterr().err.strip().splitlines()[-1]
     assert last.startswith(f"cxsplit {cmd[0]}: error: argument --eps:")
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("cmd", [["sweep", "--methods", "sm4"],
+                                 ["converge", "--method", "sm4"]])
+def test_non_finite_eps_fails_before_any_work(tmp_path, monkeypatch, capsys, cmd, eps):
+    forks = []
+    monkeypatch.setattr(problems, "_start_classical_oracle", forks.append)
+    cache = tmp_path / "cache"
+    code = cli.main([cmd[0], "--problem", "osc", f"--eps={eps}", *cmd[1:],
+                     "--nsteps", "8,16,32,64", "--cache-dir", str(cache)])
+    assert code == cli.EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: osc: epsilon must be finite, got {float(eps)!r}\n"
+    assert forks == [] and not cache.exists()
 
 
 def test_sweep_binary_scheme_file_exits_runtime(tmp_path, osc_ref, capsys):

@@ -17,8 +17,9 @@ from cxsplit.problems import (KICK_FACTORS_KEPT, REF_AGREE_TOL, REF_HEADER,
                               REF_MAGIC, REF_OSC_RK4_STEPS, REF_PDE_RK4_MIN_STEPS,
                               REF_VERSION, TWO_PI, FisherProblem,
                               OscillatorProblem, ParabolicProblem, _cache_path,
-                              _read_cache, _write_cache, default_cache_dir,
-                              make_problem, reference_solution, rk4_integrate)
+                              _classical_oracle, _read_cache, _rk4_osc, _write_cache,
+                              default_cache_dir, make_problem, reference_solution,
+                              rk4_integrate)
 from cxsplit.propagators import (CF4_ALPHA, CF4_BETA, exact_step, exp_2x2,
                                  exp_circulant)
 
@@ -267,10 +268,35 @@ def test_rk4_float_pair_matches_array_loop(epsilon):
     problem = make_problem("osc", epsilon=epsilon)
     u0 = problem.u0().real.astype(float)
     args = (problem.t0, problem.tf, 2 ** 12)
-    pair = rk4_integrate(problem, tuple(map(float, u0)), *args)
+    pair = _rk4_osc(epsilon, *map(float, u0), *args)
     array = rk4_integrate(problem.rhs, u0, *args)
     assert isinstance(pair, tuple) and all(type(x) is float for x in pair)
     assert np.array(pair).tobytes() == array.tobytes()
+
+
+@pytest.mark.parametrize("name,params", [("osc", {}), ("parabolic", {"n_grid": 8}),
+                                         ("fisher", {"n_grid": 8})])
+def test_classical_oracle_picks_the_loop(monkeypatch, name, params):
+    # the osc oracle runs the float loop, the PDE oracles the array loop on
+    # their rhs; either way the value is the array loop's, bit for bit
+    import cxsplit.problems as mod
+    problem = make_problem(name, **params)
+    problem.rk4_steps = 2 ** 12 if name == "osc" else 64
+    array = rk4_integrate(problem.rhs, problem.u0().real, problem.t0, problem.tf,
+                          problem.rk4_steps)
+    calls = []
+    monkeypatch.setattr(mod, "rk4_integrate",
+                        lambda *args: calls.append(args) or rk4_integrate(*args))
+    value = _classical_oracle(problem)
+    assert value.dtype == np.float64 and value.shape == (problem.dim,)
+    assert value.tobytes() == array.tobytes()
+    assert len(calls) == (name != "osc")
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
+def test_osc_rejects_non_finite_epsilon(epsilon):
+    with pytest.raises(ValidationError, match="osc: epsilon must be finite"):
+        make_problem("osc", epsilon=epsilon)
 
 
 def test_stiff_rk4_steps_scales_with_grid():
