@@ -40,7 +40,9 @@ def resolve_method(name, a_flow_kind="cf4", freeze_convention="midpoint"):
 
 
 def check_step_grid(grid):
-    """Return grid; ValueError unless its step counts are >= 1 and strictly increase."""
+    """Return grid; ValueError unless it has step counts, all >= 1 and strictly increasing."""
+    if not grid:
+        raise ValueError("no step counts")
     if any(n < 1 for n in grid):
         raise ValueError("step counts must be >= 1")
     if any(a >= b for a, b in zip(grid, grid[1:])):
@@ -59,6 +61,8 @@ class SweepSpec:
     cache_dir: str | None = None
 
     def __post_init__(self):
+        if not self.methods:
+            raise ValueError("no methods")
         check_step_grid(self.n_steps_grid)
 
 

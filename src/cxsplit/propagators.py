@@ -14,6 +14,7 @@ import functools
 import math
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 from .errors import StepTooLarge
 
@@ -125,10 +126,18 @@ def exp_circulant(lap, tau, state):
     max(0, Re(tau) * lambda_min) and the overflow guard is a scalar test.
     The factors are multiplied in the order exp * spectrum: numpy's complex
     product is not bitwise commutative.
+
+    The FFTs call the pocketfft ufuncs behind ``np.fft.fft`` and
+    ``np.fft.ifft`` directly, with the factors those pass (1 forward, 1/n
+    inverse): on 100 points the wrappers' argument handling costs about as
+    much as the transform.  The tests pin every result bitwise to the
+    ``np.fft`` formula.  The outputs are shaped like the state, so a state
+    of the wrong length fails at the product instead of being padded.
     """
-    spec = np.fft.fft(np.asarray(state, dtype=complex))
+    u = np.asarray(state, dtype=complex)
+    spec = _pocketfft.fft(u, 1.0, out=np.empty_like(u))
     if tau.real * lap.lambda_min > EXP_OVERFLOW:
         raise StepTooLarge(
             f"exp argument {tau.real * lap.lambda_min:.3g} exceeds overflow guard")
     np.multiply(np.exp(tau * lap.eigenvalues), spec, out=spec)
-    return np.fft.ifft(spec)
+    return _pocketfft.ifft(spec, 1.0 / lap.n, out=np.empty_like(spec))

@@ -68,6 +68,16 @@ def test_bad_step_grid_fails_before_any_reference(monkeypatch, grid, reason):
     assert builds == []
 
 
+@pytest.mark.parametrize("methods,grid,reason", [
+    (["sm4"], [], "no step counts"), ([], [8], "no methods")])
+def test_spec_without_rows_fails_before_any_reference(monkeypatch, methods, grid, reason):
+    builds = []
+    monkeypatch.setattr(bench, "reference_solution", lambda *a, **kw: builds.append(a))
+    with pytest.raises(ValueError, match=reason):
+        bench.sweep(bench.SweepSpec("parabolic", methods, grid))
+    assert builds == []
+
+
 @pytest.mark.parametrize("grid", [[0, 8, 16], [16, 8, 32]])
 def test_self_converge_checks_the_grid_before_its_fine_run(monkeypatch, grid):
     runs = []

@@ -130,23 +130,39 @@ def test_exp_circulant_overflow_guard():
         exp_circulant(lap, -10.0, np.ones(16))
 
 
-@pytest.mark.parametrize("n", [16, 17])
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 100])
 def test_exp_circulant_real_tau_is_the_general_formula_bitwise(n):
-    # exp_circulant gives the bits of ifft(exp(tau * lambda) * fft(u)) for a
-    # real and a complex tau; numpy's complex exp of x + 0j may differ from
-    # its real exp in the last bit, so complex(tau) is only ulp-close to tau
+    # exp_circulant gives the bits of ifft(exp(tau * lambda) * fft(u)) through
+    # numpy.fft for a real and a complex tau, and for a complex array, a real
+    # array, a list and a strided view, into a new array; numpy's complex exp
+    # of x + 0j may differ from its real exp in the last bit, so complex(tau)
+    # is only ulp-close to tau.  Past 17 points tau shrinks with dx^2, so that
+    # tau * lambda_min stays in the range it has on 17 points.
     lap = CirculantLaplacian(n, 1.0 / n)
+    scale = min(1.0, (17.0 / n) ** 2)
     rng = np.random.default_rng(n)
     for _ in range(50):
-        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        for tau in (rng.uniform(0.0, 0.01), -rng.uniform(0.0, 0.001),
-                    np.float64(rng.uniform(-0.001, 0.01)),
-                    complex(rng.uniform(-0.001, 0.01), rng.uniform(-0.01, 0.01))):
-            got = exp_circulant(lap, tau, u)
-            general = np.fft.ifft(np.exp(tau * lap.eigenvalues) * np.fft.fft(u))
-            assert got.tobytes() == general.tobytes()
-            via_complex = exp_circulant(lap, complex(tau), u)
-            assert np.max(np.abs(got - via_complex)) <= 1e-15 * np.max(np.abs(u)) * n
+        big = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
+        for u in (big[:n].copy(), big.real[:n].copy(), big[:n].tolist(), big[::2]):
+            for tau in (rng.uniform(0.0, 0.01), -rng.uniform(0.0, 0.001),
+                        np.float64(rng.uniform(-0.001, 0.01)),
+                        complex(rng.uniform(-0.001, 0.01), rng.uniform(-0.01, 0.01))):
+                tau = tau * scale
+                got = exp_circulant(lap, tau, u)
+                general = np.fft.ifft(np.exp(tau * lap.eigenvalues)
+                                      * np.fft.fft(np.asarray(u)))
+                assert got.tobytes() == general.tobytes()
+                assert not np.shares_memory(got, big) and not np.shares_memory(got, u)
+                via_complex = exp_circulant(lap, complex(tau), u)
+                assert np.max(np.abs(got - via_complex)) <= 1e-15 * np.max(np.abs(u)) * n
+
+
+def test_exp_circulant_rejects_a_state_of_another_length():
+    # the transforms alone would pad or cut the state to their output length
+    lap = CirculantLaplacian(8, 0.125)
+    for n in (5, 12):
+        with pytest.raises(ValueError):
+            exp_circulant(lap, 0.01, np.ones(n))
 
 
 def test_exp_circulant_overflow_guard_real_tau_matches_the_array_max():
