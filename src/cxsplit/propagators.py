@@ -127,12 +127,10 @@ def exp_circulant(lap, tau, state):
     The factors are multiplied in the order exp * spectrum: numpy's complex
     product is not bitwise commutative.
 
-    The FFTs call the pocketfft ufuncs behind ``np.fft.fft`` and
-    ``np.fft.ifft`` directly, with the factors those pass (1 forward, 1/n
-    inverse): on 100 points the wrappers' argument handling costs about as
-    much as the transform.  The tests pin every result bitwise to the
-    ``np.fft`` formula.  The outputs are shaped like the state, so a state
-    of the wrong length fails at the product instead of being padded.
+    The FFTs are the pocketfft ufuncs behind ``np.fft``, called with its
+    factors (1, then 1/n) but not its wrappers, which cost about as much as
+    the transforms on 100 points; the tests pin the bits to ``np.fft``.  The
+    outputs take the state's shape, so a state of another length still fails.
     """
     u = np.asarray(state, dtype=complex)
     spec = _pocketfft.fft(u, 1.0, out=np.empty_like(u))
