@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .errors import InsufficientData, StepFailed
-from .problems import REF_AGREE_TOL, make_problem, reference_solution
+from .problems import REF_AGREE_TOL, make_problem, reference_solution, run_forked
 from .schemes import Scheme, builtin_scheme, resolve_scheme
 from .stepper import RunRecord, StepperConfig, extrapolate, integrate_with, plan_step
 
@@ -91,16 +93,45 @@ def _norm(x):
 
 
 def sweep(spec):
-    """Run the full method x n_steps grid; rows sorted by (method, n_steps)."""
+    """Run the full method x n_steps grid; rows sorted by (method, n_steps).
+
+    Once the reference is ready, the points are dealt into one share per
+    usable core; this process runs the first share and a forked child each
+    other one, so a row's wall_time is the time in the process that ran it.
+    """
     problem = make_problem(spec.problem, **spec.params)
     reference = reference_solution(problem, cache_dir=spec.cache_dir)
-    records = []
-    for method in spec.methods:
-        for n_steps in spec.n_steps_grid:
-            records.append(run_point(problem, method, n_steps, reference,
-                                     spec.a_flow_kind, spec.freeze_convention))
+
+    def run(share):
+        return [run_point(problem, method, n_steps, reference, spec.a_flow_kind,
+                          spec.freeze_convention) for method, n_steps in share]
+
+    points = [(method, n_steps) for method in spec.methods
+              for n_steps in spec.n_steps_grid]
+    first, *rest = _shares(points, min(len(points), len(os.sched_getaffinity(0))))
+    shares = run_forked(f"{problem.key()}: a sweep share's process", partial(run, first),
+                        *(partial(run, share) for share in rest))
+    records = [record for share in shares for record in share]
     records.sort(key=lambda r: (r.method, r.n_steps))
     return records
+
+
+def _shares(points, count):
+    """Deal (method, n_steps) points into `count` shares of near-equal cost.
+
+    Greedy, largest first: each point goes to the share with the least cost
+    so far.  A point costs its A-flow stages, n_steps times its method's
+    METHOD_STAGES, or n_steps for a scheme file or catalog name.
+    """
+    def cost(point):
+        return METHOD_STAGES.get(point[0].lower(), 1) * point[1]
+
+    shares, loads = [[] for _ in range(count)], [0] * count
+    for point in sorted(points, key=cost, reverse=True):
+        i = loads.index(min(loads))
+        shares[i].append(point)
+        loads[i] += cost(point)
+    return shares
 
 
 CSV_HEADER = "method,h,n_steps,a_flow_evals,kernel_evals,error_l2,wall_time,failed"

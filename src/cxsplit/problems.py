@@ -48,9 +48,11 @@ REF_HEADER = struct.Struct("<8sQ16sQdd")
 # CPython 3.11 a class attribute read through an instance costs about 45 ns
 # more on each of the osc kernels' calls.
 OMEGA_J = (7.0, 14.0, 21.0)
-# Parabolic kick factors kept per problem: a sweep runs every (method, n_steps)
-# point on one problem, and perfbench's 30-point parabolic sweep sees 61
-# distinct tau (68 misses, 12028 hits, 4 clears); one run of a scheme uses <= 4.
+# Parabolic kick factors kept per problem: a sweep runs its (method, n_steps)
+# points on one problem, a share of them in each process.  perfbench's 30-point
+# parabolic sweep in 2 shares sees 32 and 33 distinct tau (32 and 35 misses,
+# 6400 and 5629 hits, 1 and 2 clears; 61, 68, 12028 and 4 in one process); one
+# run of a scheme uses <= 4.
 KICK_FACTORS_KEPT = 16
 
 
@@ -332,30 +334,58 @@ def _read_cache(path, digest, dim):
     return np.frombuffer(blob, dtype="<f8", offset=REF_HEADER.size).copy(), gap, build_s
 
 
-def _start_classical_oracle(problem):
-    """Fork a child that runs _classical_oracle(problem); returns (pid, reader).
+def run_forked(what, parent_fn, *child_fns):
+    """Run parent_fn() here while each child_fn() runs in a forked child.
 
-    The child sends ("ok", value) or ("err", exception) pickled down the
-    pipe and leaves by os._exit, so it runs none of the parent's exit
-    handlers and flushes none of its buffers.
+    Returns [parent_fn(), then each child_fn()'s value in order].  A child
+    sends ("ok", value) or ("err", exception) pickled down a pipe and leaves
+    by os._exit, so it runs none of the parent's exit handlers and flushes
+    none of its buffers; its exception is raised here.  When this process
+    fails, or a child's exception is raised, every child not yet reaped is
+    killed and reaped first.  A child that ends without a result raises
+    CxsplitError: "<what> ended without a result (exit code N)".
     """
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            try:
-                result = ("ok", _classical_oracle(problem))
-            except BaseException as exc:
-                result = ("err", exc)
-            with open(write_fd, "wb") as fh:
-                fh.write(pickle.dumps(result))
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
+    children = []       # (pid, reader) of each child not yet reaped
+    try:
+        for fn in child_fns:
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read_fd)
+                    try:
+                        result = ("ok", fn())
+                    except BaseException as exc:
+                        result = ("err", exc)
+                    with open(write_fd, "wb") as fh:
+                        fh.write(pickle.dumps(result))
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb")))
+        results = [parent_fn()]
+        while children:
+            pid, reader = children[0]
+            with reader:
+                blob = reader.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[0]
+            if code != 0 or not blob:
+                how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
+                raise CxsplitError(f"{what} ended without a result ({how})")
+            kind, value = pickle.loads(blob)
+            if kind == "err":
+                raise value
+            results.append(value)
+    except BaseException:
+        for pid, reader in children:
+            reader.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raise
+    return results
 
 
 def reference_solution(problem, cache_dir=None):
@@ -377,23 +407,9 @@ def reference_solution(problem, cache_dir=None):
     cache_dir.mkdir(parents=True, exist_ok=True)
     check_writable(cache_dir)
     start = time.perf_counter()
-    pid, reader = _start_classical_oracle(problem)
-    try:
-        with reader:
-            split = _splitting_oracle(problem)
-            blob = reader.read()
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-        raise
-    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code != 0 or not blob:
-        how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
-        raise CxsplitError(f"{problem.key()}: the classical oracle's process ended "
-                           f"without a result ({how})")
-    kind, classical = pickle.loads(blob)
-    if kind == "err":
-        raise classical
+    split, classical = run_forked(f"{problem.key()}: the classical oracle's process",
+                                  lambda: _splitting_oracle(problem),
+                                  lambda: _classical_oracle(problem))
     gap = float(np.linalg.norm(split - classical))
     if not gap <= REF_AGREE_TOL:      # a NaN gap fails too
         raise ReferenceInconsistent(

@@ -1,3 +1,4 @@
+import os
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +52,12 @@ def parabolic_ref():
 def fisher_ref():
     problem = make_problem("fisher")
     return problem, reference_solution(problem)
+
+
+def assert_no_child_left():
+    """No child of this process is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def near_tolerance_sm64_text():

@@ -1,13 +1,16 @@
+import os
+import time
+
 import numpy as np
 import pytest
 
-from cxsplit import bench
-from cxsplit.errors import InsufficientData, NotInCatalog
+from cxsplit import bench, cli
+from cxsplit.errors import CxsplitError, InsufficientData, NotInCatalog, ParseError
 from cxsplit.problems import make_problem
 from cxsplit.schemes import serialize_scheme, builtin_scheme
 from cxsplit.stepper import RunRecord, State
 
-from conftest import yoshida_text
+from conftest import assert_no_child_left, yoshida_text
 
 
 @pytest.mark.parametrize("name,stages", sorted(bench.METHOD_STAGES.items()))
@@ -124,6 +127,139 @@ def test_sweep_rows_sorted_and_csv_shape(osc_ref):
     assert lines[0] == bench.CSV_HEADER
     assert len(lines) == 5
     assert all(len(line.split(",")) == 8 for line in lines)
+
+
+@pytest.fixture
+def cores(monkeypatch):
+    """Sets the usable cores to `count`; returns the child counts of each sweep's forks."""
+    forks = []
+    real = bench.run_forked
+
+    def spy(what, parent_fn, *child_fns):
+        forks.append(len(child_fns))
+        return real(what, parent_fn, *child_fns)
+    monkeypatch.setattr(bench, "run_forked", spy)
+
+    def use(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+        return forks
+    return use
+
+
+def _rows_but_wall_time(records):
+    return [line.split(",")[:6] + line.split(",")[7:]
+            for line in bench.records_to_csv(records).splitlines()]
+
+
+@pytest.mark.parametrize("problem", ["osc", "parabolic"])
+def test_sweep_rows_do_not_depend_on_the_core_count(request, tmp_path, cores, problem):
+    # the triple jump's coarse parabolic rows fail, and a scheme file and a
+    # builtin share no method name
+    request.getfixturevalue(f"{problem}_ref")
+    path = tmp_path / "scheme.txt"
+    path.write_text(yoshida_text() if problem == "parabolic"
+                    else serialize_scheme(builtin_scheme("S62")))
+    spec = bench.SweepSpec(problem, ["s62", "strang", str(path), "ext4"], [2, 4, 8, 16, 32])
+    forks = cores(2)
+    split = bench.sweep(spec)
+    cores(1)
+    whole = bench.sweep(spec)
+    assert forks == [1, 0]
+    assert _rows_but_wall_time(split) == _rows_but_wall_time(whole)
+    assert any(r.failed for r in split) == (problem == "parabolic")
+    assert_no_child_left()
+
+
+def test_single_point_sweep_starts_no_child(osc_ref, cores):
+    forks = cores(2)
+    [record] = bench.sweep(bench.SweepSpec("osc", ["sm4"], [8]))
+    assert forks == [0] and record.n_steps == 8
+
+
+def test_shares_deal_points_largest_first():
+    # costs 1536, 100, 64 and 8 A-flow stages
+    points = [("strang", 8), ("SM4", 16), ("sm64", 256), ("scheme.txt", 100)]
+    assert bench._shares(points, 2) == [[("sm64", 256)],
+                                        [("scheme.txt", 100), ("SM4", 16), ("strang", 8)]]
+    assert bench._shares(points, 1) == [[("sm64", 256), ("scheme.txt", 100),
+                                         ("SM4", 16), ("strang", 8)]]
+
+
+@pytest.fixture
+def fake_points(monkeypatch, cores):
+    """Runs a 2-share osc sweep on a zero reference with `run_point` replaced.
+
+    `fake(method, n_steps, in_child)` runs in place of each point.
+    """
+    monkeypatch.setattr(bench, "reference_solution", lambda problem, cache_dir=None:
+                        np.zeros(problem.dim))
+    cores(2)
+    parent = os.getpid()
+
+    def install(fake):
+        def run_point(problem, method, n_steps, *args):
+            fake(method, n_steps, os.getpid() != parent)
+            return RunRecord(method=method, n_steps=n_steps)
+        monkeypatch.setattr(bench, "run_point", run_point)
+    return install
+
+
+SHARED_SPEC = bench.SweepSpec("osc", ["strang", "sm4"], [8, 16, 32])
+
+
+def test_error_in_a_child_share_reaches_the_caller(fake_points, cores):
+    # the first child's error is raised, and the second child, still
+    # running, is killed
+    cores(3)
+    _, first_child, second_child = bench._shares(
+        [(m, n) for m in SHARED_SPEC.methods for n in SHARED_SPEC.n_steps_grid], 3)
+
+    def fake(method, n_steps, in_child):
+        if (method, n_steps) == first_child[-1]:
+            assert in_child
+            raise ParseError("bad row", line_no=7)
+        if (method, n_steps) in second_child:
+            time.sleep(60)
+    fake_points(fake)
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as info:
+        bench.sweep(SHARED_SPEC)
+    assert time.perf_counter() - start < 30
+    assert type(info.value) is ParseError
+    assert str(info.value) == "line 7: bad row" and info.value.line_no == 7
+    assert_no_child_left()
+
+
+def test_interrupt_in_the_parent_share_kills_the_child(fake_points):
+    def fake(method, n_steps, in_child):
+        if not in_child:
+            raise KeyboardInterrupt
+        time.sleep(60)
+    fake_points(fake)
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        bench.sweep(SHARED_SPEC)
+    assert time.perf_counter() - start < 30
+    assert_no_child_left()
+
+
+def test_child_share_process_dying_is_a_cxsplit_error(fake_points, capsys):
+    def fake(method, n_steps, in_child):
+        if in_child:
+            os._exit(1)
+    fake_points(fake)
+    with pytest.raises(CxsplitError, match=r"without a result \(exit code 1\)") as info:
+        bench.sweep(SHARED_SPEC)
+    assert type(info.value) is CxsplitError
+    assert str(info.value) == ("osc: a sweep share's process ended without a result "
+                               "(exit code 1)")
+    code = cli.main(["sweep", "--problem", "osc", "--methods", "strang,sm4",
+                     "--nsteps", "8,16,32"])
+    assert code == cli.EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {info.value}\n"
+    assert_no_child_left()
 
 
 def test_write_csv(tmp_path, osc_ref):

@@ -264,7 +264,8 @@ def test_eps_on_a_pde_problem_is_a_usage_error(cmd, capsys):
                                  ["converge", "--method", "sm4"]])
 def test_non_finite_eps_fails_before_any_work(tmp_path, monkeypatch, capsys, cmd, eps):
     forks = []
-    monkeypatch.setattr(problems, "_start_classical_oracle", forks.append)
+    for module in (problems, bench):
+        monkeypatch.setattr(module, "run_forked", lambda *fns: forks.append(fns))
     cache = tmp_path / "cache"
     code = cli.main([cmd[0], "--problem", "osc", f"--eps={eps}", *cmd[1:],
                      "--nsteps", "8,16,32,64", "--cache-dir", str(cache)])

@@ -23,7 +23,7 @@ from cxsplit.problems import (KICK_FACTORS_KEPT, REF_AGREE_TOL, REF_HEADER,
 from cxsplit.propagators import (CF4_ALPHA, CF4_BETA, exact_step, exp_2x2,
                                  exp_circulant)
 
-from conftest import dense_expm
+from conftest import assert_no_child_left, dense_expm
 
 
 def test_make_problem_dispatch():
@@ -493,11 +493,6 @@ def test_default_params_match_benchmarks():
     assert (fisher.t0, fisher.tf) == (0.0, 1.0)
 
 
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def test_classical_oracle_error_is_raised_in_the_parent(tmp_path, stub_oracles):
     def fail():
         raise StepFailed("x", stage=3)
@@ -509,7 +504,7 @@ def test_classical_oracle_error_is_raised_in_the_parent(tmp_path, stub_oracles):
     assert str(info.value) == "stage 3: x" and info.value.stage == 3
     assert builds() == 2
     assert not any(tmp_path.iterdir())            # nothing cached
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_classical_oracle_process_dying_is_a_cxsplit_error(tmp_path, stub_oracles,
@@ -528,7 +523,7 @@ def test_classical_oracle_process_dying_is_a_cxsplit_error(tmp_path, stub_oracle
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: parabolic: the classical oracle's process")
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("exc", [StepFailed("x", stage=1), KeyboardInterrupt()],
@@ -543,7 +538,7 @@ def test_splitting_oracle_failure_leaves_no_child(tmp_path, stub_oracles, exc):
     with pytest.raises(type(exc)):
         reference_solution(problem, cache_dir=tmp_path)
     assert time.perf_counter() - start < 30
-    _assert_no_child_left()
+    assert_no_child_left()
     assert not any(tmp_path.iterdir())
 
 
