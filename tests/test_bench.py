@@ -131,7 +131,10 @@ def test_sweep_rows_sorted_and_csv_shape(osc_ref):
 
 @pytest.fixture
 def cores(monkeypatch):
-    """Sets the usable cores to `count`; returns the child counts of each sweep's forks."""
+    """Returns use(count), which sets the usable cores to `count`.
+
+    use() returns the list of child counts, one per `run_forked` call of a sweep.
+    """
     forks = []
     real = bench.run_forked
 
@@ -153,8 +156,8 @@ def _rows_but_wall_time(records):
 
 @pytest.mark.parametrize("problem", ["osc", "parabolic"])
 def test_sweep_rows_do_not_depend_on_the_core_count(request, tmp_path, cores, problem):
-    # the triple jump's coarse parabolic rows fail, and a scheme file and a
-    # builtin share no method name
+    # on parabolic the triple jump's coarse rows fail; a scheme file's
+    # points are costed by n_steps alone when the points are split
     request.getfixturevalue(f"{problem}_ref")
     path = tmp_path / "scheme.txt"
     path.write_text(yoshida_text() if problem == "parabolic"
@@ -187,9 +190,10 @@ def test_shares_deal_points_largest_first():
 
 @pytest.fixture
 def fake_points(monkeypatch, cores):
-    """Runs a 2-share osc sweep on a zero reference with `run_point` replaced.
+    """Returns install(fake), which replaces `run_point` by a call of
+    fake(method, n_steps, in_child) that returns an empty record.
 
-    `fake(method, n_steps, in_child)` runs in place of each point.
+    The reference is all zeros and 2 cores are usable.
     """
     monkeypatch.setattr(bench, "reference_solution", lambda problem, cache_dir=None:
                         np.zeros(problem.dim))
