@@ -11,11 +11,11 @@ import sys
 from pathlib import Path
 
 from . import bench, designer
-from .errors import CxsplitError, ReferenceInconsistent
+from .errors import CxsplitError, NotInCatalog, ReferenceInconsistent
 from .order_conditions import residuals
 from .problems import PROBLEMS, check_writable
-from .schemes import (builtin_names, expand, resolve_scheme, serialize_scheme,
-                      validate_scheme)
+from .schemes import (builtin_names, builtin_scheme, check_scheme_name, expand,
+                      resolve_scheme, serialize_scheme, validate_scheme)
 from .stepper import A_FLOW_KINDS, FREEZE_NODES
 
 EXIT_OK = 0
@@ -50,6 +50,7 @@ def cmd_validate(args):
 
 
 def cmd_design(args):
+    check_scheme_name(args.name)     # before the solve and any output
     if args.scan:
         if args.stages != 4:
             args.error("argument --scan: 4-stage designs only")
@@ -125,10 +126,24 @@ def _sweep_spec(args, methods):
                            cache_dir=args.cache_dir)
 
 
+def _method_key(name):
+    """--methods names compare in any case for a method or builtin, exactly for a file."""
+    if name.lower() not in bench.METHODS:
+        try:
+            builtin_scheme(name)
+        except NotInCatalog:
+            return name
+    return name.lower()
+
+
 def cmd_sweep(args):
     methods = args.methods.split(",")
     if not all(methods):
         args.error(f"argument --methods: empty method name in {args.methods!r}")
+    keys = [_method_key(name) for name in methods]
+    repeated = next((name for i, name in enumerate(methods) if keys[i] in keys[:i]), None)
+    if repeated is not None:
+        args.error(f"argument --methods: repeated method {repeated!r} in {args.methods!r}")
     spec = _sweep_spec(args, methods)
     if args.out:
         check_writable(Path(args.out).parent)    # before the sweep, not after it

@@ -10,12 +10,14 @@ then tuned to minimise Re(p_abaaa), what survives the post-step projection.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
-from .errors import (DesignScanUnreliable, NoSolutionFound, NoStableSolution,
-                     ValidationError)
+from .errors import (CxsplitError, DesignScanUnreliable, NoSolutionFound,
+                     NoStableSolution, ValidationError)
 from .order_conditions import (ABB_TARGET, LINEAR_TARGETS, abb_form, kicks_of,
                                linear_terms, order_polys)
 from .schemes import Scheme, expand
@@ -51,10 +53,11 @@ class DesignProblem:
         """The BAB scheme with these flows and symmetry-reduced kicks b."""
         return Scheme(name, "BAB", self.stages, tuple(self.fixed_a), tuple(b), 4, True)
 
-    def full_b(self, bu):
+    @staticmethod
+    def full_b(bu):
         """Expand unknowns (..., k) into palindromic kick vectors (..., 2k + 1)."""
         bu = np.asarray(bu, dtype=complex)
-        center = 1.0 - 2.0 * bu.sum(axis=-1, keepdims=True)
+        center = 1.0 - 2.0 * np.add.reduce(bu, axis=-1, keepdims=True)
         return np.concatenate((bu, center, bu[..., ::-1]), axis=-1)
 
 
@@ -66,27 +69,110 @@ class DesignSolution:
     all_solutions: list = field(default_factory=list)
 
 
-def _solutions(problem):
-    """Every solution of the k conditions, as unknown vectors; [] if degenerate."""
-    k, c = problem.k, problem.nodes.real
-    base = problem.full_b(np.zeros(k)).real
-    basis = problem.full_b(np.eye(k)).real - base     # kicks = base + unknowns @ basis
-    rows = linear_terms(1.0, c)[:k - 1]
+@functools.cache
+def _frame(k):
+    """kicks = base + unknowns @ basis, and the columns of each minor of the linear rows."""
+    base = DesignProblem.full_b(np.zeros(k)).real
+    basis = DesignProblem.full_b(np.eye(k)).real - base
+    frame = base, basis, np.array([np.delete(np.arange(k), j) for j in range(k)])
+    for array in frame:          # shared by every call
+        array.flags.writeable = False
+    return frame
+
+
+def _roots(nodes):
+    """Both solutions of B designs of one stage count, nodes (B, n).
+
+    Returns (at, u): the rows whose conditions do not degenerate, and their
+    solutions as unknown vectors (len(at), 2, k).  matmul, det, svd, solve
+    and eigvals loop over the leading axis with one row's kernels, so each
+    row gets the bits of its design solved alone.  solve and eigvals are
+    the LAPACK gufuncs behind np.linalg.solve and np.linalg.eigvals, with
+    the signatures those pass, minus their per-call argument checks: a
+    batch of one is the golden-section step of ``scan_a1``.
+    """
+    k = nodes.shape[-1] // 2
+    base, basis, cols = _frame(k)
+    c = nodes.real
+    rows = linear_terms(1.0, c)[:, :k - 1]
     lin = rows @ basis.T
     rhs = np.array(LINEAR_TARGETS[:k - 1]) - rows @ base
-    if np.linalg.matrix_rank(lin) < k - 1:
-        return []
     # the free unknown t is the one whose minor has the largest |det|: by
     # Cramer's rule no other unknown then moves faster than t along the line
-    minors = np.stack([np.delete(lin, j, axis=1) for j in range(k)])
-    free = int(np.argmax(np.abs(np.linalg.det(minors))))
-    fixed = np.delete(np.arange(k), free)
-    u0, v = np.zeros(k), np.eye(k)[free]
-    u0[fixed], v[fixed] = np.linalg.solve(minors[free], np.stack((rhs, -lin[:, free]), 1)).T
-    q = abb_form(c)
-    w0, w1 = base + u0 @ basis, v @ basis
-    coeffs = (0.5 * w1 @ q @ w1, w0 @ q @ w1, 0.5 * w0 @ q @ w0 - ABB_TARGET)
-    return [u0 + t * v for t in np.roots(coeffs)]
+    minors = lin[..., cols].swapaxes(-3, -2)
+    dets = np.abs(np.linalg.det(minors))
+    # rank k - 1 by matrix_rank's rule (each singular value above the largest
+    # times k eps), and a minor that solve can factor
+    sv = np.linalg.svd(lin, compute_uv=False)
+    full_rank = sv[:, -1] > sv[:, 0] * (k * np.finfo(float).eps)
+    at = np.flatnonzero(full_rank & (dets.max(axis=-1) > 0.0))
+    free, row = dets[at].argmax(axis=-1), np.arange(len(at))
+    solved = _umath_linalg.solve(minors[at, free], np.concatenate(
+        (rhs[at, :, None], -lin[at, :, free, None]), axis=-1), signature="dd->d")
+    line = np.zeros((len(at), 2, k))        # the unknowns u0 + t v: rows u0 and v
+    line[row, 1, free] = 1.0
+    line[row[:, None], :, cols[free]] = solved
+    w = (line[:, :, None] @ basis)[:, :, 0]
+    w[:, 0] += base                         # the kicks w0 + t w1
+    # matmul picks its kernel by memory layout, so each q is laid out in C
+    # order, as one design's is; a stack from abb_form's gather is not
+    q = np.ascontiguousarray(abb_form(c[at]))
+    # along the line p_abb = p0 t^2 + p1 t + p2 with p = (w1/2 q w1, w0 q w1,
+    # w0/2 q w0 - 1/3), each a vector-matrix product, then a dot; np.roots
+    # takes its roots as the eigenvalues of the companion matrix, and a row
+    # whose matrix is not finite (p0 = 0, an overflow) has no two roots
+    x = w[:, [1, 0, 0]] * np.array([[0.5], [1.0], [0.5]])
+    p = ((x[:, :, None] @ q[:, None]) @ w[:, [1, 1, 0], :, None])[..., 0, 0]
+    p[:, 2] -= ABB_TARGET
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        top = -p[:, 1:] / p[:, :1]
+    keep = np.isfinite(top).all(axis=-1)
+    companion = np.zeros((keep.sum(), 2, 2))
+    companion[:, 0], companion[:, 1, 0] = top[keep], 1.0
+    t = _umath_linalg.eigvals(companion, signature="d->D")
+    return at[keep], line[keep, :1] + t[..., None] * line[keep, 1:]
+
+
+def solve_designs(problems):
+    """Solve the kicks of many fixed-a designs at once, one outcome per design.
+
+    An outcome is the DesignSolution that ``solve_b`` returns for the design,
+    or the NoSolutionFound or NoStableSolution that it raises, unraised.
+    The designs of each stage count are solved as one stack.
+    """
+    outcomes = [None] * len(problems)
+    for stages in {p.stages for p in problems}:
+        idx = [i for i, p in enumerate(problems) if p.stages == stages]
+        for i in idx:      # replaced below wherever the conditions do not degenerate
+            outcomes[i] = NoSolutionFound(f"degenerate linear order conditions (stages={stages})")
+        nodes = np.array([problems[i].nodes for i in idx])
+        at, u = _roots(nodes)
+        k = u.shape[-1]
+        # sorted by (Re b1, Im b1): numpy compares complex numbers in that order
+        u = np.where((u[:, 1, :1] < u[:, 0, :1])[:, None], u[:, ::-1], u)
+        full = DesignProblem.full_b(u)
+        accepted = full.real.min(axis=-1) > 0.0
+        # min(accepted, key=Im(b1)): the first accepted root of least Im(b1)
+        best = u[np.arange(len(u)), np.where(accepted, u[..., 0].imag, np.inf).argmin(axis=-1)]
+        # canonical branch: Im(b1) <= 0 picks one of the conjugate pair deterministically
+        best = np.where(best[:, :1].imag > 0.0, np.conjugate(best), best)
+        b_full = DesignProblem.full_b(best)
+        polys = order_polys(b_full, nodes[at])
+        residual = np.abs(polys[:k]).max(axis=0)
+        usable = accepted.any(axis=-1)
+        for j, i in enumerate(at):
+            all_reduced = [tuple(bu) for bu in full[j, :, :k + 1]]
+            if not usable[j]:
+                outcomes[idx[i]] = NoStableSolution("all solutions have some Re(b_i) <= 0",
+                                                    all_reduced)
+            elif not residual[j] <= RESIDUAL_TOL:
+                outcomes[idx[i]] = NoSolutionFound(
+                    f"solution residual {residual[j]:.3e} > {RESIDUAL_TOL:.0e} "
+                    f"(stages={stages})")
+            else:
+                outcomes[idx[i]] = DesignSolution(tuple(b_full[j, :k + 1]), float(residual[j]),
+                                                  float(polys.p_abaaa[j].real), all_reduced)
+    return outcomes
 
 
 def solve_b(problem, starts=1, seed=0):
@@ -95,48 +181,38 @@ def solve_b(problem, starts=1, seed=0):
     ``starts`` and ``seed`` are accepted and unused, as are ``scan_a1``'s
     ``seed`` and ``design --seed``: perfbench and the acceptance test pass them.
     """
-    k = problem.k
-    found = sorted(_solutions(problem), key=lambda z: (z[0].real, z[0].imag))
-    if not found:
-        raise NoSolutionFound(
-            f"degenerate linear order conditions (stages={problem.stages})")
-    all_reduced = [tuple(problem.full_b(bu)[:k + 1]) for bu in found]
-    accepted = [bu for bu in found if problem.full_b(bu).real.min() > 0.0]
-    if not accepted:
-        raise NoStableSolution("all solutions have some Re(b_i) <= 0", all_reduced)
-    # canonical branch: Im(b1) <= 0 picks one of the conjugate pair deterministically
-    best = min(accepted, key=lambda z: z[0].imag)
-    if best[0].imag > 0.0:
-        best = np.conjugate(best)
-    b_full = problem.full_b(best)
-    polys = order_polys(b_full, problem.nodes)
-    residual = float(np.abs(polys[:k]).max())
-    if not residual <= RESIDUAL_TOL:
-        raise NoSolutionFound(
-            f"solution residual {residual:.3e} > {RESIDUAL_TOL:.0e} (stages={problem.stages})")
-    return DesignSolution(tuple(b_full[:k + 1]), residual, float(polys.p_abaaa.real), all_reduced)
+    outcome, = solve_designs([problem])
+    if isinstance(outcome, CxsplitError):
+        raise outcome
+    return outcome
 
 
-def _objective(a1):
-    """(Re(p_abaaa), failed) at a1; the value is inf where no kick is usable.
+def _score(outcome):
+    """(Re(p_abaaa), failed) of an outcome; the value is inf where no kick is usable.
 
     Minimising the signed real part locates the interior stationary point of
     Re(p_abaaa); the |Re| global minimum is a sign crossing elsewhere in
-    (0, 1/2) and not a useful design point.
+    (0, 1/2) and not a useful design point.  An inadmissible design is
+    excluded, not a failure.
     """
+    if isinstance(outcome, DesignSolution):
+        return outcome.re_p_abaaa, False
+    return np.inf, isinstance(outcome, NoSolutionFound)
+
+
+def _objective(a1):
+    """``_score`` of the 4-stage design at a1, solved alone."""
     try:
-        sol = solve_b(DesignProblem(4, (a1,)))
-    except NoStableSolution:
-        return np.inf, False   # solved, but inadmissible: excluded, not a failure
-    except NoSolutionFound:
-        return np.inf, True
-    return sol.re_p_abaaa, False
+        return _score(solve_b(DesignProblem(4, (a1,))))
+    except (NoSolutionFound, NoStableSolution) as exc:
+        return _score(exc)
 
 
 def scan_a1(grid_points=200, seed=0):
     """Grid-then-golden-section minimisation of Re(p_abaaa) over a1."""
     grid = np.linspace(SCAN_MARGIN, 0.5 - SCAN_MARGIN, grid_points)
-    scored = [_objective(a1) for a1 in grid]
+    scored = [_score(outcome) for outcome in
+              solve_designs([DesignProblem(4, (a1,)) for a1 in grid])]
     values = np.array([value for value, _ in scored])
     failures = sum(failed for _, failed in scored)
     if failures > 0.1 * grid_points:

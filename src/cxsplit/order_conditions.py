@@ -24,6 +24,7 @@ from .errors import InvalidSequence
 
 LINEAR_TARGETS = (1.0 / 12.0, 0.2)   # p_aba, p_abaaa
 ABB_TARGET = 1.0 / 3.0
+_TARGETS = np.array((*LINEAR_TARGETS, ABB_TARGET))
 
 
 class Residuals(NamedTuple):
@@ -33,14 +34,15 @@ class Residuals(NamedTuple):
 
 
 def linear_terms(b, c):
-    """Per-kick terms of the linear conditions, one row each: (p_aba, p_abaaa)."""
-    return np.stack((0.5 * b * c * (1.0 - c), b * c ** 4))
+    """Per-kick terms of the linear conditions, one row each: (..., (p_aba, p_abaaa), n)."""
+    return np.concatenate(((0.5 * b * c * (1.0 - c))[..., None, :], (b * c ** 4)[..., None, :]),
+                          axis=-2)
 
 
 def abb_form(c):
-    """Q with p_abb = b^T Q b / 2 - ABB_TARGET: Q_ij = c_max(i, j)."""
-    idx = np.arange(len(c))
-    return c[np.maximum.outer(idx, idx)]
+    """Q with p_abb = b^T Q b / 2 - ABB_TARGET: Q_ij = c_max(i, j), (..., n, n)."""
+    idx = np.arange(c.shape[-1])
+    return c[..., np.maximum.outer(idx, idx)]
 
 
 def kicks_of(seq):
@@ -51,25 +53,29 @@ def kicks_of(seq):
 
 
 def _kahan_sum(terms):
-    # compensated sums keep the 1e-14 zero checks reproducible
-    s = comp = 0j
-    for term in terms.tolist():
-        y = term - comp
-        tmp = s + y
-        comp = (tmp - s) - y
-        s = tmp
-    return s
+    # compensated sums over the last axis keep the 1e-14 zero checks reproducible
+    sums = []
+    for row in terms.reshape(-1, terms.shape[-1]).tolist():
+        s = comp = 0j
+        for term in row:
+            y = term - comp
+            tmp = s + y
+            comp = (tmp - s) - y
+            s = tmp
+        sums.append(s)
+    return np.array(sums).reshape(terms.shape[:-1])
 
 
 def order_polys(b, c):
-    """Residuals of kicks b (n,) at nodes c (n,)."""
+    """Residuals of kicks b at nodes c, both (n,) or stacked designs (B, n)."""
     b, c = np.asarray(b, dtype=complex), np.asarray(c, dtype=complex)
-    p_aba, *rest = (_kahan_sum(row) - target
-                    for row, target in zip(linear_terms(b, c), LINEAR_TARGETS))
     # the terms b_j c_j (b_j / 2 + sum_{i<j} b_i) sum b^T Q b / 2 in O(n)
-    before = np.concatenate(([0j], np.cumsum(b[:-1])))
-    p_abb = _kahan_sum(b * c * (0.5 * b + before)) - ABB_TARGET
-    return Residuals(p_aba, p_abb, *rest)
+    before = np.zeros(b.shape, complex)
+    b[..., :-1].cumsum(axis=-1, out=before[..., 1:])
+    sums = _kahan_sum(np.concatenate(
+        (linear_terms(b, c), (b * c * (0.5 * b + before))[..., None, :]), axis=-2))
+    p_aba, p_abaaa, p_abb = (sums - _TARGETS).T
+    return Residuals(p_aba, p_abb, p_abaaa)
 
 
 def residuals(seq):

@@ -202,7 +202,16 @@ def resolve_scheme(spec):
 # then `a <re> <im>` / `b <re> <im>` rows for the full interleaved sequence.
 # ---------------------------------------------------------------------------
 
+def check_scheme_name(name):
+    """ValidationError unless a scheme file can hold ``name`` and load_scheme reads it back."""
+    if ("#" in name or name.splitlines() not in ([name], []) or name != name.strip()
+            or name.encode("utf-8", "ignore").decode("utf-8") != name):
+        raise ValidationError(f"scheme name {name!r} does not survive a scheme file: it may "
+                              "hold no '#', line break, outer whitespace or unencodable character")
+
+
 def serialize_scheme(scheme):
+    check_scheme_name(scheme.name)
     lines = [
         f"name={scheme.name}",
         f"pattern={scheme.pattern}",

@@ -4,6 +4,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +12,8 @@ import pytest
 
 from conftest import NON_FINITE_TEXTS, near_tolerance_sm64_text, yoshida_text
 from cxsplit import bench, cli, designer, problems
-from cxsplit.errors import CxsplitError, DesignScanUnreliable
-from cxsplit.schemes import load_scheme
+from cxsplit.errors import CxsplitError, DesignScanUnreliable, ValidationError
+from cxsplit.schemes import builtin_scheme, load_scheme, serialize_scheme
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -310,6 +311,57 @@ def test_sweep_empty_method_name_is_a_usage_error(methods, capsys):
     assert "Traceback" not in err
     last = err.strip().splitlines()[-1]
     assert last == f"cxsplit sweep: error: argument --methods: empty method name in {methods!r}"
+
+
+@pytest.mark.parametrize("methods,name", [
+    ("sm4,sm4", "sm4"), ("sm4,SM4", "SM4"), ("strang,Strang_BAB,s62,STRANG_bab", "STRANG_bab")])
+def test_sweep_repeated_method_is_a_usage_error(methods, name, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--problem", "osc", "--methods", methods, "--nsteps", "8"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    last = err.strip().splitlines()[-1]
+    assert last == (f"cxsplit sweep: error: argument --methods: repeated method {name!r} "
+                    f"in {methods!r}")
+
+
+def test_sweep_scheme_files_compare_by_exact_path(tmp_path, osc_ref, capsys):
+    lower, upper = tmp_path / "scheme.txt", tmp_path / "SCHEME.txt"
+    for path in (lower, upper):
+        path.write_text(serialize_scheme(builtin_scheme("SM64")))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--problem", "osc", "--methods", f"{lower},{lower}", "--nsteps", "8"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert cli.main(["sweep", "--problem", "osc", "--methods", f"{lower},{upper}",
+                     "--nsteps", "8"]) == cli.EXIT_OK
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert sorted(row.split(",")[0] for row in rows) == sorted((str(lower), str(upper)))
+
+
+@pytest.mark.parametrize("name", ["my#scheme", "two\nlines", " padded ", "bad\udcffbyte"],
+                         ids=["hash", "line-break", "padded", "unencodable"])
+def test_design_name_a_scheme_file_cannot_hold_is_one_error_line(name, tmp_path, capsys):
+    out = tmp_path / "scheme.txt"
+    code = cli.main(["design", "--stages", "6", "--name", name, "--out", str(out)])
+    assert code == cli.EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: scheme name {name!r} does not survive a scheme file")
+    with pytest.raises(ValidationError):
+        serialize_scheme(replace(builtin_scheme("SM4"), name=name))
+
+
+def test_design_name_round_trips_through_a_file(tmp_path, capsys):
+    name = "SM(6,4) re-derived: a=1/6, v2 (\u00e9)"
+    out = tmp_path / "scheme.txt"
+    assert cli.main(["design", "--stages", "6", "--name", name, "--out", str(out)]) == 0
+    assert load_scheme(out.read_text(encoding="utf-8")).name == name
+    capsys.readouterr()
+    assert cli.main(["validate", str(out)]) == cli.EXIT_OK
+    assert capsys.readouterr().out.startswith(f"{name}: pattern=BAB stages=6 order=4\n")
 
 
 @pytest.mark.parametrize("cmd", [["sweep", "--methods", "strang,sm4"],

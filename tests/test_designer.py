@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from cxsplit.designer import DesignProblem, scan_a1, solve_b
-from cxsplit.errors import NoSolutionFound, ValidationError
+from cxsplit.designer import (SCAN_MARGIN, DesignProblem, DesignSolution, _objective,
+                              _score, scan_a1, solve_b, solve_designs)
+from cxsplit.errors import CxsplitError, NoSolutionFound, NoStableSolution, ValidationError
 from cxsplit.order_conditions import kicks_of, residuals
 from cxsplit.schemes import builtin_scheme, expand, validate_scheme
 
@@ -132,3 +133,59 @@ def test_solve_b_matches_a_40_digit_solve(scheme, fixed_a):
         bu = [root[i] for i in range(k)]
         exact = [complex(bi) for bi in (*bu, 1 - 2 * sum(bu))]
     assert np.max(np.abs(np.asarray(solve_b(problem).b) - exact)) < 3e-15
+
+
+def _alone(problem):
+    """The outcome of solve_b on one design: its solution or the error it raises."""
+    try:
+        return solve_b(problem)
+    except CxsplitError as exc:
+        return exc
+
+
+def _assert_same_outcome(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, DesignSolution):
+        assert np.asarray(got.b).tobytes() == np.asarray(want.b).tobytes()
+        assert (got.residual_norm, got.re_p_abaaa) == (want.residual_norm, want.re_p_abaaa)
+        roots = (got.all_solutions, want.all_solutions)
+    else:
+        assert str(got) == str(want)
+        roots = (getattr(got, "solutions", []), getattr(want, "solutions", []))
+    assert [np.asarray(r).tobytes() for r in roots[0]] == [np.asarray(r).tobytes() for r in roots[1]]
+
+
+@pytest.mark.parametrize("grid_points", [50, 200])
+def test_batched_grid_scores_match_the_per_design_loop(grid_points):
+    grid = np.linspace(SCAN_MARGIN, 0.5 - SCAN_MARGIN, grid_points)
+    batched = [_score(outcome) for outcome in
+               solve_designs([DesignProblem(4, (a1,)) for a1 in grid])]
+    alone = [_objective(a1) for a1 in grid]          # the reference: one design at a time
+    values, want = np.array([v for v, _ in batched]), np.array([v for v, _ in alone])
+    assert [f for _, f in batched] == [f for _, f in alone]
+    assert np.argmin(values) == np.argmin(want)
+    assert np.isfinite(want).sum() >= grid_points // 2
+    assert values.tobytes() == want.tobytes()         # every value bit for bit, inf included
+
+
+def test_a_mixed_batch_gives_each_design_its_own_outcome():
+    designs = [(4, (SM4.a[0],)), (4, (5e-324,)), (4, (0.05,)),
+               (6, (0.25002717906008337, 2.9600062037488e-13, 0.24997282093962064)),
+               (6, (1 / 6, 1 / 6, 1 / 6)), (4, (0.3,))]
+    problems = [DesignProblem(*design) for design in designs]
+    outcomes = solve_designs(problems)           # raises nothing for a failing row
+    assert [type(o) for o in outcomes] == [DesignSolution, NoSolutionFound, NoStableSolution,
+                                           NoSolutionFound, DesignSolution, DesignSolution]
+    assert "degenerate" in str(outcomes[1]) and "residual" in str(outcomes[3])
+    for problem, outcome in zip(problems, outcomes):
+        _assert_same_outcome(outcome, _alone(problem))
+    assert [_score(o)[1] for o in outcomes] == [False, True, False, True, False, False]
+
+
+def test_random_six_stage_batch_matches_solve_b():
+    weights = np.random.default_rng(20).uniform(0.02, 1.0, (300, 3))
+    problems = [DesignProblem(6, tuple(w / (2.0 * w.sum()))) for w in weights]
+    outcomes = solve_designs(problems)
+    assert sum(isinstance(o, DesignSolution) for o in outcomes) >= 100
+    for problem, outcome in zip(problems, outcomes):
+        _assert_same_outcome(outcome, _alone(problem))
