@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import os
 from dataclasses import dataclass, field
@@ -138,12 +140,14 @@ CSV_HEADER = "method,h,n_steps,a_flow_evals,kernel_evals,error_l2,wall_time,fail
 
 
 def records_to_csv(records):
-    lines = [CSV_HEADER]
+    out = io.StringIO()
+    out.write(CSV_HEADER + "\n")
+    writer = csv.writer(out, lineterminator="\n")     # quotes a method name with a comma
     for r in records:
         err = "nan" if r.failed or not math.isfinite(r.error_l2) else repr(r.error_l2)
-        lines.append(f"{r.method},{r.h!r},{r.n_steps},{r.a_flow_evals},"
-                     f"{r.kernel_evals},{err},{r.wall_time:.6f},{int(r.failed)}")
-    return "\n".join(lines) + "\n"
+        writer.writerow((r.method, repr(r.h), r.n_steps, r.a_flow_evals, r.kernel_evals,
+                         err, f"{r.wall_time:.6f}", int(r.failed)))
+    return out.getvalue()
 
 
 def write_csv(records, path):

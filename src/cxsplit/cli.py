@@ -7,6 +7,7 @@ or malformed command line (argparse), 3 reference inconsistency.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -127,17 +128,18 @@ def _sweep_spec(args, methods):
 
 
 def _method_key(name):
-    """--methods names compare in any case for a method or builtin, exactly for a file."""
-    if name.lower() not in bench.METHODS:
-        try:
-            builtin_scheme(name)
-        except NotInCatalog:
-            return name
-    return name.lower()
+    """What a --methods name runs: a METHODS row or catalog scheme, else the exact path."""
+    if name.lower() in bench.METHODS:
+        return bench.METHODS[name.lower()]
+    try:
+        return builtin_scheme(name), None, False
+    except NotInCatalog:
+        return name
 
 
 def cmd_sweep(args):
-    methods = args.methods.split(",")
+    # a comma inside parentheses is part of a name, as in the alias SM(6,4)
+    methods = re.split(r",(?![^()]*\))", args.methods)
     if not all(methods):
         args.error(f"argument --methods: empty method name in {args.methods!r}")
     keys = [_method_key(name) for name in methods]
@@ -194,6 +196,9 @@ def build_parser():
                        help="where CF2 flows freeze A (cf4/exact ignore it)")
         p.add_argument("--cache-dir", default=None)
         if cmd == "sweep":
+            p.description = ("error_l2 is the unscaled 2-norm of the final-time error over "
+                             "all components: on an N-point grid it grows as sqrt(N) for "
+                             "the same error per point.")
             p.add_argument("--methods", required=True, help="comma list")
             p.add_argument("--out", default=None)
         else:

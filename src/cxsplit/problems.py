@@ -89,10 +89,11 @@ class OscillatorProblem:
     # agree (bit for bit on x86-64 glibc).
 
     def a_frozen_exp(self, times, weights, duration, state):
-        # sum_i w_i A(t_i) = w_sum * [[0, 1], [-omega_sq / w_sum, 0]]
-        omega_sq = w_sum = 0.0
+        # sum_i w_i A(t_i) = w_sum * [[0, 1], [-omega_sq / w_sum, 0]]; big_omega
+        # is written out: its call cost a third of this kernel's time
+        cos, omega_sq, w_sum = math.cos, 0.0, 0.0
         for t, w in zip(times, weights):
-            omega_sq += w * self.big_omega(t) ** 2
+            omega_sq += w * (1.0 + 0.5 * cos(1.5 * t)) ** 2
             w_sum += w
         q, p = complex(state[0]), complex(state[1])
         if w_sum == 0.0:   # [[0, 0], [-omega_sq, 0]] is nilpotent: exp is I + duration * it
@@ -242,28 +243,30 @@ def _rk4_osc(epsilon, q, p, t0, tf, n_steps):
     """The RK4 loop with OscillatorProblem.rhs written out on local floats.
 
     dq/dt = p, dp/dt = -Omega(t)^2 q - epsilon * (left-fold sum of the three
-    sines).  Omega(t)^2 is computed once per time: the k2 and k3 stages share
-    t + h/2, and the k4 stage's t + h is the next step's t.
+    sines).  -Omega(t)^2 and each omega_j t are computed once per time: the k2
+    and k3 stages share t + h/2, and the k4 stage's t + h is the next step's t.
     """
     sin, cos = math.sin, math.cos
     w1, w2, w3 = OMEGA_J
     h = (tf - t0) / n_steps
     half, sixth = 0.5 * h, h / 6.0
     t = t0
-    om_sq = (1.0 + 0.5 * cos(1.5 * t)) ** 2
+    neg_om_sq = -(1.0 + 0.5 * cos(1.5 * t)) ** 2
+    y1, y2, y3 = w1 * t, w2 * t, w3 * t
     for _ in range(n_steps):
-        k1p = -om_sq * q - epsilon * (sin(q - w1 * t) + sin(q - w2 * t) + sin(q - w3 * t))
+        k1p = neg_om_sq * q - epsilon * (sin(q - y1) + sin(q - y2) + sin(q - y3))
         t_mid = t + half
-        om_sq_mid = (1.0 + 0.5 * cos(1.5 * t_mid)) ** 2
+        neg_om_sq_mid = -(1.0 + 0.5 * cos(1.5 * t_mid)) ** 2
         x1, x2, x3 = w1 * t_mid, w2 * t_mid, w3 * t_mid
         q2, k2q = q + half * p, p + half * k1p
-        k2p = -om_sq_mid * q2 - epsilon * (sin(q2 - x1) + sin(q2 - x2) + sin(q2 - x3))
+        k2p = neg_om_sq_mid * q2 - epsilon * (sin(q2 - x1) + sin(q2 - x2) + sin(q2 - x3))
         q3, k3q = q + half * k2q, p + half * k2p
-        k3p = -om_sq_mid * q3 - epsilon * (sin(q3 - x1) + sin(q3 - x2) + sin(q3 - x3))
+        k3p = neg_om_sq_mid * q3 - epsilon * (sin(q3 - x1) + sin(q3 - x2) + sin(q3 - x3))
         t = t + h
-        om_sq = (1.0 + 0.5 * cos(1.5 * t)) ** 2
+        neg_om_sq = -(1.0 + 0.5 * cos(1.5 * t)) ** 2
+        y1, y2, y3 = w1 * t, w2 * t, w3 * t
         q4, k4q = q + h * k3q, p + h * k3p
-        k4p = -om_sq * q4 - epsilon * (sin(q4 - w1 * t) + sin(q4 - w2 * t) + sin(q4 - w3 * t))
+        k4p = neg_om_sq * q4 - epsilon * (sin(q4 - y1) + sin(q4 - y2) + sin(q4 - y3))
         q = q + sixth * (p + 2.0 * k2q + 2.0 * k3q + k4q)
         p = p + sixth * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
     return q, p

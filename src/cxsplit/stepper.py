@@ -11,7 +11,9 @@ Strang is the STRANG_BAB plan with a CF2 flow, EXT4 its ``extrapolate``,
 which combines unprojected steps and projects the result.
 Each A-flow kind is a row of ``propagators.A_FLOWS``, looked up once per
 step.  A zero-duration flow is skipped: it counts in ``a_flow_evals`` but
-calls no kernel, so it adds nothing to ``kernel_evals``.
+calls no kernel, so it adds nothing to ``kernel_evals``.  A step adds its
+counts to the record once, when its stages end: on a failure, those of the
+stages before the failing one.
 
 Problem protocol: the engine reads three members of a problem.
 ``commuting`` says whether the A(t) commute (then CF4 fuses into one
@@ -30,6 +32,7 @@ into StepFailed.
 
 from __future__ import annotations
 
+import cmath
 import time
 from dataclasses import dataclass
 
@@ -125,28 +128,32 @@ def _run_stages(cfg, problem, state, h, plan, record):
         usable = " or ".join(k for k, row in A_FLOWS.items() if row[column] is not None)
         raise ValidationError(f"{type(problem).__name__} has no {kind} A-flow (use {usable})")
     node = FREEZE_NODES[cfg.freeze_convention]
-    for idx, (role, c0, dur) in enumerate(plan):
-        try:
+    flows = kernel_flows = 0    # the stages run, added to record once
+    try:
+        for idx, (role, c0, dur) in enumerate(plan):
             if role == "A":
                 if (tau := dur * h) != 0.0:     # a zero-duration flow is the identity
                     u = flow(t_n + c0 * h, tau, u, a_kernel, commuting, node)
-                if record is not None:
-                    record.a_flow_evals += 1
-                    record.kernel_evals += kernel_calls if tau != 0.0 else 0
+                    kernel_flows += 1
+                flows += 1
             else:
                 u = b_kick(t_n + c0 * h, dur * h, u)
-        except KERNEL_ERRORS as exc:
-            raise StepFailed(str(exc), stage=idx) from exc
+    except KERNEL_ERRORS as exc:
+        raise StepFailed(str(exc), stage=idx) from exc
+    finally:
+        if record is not None:
+            record.a_flow_evals += flows
+            record.kernel_evals += kernel_calls * kernel_flows
     return State(_finite(u), t_n + h)
 
 
 def _finite(u):
     """The values after a step: an ndarray, checked finite."""
-    u = np.asarray(u, dtype=complex)
-    # the kernels keep a non-finite state non-finite: one check per step
-    if not np.isfinite(u).all():
+    # the kernels keep a non-finite state non-finite: one check per step; on
+    # the oscillator's (q, p) tuple cmath checks in a third of numpy's time
+    if not (all(map(cmath.isfinite, u)) if type(u) is tuple else np.isfinite(u).all()):
         raise StepFailed("non-finite state")
-    return u
+    return np.asarray(u, dtype=complex)
 
 
 def extrapolate(cfg):

@@ -1,3 +1,4 @@
+import csv
 import importlib.metadata
 import math
 import shutil
@@ -314,8 +315,12 @@ def test_sweep_empty_method_name_is_a_usage_error(methods, capsys):
 
 
 @pytest.mark.parametrize("methods,name", [
-    ("sm4,sm4", "sm4"), ("sm4,SM4", "SM4"), ("strang,Strang_BAB,s62,STRANG_bab", "STRANG_bab")])
+    ("sm4,sm4", "sm4"), ("sm4,SM4", "SM4"), ("strang,Strang_BAB,s62,STRANG_bab", "STRANG_bab"),
+    ("strang,STRANG", "STRANG"), ("s62,62", "62"), ("(6,2),S62", "S62"),
+    ("sm64,SM(6,4)", "SM(6,4)")])
 def test_sweep_repeated_method_is_a_usage_error(methods, name, capsys):
+    # a name repeats when it runs what an earlier one runs: the same METHODS
+    # row, or the same catalog scheme under an alias
     with pytest.raises(SystemExit) as exc:
         cli.main(["sweep", "--problem", "osc", "--methods", methods, "--nsteps", "8"])
     assert exc.value.code == 2
@@ -324,6 +329,17 @@ def test_sweep_repeated_method_is_a_usage_error(methods, name, capsys):
     last = err.strip().splitlines()[-1]
     assert last == (f"cxsplit sweep: error: argument --methods: repeated method {name!r} "
                     f"in {methods!r}")
+
+
+def test_sweep_aliases_with_commas_are_one_method(osc_ref, capsys):
+    # --methods splits on commas outside parentheses; the CSV quotes the names
+    assert cli.main(["sweep", "--problem", "osc", "--methods", "SM(6,4),(6,2),strang_bab",
+                     "--nsteps", "8"]) == cli.EXIT_OK
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert [row[0] for row in rows[1:]] == ["(6,2)", "SM(6,4)", "strang_bab"]
+    assert all(len(row) == len(rows[0]) for row in rows)
+    same = bench.sweep(bench.SweepSpec("osc", ["s62", "sm64", "strang_bab"], [8]))
+    assert [row[5] for row in rows[1:]] == [repr(r.error_l2) for r in same]
 
 
 def test_sweep_scheme_files_compare_by_exact_path(tmp_path, osc_ref, capsys):

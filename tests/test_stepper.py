@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from cxsplit import bench
+from cxsplit import bench, stepper
 from cxsplit.errors import RealTimeViolation, StepFailed, ValidationError
 from cxsplit.problems import make_problem
 from cxsplit.propagators import A_FLOWS
@@ -299,6 +301,61 @@ def test_non_finite_osc_state_fails_the_step(method, values):
     problem = make_problem("osc")
     with pytest.raises(StepFailed):
         OSC_STEPS[method](problem, State(np.array(values, dtype=complex), 0.0))
+
+
+def _numpy_finite(u):
+    """The ndarray check of every state, the reference for stepper._finite."""
+    u = np.asarray(u, dtype=complex)
+    if not np.isfinite(u).all():
+        raise StepFailed("non-finite state")
+    return u
+
+
+class TupleStub:
+    """A 2-component problem whose kernels pass (q, p) tuples, as the oscillator's do.
+
+    Every kick returns ``poison`` in place of the state.
+    """
+
+    commuting = False
+
+    def __init__(self, poison):
+        self.poison = poison
+
+    def a_frozen_exp(self, times, weights, duration, state):
+        return complex(state[0]), complex(state[1])
+
+    def b_kick(self, t_frozen, tau, state):
+        return self.poison
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("part", ["real", "imag"])
+@pytest.mark.parametrize("slot", [0, 1], ids=["q", "p"])
+@pytest.mark.parametrize("method", ["sm4", "strang", "ext4"])
+def test_non_finite_tuple_state_fails_the_step(method, slot, part, bad):
+    value = complex(bad, 0.0) if part == "real" else complex(0.0, bad)
+    poison = (value, 1.0 + 0j) if slot == 0 else (1.0 + 0j, value)
+    step_fn = bench.resolve_method(method)
+    with pytest.raises(StepFailed, match="^non-finite state$"):
+        integrate_with(step_fn, TupleStub(poison), np.ones(2), 0.0, 1.0, 2, method)
+
+
+@pytest.mark.parametrize("method", ["sm4", "strang", "ext4"])
+def test_osc_runs_are_bitwise_those_of_the_numpy_check(method, monkeypatch):
+    problem = make_problem("osc")
+
+    def run():
+        return integrate_with(bench.resolve_method(method), problem, problem.u0(),
+                              problem.t0, problem.tf, 256, method)
+
+    state, record = run()
+    monkeypatch.setattr(stepper, "_finite", _numpy_finite)
+    ref_state, ref_record = run()
+    assert state.values.tobytes() == ref_state.values.tobytes()
+    assert state.t == ref_state.t
+    assert (record.a_flow_evals, record.kernel_evals) == (
+        ref_record.a_flow_evals, ref_record.kernel_evals)
 
 
 def test_integrate_with_rejects_bad_n_steps():
