@@ -11,7 +11,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import InsufficientData, StepFailed
+from .errors import InsufficientData, NotInCatalog, StepFailed
 from .problems import REF_AGREE_TOL, make_problem, reference_solution, run_forked
 from .schemes import Scheme, builtin_scheme, resolve_scheme
 from .stepper import RunRecord, StepperConfig, extrapolate, integrate_with, plan_step
@@ -33,6 +33,14 @@ METHODS = {
 #: extrapolated step runs the plan three times: two half steps, one whole.
 METHOD_STAGES = {name: scheme.n_a * (3 if ext else 1)
                  for name, (scheme, _, ext) in METHODS.items()}
+
+
+def method_key(name):
+    """What a method name runs: a METHODS row or catalog scheme, else the exact path."""
+    try:
+        return METHODS.get(name.lower()) or (builtin_scheme(name), None, False)
+    except NotInCatalog:
+        return name
 
 
 def resolve_method(name, a_flow_kind="cf4", freeze_convention="midpoint"):
@@ -122,11 +130,12 @@ def _shares(points, count):
     """Deal (method, n_steps) points into `count` shares of near-equal cost.
 
     Greedy, largest first: each point goes to the share with the least cost
-    so far.  A point costs its A-flow stages, n_steps times its method's
-    METHOD_STAGES, or n_steps for a scheme file or catalog name.
+    so far.  A point costs its A-flow stages: n_steps times the stages per
+    step of what its method runs (``method_key``), or n_steps for a scheme file.
     """
     def cost(point):
-        return METHOD_STAGES.get(point[0].lower(), 1) * point[1]
+        key = method_key(point[0])
+        return point[1] * (1 if isinstance(key, str) else key[0].n_a * (3 if key[2] else 1))
 
     shares, loads = [[] for _ in range(count)], [0] * count
     for point in sorted(points, key=cost, reverse=True):

@@ -12,11 +12,11 @@ import sys
 from pathlib import Path
 
 from . import bench, designer
-from .errors import CxsplitError, NotInCatalog, ReferenceInconsistent
+from .errors import CxsplitError, ReferenceInconsistent
 from .order_conditions import residuals
 from .problems import PROBLEMS, check_writable
-from .schemes import (builtin_names, builtin_scheme, check_scheme_name, expand,
-                      resolve_scheme, serialize_scheme, validate_scheme)
+from .schemes import (builtin_names, check_scheme_name, expand, resolve_scheme,
+                      serialize_scheme, validate_scheme)
 from .stepper import A_FLOW_KINDS, FREEZE_NODES
 
 EXIT_OK = 0
@@ -52,6 +52,8 @@ def cmd_validate(args):
 
 def cmd_design(args):
     check_scheme_name(args.name)     # before the solve and any output
+    if args.out:
+        check_writable(Path(args.out).parent)
     if args.scan:
         if args.stages != 4:
             args.error("argument --scan: 4-stage designs only")
@@ -127,22 +129,12 @@ def _sweep_spec(args, methods):
                            cache_dir=args.cache_dir)
 
 
-def _method_key(name):
-    """What a --methods name runs: a METHODS row or catalog scheme, else the exact path."""
-    if name.lower() in bench.METHODS:
-        return bench.METHODS[name.lower()]
-    try:
-        return builtin_scheme(name), None, False
-    except NotInCatalog:
-        return name
-
-
 def cmd_sweep(args):
     # a comma inside parentheses is part of a name, as in the alias SM(6,4)
     methods = re.split(r",(?![^()]*\))", args.methods)
     if not all(methods):
         args.error(f"argument --methods: empty method name in {args.methods!r}")
-    keys = [_method_key(name) for name in methods]
+    keys = [bench.method_key(name) for name in methods]
     repeated = next((name for i, name in enumerate(methods) if keys[i] in keys[:i]), None)
     if repeated is not None:
         args.error(f"argument --methods: repeated method {repeated!r} in {args.methods!r}")

@@ -14,17 +14,15 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .errors import (CxsplitError, DesignScanUnreliable, NoSolutionFound,
                      NoStableSolution, ValidationError)
 from .order_conditions import (ABB_TARGET, LINEAR_TARGETS, abb_form, kicks_of,
-                               linear_terms, order_polys)
+                               linear_terms, order_poly_jacobian, order_polys)
 from .schemes import Scheme, expand
 
 RESIDUAL_TOL = 1e-14         # largest residual of an accepted solution
 SCAN_MARGIN = 1e-3           # the scan grid spans [margin, 1/2 - margin]
-SCAN_REFINE_TOL = 1e-10      # golden-section bracket width that ends the scan
 STAGES = (4, 6)              # k = stages/2 conditions: p_abb and k - 1 linear rows
 
 
@@ -86,10 +84,7 @@ def _roots(nodes):
     Returns (at, u): the rows whose conditions do not degenerate, and their
     solutions as unknown vectors (len(at), 2, k).  matmul, det, svd, solve
     and eigvals loop over the leading axis with one row's kernels, so each
-    row gets the bits of its design solved alone.  solve and eigvals are
-    the LAPACK gufuncs behind np.linalg.solve and np.linalg.eigvals, with
-    the signatures those pass, minus their per-call argument checks: a
-    batch of one is the golden-section step of ``scan_a1``.
+    row gets the bits of its design solved alone.
     """
     k = nodes.shape[-1] // 2
     base, basis, cols = _frame(k)
@@ -107,8 +102,8 @@ def _roots(nodes):
     full_rank = sv[:, -1] > sv[:, 0] * (k * np.finfo(float).eps)
     at = np.flatnonzero(full_rank & (dets.max(axis=-1) > 0.0))
     free, row = dets[at].argmax(axis=-1), np.arange(len(at))
-    solved = _umath_linalg.solve(minors[at, free], np.concatenate(
-        (rhs[at, :, None], -lin[at, :, free, None]), axis=-1), signature="dd->d")
+    solved = np.linalg.solve(minors[at, free], np.concatenate(
+        (rhs[at, :, None], -lin[at, :, free, None]), axis=-1))
     line = np.zeros((len(at), 2, k))        # the unknowns u0 + t v: rows u0 and v
     line[row, 1, free] = 1.0
     line[row[:, None], :, cols[free]] = solved
@@ -129,7 +124,7 @@ def _roots(nodes):
     keep = np.isfinite(top).all(axis=-1)
     companion = np.zeros((keep.sum(), 2, 2))
     companion[:, 0], companion[:, 1, 0] = top[keep], 1.0
-    t = _umath_linalg.eigvals(companion, signature="d->D")
+    t = np.linalg.eigvals(companion).astype(complex)
     return at[keep], line[keep, :1] + t[..., None] * line[keep, 1:]
 
 
@@ -200,53 +195,56 @@ def _score(outcome):
     return np.inf, isinstance(outcome, NoSolutionFound)
 
 
-def _objective(a1):
-    """``_score`` of the 4-stage design at a1, solved alone."""
-    try:
-        return _score(solve_b(DesignProblem(4, (a1,))))
-    except (NoSolutionFound, NoStableSolution) as exc:
-        return _score(exc)
+def _scan_points(a1s):
+    """Outcomes of the 4-stage designs at a1s, solved as one stack, and dRe(p_abaaa)/da1.
+
+    The slope is exact, nan where no kick is usable.  The kicks keep p_aba =
+    p_abb = 0, so db/da1 = -F_b^-1 F_c dc/da1 (implicit function theorem),
+    with F_b and F_c the conditions' derivatives by the unknowns and nodes.
+    """
+    problems = [DesignProblem(4, (a1,)) for a1 in a1s]
+    outcomes = solve_designs(problems)
+    at = [i for i, outcome in enumerate(outcomes) if isinstance(outcome, DesignSolution)]
+    b = DesignProblem.full_b(np.reshape([outcomes[i].b[:2] for i in at], (-1, 2)))
+    c = np.reshape([problems[i].nodes for i in at], (-1, 5))
+    # d(p_aba, p_abb, p_abaaa)/dc_i, then along dc/da1 = (0, 1, 0, -1, 0)
+    f_c = np.stack((0.5 * b * (1.0 - 2.0 * c), b * (np.cumsum(b, axis=-1) - 0.5 * b),
+                    4.0 * b * c ** 3), axis=-2) @ np.array([0.0, 1.0, 0.0, -1.0, 0.0])
+    f_u = order_poly_jacobian(b, c) @ _frame(2)[1].T
+    du = np.linalg.solve(f_u[:, :2], -f_c[:, :2, None])
+    slopes = np.full(len(problems), np.nan)
+    slopes[at] = (f_u[:, 2:] @ du)[:, 0, 0].real + f_c[:, 2].real
+    return outcomes, slopes
 
 
 def scan_a1(grid_points=200, seed=0):
-    """Grid-then-golden-section minimisation of Re(p_abaaa) over a1."""
+    """The a1 where Re(p_abaaa) is least: the root of its exact slope.
+
+    The least grid value and its neighbour downhill bracket the root;
+    Illinois false position, or bisection while an end has no slope,
+    narrows the bracket to adjacent floats.
+    """
     grid = np.linspace(SCAN_MARGIN, 0.5 - SCAN_MARGIN, grid_points)
-    scored = [_score(outcome) for outcome in
-              solve_designs([DesignProblem(4, (a1,)) for a1 in grid])]
-    values = np.array([value for value, _ in scored])
-    failures = sum(failed for _, failed in scored)
-    if failures > 0.1 * grid_points:
-        raise DesignScanUnreliable(
-            f"{failures}/{grid_points} grid points failed to solve")
+    outcomes, slopes = _scan_points(grid)
+    values, failed = np.reshape([_score(outcome) for outcome in outcomes], (-1, 2)).T
+    if failed.sum() > 0.1 * grid_points:
+        raise DesignScanUnreliable(f"{failed.sum():.0f}/{grid_points} grid points failed to solve")
     if not np.isfinite(values).any():
         raise DesignScanUnreliable("no admissible solution anywhere on the grid")
     idx = int(np.argmin(values))
-    lo = grid[max(idx - 1, 0)]
-    hi = grid[min(idx + 1, grid_points - 1)]
-
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = _objective(x1)[0], _objective(x2)[0]
-    while hi - lo > SCAN_REFINE_TOL:
-        if f2 < f1:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = _objective(x2)[0]
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = _objective(x1)[0]
-    a1_opt = 0.5 * (lo + hi)
-    # golden section is noise-limited near a flat quadratic minimum; a few
-    # successive parabolic-vertex fits recover the last digits
-    for delta in (1e-3, 1e-4, 1e-5):
-        f0, f1_, f2_ = (_objective(x)[0]
-                        for x in (a1_opt - delta, a1_opt, a1_opt + delta))
-        denom = f0 - 2.0 * f1_ + f2_
-        if np.isfinite(denom) and denom > 0.0:
-            shift = 0.5 * delta * (f0 - f2_) / denom
-            if abs(shift) < 2.0 * delta:
-                a1_opt = a1_opt + shift
-    sol = solve_b(DesignProblem(4, (a1_opt,)))
-    return a1_opt, sol
+    near = int(np.clip(idx - np.sign(slopes[idx]), 0, grid_points - 1))
+    # each end: a1, its false-position weight, its slope, its outcome
+    ends, last = [[grid[i], slopes[i], slopes[i], outcomes[i]] for i in sorted((idx, near))], None
+    while ends[0][0] < (mid := 0.5 * (ends[0][0] + ends[1][0])) < ends[1][0]:
+        (lo, w_lo, *_), (hi, w_hi, *_) = ends
+        x = lo - w_lo * (hi - lo) / (w_hi - w_lo) if w_lo < 0.0 < w_hi else mid
+        x = x if lo < x < hi else mid
+        (outcome,), (slope,) = _scan_points([x])
+        if slope == 0.0:
+            return float(x), outcome
+        # a negative slope replaces the left end, as does no slope where it has none
+        side = int(not (slope < 0.0 or (np.isnan(slope) and np.isnan(ends[0][2]))))
+        ends[1 - side][1] *= 0.5 if side == last else 1.0    # Illinois: halve an end kept twice
+        ends[side], last = [x, slope, slope, outcome], side
+    a1_opt, _, _, sol = min(ends, key=lambda end: np.nan_to_num(abs(end[2]), nan=np.inf))
+    return float(a1_opt), sol

@@ -86,7 +86,7 @@ def residuals(seq):
 
 
 def order_poly_jacobian(b, c):
-    """Analytic d(p_aba, p_abb, p_abaaa)/db_i, one column per kick: (3, n)."""
+    """Analytic d(p_aba, p_abb, p_abaaa)/db_i, one column per kick: (..., 3, n)."""
     b, c = np.asarray(b, dtype=complex), np.asarray(c, dtype=complex)
-    d_aba, *rest = linear_terms(1.0, c)
-    return np.stack((d_aba, abb_form(c) @ b, *rest))
+    d_aba, d_abaaa = np.moveaxis(linear_terms(1.0, c), -2, 0)
+    return np.stack((d_aba, (abb_form(c) @ b[..., None])[..., 0], d_abaaa), axis=-2)

@@ -188,6 +188,12 @@ def test_shares_deal_points_largest_first():
                                          ("SM4", 16), ("strang", 8)]]
 
 
+def test_shares_price_a_catalog_alias_by_what_it_runs():
+    # SM(6,4) runs SM64: 6 stages a step, 6144 in all, against 3072 + 1024
+    points = [("SM(6,4)", 1024), ("strang", 1024), ("s62", 1024)]
+    assert bench._shares(points, 2) == [[("SM(6,4)", 1024)], [("s62", 1024), ("strang", 1024)]]
+
+
 @pytest.fixture
 def fake_points(monkeypatch, cores):
     """Returns install(fake), which replaces `run_point` by a call of

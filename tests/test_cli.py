@@ -192,20 +192,22 @@ def test_design_scan_grid_points_default_is_the_designers(monkeypatch):
 
 
 @pytest.mark.parametrize("cmd", [
-    ["design", "--a1", "0.13505265889288437"],
+    ["design", "--a1", "0.13505265889288437"], ["design", "--scan"],
     ["sweep", "--problem", "osc", "--methods", "strang", "--nsteps", "8"]],
-    ids=["design", "sweep"])
+    ids=["design", "design-scan", "sweep"])
 def test_out_in_a_missing_directory_is_one_error_line(cmd, tmp_path, osc_ref, capsys,
                                                      monkeypatch):
-    swept = []
-    real_sweep = bench.sweep
-    monkeypatch.setattr(bench, "sweep", lambda spec: swept.append(spec) or real_sweep(spec))
+    def work(*args, **kwargs):
+        raise AssertionError("the sweep or the solve ran before --out was checked")
+
+    for module, name in ((bench, "sweep"), (designer, "solve_b"), (designer, "scan_a1")):
+        monkeypatch.setattr(module, name, work)
     out = tmp_path / "missing" / "out.txt"
     assert cli.main([*cmd, "--out", str(out)]) == cli.EXIT_RUNTIME
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "No such file or directory" in err
-    assert len(err.splitlines()) == 1
-    assert swept == []                   # the sweep fails before any point runs
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "No such file or directory" in captured.err
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_failed_sweep_leaves_existing_out_unchanged(tmp_path, monkeypatch, capsys):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from cxsplit.designer import (SCAN_MARGIN, DesignProblem, DesignSolution, _objective,
+from cxsplit import designer
+from cxsplit.designer import (SCAN_MARGIN, DesignProblem, DesignSolution, _scan_points,
                               _score, scan_a1, solve_b, solve_designs)
-from cxsplit.errors import CxsplitError, NoSolutionFound, NoStableSolution, ValidationError
+from cxsplit.errors import (CxsplitError, DesignScanUnreliable, NoSolutionFound,
+                            NoStableSolution, ValidationError)
 from cxsplit.order_conditions import kicks_of, residuals
 from cxsplit.schemes import builtin_scheme, expand, validate_scheme
 
@@ -105,12 +107,45 @@ def test_solve_b_without_an_accurate_solution_raises(stages, fixed_a, message):
         solve_b(DesignProblem(stages, fixed_a))
 
 
+A1_OPT = 0.13505259273331706       # the 50-digit stationary point of Re(p_abaaa)
+
+
 def test_scan_optimum_is_pinned():
-    a1_opt, sol = scan_a1(grid_points=50)
-    assert abs(a1_opt - 0.13505259292351063) < 1e-12
-    # the 50-digit optimum; the offset is the truncation of the last parabola fit
-    assert abs(a1_opt - 0.13505259273331706) < 2.5e-10
-    assert sol.residual_norm < 1e-13
+    for grid_points, pinned in ((50, 0.13505259273331688), (200, 0.13505259273331718)):
+        a1_opt, sol = scan_a1(grid_points=grid_points)
+        assert abs(a1_opt - pinned) < 1e-12
+        assert abs(a1_opt - A1_OPT) < 1e-15
+        assert sol.residual_norm < 1e-13
+        assert sol == solve_b(DesignProblem(4, (a1_opt,)))
+
+
+@pytest.mark.parametrize("grid_points", range(2, 41))
+def test_scan_lands_on_the_optimum_from_any_grid(grid_points):
+    a1_opt, _ = scan_a1(grid_points=grid_points)
+    assert abs(a1_opt - A1_OPT) < 1e-15
+
+
+@pytest.mark.parametrize("a1", [0.13, 0.2, 0.4])
+def test_scan_slope_matches_a_central_difference(a1):
+    h = 1e-6
+    (outcome,), (slope,) = _scan_points([a1])
+    assert isinstance(outcome, DesignSolution)
+    fd = (solve_b(DesignProblem(4, (a1 + h,))).re_p_abaaa
+          - solve_b(DesignProblem(4, (a1 - h,))).re_p_abaaa) / (2.0 * h)
+    assert abs(slope - fd) < 1e-6 * abs(fd)
+
+
+def test_scan_slope_is_nan_where_no_kick_is_usable():
+    outcomes, slopes = _scan_points([0.05, 0.2, 5e-324])
+    assert [type(o) for o in outcomes] == [NoStableSolution, DesignSolution, NoSolutionFound]
+    assert np.isnan(slopes[[0, 2]]).all() and np.isfinite(slopes[1])
+
+
+def test_scan_counts_failed_grid_points(monkeypatch):
+    monkeypatch.setattr(designer, "solve_designs",
+                        lambda problems: [NoSolutionFound("failed")] * len(problems))
+    with pytest.raises(DesignScanUnreliable, match="^50/50 grid points failed to solve$"):
+        scan_a1(grid_points=50)
 
 
 @pytest.mark.parametrize("scheme,fixed_a", [(SM4, (SM4.a[0],)), (SM64, (1 / 6, 1 / 6, 1 / 6))],
@@ -160,7 +195,8 @@ def test_batched_grid_scores_match_the_per_design_loop(grid_points):
     grid = np.linspace(SCAN_MARGIN, 0.5 - SCAN_MARGIN, grid_points)
     batched = [_score(outcome) for outcome in
                solve_designs([DesignProblem(4, (a1,)) for a1 in grid])]
-    alone = [_objective(a1) for a1 in grid]          # the reference: one design at a time
+    # the reference: one design at a time
+    alone = [_score(_alone(DesignProblem(4, (a1,)))) for a1 in grid]
     values, want = np.array([v for v, _ in batched]), np.array([v for v, _ in alone])
     assert [f for _, f in batched] == [f for _, f in alone]
     assert np.argmin(values) == np.argmin(want)

@@ -91,3 +91,23 @@ def test_jacobian_matches_finite_differences():
             bm[k] -= eps
             fd = (np.array(order_polys(bp, c)) - np.array(order_polys(bm, c))) / (2 * eps)
             assert np.max(np.abs(jac[:, k] - fd)) < 1e-6, (n, k)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_stacked_jacobian_rows_match_one_design_at_a_time(n):
+    rng = np.random.default_rng(n)
+    b = rng.standard_normal((40, n)) + 1j * rng.standard_normal((40, n))
+    c = np.sort(rng.uniform(size=(40, n)), axis=-1).astype(complex)
+    stacked = order_poly_jacobian(b, c)
+    alone = np.array([order_poly_jacobian(bi, ci) for bi, ci in zip(b, c)])
+    assert stacked.shape == (40, 3, n)
+    scale = np.abs(alone).max(axis=-1, keepdims=True)
+    assert np.all(np.abs(stacked - alone) <= 1e-15 * scale)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_one_design_jacobian_keeps_its_bits(n):
+    for b, c in _random_kicks(n):
+        d_aba, d_abaaa = linear_terms(1.0, c)       # the one-design formula, row by row
+        want = np.stack((d_aba, abb_form(c) @ b, d_abaaa))
+        assert order_poly_jacobian(b, c).tobytes() == want.tobytes()
