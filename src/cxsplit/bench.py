@@ -160,7 +160,8 @@ def records_to_csv(records):
 
 
 def write_csv(records, path):
-    with open(path, "w", newline="\n") as fh:
+    # surrogateescape writes a method name from an undecodable argv back as its bytes
+    with open(path, "w", newline="\n", encoding="utf-8", errors="surrogateescape") as fh:
         fh.write(records_to_csv(records))
 
 

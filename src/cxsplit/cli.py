@@ -7,6 +7,7 @@ or malformed command line (argparse), 3 reference inconsistency.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from pathlib import Path
@@ -77,7 +78,7 @@ def cmd_design(args):
     print(f"residual_norm = {sol.residual_norm:.3e}")
     text = serialize_scheme(scheme)
     if args.out:
-        Path(args.out).write_text(text)
+        Path(args.out).write_text(text, encoding="utf-8")
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
@@ -153,7 +154,9 @@ def cmd_converge(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The cxsplit argument parser, built on the first call and reused after it."""
     parser = argparse.ArgumentParser(prog="cxsplit")
     sub = parser.add_subparsers(dest="command", required=True)
 

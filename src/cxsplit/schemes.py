@@ -70,7 +70,7 @@ def _reduced_len(n):
 def _expand_coeffs(reduced, n, symmetric):
     if not symmetric:
         return tuple(reduced)
-    return tuple(reduced[min(i, n - 1 - i)] for i in range(n))
+    return tuple(reduced) + tuple(reduced[:n // 2][::-1])
 
 
 class Stage(NamedTuple):
@@ -191,7 +191,7 @@ def resolve_scheme(spec):
         if not path.exists():
             raise
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {spec}: {exc}") from None
     return load_scheme(text), FILE_TOL

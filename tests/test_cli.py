@@ -1,6 +1,7 @@
 import csv
 import importlib.metadata
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -17,6 +18,18 @@ from cxsplit.errors import CxsplitError, DesignScanUnreliable, ValidationError
 from cxsplit.schemes import builtin_scheme, load_scheme, serialize_scheme
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+
+def _subprocess_env(**extra):
+    """os.environ and extra, with the `cxsplit` this process imported first on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
+def _without_wall_time(csv_text):
+    """The sweep CSV lines without their wall_time column (no method name holds a comma)."""
+    return [line.split(",")[:6] + line.split(",")[7:] for line in csv_text.splitlines()]
 
 
 def test_validate_builtins_ok(capsys):
@@ -382,6 +395,52 @@ def test_design_name_round_trips_through_a_file(tmp_path, capsys):
     assert capsys.readouterr().out.startswith(f"{name}: pattern=BAB stages=6 order=4\n")
 
 
+def test_sweep_out_writes_an_undecodable_method_name_back_as_its_bytes(tmp_path, osc_ref):
+    # In the C locale, argv's UTF-8 bytes reach Python as lone surrogates; stdout
+    # prints them back as the bytes given, and so must the --out file.
+    name = "sm4-\u0394.txt".encode("utf-8")
+    with open(os.path.join(os.fsencode(tmp_path), name), "w", encoding="utf-8") as fh:
+        fh.write(serialize_scheme(builtin_scheme("SM4")))
+    env = _subprocess_env(LC_ALL="C", PYTHONUTF8="0")
+    env.pop("PYTHONIOENCODING", None)
+    argv = [sys.executable, "-m", "cxsplit.cli", "sweep", "--problem", "osc",
+            "--methods", name, "--nsteps", "8,16"]
+
+    def run(*extra):
+        done = subprocess.run([*argv, *extra], cwd=tmp_path, env=env, capture_output=True,
+                              timeout=120)
+        assert (done.returncode, done.stderr) == (cli.EXIT_OK, b"")
+        return done.stdout
+
+    printed = run()
+    assert run("--out", "x.csv") == b""
+    written = (tmp_path / "x.csv").read_bytes()
+    assert name in printed and name in written
+    assert (_without_wall_time(written.decode("utf-8"))
+            == _without_wall_time(printed.decode("utf-8")))
+
+
+def test_scheme_file_with_a_byte_order_mark_reads_as_the_plain_file(tmp_path, osc_ref,
+                                                                    capsys, monkeypatch):
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.mkdir()
+    marked.mkdir()
+    assert cli.main(["design", "--stages", "6", "--out", str(plain / "s.txt")]) == cli.EXIT_OK
+    (marked / "s.txt").write_bytes(b"\xef\xbb\xbf" + (plain / "s.txt").read_bytes())
+    capsys.readouterr()
+
+    def outputs(directory):
+        # the same relative name in both directories, so the sweep rows name one method
+        monkeypatch.chdir(directory)
+        assert cli.main(["validate", "s.txt"]) == cli.EXIT_OK
+        validated = capsys.readouterr().out
+        assert cli.main(["sweep", "--problem", "osc", "--methods", "s.txt,sm4",
+                         "--nsteps", "8,16"]) == cli.EXIT_OK
+        return validated, _without_wall_time(capsys.readouterr().out)
+
+    assert outputs(marked) == outputs(plain)
+
+
 @pytest.mark.parametrize("cmd", [["sweep", "--methods", "strang,sm4"],
                                  ["converge", "--method", "sm4"]])
 def test_exact_aflow_on_osc_exits_runtime(cmd, osc_ref, capsys):
@@ -415,9 +474,7 @@ def test_sweep_overflowing_scheme_fails_rows_not_the_sweep(tmp_path,
         code = cli.main(["sweep", "--problem", "parabolic", "--methods", methods,
                          "--nsteps", "2,4,8,16,32,64,128"])
         assert code == cli.EXIT_OK
-        lines = capsys.readouterr().out.splitlines()[1:]
-        # drop wall_time
-        return [line.split(",")[:6] + line.split(",")[7:] for line in lines]
+        return _without_wall_time(capsys.readouterr().out)[1:]
 
     both = rows(f"sm4,{path}")
     failed = {int(r[2]) for r in both if r[0] == str(path) and r[-1] == "1"}
@@ -456,6 +513,70 @@ def test_converge_runtime_error_exit(capsys):
                      "--nsteps", "8,16,32"])
     assert code == cli.EXIT_RUNTIME
     assert "error:" in capsys.readouterr().err
+
+
+# Interleaved calls, each with its exit (a code, or the SystemExit code of an
+# argparse usage error), a usage error from argparse, one from a command, and
+# a runtime error.
+REUSE_CALLS = [
+    (["design", "--stages", "6"], cli.EXIT_OK),
+    (["validate", "SM4", "S62", "nope"], cli.EXIT_VALIDATION),
+    (["sweep", "--problem", "osc", "--methods", "strang,sm4", "--nsteps", "8,16"],
+     cli.EXIT_OK),
+    (["design", "--scan", "--a1", "0.3"], SystemExit(2)),
+    (["sweep", "--problem", "osc", "--methods", "sm4,", "--nsteps", "8"], SystemExit(2)),
+    (["design", "--a1", "0.6"], cli.EXIT_RUNTIME),
+    (["design", "--a1", "0.2", "--name", "x"], cli.EXIT_OK),
+]
+
+
+def test_cli_main_reuses_one_parser_with_the_same_output(osc_ref, capsys):
+    def run(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = SystemExit(exc.code)
+        out, err = capsys.readouterr()
+        if argv[0] == "sweep" and not err:
+            out = _without_wall_time(out)
+        return repr(code), out, err
+
+    cli.build_parser.cache_clear()
+    order = [*REUSE_CALLS, *REUSE_CALLS[::-1], *REUSE_CALLS]
+    first = {}
+    for argv, code in order:
+        result = run(argv)
+        assert result[0] == repr(code)
+        assert result == first.setdefault(tuple(argv), result), argv
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(order) - 1)
+
+
+def test_importing_cli_builds_no_parser():
+    script = """if True:
+        import argparse
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        argparse.ArgumentParser.__init__ = counting_init
+        import cxsplit.cli
+        print(len(built))
+        cxsplit.cli.build_parser()
+        first = len(built)
+        cxsplit.cli.build_parser()
+        print(first, len(built))
+    """
+    done = subprocess.run([sys.executable, "-c", script], env=_subprocess_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    on_import, after_build = done.stdout.splitlines()
+    assert on_import == "0"
+    first, second = map(int, after_build.split())
+    assert first > 0 and second == first
 
 
 def _declared_script():
