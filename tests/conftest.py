@@ -1,4 +1,5 @@
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,16 @@ import pytest
 
 from cxsplit.problems import make_problem, reference_solution
 from cxsplit.schemes import Scheme, builtin_scheme, serialize_scheme
+
+try:
+    import hypothesis
+except ModuleNotFoundError:     # the property tests skip themselves
+    pass
+else:
+    # Even without an example database, hypothesis caches the constants it finds
+    # in local modules, at collection time; keep that cache out of the checkout.
+    _HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    hypothesis.configuration.set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 # References built by the tests are cached in this git-ignored directory of
 # the checkout, never in ~/.cache/cxsplit.

@@ -515,9 +515,9 @@ def test_converge_runtime_error_exit(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-# Interleaved calls, each with its exit (a code, or the SystemExit code of an
-# argparse usage error), a usage error from argparse, one from a command, and
-# a runtime error.
+# cli.main calls and their exits: the returned code, or the SystemExit of a
+# usage error.  They hold a usage error from argparse, one raised by a command
+# through args.error, and a runtime error.
 REUSE_CALLS = [
     (["design", "--stages", "6"], cli.EXIT_OK),
     (["validate", "SM4", "S62", "nope"], cli.EXIT_VALIDATION),

@@ -1,7 +1,5 @@
 """Property test of the kick designer over random admissible flow coefficients."""
 
-import tempfile
-
 import numpy as np
 import pytest
 
@@ -11,10 +9,6 @@ from cxsplit.order_conditions import order_polys
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
-# Even without an example database, hypothesis caches the constants it finds
-# in local modules, at collection time; keep that cache out of the checkout.
-_storage = tempfile.TemporaryDirectory(prefix="hypothesis-")
-hypothesis.configuration.set_hypothesis_home_dir(_storage.name)
 
 weight = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
 designs = st.one_of(

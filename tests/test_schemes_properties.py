@@ -1,17 +1,11 @@
 """Property test of the symmetry expansion over random BAB and ABA schemes."""
 
-import tempfile
-
 import pytest
 
 from cxsplit.schemes import Scheme, builtin_names, builtin_scheme, expand
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
-# Even without an example database, hypothesis caches the constants it finds
-# in local modules, at collection time; keep that cache out of the checkout.
-_storage = tempfile.TemporaryDirectory(prefix="hypothesis-")
-hypothesis.configuration.set_hypothesis_home_dir(_storage.name)
 
 coeff = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
 
