@@ -11,14 +11,14 @@ from functools import partial
 
 import numpy as np
 
-from .errors import InsufficientData, NotInCatalog, StepFailed
+from .errors import InsufficientData, StepFailed
 from .problems import REF_AGREE_TOL, make_problem, reference_solution, run_forked
 from .schemes import Scheme, builtin_scheme, resolve_scheme
-from .stepper import RunRecord, StepperConfig, extrapolate, integrate_with, plan_step
+from .stepper import RunRecord, StepperConfig, a_flow, extrapolate, integrate_with, plan_step
 
 _CF4_ONLY = Scheme("cf4", "ABA", 0, (1.0,), (), 4, False)
 
-#: method name -> (scheme, pinned A-flow kind or None, Richardson-extrapolated)
+#: method name -> its row: (scheme, pinned A-flow kind or None, Richardson-extrapolated)
 METHODS = {
     "strang": (builtin_scheme("STRANG_BAB"), "cf2", False),
     "ext4": (builtin_scheme("STRANG_BAB"), "cf2", True),
@@ -29,26 +29,28 @@ METHODS = {
 }
 
 
-#: A-flow stages per step, the cost unit of the efficiency comparisons; an
-#: extrapolated step runs the plan three times: two half steps, one whole.
-METHOD_STAGES = {name: scheme.n_a * (3 if ext else 1)
-                 for name, (scheme, _, ext) in METHODS.items()}
+def method(name):
+    """The METHODS row of a name, else the row (scheme, None, False) of a builtin or file."""
+    return METHODS.get(name.lower()) or (resolve_scheme(name)[0], None, False)
 
 
-def method_key(name):
-    """What a method name runs: a METHODS row or catalog scheme, else the exact path."""
-    try:
-        return METHODS.get(name.lower()) or (builtin_scheme(name), None, False)
-    except NotInCatalog:
-        return name
+def stages(row):
+    """A-flow stages per step, the cost unit; an extrapolated step runs its plan thrice."""
+    return row[0].n_a * (3 if row[2] else 1)
+
+
+METHOD_STAGES = {name: stages(row) for name, row in METHODS.items()}
+
+
+def _step(row, a_flow_kind, freeze_convention):
+    scheme, pinned, ext = row
+    cfg = StepperConfig(scheme, pinned or a_flow_kind, freeze_convention)
+    return extrapolate(cfg) if ext else plan_step(cfg)
 
 
 def resolve_method(name, a_flow_kind="cf4", freeze_convention="midpoint"):
     """Map a method name, builtin scheme or scheme file to a one-step function."""
-    scheme, pinned, ext = (METHODS.get(name.lower())
-                           or (resolve_scheme(name)[0], None, False))
-    cfg = StepperConfig(scheme, pinned or a_flow_kind, freeze_convention)
-    return extrapolate(cfg) if ext else plan_step(cfg)
+    return _step(method(name), a_flow_kind, freeze_convention)
 
 
 def check_step_grid(grid):
@@ -71,23 +73,23 @@ class SweepSpec:
     a_flow_kind: str = "cf4"
     freeze_convention: str = "midpoint"
     cache_dir: str | None = None
+    rows: list = field(init=False)      # method(name) of each of methods, in order
 
     def __post_init__(self):
         if not self.methods:
             raise ValueError("no methods")
         check_step_grid(self.n_steps_grid)
+        self.rows = [method(name) for name in self.methods]
 
 
-def run_point(problem, method, n_steps, reference, a_flow_kind="cf4",
-              freeze_convention="midpoint"):
-    """One (method, n_steps) benchmark point measured against the reference."""
-    step_fn = resolve_method(method, a_flow_kind, freeze_convention)
+def run_point(problem, name, n_steps, reference, step_fn):
+    """One (method, n_steps) point, run by step_fn, measured against the reference."""
     try:
         state, record = integrate_with(step_fn, problem, problem.u0(),
-                                       problem.t0, problem.tf, n_steps, method)
+                                       problem.t0, problem.tf, n_steps, name)
         record.error_l2 = _norm(state.values.real - reference)
     except StepFailed:
-        record = RunRecord(method=method, h=(problem.tf - problem.t0) / n_steps,
+        record = RunRecord(method=name, h=(problem.tf - problem.t0) / n_steps,
                            n_steps=n_steps, failed=True)
     return record
 
@@ -105,43 +107,38 @@ def _norm(x):
 def sweep(spec):
     """Run the full method x n_steps grid; rows sorted by (method, n_steps).
 
-    Once the reference is ready, the points are dealt into one share per
-    usable core; this process runs the first share and a forked child each
-    other one, so a row's wall_time is the time in the process that ran it.
+    The steps are built and their A-flow kinds checked before the reference.
+    The points go in one share per usable core: this process runs the first,
+    a forked child each other one, so a row's wall_time is its process's.
     """
     problem = make_problem(spec.problem, **spec.params)
+    steps = {name: _step(row, spec.a_flow_kind, spec.freeze_convention)
+             for name, row in zip(spec.methods, spec.rows)}
+    for _, pinned, _ in spec.rows:
+        a_flow(problem, pinned or spec.a_flow_kind)
     reference = reference_solution(problem, cache_dir=spec.cache_dir)
 
     def run(share):
-        return [run_point(problem, method, n_steps, reference, spec.a_flow_kind,
-                          spec.freeze_convention) for method, n_steps in share]
+        return [run_point(problem, name, n_steps, reference, steps[name])
+                for name, n_steps, _ in share]
 
-    points = [(method, n_steps) for method in spec.methods
-              for n_steps in spec.n_steps_grid]
+    points = [(name, n, n * stages(row)) for name, row in zip(spec.methods, spec.rows)
+              for n in spec.n_steps_grid]
     first, *rest = _shares(points, min(len(points), len(os.sched_getaffinity(0))))
     shares = run_forked(f"{problem.key()}: a sweep share's process", partial(run, first),
                         *(partial(run, share) for share in rest))
-    records = [record for share in shares for record in share]
-    records.sort(key=lambda r: (r.method, r.n_steps))
-    return records
+    return sorted((r for share in shares for r in share), key=lambda r: (r.method, r.n_steps))
 
 
 def _shares(points, count):
-    """Deal (method, n_steps) points into `count` shares of near-equal cost.
-
-    Greedy, largest first: each point goes to the share with the least cost
-    so far.  A point costs its A-flow stages: n_steps times the stages per
-    step of what its method runs (``method_key``), or n_steps for a scheme file.
-    """
-    def cost(point):
-        key = method_key(point[0])
-        return point[1] * (1 if isinstance(key, str) else key[0].n_a * (3 if key[2] else 1))
-
+    """Deal (method, n_steps, cost) points into `count` shares of near-equal cost:
+    greedy, largest first, each point to the share with the least cost so far.
+    A point costs its A-flow stages, n_steps times ``stages`` of its row."""
     shares, loads = [[] for _ in range(count)], [0] * count
-    for point in sorted(points, key=cost, reverse=True):
+    for point in sorted(points, key=lambda p: p[2], reverse=True):
         i = loads.index(min(loads))
         shares[i].append(point)
-        loads[i] += cost(point)
+        loads[i] += point[2]
     return shares
 
 
@@ -179,7 +176,7 @@ def fit_order(h_values, errors, floor=100.0 * REF_AGREE_TOL):
     return float(slope), resid
 
 
-def self_converge(problem, method, n_steps_grid, refine=16, a_flow_kind="cf4",
+def self_converge(problem, name, n_steps_grid, refine=16, a_flow_kind="cf4",
                   freeze_convention="midpoint"):
     """Slope against a fine run of the same method (self-consistent reference).
 
@@ -191,11 +188,10 @@ def self_converge(problem, method, n_steps_grid, refine=16, a_flow_kind="cf4",
     if len(n_steps_grid) < 3:
         raise InsufficientData("need at least 3 grid points for a slope fit")
     check_step_grid(n_steps_grid)
-    fine, _ = integrate_with(resolve_method(method, a_flow_kind, freeze_convention),
-                             problem, problem.u0(), problem.t0, problem.tf,
-                             max(n_steps_grid) * refine, method)
-    records = [run_point(problem, method, n, fine.values.real, a_flow_kind,
-                         freeze_convention) for n in n_steps_grid]
+    step_fn = resolve_method(name, a_flow_kind, freeze_convention)
+    fine, _ = integrate_with(step_fn, problem, problem.u0(), problem.t0, problem.tf,
+                             max(n_steps_grid) * refine, name)
+    records = [run_point(problem, name, n, fine.values.real, step_fn) for n in n_steps_grid]
     errors = [r.error_l2 for r in records]
     slope, _ = fit_order([r.h for r in records], errors, floor=0.0)
     return slope, errors

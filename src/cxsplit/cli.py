@@ -135,11 +135,10 @@ def cmd_sweep(args):
     methods = re.split(r",(?![^()]*\))", args.methods)
     if not all(methods):
         args.error(f"argument --methods: empty method name in {args.methods!r}")
-    keys = [bench.method_key(name) for name in methods]
-    repeated = next((name for i, name in enumerate(methods) if keys[i] in keys[:i]), None)
+    spec = _sweep_spec(args, methods)   # a name repeats if it runs an earlier one's method
+    repeated = next((m for i, m in enumerate(methods) if spec.rows[i] in spec.rows[:i]), None)
     if repeated is not None:
         args.error(f"argument --methods: repeated method {repeated!r} in {args.methods!r}")
-    spec = _sweep_spec(args, methods)
     if args.out:
         check_writable(Path(args.out).parent)    # before the sweep, not after it
         bench.write_csv(bench.sweep(spec), args.out)

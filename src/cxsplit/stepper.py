@@ -118,16 +118,20 @@ def plan_step(cfg):
     return step_fn
 
 
+def a_flow(problem, kind):
+    """(flow, kernel calls per flow) of A-flow `kind` on problem; ValidationError if none."""
+    column = 2 if problem.commuting else 1      # this problem's kernel calls in A_FLOWS
+    if (row := A_FLOWS[kind])[column] is None:
+        usable = " or ".join(k for k, other in A_FLOWS.items() if other[column] is not None)
+        raise ValidationError(f"{type(problem).__name__} has no {kind} A-flow (use {usable})")
+    return row[0], row[column]
+
+
 def _run_stages(cfg, problem, state, h, plan, record):
     """Apply a plan compiled by compile_stages once; the step is not projected."""
-    t_n, u, kind = state.t, state.values, cfg.a_flow_kind
+    t_n, u, node = state.t, state.values, FREEZE_NODES[cfg.freeze_convention]
     commuting, a_kernel, b_kick = problem.commuting, problem.a_frozen_exp, problem.b_kick
-    column = 2 if commuting else 1      # this problem's kernel calls in A_FLOWS
-    flow, kernel_calls = A_FLOWS[kind][0], A_FLOWS[kind][column]
-    if kernel_calls is None:    # before any kernel call
-        usable = " or ".join(k for k, row in A_FLOWS.items() if row[column] is not None)
-        raise ValidationError(f"{type(problem).__name__} has no {kind} A-flow (use {usable})")
-    node = FREEZE_NODES[cfg.freeze_convention]
+    flow, calls = a_flow(problem, cfg.a_flow_kind)      # before any kernel call
     flows = kernel_flows = 0    # the stages run, added to record once
     try:
         for idx, (role, c0, dur) in enumerate(plan):
@@ -143,7 +147,7 @@ def _run_stages(cfg, problem, state, h, plan, record):
     finally:
         if record is not None:
             record.a_flow_evals += flows
-            record.kernel_evals += kernel_calls * kernel_flows
+            record.kernel_evals += calls * kernel_flows
     return State(_finite(u), t_n + h)
 
 

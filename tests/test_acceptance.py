@@ -131,7 +131,8 @@ def test_criterion_5_efficiency_reproduction(osc_ref, osc_ref_eps01,
     for (problem, reference), plan_key in fixtures:
         errors, costs = {}, {}
         for method, n_steps in plans[plan_key]:
-            record = bench.run_point(problem, method, n_steps, reference)
+            record = bench.run_point(problem, method, n_steps, reference,
+                                     bench.resolve_method(method))
             errors[method] = record.error_l2
             costs[method] = record.a_flow_evals
         assert len(set(costs.values())) == 1, costs
@@ -143,8 +144,9 @@ def test_criterion_5_efficiency_reproduction(osc_ref, osc_ref_eps01,
     # effective-order effect: (6,2) gains on SM4 at coarse h as eps shrinks
     ratios = {}
     for (problem, reference) in (osc_ref, osc_ref_eps01):
-        e62 = bench.run_point(problem, "s62", 64, reference).error_l2
-        e4 = bench.run_point(problem, "sm4", 64, reference).error_l2
+        e62, e4 = (bench.run_point(problem, name, 64, reference,
+                                   bench.resolve_method(name)).error_l2
+                   for name in ("s62", "sm4"))
         ratios[problem.epsilon] = e62 / e4
     assert ratios[0.1] < ratios[0.25]
     elapsed = time.perf_counter() - start

@@ -1,10 +1,11 @@
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cxsplit import bench, cli
+from cxsplit import bench, cli, stepper
 from cxsplit.errors import CxsplitError, InsufficientData, NotInCatalog, ParseError
 from cxsplit.problems import make_problem
 from cxsplit.schemes import serialize_scheme, builtin_scheme
@@ -92,7 +93,7 @@ def test_self_converge_checks_the_grid_before_its_fine_run(monkeypatch, grid):
 
 def test_run_point_records_error_and_cost(osc_ref):
     problem, reference = osc_ref
-    record = bench.run_point(problem, "sm4", 16, reference)
+    record = bench.run_point(problem, "sm4", 16, reference, bench.resolve_method("sm4"))
     assert record.method == "sm4"
     assert record.n_steps == 16
     assert record.a_flow_evals == 64
@@ -105,7 +106,7 @@ def test_run_point_records_error_and_cost(osc_ref):
 @pytest.mark.parametrize("method", ["sm4", "strang", "ext4"])
 def test_run_point_marks_non_finite_osc_failed(method, q0, p0):
     problem = make_problem("osc", q0=q0, p0=p0)
-    record = bench.run_point(problem, method, 4, np.zeros(2))
+    record = bench.run_point(problem, method, 4, np.zeros(2), bench.resolve_method(method))
     assert record.failed
     assert (record.method, record.n_steps) == (method, 4)
 
@@ -157,7 +158,7 @@ def _rows_but_wall_time(records):
 @pytest.mark.parametrize("problem", ["osc", "parabolic"])
 def test_sweep_rows_do_not_depend_on_the_core_count(request, tmp_path, cores, problem):
     # on parabolic the triple jump's coarse rows fail; a scheme file's
-    # points are costed by n_steps alone when the points are split
+    # points are costed by its own stages when the points are split
     request.getfixturevalue(f"{problem}_ref")
     path = tmp_path / "scheme.txt"
     path.write_text(yoshida_text() if problem == "parabolic"
@@ -173,25 +174,82 @@ def test_sweep_rows_do_not_depend_on_the_core_count(request, tmp_path, cores, pr
     assert_no_child_left()
 
 
+@pytest.fixture
+def resolutions(monkeypatch):
+    """Returns count(path), the reads of the file at `path` and the calls of
+    `expand` (one per step built) since the fixture was set up."""
+    reads, expands = [], []
+    read_text, expand = Path.read_text, stepper.expand
+
+    def spy_read(self, *args, **kwargs):
+        reads.append(str(self))
+        return read_text(self, *args, **kwargs)
+
+    def spy_expand(scheme):
+        expands.append(scheme)
+        return expand(scheme)
+    monkeypatch.setattr(Path, "read_text", spy_read)
+    monkeypatch.setattr(stepper, "expand", spy_expand)
+    return lambda path: (reads.count(str(path)), len(expands))
+
+
+def test_a_sweep_resolves_each_method_once(tmp_path, osc_ref, cores, resolutions, capsys):
+    # the CLI's repeat check and the sweep share one resolution of each name,
+    # made before the reference: one read of the file, one expand per method
+    # for 3 methods x 4 points, in this process
+    path = tmp_path / "s62.txt"
+    path.write_text(serialize_scheme(builtin_scheme("S62")))
+    cores(1)
+    assert cli.main(["sweep", "--problem", "osc", "--methods", f"strang,{path},ext4",
+                     "--nsteps", "8,16,32,64"]) == cli.EXIT_OK
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 3 * 4
+    assert resolutions(path) == (1, 3)
+
+
+def test_self_converge_resolves_its_method_once(tmp_path, resolutions):
+    path = tmp_path / "s62.txt"
+    path.write_text(serialize_scheme(builtin_scheme("S62")))
+    _, errors = bench.self_converge(make_problem("osc"), str(path), [8, 16, 32, 64], refine=2)
+    assert len(errors) == 4
+    assert resolutions(path) == (1, 1)
+
+
 def test_single_point_sweep_starts_no_child(osc_ref, cores):
     forks = cores(2)
     [record] = bench.sweep(bench.SweepSpec("osc", ["sm4"], [8]))
     assert forks == [0] and record.n_steps == 8
 
 
-def test_shares_deal_points_largest_first():
-    # costs 1536, 100, 64 and 8 A-flow stages
-    points = [("strang", 8), ("SM4", 16), ("sm64", 256), ("scheme.txt", 100)]
-    assert bench._shares(points, 2) == [[("sm64", 256)],
-                                        [("scheme.txt", 100), ("SM4", 16), ("strang", 8)]]
-    assert bench._shares(points, 1) == [[("sm64", 256), ("scheme.txt", 100),
-                                         ("SM4", 16), ("strang", 8)]]
+def _priced(*points):
+    """(method, n_steps, cost) of each (method, n_steps), as a sweep prices its points."""
+    return [(name, n, n * bench.stages(bench.method(name))) for name, n in points]
+
+
+def test_shares_deal_points_largest_first(tmp_path):
+    # costs 1536, 600, 64 and 8 A-flow stages: the SM64 file costs its own
+    # 6 stages a step, as the builtin does
+    path = str(tmp_path / "scheme.txt")
+    Path(path).write_text(serialize_scheme(builtin_scheme("SM64")))
+    points = _priced(("strang", 8), ("SM4", 16), ("sm64", 256), (path, 100))
+    assert [p[2] for p in points] == [8, 64, 1536, 600]
+    assert bench._shares(points, 2) == [[("sm64", 256, 1536)],
+                                        [(path, 100, 600), ("SM4", 16, 64), ("strang", 8, 8)]]
+    assert bench._shares(points, 1) == [[("sm64", 256, 1536), (path, 100, 600),
+                                         ("SM4", 16, 64), ("strang", 8, 8)]]
 
 
 def test_shares_price_a_catalog_alias_by_what_it_runs():
     # SM(6,4) runs SM64: 6 stages a step, 6144 in all, against 3072 + 1024
-    points = [("SM(6,4)", 1024), ("strang", 1024), ("s62", 1024)]
-    assert bench._shares(points, 2) == [[("SM(6,4)", 1024)], [("s62", 1024), ("strang", 1024)]]
+    points = _priced(("SM(6,4)", 1024), ("strang", 1024), ("s62", 1024))
+    assert bench._shares(points, 2) == [[("SM(6,4)", 1024, 6144)],
+                                        [("s62", 1024, 3072), ("strang", 1024, 1024)]]
+
+
+@pytest.mark.parametrize("name", sorted(bench.METHODS))
+def test_method_stages_are_the_stages_of_the_resolved_row(name):
+    assert bench.method(name) is bench.METHODS[name]
+    assert bench.method(name.upper()) is bench.METHODS[name]
+    assert bench.METHOD_STAGES[name] == bench.stages(bench.method(name))
 
 
 @pytest.fixture
@@ -222,13 +280,13 @@ def test_error_in_a_child_share_reaches_the_caller(fake_points, cores):
     # running, is killed
     cores(3)
     _, first_child, second_child = bench._shares(
-        [(m, n) for m in SHARED_SPEC.methods for n in SHARED_SPEC.n_steps_grid], 3)
+        _priced(*((m, n) for m in SHARED_SPEC.methods for n in SHARED_SPEC.n_steps_grid)), 3)
 
     def fake(method, n_steps, in_child):
-        if (method, n_steps) == first_child[-1]:
+        if (method, n_steps) == first_child[-1][:2]:
             assert in_child
             raise ParseError("bad row", line_no=7)
-        if (method, n_steps) in second_child:
+        if (method, n_steps) in [point[:2] for point in second_child]:
             time.sleep(60)
     fake_points(fake)
     start = time.perf_counter()
@@ -274,7 +332,7 @@ def test_child_share_process_dying_is_a_cxsplit_error(fake_points, capsys):
 
 def test_write_csv(tmp_path, osc_ref):
     problem, reference = osc_ref
-    records = [bench.run_point(problem, "strang", 8, reference)]
+    records = [bench.run_point(problem, "strang", 8, reference, bench.resolve_method("strang"))]
     out = tmp_path / "sweep.csv"
     bench.write_csv(records, out)
     assert out.read_text().startswith(bench.CSV_HEADER)

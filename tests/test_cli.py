@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -357,18 +358,24 @@ def test_sweep_aliases_with_commas_are_one_method(osc_ref, capsys):
     assert [row[5] for row in rows[1:]] == [repr(r.error_l2) for r in same]
 
 
-def test_sweep_scheme_files_compare_by_exact_path(tmp_path, osc_ref, capsys):
-    lower, upper = tmp_path / "scheme.txt", tmp_path / "SCHEME.txt"
-    for path in (lower, upper):
-        path.write_text(serialize_scheme(builtin_scheme("SM64")))
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["sweep", "--problem", "osc", "--methods", f"{lower},{lower}", "--nsteps", "8"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+def test_sweep_scheme_files_repeat_when_they_hold_the_same_scheme(tmp_path, osc_ref, capsys):
+    # a scheme file follows the one repeat rule: it repeats an earlier name
+    # that runs the same method, whatever the paths
+    lower, upper, copy = tmp_path / "scheme.txt", tmp_path / "SCHEME.txt", tmp_path / "copy.txt"
+    lower.write_text(serialize_scheme(builtin_scheme("SM64")))
+    upper.write_text(serialize_scheme(builtin_scheme("SM4")))
+    copy.write_text(serialize_scheme(builtin_scheme("SM64")))
     assert cli.main(["sweep", "--problem", "osc", "--methods", f"{lower},{upper}",
                      "--nsteps", "8"]) == cli.EXIT_OK
     rows = capsys.readouterr().out.splitlines()[1:]
     assert sorted(row.split(",")[0] for row in rows) == sorted((str(lower), str(upper)))
+    for methods, name in ((f"{lower},{lower}", lower), (f"{lower},{upper},{copy}", copy)):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--problem", "osc", "--methods", methods, "--nsteps", "8"])
+        assert exc.value.code == 2
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert last == (f"cxsplit sweep: error: argument --methods: repeated method "
+                        f"{str(name)!r} in {methods!r}")
 
 
 @pytest.mark.parametrize("name", ["my#scheme", "two\nlines", " padded ", "bad\udcffbyte"],
@@ -454,13 +461,41 @@ def test_exact_aflow_on_osc_exits_runtime(cmd, osc_ref, capsys):
 
 
 def test_exact_aflow_on_osc_runs_strang(osc_ref, capsys):
-    # strang pins its CF2 flow, so --aflow exact never reaches the oscillator
+    # strang and ext4 pin their CF2 flow, so --aflow exact never reaches the oscillator
     code = cli.main(["sweep", "--problem", "osc", "--aflow", "exact",
-                     "--methods", "strang", "--nsteps", "8"])
+                     "--methods", "strang,ext4", "--nsteps", "8"])
     assert code == cli.EXIT_OK
-    default = capsys.readouterr().out.splitlines()[1].split(",")[5]
-    cli.main(["sweep", "--problem", "osc", "--methods", "strang", "--nsteps", "8"])
-    assert capsys.readouterr().out.splitlines()[1].split(",")[5] == default
+    exact = _without_wall_time(capsys.readouterr().out)
+    cli.main(["sweep", "--problem", "osc", "--methods", "strang,ext4", "--nsteps", "8"])
+    assert _without_wall_time(capsys.readouterr().out) == exact
+
+
+@pytest.mark.parametrize("cmd,err", [
+    (["sweep", "--methods", "sm5"], "error: unknown scheme 'sm5'; builtins: "),
+    (["converge", "--method", "nope.txt"], "error: unknown scheme 'nope.txt'; builtins: "),
+    (["sweep", "--methods", "{dir}"], "error: cannot read {dir}: "),
+    (["converge", "--method", "{dir}"], "error: cannot read {dir}: "),
+    (["sweep", "--aflow", "exact", "--methods", "strang,sm4"],
+     "error: OscillatorProblem has no exact A-flow (use cf2 or cf4)\n"),
+    (["converge", "--aflow", "exact", "--method", "sm4"],
+     "error: OscillatorProblem has no exact A-flow (use cf2 or cf4)\n")],
+    ids=["sweep-unknown", "converge-unknown", "sweep-directory", "converge-directory",
+         "sweep-exact-osc", "converge-exact-osc"])
+def test_bad_method_or_flow_fails_before_any_reference(cmd, err, tmp_path, capsys):
+    # an osc reference takes seconds to build and is cached: a name or A-flow
+    # kind that cannot run fails first, and leaves no cache entry
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    argv = [arg.format(dir=tmp_path) for arg in cmd]
+    start = time.perf_counter()
+    code = cli.main([argv[0], "--problem", "osc", *argv[1:], "--nsteps", "8,16,32,64",
+                     "--cache-dir", str(cache)])
+    assert time.perf_counter() - start < 1.0
+    assert code == cli.EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(err.format(dir=tmp_path))
+    assert list(cache.iterdir()) == []
 
 
 def test_sweep_overflowing_scheme_fails_rows_not_the_sweep(tmp_path,

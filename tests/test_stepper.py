@@ -277,6 +277,22 @@ def test_exact_a_flow_on_osc_is_a_validation_error():
         step(cfg, problem, State(problem.u0(), 0.0), 0.1)
 
 
+@pytest.mark.parametrize("problem", ["osc", "parabolic"])
+@pytest.mark.parametrize("kind", sorted(A_FLOWS))
+def test_a_flow_is_the_table_row_of_the_problem(problem, kind):
+    # the one check of an A-flow kind against a problem, which the step and
+    # a sweep (before its reference) both make
+    problem = make_problem(problem)
+    flow, per_flow, per_commuting_flow = A_FLOWS[kind]
+    calls = per_commuting_flow if problem.commuting else per_flow
+    if calls is None:
+        with pytest.raises(ValidationError) as info:
+            stepper.a_flow(problem, kind)
+        assert str(info.value) == "OscillatorProblem has no exact A-flow (use cf2 or cf4)"
+    else:
+        assert stepper.a_flow(problem, kind) == (flow, calls)
+
+
 OSC_STEPS = {
     "sm4": lambda p, s: step(StepperConfig(scheme=builtin_scheme("SM4")), p, s, 0.1),
     "strang": lambda p, s: bench.resolve_method("strang")(p, s, 0.1),
