@@ -81,9 +81,12 @@ class OscillatorProblem:
     def u0(self):
         return np.array([self.q0, self.p0], dtype=complex)
 
-    # Both kernels take a (q, p) pair, an ndarray or the tuple the previous
-    # kernel returned, and return a (q, p) tuple of Python complex: on a
-    # 2-component state numpy's per-call overhead would be the whole cost.
+    # Both kernels take a (q, p) pair, the step's ndarray (read once, with
+    # tolist) or the tuple the previous kernel returned (taken as given), and
+    # return a (q, p) tuple of Python complex: on a 2-component state numpy's
+    # per-call overhead would be the whole cost.  The tuple passes from stage
+    # to stage, and from run to run inside an EXT4 step, until the step's
+    # one finish checks it, projects it and makes it an ndarray.
     # The sums are left folds, the order sum() adds numpy scalars in, so the
     # results equal numpy-scalar arithmetic wherever cmath.sin and np.sin
     # agree (bit for bit on x86-64 glibc).
@@ -95,13 +98,13 @@ class OscillatorProblem:
         for t, w in zip(times, weights):
             omega_sq += w * (1.0 + 0.5 * cos(1.5 * t)) ** 2
             w_sum += w
-        q, p = complex(state[0]), complex(state[1])
+        q, p = state if type(state) is tuple else state.tolist()
         if w_sum == 0.0:   # [[0, 0], [-omega_sq, 0]] is nilpotent: exp is I + duration * it
             return q, p - duration * omega_sq * q
         return exp_2x2(omega_sq / w_sum, duration * w_sum, (q, p))
 
     def b_kick(self, t_frozen, tau, state):
-        q, p = complex(state[0]), complex(state[1])
+        q, p = state if type(state) is tuple else state.tolist()
         kick = 0j
         for w in OMEGA_J:
             kick += cmath.sin(q - w * t_frozen)

@@ -8,12 +8,17 @@ There is one engine: ``plan_step`` compiles a scheme once into a plan of
 real nodes and durations (so the realness of its flow times is checked
 once per plan, not per stage per step) and returns the step that runs it.
 Strang is the STRANG_BAB plan with a CF2 flow, EXT4 its ``extrapolate``,
-which combines unprojected steps and projects the result.
-Each A-flow kind is a row of ``propagators.A_FLOWS``, looked up once per
-step.  A zero-duration flow is skipped: it counts in ``a_flow_evals`` but
-calls no kernel, so it adds nothing to ``kernel_evals``.  A step adds its
-counts to the record once, when its stages end: on a failure, those of the
-stages before the failing one.
+which runs the plan three times and combines the unprojected results.
+The engine has two parts.  The stage runner ``_run_stages`` applies a plan
+once and returns the state as the kernels hand it back; it looks up the
+``propagators.A_FLOWS`` row of the flow kind once per run.  The finish
+``_finish`` runs exactly once per public step, after the last run (and, in
+EXT4, after the combination): it checks the state finite, projects it onto
+the real axis and makes it an ndarray in a ``State``.
+A zero-duration flow is skipped: it counts in ``a_flow_evals`` but calls
+no kernel, so it adds nothing to ``kernel_evals``.  A run adds its counts
+to the record once, when its stages end: on a failure, those of the stages
+before the failing one.
 
 Problem protocol: the engine reads three members of a problem.
 ``commuting`` says whether the A(t) commute (then CF4 fuses into one
@@ -22,8 +27,11 @@ duration, state)`` applies exp(duration * sum_i weights_i A(times_i)), the
 one A-kernel of CF2, CF4 and the exact flow; ``b_kick(t, tau, state)`` is
 the B-flow frozen at real time t for a complex duration tau.  Both kernels
 may return any state that the next kernel accepts (an ndarray, or the
-oscillator's (q, p) tuple); the step makes the result an ndarray once,
-after its last stage, before the finiteness check and the real projection.
+oscillator's (q, p) tuple); that state passes unchanged from stage to
+stage and from run to run, and EXT4 combines its runs in it, until the
+finish checks it (with ``cmath`` on a tuple, numpy on an ndarray).  Kernels
+keep a non-finite state non-finite, so the one check catches a stage that
+went non-finite anywhere in the step.
 A kernel that fails on non-finite or overflowing input raises StepFailed
 (StepTooLarge is one) or one of KERNEL_ERRORS (``cmath`` raises ValueError
 or OverflowError where numpy returns inf or nan), which the step turns
@@ -83,7 +91,7 @@ class RunRecord:
 
 def _real(value, what):
     z = complex(value)
-    if abs(z.imag) > REAL_TIME_TOL:
+    if not abs(z.imag) <= REAL_TIME_TOL:     # a NaN imaginary part is not real either
         raise RealTimeViolation(f"{what} has imaginary part {z.imag:.3e}")
     return z.real
 
@@ -113,8 +121,8 @@ def plan_step(cfg):
     plan = compile_stages(expand(cfg.scheme))
 
     def step_fn(problem, state, h, record=None):
-        raw = _run_stages(cfg, problem, state, h, plan, record)
-        return State(raw.values.real.astype(complex), raw.t)
+        u = _run_stages(cfg, problem, state.t, state.values, h, plan, record)
+        return _finish(u, state.t + h)
     return step_fn
 
 
@@ -127,9 +135,13 @@ def a_flow(problem, kind):
     return row[0], row[column]
 
 
-def _run_stages(cfg, problem, state, h, plan, record):
-    """Apply a plan compiled by compile_stages once; the step is not projected."""
-    t_n, u, node = state.t, state.values, FREEZE_NODES[cfg.freeze_convention]
+def _run_stages(cfg, problem, t_n, u, h, plan, record):
+    """Apply a plan compiled by compile_stages once to u at time t_n.
+
+    Returns the state as the last kernel hands it back: not checked, not
+    projected, not converted.
+    """
+    node = FREEZE_NODES[cfg.freeze_convention]
     commuting, a_kernel, b_kick = problem.commuting, problem.a_frozen_exp, problem.b_kick
     flow, calls = a_flow(problem, cfg.a_flow_kind)      # before any kernel call
     flows = kernel_flows = 0    # the stages run, added to record once
@@ -148,33 +160,40 @@ def _run_stages(cfg, problem, state, h, plan, record):
         if record is not None:
             record.a_flow_evals += flows
             record.kernel_evals += calls * kernel_flows
-    return State(_finite(u), t_n + h)
+    return u
 
 
-def _finite(u):
-    """The values after a step: an ndarray, checked finite."""
-    # the kernels keep a non-finite state non-finite: one check per step; on
-    # the oscillator's (q, p) tuple cmath checks in a third of numpy's time
+def _finish(u, t):
+    """The end of every public step: u checked finite, projected, as a State at t."""
+    # the kernels keep a non-finite state non-finite, so one check per step
+    # suffices; on the oscillator's (q, p) tuple cmath checks in a third of
+    # numpy's time
     if not (all(map(cmath.isfinite, u)) if type(u) is tuple else np.isfinite(u).all()):
         raise StepFailed("non-finite state")
-    return np.asarray(u, dtype=complex)
+    return State(np.asarray(u, dtype=complex).real.astype(complex), t)
 
 
 def extrapolate(cfg):
     """Richardson extrapolation of the second-order step of cfg.scheme.
 
-    (4/3) S(h/2)S(h/2) - (1/3) S(h) over the unprojected steps S, projected
-    onto the real axis once: EXT4 when cfg is Strang (Blanes, Casas & Ros
-    1999).
+    (4/3) S(h/2)S(h/2) - (1/3) S(h) over the unprojected steps S, combined
+    in the kernels' state type and finished once: EXT4 when cfg is Strang
+    (Blanes, Casas & Ros 1999).
     """
     plan = compile_stages(expand(cfg.scheme))
 
     def extrapolated(problem, state, h, record=None):
-        half = _run_stages(cfg, problem, state, 0.5 * h, plan, record)
-        half = _run_stages(cfg, problem, half, 0.5 * h, plan, record)
-        whole = _run_stages(cfg, problem, state, h, plan, record)
-        u = (4.0 / 3.0) * half.values - (1.0 / 3.0) * whole.values
-        return State(_finite(u).real.astype(complex), state.t + h)
+        t_n, u = state.t, state.values
+        half = _run_stages(cfg, problem, t_n, u, 0.5 * h, plan, record)
+        half = _run_stages(cfg, problem, t_n + 0.5 * h, half, 0.5 * h, plan, record)
+        whole = _run_stages(cfg, problem, t_n, u, h, plan, record)
+        # CPython (to 3.13) multiplies a float by a complex as numpy does, as
+        # complex(x, 0) * z: the tuple combination is numpy's, bit for bit
+        if type(half) is tuple:
+            u = tuple((4.0 / 3.0) * a - (1.0 / 3.0) * b for a, b in zip(half, whole))
+        else:
+            u = (4.0 / 3.0) * half - (1.0 / 3.0) * whole
+        return _finish(u, t_n + h)
     return extrapolated
 
 

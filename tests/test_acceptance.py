@@ -16,8 +16,7 @@ from cxsplit.problems import (REF_AGREE_TOL, _classical_oracle,
                               _splitting_oracle, make_problem)
 from cxsplit.propagators import exp_circulant
 from cxsplit.schemes import builtin_scheme, expand, validate_scheme
-from cxsplit.stepper import (State, StepperConfig, _run_stages,
-                             compile_stages)
+from cxsplit.stepper import StepperConfig, _run_stages, compile_stages
 
 from conftest import dense_expm
 
@@ -162,7 +161,7 @@ def test_criterion_6_oracle_equivalence():
     scheme = builtin_scheme("SM4")
     h = 0.1
     cfg = StepperConfig(scheme=scheme, a_flow_kind="cf4")
-    stepped = _run_stages(cfg, problem, State(problem.u0(), 0.0), h,
+    stepped = _run_stages(cfg, problem, 0.0, problem.u0(), h,
                           compile_stages(expand(scheme)), None)
 
     lap = problem.lap.dense()
@@ -176,7 +175,7 @@ def test_criterion_6_oracle_equivalence():
             coeff = 0.5 * sum(problem.alpha(t0 + off * dur) ** 2
                               for off in offsets)
             u = dense_expm(dur * coeff * lap) @ u
-    assert np.max(np.abs(stepped.values - u)) < 1e-12
+    assert np.max(np.abs(stepped - u)) < 1e-12
 
     rng = np.random.default_rng(7)
     state = rng.standard_normal(8)

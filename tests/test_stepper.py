@@ -21,9 +21,10 @@ def step(cfg, problem, state, h, record=None):
 
 
 def raw_step(cfg, problem, state, h, record=None):
-    """One unprojected composition step of cfg.scheme."""
+    """One unprojected composition step of cfg.scheme, as an ndarray State."""
     plan = compile_stages(expand(cfg.scheme))
-    return _run_stages(cfg, problem, state, h, plan, record)
+    u = _run_stages(cfg, problem, state.t, state.values, h, plan, record)
+    return State(np.asarray(u, dtype=complex), state.t + h)
 
 
 def test_config_rejects_unknown_kinds():
@@ -127,12 +128,26 @@ class CountingStub:
         return state
 
 
-def test_complex_flow_coefficient_rejected_before_any_kernel_call():
-    bad = Scheme("bad", "BAB", 1, (1.0 + 0.2j,), (0.5 - 0.1j,), 2, True)
+@pytest.mark.parametrize("flow", [1.0 + 0.2j, complex(1.0, math.nan)],
+                         ids=["complex", "nan-imag"])
+def test_complex_flow_coefficient_rejected_before_any_kernel_call(flow):
+    # a NaN imaginary part is no more real than 0.2j: it fails the guard too
+    bad = Scheme("bad", "BAB", 1, (flow,), (0.5,), 2, True)
     stub = CountingStub()
-    with pytest.raises(RealTimeViolation):
+    with pytest.raises(RealTimeViolation, match="A-flow duration"):
         integrate(StepperConfig(scheme=bad), stub, np.ones(1), 0.0, 1.0, 4)
     assert stub.calls == 0
+    problem = make_problem("parabolic")
+    with pytest.raises(RealTimeViolation, match="A-flow duration"):
+        integrate(StepperConfig(scheme=bad), problem, problem.u0(), 0.0, 1.0, 4)
+
+
+@pytest.mark.parametrize("node", [0.2j, complex(0.0, math.nan)], ids=["complex", "nan-imag"])
+def test_complex_kick_node_rejected_at_compile_time(node):
+    seq = list(expand(STRANG))
+    seq[0] = seq[0]._replace(c0=node)
+    with pytest.raises(RealTimeViolation, match="B-kick node"):
+        compile_stages(seq)
 
 
 def test_nan_from_a_mid_step_kick_fails_the_step():
@@ -249,15 +264,20 @@ def test_ext4_counts_three_flows_and_projects():
     assert np.all(state.values.imag == 0.0)
 
 
-def test_ext4_is_the_richardson_combination_of_strang():
-    problem = make_problem("osc")
-    start = State(problem.u0(), 0.0)
+@pytest.mark.parametrize("name", ["osc", "parabolic"])
+def test_ext4_is_the_richardson_combination_of_strang(name):
+    # the osc runs combine as Python complex tuples, bit for bit numpy's
+    # combination of the same runs as ndarrays
+    problem = make_problem(name)
     cfg = StepperConfig(STRANG, "cf2")
-    half = raw_step(cfg, problem, raw_step(cfg, problem, start, 0.05), 0.05)
-    whole = raw_step(cfg, problem, start, 0.1)
-    combined = (4.0 / 3.0) * half.values - (1.0 / 3.0) * whole.values
     ext4 = bench.resolve_method("ext4")
-    assert np.array_equal(ext4(problem, start, 0.1, None).values, combined.real)
+    state = State(problem.u0(), 0.0)
+    for _ in range(32):
+        half = raw_step(cfg, problem, raw_step(cfg, problem, state, 0.05), 0.05)
+        whole = raw_step(cfg, problem, state, 0.1)
+        combined = (4.0 / 3.0) * half.values - (1.0 / 3.0) * whole.values
+        state = ext4(problem, state, 0.1, None)
+        assert state.values.tobytes() == combined.real.astype(complex).tobytes()
 
 
 def test_exact_a_flow_kind_on_parabolic():
@@ -319,12 +339,18 @@ def test_non_finite_osc_state_fails_the_step(method, values):
         OSC_STEPS[method](problem, State(np.array(values, dtype=complex), 0.0))
 
 
-def _numpy_finite(u):
-    """The ndarray check of every state, the reference for stepper._finite."""
-    u = np.asarray(u, dtype=complex)
-    if not np.isfinite(u).all():
-        raise StepFailed("non-finite state")
-    return u
+class NumpyFinish:
+    """The ndarray finish of every step, the reference for stepper._finish; counts its calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, u, t):
+        self.calls += 1
+        u = np.asarray(u, dtype=complex)
+        if not np.isfinite(u).all():
+            raise StepFailed("non-finite state")
+        return State(u.real.astype(complex), t)
 
 
 class TupleStub:
@@ -357,6 +383,54 @@ def test_non_finite_tuple_state_fails_the_step(method, slot, part, bad):
         integrate_with(step_fn, TupleStub(poison), np.ones(2), 0.0, 1.0, 2, method)
 
 
+class FirstKickPoisons:
+    """Identity kernels on a 2-component state, except that the first kick returns NaN.
+
+    In an EXT4 step only the first half-step goes non-finite: the second
+    half carries its NaN on, and the whole step starts again from the clean
+    state.  ``as_tuple`` makes the kernels hand back (q, p) tuples, as the
+    oscillator's do, instead of ndarrays.
+    """
+
+    commuting = False
+
+    def __init__(self, as_tuple):
+        self.as_tuple = as_tuple
+        self.kicks = 0
+
+    def _out(self, state):
+        return tuple(complex(z) for z in state) if self.as_tuple else np.asarray(state)
+
+    def a_frozen_exp(self, times, weights, duration, state):
+        return self._out(state)
+
+    def b_kick(self, t_frozen, tau, state):
+        self.kicks += 1
+        return self._out(state) if self.kicks > 1 else self._out([math.nan, 1.0])
+
+
+@pytest.mark.parametrize("as_tuple", [False, True], ids=["ndarray", "tuple"])
+def test_ext4_fails_when_only_its_first_half_goes_non_finite(as_tuple):
+    stub = FirstKickPoisons(as_tuple)
+    record = RunRecord()
+    ext4 = bench.resolve_method("ext4")
+    with pytest.raises(StepFailed, match="^non-finite state$"):
+        ext4(stub, State(np.ones(2, dtype=complex), 0.0), 0.1, record)
+    assert stub.kicks == 3 * 2      # all three Strang runs ran to their end
+    assert (record.a_flow_evals, record.kernel_evals) == (3, 3)
+
+
+@pytest.mark.parametrize("name,kind", [("osc", tuple), ("parabolic", np.ndarray)])
+def test_stage_runner_returns_the_kernels_state(name, kind):
+    # the runner neither converts nor checks nor projects: the finish does
+    problem = make_problem(name)
+    cfg = StepperConfig(scheme=builtin_scheme("SM4"))
+    plan = compile_stages(expand(cfg.scheme))
+    u = _run_stages(cfg, problem, 0.0, problem.u0(), 0.1, plan, None)
+    assert type(u) is kind
+    assert np.any(np.asarray(u).imag != 0.0)
+
+
 @pytest.mark.parametrize("method", ["sm4", "strang", "ext4"])
 def test_osc_runs_are_bitwise_those_of_the_numpy_check(method, monkeypatch):
     problem = make_problem("osc")
@@ -366,8 +440,10 @@ def test_osc_runs_are_bitwise_those_of_the_numpy_check(method, monkeypatch):
                               problem.t0, problem.tf, 256, method)
 
     state, record = run()
-    monkeypatch.setattr(stepper, "_finite", _numpy_finite)
+    finish = NumpyFinish()
+    monkeypatch.setattr(stepper, "_finish", finish)
     ref_state, ref_record = run()
+    assert finish.calls == 256      # the one finish of each public step ran
     assert state.values.tobytes() == ref_state.values.tobytes()
     assert state.t == ref_state.t
     assert (record.a_flow_evals, record.kernel_evals) == (
