@@ -136,11 +136,8 @@ def a_flow(problem, kind):
 
 
 def _run_stages(cfg, problem, t_n, u, h, plan, record):
-    """Apply a plan compiled by compile_stages once to u at time t_n.
-
-    Returns the state as the last kernel hands it back: not checked, not
-    projected, not converted.
-    """
+    """Apply a plan compiled by compile_stages once to u at time t_n; return
+    the state as the last kernel hands it back, unchecked and unprojected."""
     node = FREEZE_NODES[cfg.freeze_convention]
     commuting, a_kernel, b_kick = problem.commuting, problem.a_frozen_exp, problem.b_kick
     flow, calls = a_flow(problem, cfg.a_flow_kind)      # before any kernel call
