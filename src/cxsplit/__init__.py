@@ -7,8 +7,7 @@ from .designer import (DesignProblem, DesignSolution, scan_a1, solve_b,
 from .order_conditions import Residuals, residuals
 from .problems import (FisherProblem, OscillatorProblem, ParabolicProblem,
                        make_problem, reference_solution)
-from .propagators import (CirculantLaplacian, cf2_step, cf4_step, exp_2x2,
-                          exp_circulant)
+from .propagators import CirculantLaplacian, exp_2x2, exp_circulant
 from .schemes import (Scheme, builtin_names, builtin_scheme, expand,
                       load_scheme, resolve_scheme, serialize_scheme,
                       validate_scheme)

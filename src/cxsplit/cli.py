@@ -48,6 +48,10 @@ def cmd_validate(args):
         res = residuals(expand(scheme))
         print(f"  p_aba = {abs(res.p_aba):.6e}  p_abb = {abs(res.p_abb):.6e}  "
               f"p_abaaa = {abs(res.p_abaaa):.6e}")
+        if scheme.claimed_order >= 4 and not max(abs(res.p_aba), abs(res.p_abb)) <= tol:
+            print(f"{scheme.name}: INVALID (order {scheme.claimed_order} needs |p_aba| "
+                  f"and |p_abb| <= {tol:.0e})")
+            status = EXIT_VALIDATION
     return status
 
 

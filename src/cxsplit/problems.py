@@ -44,15 +44,11 @@ REF_VERSION = 2
 # magic, version, key digest, payload bytes, oracle gap, build seconds
 REF_HEADER = struct.Struct("<8sQ16sQdd")
 
-# The oscillator's forcing frequencies, read as a global by its kernels: on
-# CPython 3.11 a class attribute read through an instance costs about 45 ns
-# more on each of the osc kernels' calls.
+# The oscillator's forcing frequencies, read as a global by its kernels: a
+# global is read faster than a class attribute through an instance.
 OMEGA_J = (7.0, 14.0, 21.0)
-# Parabolic kick factors kept per problem: a sweep runs its (method, n_steps)
-# points on one problem, a share of them in each process.  perfbench's 30-point
-# parabolic sweep in 2 shares sees 32 and 33 distinct tau (32 and 35 misses,
-# 6400 and 5629 hits, 1 and 2 clears; 61, 68, 12028 and 4 in one process); one
-# run of a scheme uses <= 4.
+# Parabolic kick factors kept per problem: one run of a scheme uses <= 4, a
+# sweep's share of (method, n_steps) points a few dozen (counts in CHANGES.md).
 KICK_FACTORS_KEPT = 16
 
 
@@ -277,8 +273,12 @@ def _rk4_osc(epsilon, q, p, t0, tf, n_steps):
 
 def _splitting_oracle(problem):
     cfg = StepperConfig(scheme=builtin_scheme("SM4"), a_flow_kind="cf4")
-    state, _ = integrate(cfg, problem, problem.u0(), problem.t0, problem.tf,
-                         REF_SPLIT_STEPS)
+    try:
+        state, _ = integrate(cfg, problem, problem.u0(), problem.t0, problem.tf,
+                             REF_SPLIT_STEPS)
+    except StepFailed as exc:
+        raise StepFailed(f"{problem.key()}: reference {problem.params()} not built: "
+                         f"the splitting oracle failed: {exc}") from exc
     return state.values.real
 
 

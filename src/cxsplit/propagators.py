@@ -1,11 +1,10 @@
-"""Flow approximations for the dominant non-autonomous part u' = A(t)u.
+"""The A-flows of u' = A(t)u as data, and the benchmark problems' exact kernels.
 
-Provides the midpoint exponential (second order), the two-exponential
-commutator-free fourth-order integrator and the exact flow of a commuting
-family, all expressed through a caller-supplied frozen-exponential kernel
-exp(duration * sum_i weights_i A(times_i)), plus the small exact kernels
-used by the benchmark problems: the 2x2 oscillator exponential and the
-spectral exponential of the periodic finite-difference Laplacian.
+``A_FLOWS`` holds the midpoint exponential (CF2, second order), the
+commutator-free fourth-order integrator (CF4) and the exact flow of a
+commuting family as calls of one frozen-exponential kernel.  The kernels
+here are the 2x2 oscillator exponential and the spectral exponential of the
+periodic finite-difference Laplacian.
 """
 
 from __future__ import annotations
@@ -22,60 +21,36 @@ from .errors import StepTooLarge
 CF4_ALPHA = 0.5 - math.sqrt(3.0) / 3.0
 CF4_BETA = 1.0 - CF4_ALPHA
 GAUSS_OFFSETS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+#: the offset of a CF2 flow: the freeze node, which the stepper fills in
+FREEZE = None
 
 SHEAR_THRESHOLD = 1e-14
 EXP_OVERFLOW = 709.0
 
 
-def cf2_step(t0, h, state, frozen_exponential, commuting, node):
-    """Frozen exponential exp(h A(t0 + node h)): node=0.5 is the midpoint rule.
-
-    node=0 freezes A at the start of the flow (the literal convention).
-    """
-    return frozen_exponential((t0 + node * h,), (1.0,), h, state)
-
-
-def cf4_step(t0, h, state, frozen_exponential, commuting, node):
-    """Fourth-order commutator-free step over [t0, t0 + h].
-
-    Applies exp((h/2)(beta A(tau1) + alpha A(tau2))) first and then the
-    weight-swapped exponential; pairing the dominant weight beta with the
-    earlier Gauss node first is what matches the h^2 Magnus commutator term
-    (the reverse pairing drops to order two).  For commuting generator
-    families the two exponentials fuse into the 2-point Gauss quadrature
-    exponential, which also avoids the transient negative weight alpha.
-    """
-    tau1 = t0 + GAUSS_OFFSETS[0] * h
-    tau2 = t0 + GAUSS_OFFSETS[1] * h
-    if commuting:
-        return frozen_exponential((tau1, tau2), (0.5, 0.5), h, state)
-    state = frozen_exponential((tau1, tau2), (CF4_BETA, CF4_ALPHA), 0.5 * h, state)
-    return frozen_exponential((tau1, tau2), (CF4_ALPHA, CF4_BETA), 0.5 * h, state)
-
-
-def exact_step(t0, h, state, frozen_exponential, commuting, node):
-    """Exact flow exp(int A) over [t0, t0 + h] of a commuting family A(t).
-
-    The integral is 20-point Gauss-Legendre quadrature.
-    """
-    nodes, weights = _gauss_legendre_20()
-    return frozen_exponential(t0 + 0.5 * h * (nodes + 1.0), weights, 0.5 * h, state)
-
-
-#: kind -> (flow, kernel calls per flow if A(t) do not commute, if they do; None: cannot run)
-A_FLOWS = {
-    "cf2": (cf2_step, 1, 1),
-    "cf4": (cf4_step, 2, 1),
-    "exact": (exact_step, None, 1),
-}
-
-
 @functools.cache
-def _gauss_legendre_20():
-    """The 20-point Gauss-Legendre rule on [-1, 1], computed once, on first use."""
+def _gauss_legendre_flow():
+    """exp(int A) over [t0, t0 + tau] by 20-point Gauss-Legendre quadrature,
+    as a flow of one call: offsets 0.5 (x + 1), duration 0.5 tau.  Made on
+    first use: the rule is not computed at import."""
     nodes, weights = np.polynomial.legendre.leggauss(20)
-    weights.flags.writeable = False     # shared by every call: kernels only read it
-    return nodes, weights
+    return tuple((0.5 * (nodes + 1.0)).tolist()), ((tuple(weights.tolist()), 0.5),)
+
+
+#: kind -> (flow if the A(t) do not commute, flow if they do), None where the
+#: kind cannot run.  A flow is (offsets, calls): the kernel's times are
+#: t0 + o * tau for o in offsets, and each call (weights, factor), in order,
+#: applies exp(factor * tau * sum_i weights_i A(times_i)).  CF4 pairs the
+#: dominant weight beta with the earlier Gauss node first, which matches the
+#: h^2 Magnus commutator term (the reverse pairing drops to order two); on
+#: commuting A(t) its two calls fuse into one, the 2-point Gauss rule.  The
+#: exact flow's entry is the cached function that makes its rule.
+A_FLOWS = {
+    "cf2": (((FREEZE,), (((1.0,), 1.0),)),) * 2,
+    "cf4": ((GAUSS_OFFSETS, (((CF4_BETA, CF4_ALPHA), 0.5), ((CF4_ALPHA, CF4_BETA), 0.5))),
+            (GAUSS_OFFSETS, (((0.5, 0.5), 1.0),))),
+    "exact": (None, _gauss_legendre_flow),
+}
 
 
 def exp_2x2(omega_sq, tau, state):
@@ -128,9 +103,8 @@ def exp_circulant(lap, tau, state):
     product is not bitwise commutative.
 
     The FFTs are the pocketfft ufuncs behind ``np.fft``, called with its
-    factors (1, then 1/n) but not its wrappers, which cost about as much as
-    the transforms on 100 points; the tests pin the bits to ``np.fft``.  The
-    outputs take the state's shape, so a state of another length still fails.
+    factors (1, then 1/n) but not its wrappers; the tests pin the bits to
+    ``np.fft``.  The outputs take the state's shape: another length fails.
     """
     u = np.asarray(state, dtype=complex)
     spec = _pocketfft.fft(u, 1.0, out=np.empty_like(u))

@@ -1,41 +1,35 @@
 """Composition engine: apply a scheme to a problem one step at a time.
 
-A step alternates B-kicks (frozen real time, complex duration) with
-A-flows over real subintervals, projects onto the real axis after the full
-step (the projection is part of the method: every public step makes it),
-and counts A-flow evaluations, which is the benchmark cost metric.
-There is one engine: ``plan_step`` compiles a scheme once into a plan of
-real nodes and durations (so the realness of its flow times is checked
-once per plan, not per stage per step) and returns the step that runs it.
-Strang is the STRANG_BAB plan with a CF2 flow, EXT4 its ``extrapolate``,
-which runs the plan three times and combines the unprojected results.
-The engine has two parts.  The stage runner ``_run_stages`` applies a plan
-once and returns the state as the kernels hand it back; it looks up the
-``propagators.A_FLOWS`` row of the flow kind once per run.  The finish
-``_finish`` runs exactly once per public step, after the last run (and, in
-EXT4, after the combination): it checks the state finite, projects it onto
-the real axis and makes it an ndarray in a ``State``.
-A zero-duration flow is skipped: it counts in ``a_flow_evals`` but calls
-no kernel, so it adds nothing to ``kernel_evals``.  A run adds its counts
-to the record once, when its stages end: on a failure, those of the stages
+A step alternates B-kicks (frozen real time, complex duration) with A-flows
+over real subintervals, projects onto the real axis after the full step
+(the projection is part of the method), and counts A-flow evaluations, the
+benchmark cost metric.  ``plan_step`` compiles a scheme, once for each
+value of ``problem.commuting``, into a plan of one row per stage, its flow
+times checked real; each step runs the plan of its problem.  A row
+(c0, d, flow) spans [t0, t0 + tau] with t0 = t_n + c0 h and tau = d h: a
+B-kick (flow None) is frozen at t0; an A-flow makes the kernel calls of its
+``propagators.A_FLOWS`` flow at the times t0 + o tau, formed once per flow,
+each call for factor * tau.  Strang is the STRANG_BAB plan with a CF2
+flow; EXT4, its ``extrapolate``, runs the plan three times and combines
+the unprojected results.  The stage runner ``_run_stages`` returns the
+state as the kernels hand it back, and ``_finish`` runs once per public
+step: it checks the state finite, projects it and makes it a ``State``.
+A zero-duration flow calls no kernel but counts in ``a_flow_evals``.  A
+run adds its counts to the record once: on a failure, those of the stages
 before the failing one.
 
-Problem protocol: the engine reads three members of a problem.
-``commuting`` says whether the A(t) commute (then CF4 fuses into one
-exponential and the exact flow exists); ``a_frozen_exp(times, weights,
-duration, state)`` applies exp(duration * sum_i weights_i A(times_i)), the
-one A-kernel of CF2, CF4 and the exact flow; ``b_kick(t, tau, state)`` is
-the B-flow frozen at real time t for a complex duration tau.  Both kernels
-may return any state that the next kernel accepts (an ndarray, or the
-oscillator's (q, p) tuple); that state passes unchanged from stage to
-stage and from run to run, and EXT4 combines its runs in it, until the
-finish checks it (with ``cmath`` on a tuple, numpy on an ndarray).  Kernels
-keep a non-finite state non-finite, so the one check catches a stage that
-went non-finite anywhere in the step.
-A kernel that fails on non-finite or overflowing input raises StepFailed
-(StepTooLarge is one) or one of KERNEL_ERRORS (``cmath`` raises ValueError
-or OverflowError where numpy returns inf or nan), which the step turns
-into StepFailed.
+Problem protocol: ``commuting`` (the A(t) commute: CF4 fuses into one
+exponential, and the exact flow exists); ``a_frozen_exp(times, weights,
+duration, state)``, exp(duration * sum_i weights_i A(times_i)); and
+``b_kick(t, tau, state)``, the B-flow frozen at real time t for a complex
+duration tau.  The kernels may hand back any state that the next kernel
+accepts (an ndarray, or the oscillator's (q, p) tuple): it passes
+unchanged through the stages, and through EXT4's runs and combination, to
+the finish.  Kernels keep a non-finite state non-finite, so the one check
+catches every stage.  A kernel that fails raises StepFailed (StepTooLarge
+is one) or one of KERNEL_ERRORS (``cmath`` raises ValueError or
+OverflowError where numpy returns inf or nan), which the step turns into
+StepFailed.
 """
 
 from __future__ import annotations
@@ -47,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RealTimeViolation, StepFailed, ValidationError
-from .propagators import A_FLOWS
+from .propagators import A_FLOWS, FREEZE
 from .schemes import expand
 
 REAL_TIME_TOL = 1e-12
@@ -96,75 +90,101 @@ def _real(value, what):
     return z.real
 
 
-def compile_stages(seq):
-    """Compile an expanded stage sequence into a plan: (role, c0, duration).
+def compile_stages(seq, flow, node):
+    """Compile an expanded stage sequence into a plan of (c0, coeff, flow) rows.
 
-    A-flows carry a real start node and a real duration, B-kicks a real
-    frozen node and their coefficient, a float if it is real (numpy's complex
-    exp differs from its real exp in the last bit); all scale with h at run
-    time.  Raises RealTimeViolation if a flow time has an imaginary part.
+    An A-flow row holds a real start node, a real duration and the A_FLOWS
+    flow, a lazy rule made, a FREEZE offset set to node and its offsets
+    turned into a times map; a B-kick row a real node, its coefficient, a
+    float if it is real (numpy's complex exp differs from its real exp in
+    the last bit), and None.  Raises RealTimeViolation if a flow time has an
+    imaginary part.
     """
+    offsets, calls = flow() if callable(flow) else flow
+    flow = _times(tuple(node if o is FREEZE else o for o in offsets)), calls
     plan = []
     for stage in seq:
         if stage.role == "A":
-            plan.append(("A", _real(stage.c0, "A-flow start node"),
-                         _real(stage.coeff, "A-flow duration")))
+            plan.append((_real(stage.c0, "A-flow start node"),
+                         _real(stage.coeff, "A-flow duration"), flow))
         else:
             coeff = complex(stage.coeff)
-            plan.append(("B", _real(stage.c0, "B-kick node"),
-                         coeff.real if coeff.imag == 0.0 else coeff))
+            plan.append((_real(stage.c0, "B-kick node"),
+                         coeff.real if coeff.imag == 0.0 else coeff, None))
     return tuple(plan)
+
+
+def _times(offsets):
+    """(t0, tau) -> the tuple of t0 + o * tau over offsets: written out for
+    the one and two offsets of CF2 and CF4, cheaper than a comprehension."""
+    if len(offsets) == 1:
+        (o,) = offsets
+        return lambda t0, tau: (t0 + o * tau,)
+    if len(offsets) == 2:
+        o1, o2 = offsets
+        return lambda t0, tau: (t0 + o1 * tau, t0 + o2 * tau)
+    return lambda t0, tau: tuple([t0 + o * tau for o in offsets])
+
+
+def compile_plans(cfg):
+    """cfg.scheme compiled once for each value of problem.commuting: a
+    problem's plan is plans[problem.commuting], None if its kind cannot run."""
+    seq, node = expand(cfg.scheme), FREEZE_NODES[cfg.freeze_convention]
+    return tuple(None if flow is None else compile_stages(seq, flow, node)
+                 for flow in A_FLOWS[cfg.a_flow_kind])
+
+
+def a_flow(problem, kind):
+    """The A_FLOWS entry of `kind` for problem's A(t); ValidationError if it is None."""
+    if (flow := A_FLOWS[kind][problem.commuting]) is None:
+        usable = " or ".join(k for k, flows in A_FLOWS.items()
+                             if flows[problem.commuting] is not None)
+        raise ValidationError(f"{type(problem).__name__} has no {kind} A-flow (use {usable})")
+    return flow
 
 
 def plan_step(cfg):
     """Compile cfg.scheme once; return its map step_fn(problem, state, h, record)."""
-    plan = compile_stages(expand(cfg.scheme))
+    plans = compile_plans(cfg)
 
     def step_fn(problem, state, h, record=None):
-        u = _run_stages(cfg, problem, state.t, state.values, h, plan, record)
+        if (plan := plans[problem.commuting]) is None:
+            a_flow(problem, cfg.a_flow_kind)        # raises: no kernel has run
+        u = _run_stages(plan, problem, state.t, state.values, h, record)
         return _finish(u, state.t + h)
     return step_fn
 
 
-def a_flow(problem, kind):
-    """(flow, kernel calls per flow) of A-flow `kind` on problem; ValidationError if none."""
-    column = 2 if problem.commuting else 1      # this problem's kernel calls in A_FLOWS
-    if (row := A_FLOWS[kind])[column] is None:
-        usable = " or ".join(k for k, other in A_FLOWS.items() if other[column] is not None)
-        raise ValidationError(f"{type(problem).__name__} has no {kind} A-flow (use {usable})")
-    return row[0], row[column]
-
-
-def _run_stages(cfg, problem, t_n, u, h, plan, record):
-    """Apply a plan compiled by compile_stages once to u at time t_n; return
-    the state as the last kernel hands it back, unchecked and unprojected."""
-    node = FREEZE_NODES[cfg.freeze_convention]
-    commuting, a_kernel, b_kick = problem.commuting, problem.a_frozen_exp, problem.b_kick
-    flow, calls = a_flow(problem, cfg.a_flow_kind)      # before any kernel call
-    flows = kernel_flows = 0    # the stages run, added to record once
+def _run_stages(plan, problem, t_n, u, h, record):
+    """Apply a plan once to u at time t_n; return the state as the last
+    kernel hands it back, unchecked and unprojected."""
+    a_kernel, b_kick = problem.a_frozen_exp, problem.b_kick
+    flows = calls = 0       # of the stages run, added to record once
     try:
-        for idx, (role, c0, dur) in enumerate(plan):
-            if role == "A":
-                if (tau := dur * h) != 0.0:     # a zero-duration flow is the identity
-                    u = flow(t_n + c0 * h, tau, u, a_kernel, commuting, node)
-                    kernel_flows += 1
-                flows += 1
-            else:
-                u = b_kick(t_n + c0 * h, dur * h, u)
+        for stage, (c0, coeff, flow) in enumerate(plan):
+            if flow is None:
+                u = b_kick(t_n + c0 * h, coeff * h, u)
+                continue
+            if (tau := coeff * h) != 0.0:     # a zero-duration flow is the identity
+                times_of, kernel_calls = flow
+                times = times_of(t_n + c0 * h, tau)
+                for weights, factor in kernel_calls:
+                    u = a_kernel(times, weights, factor * tau, u)
+                calls += len(kernel_calls)
+            flows += 1
     except KERNEL_ERRORS as exc:
-        raise StepFailed(str(exc), stage=idx) from exc
+        raise StepFailed(str(exc), stage=stage) from exc
     finally:
         if record is not None:
             record.a_flow_evals += flows
-            record.kernel_evals += calls * kernel_flows
+            record.kernel_evals += calls
     return u
 
 
 def _finish(u, t):
     """The end of every public step: u checked finite, projected, as a State at t."""
-    # the kernels keep a non-finite state non-finite, so one check per step
-    # suffices; on the oscillator's (q, p) tuple cmath checks in a third of
-    # numpy's time
+    # the kernels keep a non-finite state non-finite: one check per step
+    # suffices; cmath checks the oscillator's (q, p) tuple faster than numpy
     if not (all(map(cmath.isfinite, u)) if type(u) is tuple else np.isfinite(u).all()):
         raise StepFailed("non-finite state")
     return State(np.asarray(u, dtype=complex).real.astype(complex), t)
@@ -177,13 +197,15 @@ def extrapolate(cfg):
     in the kernels' state type and finished once: EXT4 when cfg is Strang
     (Blanes, Casas & Ros 1999).
     """
-    plan = compile_stages(expand(cfg.scheme))
+    plans = compile_plans(cfg)
 
     def extrapolated(problem, state, h, record=None):
+        if (plan := plans[problem.commuting]) is None:
+            a_flow(problem, cfg.a_flow_kind)        # raises: no kernel has run
         t_n, u = state.t, state.values
-        half = _run_stages(cfg, problem, t_n, u, 0.5 * h, plan, record)
-        half = _run_stages(cfg, problem, t_n + 0.5 * h, half, 0.5 * h, plan, record)
-        whole = _run_stages(cfg, problem, t_n, u, h, plan, record)
+        half = _run_stages(plan, problem, t_n, u, 0.5 * h, record)
+        half = _run_stages(plan, problem, t_n + 0.5 * h, half, 0.5 * h, record)
+        whole = _run_stages(plan, problem, t_n, u, h, record)
         # CPython (to 3.13) multiplies a float by a complex as numpy does, as
         # complex(x, 0) * z: the tuple combination is numpy's, bit for bit
         if type(half) is tuple:

@@ -16,7 +16,7 @@ from cxsplit.problems import (REF_AGREE_TOL, _classical_oracle,
                               _splitting_oracle, make_problem)
 from cxsplit.propagators import exp_circulant
 from cxsplit.schemes import builtin_scheme, expand, validate_scheme
-from cxsplit.stepper import StepperConfig, _run_stages, compile_stages
+from cxsplit.stepper import StepperConfig, _run_stages, compile_plans
 
 from conftest import dense_expm
 
@@ -161,8 +161,8 @@ def test_criterion_6_oracle_equivalence():
     scheme = builtin_scheme("SM4")
     h = 0.1
     cfg = StepperConfig(scheme=scheme, a_flow_kind="cf4")
-    stepped = _run_stages(cfg, problem, 0.0, problem.u0(), h,
-                          compile_stages(expand(scheme)), None)
+    stepped = _run_stages(compile_plans(cfg)[problem.commuting], problem, 0.0,
+                          problem.u0(), h, None)
 
     lap = problem.lap.dense()
     u = problem.u0().copy()

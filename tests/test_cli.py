@@ -13,10 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import NON_FINITE_TEXTS, near_tolerance_sm64_text, yoshida_text
+from conftest import (NON_FINITE_TEXTS, assert_no_child_left, near_tolerance_sm64_text,
+                      yoshida_text)
 from cxsplit import bench, cli, designer, problems
 from cxsplit.errors import CxsplitError, DesignScanUnreliable, ValidationError
-from cxsplit.schemes import builtin_scheme, load_scheme, serialize_scheme
+from cxsplit.schemes import builtin_names, builtin_scheme, load_scheme, serialize_scheme
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -107,6 +108,34 @@ def test_validate_does_not_print_symmetric_residuals_for_a_non_symmetric_file(
     assert out.splitlines()[-1] == ("  not symmetric: p_aba, p_abb and p_abaaa are "
                                     "conditions of symmetric schemes and are not checked")
     assert "p_aba =" not in out
+
+
+STRANG_TEXT = "name=strang4\npattern=BAB\norder={order}\nsymmetric=true\nb 0.5 0\na 1 0\nb 0.5 0\n"
+
+
+@pytest.mark.parametrize("order,code", [(2, cli.EXIT_OK), (3, cli.EXIT_OK),
+                                        (4, cli.EXIT_VALIDATION),
+                                        (99999999999999999999, cli.EXIT_VALIDATION)])
+def test_validate_symmetric_file_claiming_order_four_needs_its_residuals(
+        order, code, tmp_path, capsys):
+    # Strang's p_aba = 1/12 and p_abb = 1/24: a symmetric file that claims
+    # order 4 or more must have both within its tolerance
+    path = tmp_path / "strang.txt"
+    path.write_text(STRANG_TEXT.format(order=order))
+    assert cli.main(["validate", str(path)]) == code
+    out = capsys.readouterr().out.splitlines()
+    assert out[3] == "  p_aba = 8.333333e-02  p_abb = 4.166667e-02  p_abaaa = 3.000000e-01"
+    invalid = f"strang4: INVALID (order {order} needs |p_aba| and |p_abb| <= 1e-09)"
+    assert out[4:] == ([] if code == cli.EXIT_OK else [invalid])
+
+
+def test_validate_builtins_and_designs_keep_exit_zero(tmp_path, capsys):
+    sm4, sm64 = tmp_path / "sm4.txt", tmp_path / "sm64.txt"
+    assert cli.main(["design", "--a1", "0.13505265889288437", "--out", str(sm4)]) == 0
+    assert cli.main(["design", "--stages", "6", "--out", str(sm64)]) == 0
+    capsys.readouterr()
+    assert cli.main(["validate", *builtin_names(), str(sm4), str(sm64)]) == cli.EXIT_OK
+    assert "INVALID" not in capsys.readouterr().out
 
 
 def test_validate_unknown_scheme_exits_one(capsys):
@@ -275,6 +304,22 @@ def test_eps_on_a_pde_problem_is_a_usage_error(cmd, capsys):
     assert exc.value.code == 2
     last = capsys.readouterr().err.strip().splitlines()[-1]
     assert last.startswith(f"cxsplit {cmd[0]}: error: argument --eps:")
+
+
+def test_failed_reference_build_names_the_problem_and_the_oracle(tmp_path, capsys):
+    # the split oracle overflows on its first step: the error says which
+    # reference was being built, and no cache entry is written
+    cache = tmp_path / "cache"
+    code = cli.main(["sweep", "--problem", "osc", "--eps", "1e308", "--methods", "sm4",
+                     "--nsteps", "4", "--cache-dir", str(cache)])
+    assert code == cli.EXIT_RUNTIME
+    captured = capsys.readouterr()
+    params = problems.make_problem("osc", epsilon=1e308).params()
+    assert captured.out == ""
+    assert captured.err == (f"error: osc: reference {params} not built: the splitting "
+                            "oracle failed: stage 4: math range error\n")
+    assert list(cache.iterdir()) == []
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("eps", ["nan", "inf", "-inf"])

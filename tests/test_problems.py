@@ -20,10 +20,9 @@ from cxsplit.problems import (KICK_FACTORS_KEPT, REF_AGREE_TOL, REF_HEADER,
                               _classical_oracle, _read_cache, _rk4_osc, _write_cache,
                               default_cache_dir, make_problem, reference_solution,
                               rk4_integrate)
-from cxsplit.propagators import (CF4_ALPHA, CF4_BETA, exact_step, exp_2x2,
-                                 exp_circulant)
+from cxsplit.propagators import CF4_ALPHA, CF4_BETA, exp_2x2, exp_circulant
 
-from conftest import assert_no_child_left, dense_expm
+from conftest import assert_no_child_left, dense_expm, run_flow
 
 
 def test_make_problem_dispatch():
@@ -172,7 +171,7 @@ def test_parabolic_apply_laplacian_matches_dense():
 def test_parabolic_exact_flow_matches_quadrature_limit():
     problem = make_problem("parabolic", n_grid=16)
     u = problem.u0()
-    out = exact_step(0.1, 0.2, u, problem.a_frozen_exp, commuting=True, node=0.5)
+    out = run_flow("exact", problem, 0.1, 0.2, u)
     # brute-force Riemann integral of alpha^2
     s = np.linspace(0.1, 0.3, 20001)
     integral = np.trapezoid([problem.alpha(t) ** 2 for t in s], s)
@@ -183,7 +182,7 @@ def test_parabolic_exact_flow_matches_quadrature_limit():
 def _quadrature_exact_flow(problem, t0, h, state):
     """exp(int_t0^{t0+h} alpha(s)^2 ds * Lap) by 20-point Gauss-Legendre.
 
-    The closed formula of the exact flow: the reference for exact_step.
+    The closed formula of the exact flow: the reference for the exact A-flow.
     """
     nodes, wts = np.polynomial.legendre.leggauss(20)
     s = t0 + 0.5 * h * (nodes + 1.0)
@@ -198,7 +197,7 @@ def test_exact_step_equals_the_quadrature_formula_bitwise(name):
     for _ in range(200):
         t0, h = rng.uniform(0.0, 1.0), rng.uniform(-0.05, 0.25)
         u = rng.standard_normal(problem.n_grid) + 1j * rng.standard_normal(problem.n_grid)
-        got = exact_step(t0, h, u, problem.a_frozen_exp, commuting=True, node=0.5)
+        got = run_flow("exact", problem, t0, h, u)
         assert got.tobytes() == _quadrature_exact_flow(problem, t0, h, u).tobytes()
 
 

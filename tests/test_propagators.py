@@ -5,10 +5,9 @@ import pytest
 
 from cxsplit.errors import StepTooLarge
 from cxsplit.propagators import (CF4_ALPHA, CF4_BETA, CirculantLaplacian,
-                                 GAUSS_OFFSETS, cf2_step, cf4_step, exact_step,
-                                 exp_2x2, exp_circulant)
+                                 GAUSS_OFFSETS, exp_2x2, exp_circulant)
 
-from conftest import dense_expm
+from conftest import dense_expm, run_flow
 
 
 def test_cf4_constants():
@@ -33,15 +32,30 @@ def _frozen(times, weights, duration, u):
     return u * np.exp(duration * coeff)
 
 
-@pytest.mark.parametrize("step_fn,order", [(cf2_step, 2), (cf4_step, 4)])
-def test_magnus_orders_on_scalar_model(step_fn, order):
+class ScalarModel:
+    """u' = lam(t) u as a problem whose A(t) are taken to commute, or not; counts A calls."""
+
+    def __init__(self, commuting=False):
+        self.commuting = commuting
+        self.calls = 0
+
+    def a_frozen_exp(self, times, weights, duration, u):
+        self.calls += 1
+        return _frozen(times, weights, duration, u)
+
+    def b_kick(self, t_frozen, tau, u):
+        raise AssertionError("no kick in a one-flow plan")
+
+
+@pytest.mark.parametrize("kind,order", [("cf2", 2), ("cf4", 4)])
+def test_magnus_orders_on_scalar_model(kind, order):
     t0, u0, total = 0.3, 1.7, 1.0
     errors = []
     for n in (8, 16, 32):
         u, t = u0, t0
         h = total / n
         for _ in range(n):
-            u = step_fn(t, h, u, _frozen, commuting=False, node=0.5)
+            u = run_flow(kind, ScalarModel(), t, h, u)
             t += h
         errors.append(abs(u - _exact(t0, total, u0)))
     rates = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]
@@ -52,29 +66,33 @@ def test_magnus_orders_on_scalar_model(step_fn, order):
 def test_exact_step_on_scalar_model():
     # scalar generators commute: the quadrature flow is the exact solution
     for t0, h in ((0.3, 0.25), (1.1, -0.4)):
-        got = exact_step(t0, h, 1.7, _frozen, commuting=True, node=0.5)
+        got = run_flow("exact", ScalarModel(commuting=True), t0, h, 1.7)
         assert got == pytest.approx(_exact(t0, h, 1.7), rel=1e-14)
 
 
 def test_cf4_commuting_fuse_matches_split_form():
     # scalar generators always commute: fused and two-exponential CF4 agree
     u = 1.3 + 0.0j
-    full = cf4_step(0.2, 0.05, u, _frozen, commuting=False, node=0.5)
-    fused = cf4_step(0.2, 0.05, u, _frozen, commuting=True, node=0.5)
-    assert abs(full - fused) < 1e-14
+    split, fused = ScalarModel(commuting=False), ScalarModel(commuting=True)
+    full = run_flow("cf4", split, 0.2, 0.05, u)
+    assert abs(full - run_flow("cf4", fused, 0.2, 0.05, u)) < 1e-14
+    assert (split.calls, fused.calls) == (2, 1)
 
 
 def test_cf4_time_symmetry():
     u = 0.8
-    forward = cf4_step(0.4, 0.1, u, _frozen, commuting=False, node=0.5)
-    back = cf4_step(0.5, -0.1, forward, _frozen, commuting=False, node=0.5)
+    forward = run_flow("cf4", ScalarModel(), 0.4, 0.1, u)
+    back = run_flow("cf4", ScalarModel(), 0.5, -0.1, forward)
     assert abs(back - u) < 1e-14
 
 
 def test_zero_step_is_identity():
     # exp(0 A) = I through the kernel; the engine skips such flows altogether
-    assert cf2_step(1.0, 0.0, 2.5, _frozen, commuting=False, node=0.5) == 2.5
-    assert cf4_step(1.0, 0.0, 2.5, _frozen, commuting=False, node=0.5) == 2.5
+    assert _frozen((1.0,), (1.0,), 0.0, 2.5) == 2.5
+    model = ScalarModel()
+    assert run_flow("cf2", model, 1.0, 0.0, 2.5) == 2.5
+    assert run_flow("cf4", model, 1.0, 0.0, 2.5) == 2.5
+    assert model.calls == 0
 
 
 @pytest.mark.parametrize("omega_sq", [4.0, -2.25, 0.0, 1e-16])

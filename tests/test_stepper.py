@@ -9,8 +9,8 @@ from cxsplit.problems import make_problem
 from cxsplit.propagators import A_FLOWS
 from cxsplit.schemes import Scheme, builtin_scheme, expand
 from cxsplit.stepper import (RunRecord, State, StepperConfig, _run_stages,
-                             compile_stages, extrapolate, integrate,
-                             integrate_with, plan_step)
+                             compile_plans, compile_stages, extrapolate,
+                             integrate, integrate_with, plan_step)
 
 STRANG = builtin_scheme("Strang_BAB")
 
@@ -22,8 +22,8 @@ def step(cfg, problem, state, h, record=None):
 
 def raw_step(cfg, problem, state, h, record=None):
     """One unprojected composition step of cfg.scheme, as an ndarray State."""
-    plan = compile_stages(expand(cfg.scheme))
-    u = _run_stages(cfg, problem, state.t, state.values, h, plan, record)
+    plan = compile_plans(cfg)[problem.commuting]
+    u = _run_stages(plan, problem, state.t, state.values, h, record)
     return State(np.asarray(u, dtype=complex), state.t + h)
 
 
@@ -153,7 +153,7 @@ def test_complex_kick_node_rejected_at_compile_time(node):
     seq = list(expand(STRANG))
     seq[0] = seq[0]._replace(c0=node)
     with pytest.raises(RealTimeViolation, match="B-kick node"):
-        compile_stages(seq)
+        compile_stages(seq, A_FLOWS["cf2"][False], 0.5)
 
 
 def test_nan_from_a_mid_step_kick_fails_the_step():
@@ -170,9 +170,14 @@ def test_nan_from_a_mid_step_kick_fails_the_step():
 ZERO_FLOW = Scheme("zero-flow", "BAB", 2, (0.0, 1.0), (0.5, 0.0, 0.5), 2, False)
 
 
+def _kernel_calls_per_flow(flow):
+    """The kernel calls of one A_FLOWS flow, None if it cannot run; a lazy rule is made."""
+    return None if flow is None else len((flow() if callable(flow) else flow)[1])
+
+
 @pytest.mark.parametrize("kind,commuting,per_flow", [
-    (kind, commuting, row[2 if commuting else 1])
-    for kind, row in A_FLOWS.items() for commuting in (False, True)])
+    (kind, commuting, _kernel_calls_per_flow(flows[commuting]))
+    for kind, flows in A_FLOWS.items() for commuting in (False, True)])
 @pytest.mark.parametrize("scheme,tf,real_flows", [
     (ZERO_FLOW, 1.0, 3), (builtin_scheme("SM4"), 0.0, 0)],
     ids=["zero-first-flow", "t0-equals-tf"])
@@ -190,6 +195,48 @@ def test_kernel_evals_count_real_kernel_calls(kind, commuting, per_flow, scheme,
     _, record = integrate(cfg, stub, np.ones(1), 0.0, tf, 3)
     assert stub.a_calls == record.kernel_evals == per_flow * real_flows
     assert record.a_flow_evals == 3 * scheme.n_a
+
+
+class FailingKernel:
+    """Identity kernels on a 1-component state; call ``fail_at`` of ``kernel`` raises ValueError."""
+
+    commuting = False
+
+    def __init__(self, kernel, fail_at):
+        self.kernel, self.fail_at = kernel, fail_at
+        self.calls = {"a_frozen_exp": 0, "b_kick": 0}
+
+    def _call(self, kernel, state):
+        self.calls[kernel] += 1
+        if kernel == self.kernel and self.calls[kernel] == self.fail_at:
+            raise ValueError("math domain error")
+        return state
+
+    def a_frozen_exp(self, times, weights, duration, state):
+        return self._call("a_frozen_exp", state)
+
+    def b_kick(self, t_frozen, tau, state):
+        return self._call("b_kick", state)
+
+
+@pytest.mark.parametrize("method,kernel,fail_at,stage,counts", [
+    # SM4 under CF4: 4 flows of 2 calls a step; A-call 12 is the second of
+    # the second flow (stage 3) of step 2: 4 + 1 flows and 8 + 2 calls ran
+    ("sm4", "a_frozen_exp", 12, 3, (5, 10)),
+    # EXT4: 3 Strang runs (kick, flow, kick) a step; kick 10 is the last
+    # stage of step 2's second run, after its flow: 3 + 1 + 1 flows ran
+    ("ext4", "b_kick", 10, 2, (5, 5)),
+])
+def test_a_failed_run_adds_the_counts_of_the_stages_before_it(method, kernel, fail_at,
+                                                             stage, counts):
+    stub = FailingKernel(kernel, fail_at)
+    record = RunRecord()
+    step_fn = bench.resolve_method(method)
+    state = step_fn(stub, State(np.ones(1, dtype=complex), 0.0), 0.1, record)
+    with pytest.raises(StepFailed, match="math domain error") as info:
+        step_fn(stub, state, 0.1, record)
+    assert info.value.stage == stage
+    assert (record.a_flow_evals, record.kernel_evals) == counts
 
 
 def test_conjugate_scheme_same_projected_step():
@@ -308,14 +355,13 @@ def test_a_flow_is_the_table_row_of_the_problem(problem, kind):
     # the one check of an A-flow kind against a problem, which the step and
     # a sweep (before its reference) both make
     problem = make_problem(problem)
-    flow, per_flow, per_commuting_flow = A_FLOWS[kind]
-    calls = per_commuting_flow if problem.commuting else per_flow
-    if calls is None:
+    flow = A_FLOWS[kind][problem.commuting]
+    if flow is None:
         with pytest.raises(ValidationError) as info:
             stepper.a_flow(problem, kind)
         assert str(info.value) == "OscillatorProblem has no exact A-flow (use cf2 or cf4)"
     else:
-        assert stepper.a_flow(problem, kind) == (flow, calls)
+        assert stepper.a_flow(problem, kind) is flow
 
 
 OSC_STEPS = {
@@ -430,8 +476,8 @@ def test_stage_runner_returns_the_kernels_state(name, kind):
     # the runner neither converts nor checks nor projects: the finish does
     problem = make_problem(name)
     cfg = StepperConfig(scheme=builtin_scheme("SM4"))
-    plan = compile_stages(expand(cfg.scheme))
-    u = _run_stages(cfg, problem, 0.0, problem.u0(), 0.1, plan, None)
+    plan = compile_plans(cfg)[problem.commuting]
+    u = _run_stages(plan, problem, 0.0, problem.u0(), 0.1, None)
     assert type(u) is kind
     assert np.any(np.asarray(u).imag != 0.0)
 
