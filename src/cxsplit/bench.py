@@ -14,7 +14,7 @@ import numpy as np
 from .errors import InsufficientData, StepFailed
 from .problems import REF_AGREE_TOL, make_problem, reference_solution, run_forked
 from .schemes import Scheme, builtin_scheme, resolve_scheme
-from .stepper import RunRecord, StepperConfig, a_flow, extrapolate, integrate_with, plan_step
+from .stepper import RunRecord, StepperConfig, extrapolate, integrate_with, plan_step
 
 _CF4_ONLY = Scheme("cf4", "ABA", 0, (1.0,), (), 4, False)
 
@@ -42,15 +42,15 @@ def stages(row):
 METHOD_STAGES = {name: stages(row) for name, row in METHODS.items()}
 
 
-def _step(row, a_flow_kind, freeze_convention):
+def _step(row, problem, a_flow_kind, freeze_convention):
     scheme, pinned, ext = row
     cfg = StepperConfig(scheme, pinned or a_flow_kind, freeze_convention)
-    return extrapolate(cfg) if ext else plan_step(cfg)
+    return extrapolate(cfg, problem) if ext else plan_step(cfg, problem)
 
 
-def resolve_method(name, a_flow_kind="cf4", freeze_convention="midpoint"):
-    """Map a method name, builtin scheme or scheme file to a one-step function."""
-    return _step(method(name), a_flow_kind, freeze_convention)
+def resolve_method(name, problem, a_flow_kind="cf4", freeze_convention="midpoint"):
+    """The one-step map of a method name, builtin scheme or scheme file on problem."""
+    return _step(method(name), problem, a_flow_kind, freeze_convention)
 
 
 def check_step_grid(grid):
@@ -85,8 +85,8 @@ class SweepSpec:
 def run_point(problem, name, n_steps, reference, step_fn):
     """One (method, n_steps) point, run by step_fn, measured against the reference."""
     try:
-        state, record = integrate_with(step_fn, problem, problem.u0(),
-                                       problem.t0, problem.tf, n_steps, name)
+        state, record = integrate_with(step_fn, problem.u0(), problem.t0, problem.tf,
+                                       n_steps, name)
         record.error_l2 = _norm(state.values.real - reference)
     except StepFailed:
         record = RunRecord(method=name, h=(problem.tf - problem.t0) / n_steps,
@@ -107,15 +107,13 @@ def _norm(x):
 def sweep(spec):
     """Run the full method x n_steps grid; rows sorted by (method, n_steps).
 
-    The steps are built and their A-flow kinds checked before the reference.
+    Compiling the steps for the problem, before the reference, checks their A-flows.
     The points go in one share per usable core: this process runs the first,
     a forked child each other one, so a row's wall_time is its process's.
     """
     problem = make_problem(spec.problem, **spec.params)
-    steps = {name: _step(row, spec.a_flow_kind, spec.freeze_convention)
+    steps = {name: _step(row, problem, spec.a_flow_kind, spec.freeze_convention)
              for name, row in zip(spec.methods, spec.rows)}
-    for _, pinned, _ in spec.rows:
-        a_flow(problem, pinned or spec.a_flow_kind)
     reference = reference_solution(problem, cache_dir=spec.cache_dir)
 
     def run(share):
@@ -188,8 +186,8 @@ def self_converge(problem, name, n_steps_grid, refine=16, a_flow_kind="cf4",
     if len(n_steps_grid) < 3:
         raise InsufficientData("need at least 3 grid points for a slope fit")
     check_step_grid(n_steps_grid)
-    step_fn = resolve_method(name, a_flow_kind, freeze_convention)
-    fine, _ = integrate_with(step_fn, problem, problem.u0(), problem.t0, problem.tf,
+    step_fn = resolve_method(name, problem, a_flow_kind, freeze_convention)
+    fine, _ = integrate_with(step_fn, problem.u0(), problem.t0, problem.tf,
                              max(n_steps_grid) * refine, name)
     records = [run_point(problem, name, n, fine.values.real, step_fn) for n in n_steps_grid]
     errors = [r.error_l2 for r in records]

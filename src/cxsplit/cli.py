@@ -58,7 +58,7 @@ def cmd_validate(args):
 def cmd_design(args):
     check_scheme_name(args.name)     # before the solve and any output
     if args.out:
-        check_writable(Path(args.out).parent)
+        check_writable(args.out)
     if args.scan:
         if args.stages != 4:
             args.error("argument --scan: 4-stage designs only")
@@ -101,14 +101,14 @@ def _parse_fraction(text):
 
 
 def _parse_count(text):
-    """--grid-points: a positive integer."""
+    """--grid-points: an integer >= 2, the fewest points that bracket a root."""
     try:
         points = int(text)
-        if points >= 1:
+        if points >= 2:
             return points
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    raise argparse.ArgumentTypeError(f"expected an integer >= 2, got {text!r}")
 
 
 def _parse_nsteps(text):
@@ -144,7 +144,7 @@ def cmd_sweep(args):
     if repeated is not None:
         args.error(f"argument --methods: repeated method {repeated!r} in {args.methods!r}")
     if args.out:
-        check_writable(Path(args.out).parent)    # before the sweep, not after it
+        check_writable(args.out)    # before the sweep, not after it
         bench.write_csv(bench.sweep(spec), args.out)
     else:
         sys.stdout.write(bench.records_to_csv(bench.sweep(spec)))

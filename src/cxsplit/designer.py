@@ -222,8 +222,10 @@ def scan_a1(grid_points=200, seed=0):
 
     The least grid value and its neighbour downhill bracket the root;
     Illinois false position, or bisection while an end has no slope,
-    narrows the bracket to adjacent floats.
+    narrows the bracket to adjacent floats.  A bracket needs two grid points.
     """
+    if grid_points < 2:
+        raise ValidationError(f"a scan needs at least 2 grid points, got {grid_points}")
     grid = np.linspace(SCAN_MARGIN, 0.5 - SCAN_MARGIN, grid_points)
     outcomes, slopes = _scan_points(grid)
     values, failed = np.reshape([_score(outcome) for outcome in outcomes], (-1, 2)).T

@@ -11,6 +11,7 @@ initial point and the PDE grid size are settable.
 from __future__ import annotations
 
 import cmath
+import errno
 import hashlib
 import math
 import os
@@ -296,12 +297,15 @@ def default_cache_dir():
     return Path.home() / ".cache" / "cxsplit"
 
 
-def check_writable(directory):
-    """Raise OSError unless a file can be created in `directory`: fail before the work."""
+def check_writable(path):
+    """Raise OSError unless a file can be written at `path`: fail before the work."""
+    path = Path(path)
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     try:
-        tempfile.TemporaryFile(dir=directory).close()
+        tempfile.TemporaryFile(dir=path.parent).close()
     except OSError as exc:
-        raise type(exc)(exc.errno, exc.strerror, str(directory)) from None
+        raise type(exc)(exc.errno, exc.strerror, str(path.parent)) from None
 
 
 def _cache_path(problem, cache_dir):
@@ -411,7 +415,7 @@ def reference_solution(problem, cache_dir=None):
         if cached is not None:
             return cached[0]
     cache_dir.mkdir(parents=True, exist_ok=True)
-    check_writable(cache_dir)
+    check_writable(path)
     start = time.perf_counter()
     split, classical = run_forked(f"{problem.key()}: the classical oracle's process",
                                   lambda: _splitting_oracle(problem),

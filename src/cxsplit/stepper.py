@@ -3,11 +3,12 @@
 A step alternates B-kicks (frozen real time, complex duration) with A-flows
 over real subintervals, projects onto the real axis after the full step
 (the projection is part of the method), and counts A-flow evaluations, the
-benchmark cost metric.  ``plan_step`` compiles a scheme, once for each
-value of ``problem.commuting``, into a plan of one row per stage, its flow
-times checked real; each step runs the plan of its problem.  A row
-(c0, d, flow) spans [t0, t0 + tau] with t0 = t_n + c0 h and tau = d h: a
-B-kick (flow None) is frozen at t0; an A-flow makes the kernel calls of its
+benchmark cost metric.  ``plan_step`` compiles a scheme for the problem
+its step runs on into a plan of one row per stage: the flow times are
+checked real and the A-flow is one that the problem has (``a_flow``), so
+compiling is the check, and the step maps states.  A row (c0, d, flow)
+spans [t0, t0 + tau] with t0 = t_n + c0 h and tau = d h: a B-kick (flow
+None) is frozen at t0; an A-flow makes the kernel calls of its
 ``propagators.A_FLOWS`` flow at the times t0 + o tau, formed once per flow,
 each call for factor * tau.  Strang is the STRANG_BAB plan with a CF2
 flow; EXT4, its ``extrapolate``, runs the plan three times and combines
@@ -126,14 +127,6 @@ def _times(offsets):
     return lambda t0, tau: tuple([t0 + o * tau for o in offsets])
 
 
-def compile_plans(cfg):
-    """cfg.scheme compiled once for each value of problem.commuting: a
-    problem's plan is plans[problem.commuting], None if its kind cannot run."""
-    seq, node = expand(cfg.scheme), FREEZE_NODES[cfg.freeze_convention]
-    return tuple(None if flow is None else compile_stages(seq, flow, node)
-                 for flow in A_FLOWS[cfg.a_flow_kind])
-
-
 def a_flow(problem, kind):
     """The A_FLOWS entry of `kind` for problem's A(t); ValidationError if it is None."""
     if (flow := A_FLOWS[kind][problem.commuting]) is None:
@@ -143,13 +136,17 @@ def a_flow(problem, kind):
     return flow
 
 
-def plan_step(cfg):
-    """Compile cfg.scheme once; return its map step_fn(problem, state, h, record)."""
-    plans = compile_plans(cfg)
+def compile_plan(cfg, problem):
+    """cfg.scheme compiled for problem; ValidationError if its A-flow kind cannot run there."""
+    return compile_stages(expand(cfg.scheme), a_flow(problem, cfg.a_flow_kind),
+                          FREEZE_NODES[cfg.freeze_convention])
 
-    def step_fn(problem, state, h, record=None):
-        if (plan := plans[problem.commuting]) is None:
-            a_flow(problem, cfg.a_flow_kind)        # raises: no kernel has run
+
+def plan_step(cfg, problem):
+    """Compile cfg.scheme for problem once; return its map step_fn(state, h, record)."""
+    plan = compile_plan(cfg, problem)
+
+    def step_fn(state, h, record=None):
         u = _run_stages(plan, problem, state.t, state.values, h, record)
         return _finish(u, state.t + h)
     return step_fn
@@ -158,6 +155,7 @@ def plan_step(cfg):
 def _run_stages(plan, problem, t_n, u, h, record):
     """Apply a plan once to u at time t_n; return the state as the last
     kernel hands it back, unchecked and unprojected."""
+    # read per run, not bound at compile time: a kernel patched on the class is the one called
     a_kernel, b_kick = problem.a_frozen_exp, problem.b_kick
     flows = calls = 0       # of the stages run, added to record once
     try:
@@ -190,18 +188,16 @@ def _finish(u, t):
     return State(np.asarray(u, dtype=complex).real.astype(complex), t)
 
 
-def extrapolate(cfg):
-    """Richardson extrapolation of the second-order step of cfg.scheme.
+def extrapolate(cfg, problem):
+    """Richardson extrapolation of the second-order step of cfg.scheme on problem.
 
     (4/3) S(h/2)S(h/2) - (1/3) S(h) over the unprojected steps S, combined
     in the kernels' state type and finished once: EXT4 when cfg is Strang
-    (Blanes, Casas & Ros 1999).
+    (Blanes, Casas & Ros 1999).  Compiled once, like ``plan_step``.
     """
-    plans = compile_plans(cfg)
+    plan = compile_plan(cfg, problem)
 
-    def extrapolated(problem, state, h, record=None):
-        if (plan := plans[problem.commuting]) is None:
-            a_flow(problem, cfg.a_flow_kind)        # raises: no kernel has run
+    def extrapolated(state, h, record=None):
         t_n, u = state.t, state.values
         half = _run_stages(plan, problem, t_n, u, 0.5 * h, record)
         half = _run_stages(plan, problem, t_n + 0.5 * h, half, 0.5 * h, record)
@@ -218,12 +214,11 @@ def extrapolate(cfg):
 
 def integrate(cfg, problem, u0, t0, tf, n_steps):
     """n_steps composition steps over [t0, tf]; error_l2 is left to the bench."""
-    return integrate_with(plan_step(cfg), problem, u0, t0, tf, n_steps,
-                          cfg.scheme.name)
+    return integrate_with(plan_step(cfg, problem), u0, t0, tf, n_steps, cfg.scheme.name)
 
 
-def integrate_with(step_fn, problem, u0, t0, tf, n_steps, method_name):
-    """Drive an arbitrary one-step map and fill the run record."""
+def integrate_with(step_fn, u0, t0, tf, n_steps, method_name):
+    """Drive a one-step map step_fn(state, h, record) and fill the run record."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     h = (tf - t0) / n_steps
@@ -233,6 +228,6 @@ def integrate_with(step_fn, problem, u0, t0, tf, n_steps, method_name):
     # a step that overflows ends non-finite and fails: numpy's warning adds nothing
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(n_steps):
-            state = step_fn(problem, state, h, record)
+            state = step_fn(state, h, record)
     record.wall_time = time.perf_counter() - start
     return state, record

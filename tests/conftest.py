@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from cxsplit.problems import make_problem, reference_solution
-from cxsplit.propagators import A_FLOWS
 from cxsplit.schemes import Scheme, Stage, builtin_scheme, serialize_scheme
-from cxsplit.stepper import FREEZE_NODES, _run_stages, compile_stages
+from cxsplit.stepper import FREEZE_NODES, _run_stages, a_flow, compile_stages
 
 try:
     import hypothesis
@@ -127,6 +126,5 @@ def dense_expm(mat):
 
 def run_flow(kind, problem, t0, h, u, freeze="midpoint"):
     """One A-flow of `kind` over [t0, t0 + h] on problem: a one-stage plan run by the stepper."""
-    plan = compile_stages((Stage("A", 1.0, 0.0),), A_FLOWS[kind][problem.commuting],
-                          FREEZE_NODES[freeze])
+    plan = compile_stages((Stage("A", 1.0, 0.0),), a_flow(problem, kind), FREEZE_NODES[freeze])
     return _run_stages(plan, problem, t0, u, h, None)

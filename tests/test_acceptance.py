@@ -16,7 +16,7 @@ from cxsplit.problems import (REF_AGREE_TOL, _classical_oracle,
                               _splitting_oracle, make_problem)
 from cxsplit.propagators import exp_circulant
 from cxsplit.schemes import builtin_scheme, expand, validate_scheme
-from cxsplit.stepper import StepperConfig, _run_stages, compile_plans
+from cxsplit.stepper import StepperConfig, _run_stages, compile_plan
 
 from conftest import dense_expm
 
@@ -131,7 +131,7 @@ def test_criterion_5_efficiency_reproduction(osc_ref, osc_ref_eps01,
         errors, costs = {}, {}
         for method, n_steps in plans[plan_key]:
             record = bench.run_point(problem, method, n_steps, reference,
-                                     bench.resolve_method(method))
+                                     bench.resolve_method(method, problem))
             errors[method] = record.error_l2
             costs[method] = record.a_flow_evals
         assert len(set(costs.values())) == 1, costs
@@ -144,7 +144,7 @@ def test_criterion_5_efficiency_reproduction(osc_ref, osc_ref_eps01,
     ratios = {}
     for (problem, reference) in (osc_ref, osc_ref_eps01):
         e62, e4 = (bench.run_point(problem, name, 64, reference,
-                                   bench.resolve_method(name)).error_l2
+                                   bench.resolve_method(name, problem)).error_l2
                    for name in ("s62", "sm4"))
         ratios[problem.epsilon] = e62 / e4
     assert ratios[0.1] < ratios[0.25]
@@ -161,8 +161,7 @@ def test_criterion_6_oracle_equivalence():
     scheme = builtin_scheme("SM4")
     h = 0.1
     cfg = StepperConfig(scheme=scheme, a_flow_kind="cf4")
-    stepped = _run_stages(compile_plans(cfg)[problem.commuting], problem, 0.0,
-                          problem.u0(), h, None)
+    stepped = _run_stages(compile_plan(cfg, problem), problem, 0.0, problem.u0(), h, None)
 
     lap = problem.lap.dense()
     u = problem.u0().copy()

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from cxsplit import bench, cli, stepper
-from cxsplit.errors import CxsplitError, InsufficientData, NotInCatalog, ParseError
+from cxsplit.errors import (CxsplitError, InsufficientData, NotInCatalog, ParseError,
+                            ValidationError)
 from cxsplit.problems import make_problem
 from cxsplit.schemes import serialize_scheme, builtin_scheme
 from cxsplit.stepper import RunRecord, State
@@ -18,35 +19,35 @@ from conftest import assert_no_child_left, yoshida_text
 def test_resolve_method_stage_counts(name, stages):
     # the count does not depend on the problem or the flow kind
     problem = make_problem("parabolic")
-    fn = bench.resolve_method(name, a_flow_kind="cf2")
+    fn = bench.resolve_method(name, problem, a_flow_kind="cf2")
     assert callable(fn)
     record = RunRecord()
-    fn(problem, State(problem.u0(), 0.0), 0.01, record)
+    fn(State(problem.u0(), 0.0), 0.01, record)
     assert record.a_flow_evals == stages
 
 
 @pytest.mark.parametrize("name", sorted(bench.METHOD_STAGES))
 def test_method_stages_count_one_step(name):
     problem = make_problem("osc")
-    fn = bench.resolve_method(name)
+    fn = bench.resolve_method(name, problem)
     record = RunRecord()
-    fn(problem, State(problem.u0(), 0.0), 0.1, record)
+    fn(State(problem.u0(), 0.0), 0.1, record)
     assert record.a_flow_evals == bench.METHOD_STAGES[name]
 
 
 def test_resolve_method_from_file(tmp_path):
     path = tmp_path / "s62.txt"
     path.write_text(serialize_scheme(builtin_scheme("S62")))
-    fn = bench.resolve_method(str(path))
     problem = make_problem("osc")
+    fn = bench.resolve_method(str(path), problem)
     record = RunRecord()
-    fn(problem, State(problem.u0(), 0.0), 0.1, record)
+    fn(State(problem.u0(), 0.0), 0.1, record)
     assert record.a_flow_evals == 3
 
 
 def test_resolve_method_unknown():
     with pytest.raises(NotInCatalog):
-        bench.resolve_method("no-such-scheme")
+        bench.resolve_method("no-such-scheme", make_problem("osc"))
 
 
 def test_sweep_spec_rejects_unordered_grid():
@@ -93,7 +94,7 @@ def test_self_converge_checks_the_grid_before_its_fine_run(monkeypatch, grid):
 
 def test_run_point_records_error_and_cost(osc_ref):
     problem, reference = osc_ref
-    record = bench.run_point(problem, "sm4", 16, reference, bench.resolve_method("sm4"))
+    record = bench.run_point(problem, "sm4", 16, reference, bench.resolve_method("sm4", problem))
     assert record.method == "sm4"
     assert record.n_steps == 16
     assert record.a_flow_evals == 64
@@ -106,7 +107,8 @@ def test_run_point_records_error_and_cost(osc_ref):
 @pytest.mark.parametrize("method", ["sm4", "strang", "ext4"])
 def test_run_point_marks_non_finite_osc_failed(method, q0, p0):
     problem = make_problem("osc", q0=q0, p0=p0)
-    record = bench.run_point(problem, method, 4, np.zeros(2), bench.resolve_method(method))
+    record = bench.run_point(problem, method, 4, np.zeros(2),
+                             bench.resolve_method(method, problem))
     assert record.failed
     assert (record.method, record.n_steps) == (method, 4)
 
@@ -204,6 +206,42 @@ def test_a_sweep_resolves_each_method_once(tmp_path, osc_ref, cores, resolutions
                      "--nsteps", "8,16,32,64"]) == cli.EXIT_OK
     assert len(capsys.readouterr().out.splitlines()) == 1 + 3 * 4
     assert resolutions(path) == (1, 3)
+
+
+@pytest.mark.parametrize("methods", [["sm4"], ["strang", "ext4", "sm4", "cf4"]])
+def test_a_sweep_compiles_one_plan_per_method(osc_ref, cores, monkeypatch, methods):
+    # each step is compiled for the sweep's problem alone, before the points
+    # are dealt to the shares' processes: k methods, k plans
+    compiles, compile_stages = [], stepper.compile_stages
+
+    def counting(*args):
+        compiles.append(args)
+        return compile_stages(*args)
+    monkeypatch.setattr(stepper, "compile_stages", counting)
+    cores(2)
+    records = bench.sweep(bench.SweepSpec("osc", methods, [8, 16]))
+    assert len(records) == 2 * len(methods)
+    assert len(compiles) == len(methods)
+
+
+def test_an_a_flow_the_problem_lacks_fails_at_compile_time(monkeypatch):
+    # the oscillator has no exact flow: making the step raises, and no
+    # kernel of the problem has run
+    problem = make_problem("osc")
+    calls = []
+    for name in ("a_frozen_exp", "b_kick"):
+        kernel = getattr(type(problem), name)
+
+        def counted(*args, kernel=kernel):
+            calls.append(kernel.__name__)
+            return kernel(*args)
+        monkeypatch.setattr(type(problem), name, counted)
+    problem.b_kick(0.0, 0.1, problem.u0())
+    assert calls == ["b_kick"]
+    with pytest.raises(ValidationError) as info:
+        bench.resolve_method("sm4", problem, "exact")
+    assert str(info.value) == "OscillatorProblem has no exact A-flow (use cf2 or cf4)"
+    assert calls == ["b_kick"]
 
 
 def test_self_converge_resolves_its_method_once(tmp_path, resolutions):
@@ -332,7 +370,8 @@ def test_child_share_process_dying_is_a_cxsplit_error(fake_points, capsys):
 
 def test_write_csv(tmp_path, osc_ref):
     problem, reference = osc_ref
-    records = [bench.run_point(problem, "strang", 8, reference, bench.resolve_method("strang"))]
+    records = [bench.run_point(problem, "strang", 8, reference,
+                               bench.resolve_method("strang", problem))]
     out = tmp_path / "sweep.csv"
     bench.write_csv(records, out)
     assert out.read_text().startswith(bench.CSV_HEADER)

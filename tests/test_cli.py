@@ -208,9 +208,11 @@ def test_design_bad_flow_coefficients_exit_runtime(flags, capsys):
     (["--scan", "--grid-points", "-1"], "--grid-points"),
     (["--scan", "--grid-points", "x"], "--grid-points"),
     (["--stages", "6", "--scan"], "--scan"),
-    (["--a1", "0.2", "--grid-points", "5"], "--grid-points")],
+    (["--a1", "0.2", "--grid-points", "5"], "--grid-points"),
+    (["--scan", "--grid-points", "1"], "--grid-points")],
     ids=["a-zero-denominator", "a-not-a-number", "grid-points-negative",
-         "grid-points-not-an-integer", "scan-six-stages", "grid-points-without-scan"])
+         "grid-points-not-an-integer", "scan-six-stages", "grid-points-without-scan",
+         "grid-points-one"])
 def test_design_bad_arguments_are_usage_errors(flags, arg, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["design", *flags])
@@ -251,6 +253,24 @@ def test_out_in_a_missing_directory_is_one_error_line(cmd, tmp_path, osc_ref, ca
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "No such file or directory" in captured.err
     assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("cmd", [
+    ["design", "--a1", "0.13505265889288437"], ["design", "--scan"],
+    ["sweep", "--problem", "parabolic", "--methods", "sm4", "--nsteps", "8"]],
+    ids=["design", "design-scan", "sweep"])
+def test_out_that_is_a_directory_fails_before_the_work(cmd, tmp_path, capsys):
+    # the sweep would build its reference into the cache; the design would
+    # print its results: neither runs
+    cache, out = tmp_path / "cache", tmp_path / "out"
+    cache.mkdir()
+    out.mkdir()
+    extra = ["--cache-dir", str(cache)] if cmd[0] == "sweep" else []
+    assert cli.main([*cmd, *extra, "--out", str(out)]) == cli.EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 21] Is a directory: '{out}'\n"
+    assert list(cache.iterdir()) == [] and list(out.iterdir()) == []
 
 
 def test_failed_sweep_leaves_existing_out_unchanged(tmp_path, monkeypatch, capsys):

@@ -125,6 +125,13 @@ def test_scan_lands_on_the_optimum_from_any_grid(grid_points):
     assert abs(a1_opt - A1_OPT) < 1e-15
 
 
+@pytest.mark.parametrize("grid_points", [1, 0])
+def test_scan_of_fewer_than_two_points_is_a_validation_error(grid_points):
+    # one point cannot bracket the root of the slope
+    with pytest.raises(ValidationError, match=f"at least 2 grid points, got {grid_points}$"):
+        scan_a1(grid_points=grid_points)
+
+
 @pytest.mark.parametrize("a1", [0.13, 0.2, 0.4])
 def test_scan_slope_matches_a_central_difference(a1):
     h = 1e-6

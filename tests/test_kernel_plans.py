@@ -16,7 +16,7 @@ from cxsplit.problems import make_problem
 from cxsplit.propagators import A_FLOWS, CF4_ALPHA, CF4_BETA, GAUSS_OFFSETS
 from cxsplit.schemes import Stage, expand
 from cxsplit.stepper import (FREEZE_NODES, KERNEL_ERRORS, StepperConfig, _finish,
-                             _real, _run_stages, compile_plans, compile_stages,
+                             _real, _run_stages, compile_plan, compile_stages,
                              extrapolate, integrate_with, plan_step)
 
 
@@ -90,17 +90,17 @@ def reference_run(cfg, problem, t_n, u, h, plan, record):
     return u
 
 
-def reference_method(name, kind, freeze):
-    """The step of a bench method name, through the reference runner."""
+def reference_method(name, problem, kind, freeze):
+    """The step of a bench method name on problem, through the reference runner."""
     scheme, pinned, ext = bench.method(name)
     cfg = StepperConfig(scheme, pinned or kind, freeze)
     plan = reference_compile(expand(scheme))
 
-    def step(problem, state, h, record=None):
+    def step(state, h, record=None):
         u = reference_run(cfg, problem, state.t, state.values, h, plan, record)
         return _finish(u, state.t + h)
 
-    def extrapolated(problem, state, h, record=None):
+    def extrapolated(state, h, record=None):
         t_n, u = state.t, state.values
         half = reference_run(cfg, problem, t_n, u, 0.5 * h, plan, record)
         half = reference_run(cfg, problem, t_n + 0.5 * h, half, 0.5 * h, plan, record)
@@ -113,10 +113,11 @@ def reference_method(name, kind, freeze):
     return extrapolated if ext else step
 
 
-def _outcome(step, problem, name, n_steps):
-    """Final state bytes, t and both counts of a run, or the error it raised."""
+def _outcome(resolve, problem, name, n_steps):
+    """Final state bytes, t and both counts of a run of the step that
+    resolve(name, problem) makes, or the error that making or running it raised."""
     try:
-        state, record = integrate_with(step, problem, problem.u0(), problem.t0,
+        state, record = integrate_with(resolve(name, problem), problem.u0(), problem.t0,
                                        problem.tf, n_steps, name)
     except ValidationError as exc:
         return "ValidationError", str(exc)
@@ -130,8 +131,10 @@ def test_plans_reproduce_the_flow_functions_bitwise(name, kind, freeze):
     # the six methods at n = 16; exact has no flow on osc, for either runner
     problem = make_problem(name)
     for method in bench.METHODS:
-        got = _outcome(bench.resolve_method(method, kind, freeze), problem, method, 16)
-        expect = _outcome(reference_method(method, kind, freeze), problem, method, 16)
+        got = _outcome(lambda m, p: bench.resolve_method(m, p, kind, freeze),
+                       problem, method, 16)
+        expect = _outcome(lambda m, p: reference_method(m, p, kind, freeze),
+                          problem, method, 16)
         assert got == expect, method
 
 
@@ -174,14 +177,15 @@ def test_each_flow_makes_the_kernel_calls_of_its_function(kind, commuting, freez
 
 
 def test_plans_are_compiled_once_per_commuting_value():
-    # a plan for each value of problem.commuting, one row per stage; None
-    # where the kind cannot run, which either step refuses before any kernel
+    # one plan for the problem's value of commuting, one row per stage; a
+    # kind that cannot run there fails to compile, so neither step is made
     cfg = StepperConfig(bench.method("sm4")[0], "exact")
     stages = len(expand(cfg.scheme))
-    assert [plan and len(plan) for plan in compile_plans(cfg)] == [None, stages]
+    osc, parabolic = make_problem("osc"), make_problem("parabolic")
+    assert len(compile_plan(cfg, parabolic)) == stages
     for kind in ("cf2", "cf4"):
-        plans = compile_plans(StepperConfig(cfg.scheme, kind))
+        plans = [compile_plan(StepperConfig(cfg.scheme, kind), p) for p in (osc, parabolic)]
         assert [len(plan) for plan in plans] == [stages, stages]
-    for step in (plan_step(cfg), extrapolate(cfg)):
+    for compile_step in (compile_plan, plan_step, extrapolate):
         with pytest.raises(ValidationError, match="^OscillatorProblem has no exact A-flow"):
-            integrate_with(step, make_problem("osc"), np.zeros(2), 0.0, 1.0, 2, "x")
+            compile_step(cfg, osc)

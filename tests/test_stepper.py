@@ -9,21 +9,20 @@ from cxsplit.problems import make_problem
 from cxsplit.propagators import A_FLOWS
 from cxsplit.schemes import Scheme, builtin_scheme, expand
 from cxsplit.stepper import (RunRecord, State, StepperConfig, _run_stages,
-                             compile_plans, compile_stages, extrapolate,
+                             compile_plan, compile_stages, extrapolate,
                              integrate, integrate_with, plan_step)
 
 STRANG = builtin_scheme("Strang_BAB")
 
 
 def step(cfg, problem, state, h, record=None):
-    """One projected composition step of cfg.scheme."""
-    return plan_step(cfg)(problem, state, h, record)
+    """One projected composition step of cfg.scheme on problem."""
+    return plan_step(cfg, problem)(state, h, record)
 
 
 def raw_step(cfg, problem, state, h, record=None):
     """One unprojected composition step of cfg.scheme, as an ndarray State."""
-    plan = compile_plans(cfg)[problem.commuting]
-    u = _run_stages(plan, problem, state.t, state.values, h, record)
+    u = _run_stages(compile_plan(cfg, problem), problem, state.t, state.values, h, record)
     return State(np.asarray(u, dtype=complex), state.t + h)
 
 
@@ -84,10 +83,10 @@ def test_extrapolated_complex_kick_scheme_runs():
     # extrapolating a complex-kick scheme combines its unprojected steps
     problem = make_problem("parabolic")
     record = RunRecord()
-    ext = extrapolate(StepperConfig(scheme=builtin_scheme("SM4")))
+    ext = extrapolate(StepperConfig(scheme=builtin_scheme("SM4")), problem)
     state = State(problem.u0(), 0.0)
     for _ in range(2):
-        state = ext(problem, state, 0.125, record)
+        state = ext(state, 0.125, record)
     assert np.all(state.values.imag == 0.0)
     assert np.all(np.isfinite(state.values))
     assert record.a_flow_evals == 2 * 12
@@ -231,10 +230,10 @@ def test_a_failed_run_adds_the_counts_of_the_stages_before_it(method, kernel, fa
                                                              stage, counts):
     stub = FailingKernel(kernel, fail_at)
     record = RunRecord()
-    step_fn = bench.resolve_method(method)
-    state = step_fn(stub, State(np.ones(1, dtype=complex), 0.0), 0.1, record)
+    step_fn = bench.resolve_method(method, stub)
+    state = step_fn(State(np.ones(1, dtype=complex), 0.0), 0.1, record)
     with pytest.raises(StepFailed, match="math domain error") as info:
-        step_fn(stub, state, 0.1, record)
+        step_fn(state, 0.1, record)
     assert info.value.stage == stage
     assert (record.a_flow_evals, record.kernel_evals) == counts
 
@@ -293,11 +292,11 @@ def _assert_strang_plan(freeze, offset):
     problem = make_problem("osc")
     state = State(problem.u0(), 0.0)
     direct = _textbook_strang(problem, state, 0.05, offset * 0.05)
-    method = bench.resolve_method("strang", freeze_convention=freeze)
+    method = bench.resolve_method("strang", problem, freeze_convention=freeze)
     cfg = StepperConfig(scheme=STRANG, a_flow_kind="cf2", freeze_convention=freeze)
     composed = step(cfg, problem, state, 0.05)
     assert np.max(np.abs(direct - composed.values)) < 1e-15
-    assert np.array_equal(method(problem, state, 0.05, None).values, composed.values)
+    assert np.array_equal(method(state, 0.05, None).values, composed.values)
 
 
 def test_strang_equals_scheme_strang_midpoint():
@@ -311,8 +310,8 @@ def test_literal_strang_freezes_at_the_step_start():
 def test_ext4_counts_three_flows_and_projects():
     problem = make_problem("osc")
     record = RunRecord()
-    ext4 = bench.resolve_method("ext4")
-    state = ext4(problem, State(problem.u0(), 0.0), 0.1, record)
+    ext4 = bench.resolve_method("ext4", problem)
+    state = ext4(State(problem.u0(), 0.0), 0.1, record)
     assert record.a_flow_evals == 3
     assert np.all(state.values.imag == 0.0)
 
@@ -321,14 +320,14 @@ def test_ext4_is_the_richardson_combination_of_strang():
     # the osc runs combine as Python complex tuples, bit for bit numpy's
     # combination of the same runs as ndarrays
     cfg = StepperConfig(STRANG, "cf2")
-    ext4 = bench.resolve_method("ext4")
     for problem in (make_problem("osc"), make_problem("parabolic")):
+        ext4 = bench.resolve_method("ext4", problem)
         state = State(problem.u0(), 0.0)
         for _ in range(32):
             half = raw_step(cfg, problem, raw_step(cfg, problem, state, 0.05), 0.05)
             whole = raw_step(cfg, problem, state, 0.1)
             combined = (4.0 / 3.0) * half.values - (1.0 / 3.0) * whole.values
-            state = ext4(problem, state, 0.1, None)
+            state = ext4(state, 0.1, None)
             assert state.values.tobytes() == combined.real.astype(complex).tobytes()
 
 
@@ -342,18 +341,19 @@ def test_exact_a_flow_kind_on_parabolic():
 
 
 def test_exact_a_flow_on_osc_is_a_validation_error():
-    # the oscillator's A(t) has no closed-form flow
+    # the oscillator's A(t) has no closed-form flow: compiling its step fails
     problem = make_problem("osc")
     cfg = StepperConfig(scheme=builtin_scheme("SM4"), a_flow_kind="exact")
-    with pytest.raises(ValidationError, match="has no exact A-flow"):
-        step(cfg, problem, State(problem.u0(), 0.0), 0.1)
+    for compile_step in (plan_step, extrapolate):
+        with pytest.raises(ValidationError, match="has no exact A-flow"):
+            compile_step(cfg, problem)
 
 
 @pytest.mark.parametrize("problem", ["osc", "parabolic"])
 @pytest.mark.parametrize("kind", sorted(A_FLOWS))
 def test_a_flow_is_the_table_row_of_the_problem(problem, kind):
-    # the one check of an A-flow kind against a problem, which the step and
-    # a sweep (before its reference) both make
+    # the one check of an A-flow kind against a problem, made when a step
+    # is compiled for it (a sweep compiles its steps before its reference)
     problem = make_problem(problem)
     flow = A_FLOWS[kind][problem.commuting]
     if flow is None:
@@ -366,8 +366,8 @@ def test_a_flow_is_the_table_row_of_the_problem(problem, kind):
 
 OSC_STEPS = {
     "sm4": lambda p, s: step(StepperConfig(scheme=builtin_scheme("SM4")), p, s, 0.1),
-    "strang": lambda p, s: bench.resolve_method("strang")(p, s, 0.1),
-    "ext4": lambda p, s: bench.resolve_method("ext4")(p, s, 0.1),
+    "strang": lambda p, s: bench.resolve_method("strang", p)(s, 0.1),
+    "ext4": lambda p, s: bench.resolve_method("ext4", p)(s, 0.1),
 }
 
 
@@ -429,9 +429,9 @@ class TupleStub:
 def test_non_finite_tuple_state_fails_the_step(method, slot, part, bad):
     value = complex(bad, 0.0) if part == "real" else complex(0.0, bad)
     poison = (value, 1.0 + 0j) if slot == 0 else (1.0 + 0j, value)
-    step_fn = bench.resolve_method(method)
+    step_fn = bench.resolve_method(method, TupleStub(poison))
     with pytest.raises(StepFailed, match="^non-finite state$"):
-        integrate_with(step_fn, TupleStub(poison), np.ones(2), 0.0, 1.0, 2, method)
+        integrate_with(step_fn, np.ones(2), 0.0, 1.0, 2, method)
 
 
 class FirstKickPoisons:
@@ -464,9 +464,9 @@ class FirstKickPoisons:
 def test_ext4_fails_when_only_its_first_half_goes_non_finite(as_tuple):
     stub = FirstKickPoisons(as_tuple)
     record = RunRecord()
-    ext4 = bench.resolve_method("ext4")
+    ext4 = bench.resolve_method("ext4", stub)
     with pytest.raises(StepFailed, match="^non-finite state$"):
-        ext4(stub, State(np.ones(2, dtype=complex), 0.0), 0.1, record)
+        ext4(State(np.ones(2, dtype=complex), 0.0), 0.1, record)
     assert stub.kicks == 3 * 2      # all three Strang runs ran to their end
     assert (record.a_flow_evals, record.kernel_evals) == (3, 3)
 
@@ -476,8 +476,7 @@ def test_stage_runner_returns_the_kernels_state(name, kind):
     # the runner neither converts nor checks nor projects: the finish does
     problem = make_problem(name)
     cfg = StepperConfig(scheme=builtin_scheme("SM4"))
-    plan = compile_plans(cfg)[problem.commuting]
-    u = _run_stages(plan, problem, 0.0, problem.u0(), 0.1, None)
+    u = _run_stages(compile_plan(cfg, problem), problem, 0.0, problem.u0(), 0.1, None)
     assert type(u) is kind
     assert np.any(np.asarray(u).imag != 0.0)
 
@@ -487,7 +486,7 @@ def test_osc_runs_are_bitwise_those_of_the_numpy_check(method, monkeypatch):
     problem = make_problem("osc")
 
     def run():
-        return integrate_with(bench.resolve_method(method), problem, problem.u0(),
+        return integrate_with(bench.resolve_method(method, problem), problem.u0(),
                               problem.t0, problem.tf, 256, method)
 
     state, record = run()
@@ -504,4 +503,4 @@ def test_osc_runs_are_bitwise_those_of_the_numpy_check(method, monkeypatch):
 def test_integrate_with_rejects_bad_n_steps():
     problem = make_problem("osc")
     with pytest.raises(ValueError):
-        integrate_with(lambda *a: None, problem, problem.u0(), 0.0, 1.0, 0, "x")
+        integrate_with(lambda *a: None, problem.u0(), 0.0, 1.0, 0, "x")
