@@ -78,12 +78,12 @@ class OscillatorProblem:
     def u0(self):
         return np.array([self.q0, self.p0], dtype=complex)
 
-    # Both kernels take a (q, p) pair, the step's ndarray (read once, with
-    # tolist) or the tuple the previous kernel returned (taken as given), and
-    # return a (q, p) tuple of Python complex: on a 2-component state numpy's
-    # per-call overhead would be the whole cost.  The tuple passes from stage
-    # to stage, and from run to run inside an EXT4 step, until the step's
-    # one finish checks it, projects it and makes it an ndarray.
+    # Both kernels take a (q, p) pair, the run's initial ndarray (read once,
+    # with tolist) or a tuple (taken as given), and return a (q, p) tuple of
+    # Python complex: on a 2-component state numpy's per-call overhead would
+    # be the whole cost.  The tuple passes from stage to stage and from step
+    # to step, projected by each step's finish; only the run's end makes it
+    # an ndarray.
     # The sums are left folds, the order sum() adds numpy scalars in, so the
     # results equal numpy-scalar arithmetic wherever cmath.sin and np.sin
     # agree (bit for bit on x86-64 glibc).

@@ -6,18 +6,19 @@ over real subintervals, projects onto the real axis after the full step
 benchmark cost metric.  ``plan_step`` compiles a scheme for the problem
 its step runs on into a plan of one row per stage: the flow times are
 checked real and the A-flow is one that the problem has (``a_flow``), so
-compiling is the check, and the step maps states.  A row (c0, d, flow)
-spans [t0, t0 + tau] with t0 = t_n + c0 h and tau = d h: a B-kick (flow
-None) is frozen at t0; an A-flow makes the kernel calls of its
-``propagators.A_FLOWS`` flow at the times t0 + o tau, formed once per flow,
-each call for factor * tau.  Strang is the STRANG_BAB plan with a CF2
-flow; EXT4, its ``extrapolate``, runs the plan three times and combines
-the unprojected results.  The stage runner ``_run_stages`` returns the
-state as the kernels hand it back, and ``_finish`` runs once per public
-step: it checks the state finite, projects it and makes it a ``State``.
-A zero-duration flow calls no kernel but counts in ``a_flow_evals``.  A
-run adds its counts to the record once: on a failure, those of the stages
-before the failing one.
+compiling is the check.  A row (c0, d, flow) spans [t0, t0 + tau] with
+t0 = t_n + c0 h and tau = d h: a B-kick (flow None) is frozen at t0; an
+A-flow makes the kernel calls of its ``propagators.A_FLOWS`` flow at the
+times t0 + o tau, formed once per flow, each call for factor * tau.
+Strang is the STRANG_BAB plan with a CF2 flow; EXT4, its ``extrapolate``,
+runs the plan three times and combines the unprojected results.  A
+compiled step maps the kernels' own state, step(u, t_n, h, record) -> u:
+the stage runner ``_run_stages`` returns the state as the kernels hand it
+back, and ``_finish``, once per public step, checks it finite and projects
+it in its own type.  ``integrate_with`` makes a run's one ndarray
+``State`` after its last step.  A zero-duration flow calls no kernel but
+counts in ``a_flow_evals``.  A run adds its counts to the record once: on
+a failure, those of the stages before the failing one.
 
 Problem protocol: ``commuting`` (the A(t) commute: CF4 fuses into one
 exponential, and the exact flow exists); ``a_frozen_exp(times, weights,
@@ -25,12 +26,12 @@ duration, state)``, exp(duration * sum_i weights_i A(times_i)); and
 ``b_kick(t, tau, state)``, the B-flow frozen at real time t for a complex
 duration tau.  The kernels may hand back any state that the next kernel
 accepts (an ndarray, or the oscillator's (q, p) tuple): it passes
-unchanged through the stages, and through EXT4's runs and combination, to
-the finish.  Kernels keep a non-finite state non-finite, so the one check
-catches every stage.  A kernel that fails raises StepFailed (StepTooLarge
-is one) or one of KERNEL_ERRORS (``cmath`` raises ValueError or
-OverflowError where numpy returns inf or nan), which the step turns into
-StepFailed.
+unchanged through the stages, EXT4's runs and combination and the finish
+to the next step.  Kernels keep a non-finite state non-finite, so the one
+check catches every stage.  A kernel that fails raises StepFailed
+(StepTooLarge is one) or one of KERNEL_ERRORS (``cmath`` raises ValueError
+or OverflowError where numpy returns inf or nan), which the step turns
+into StepFailed.
 """
 
 from __future__ import annotations
@@ -143,12 +144,11 @@ def compile_plan(cfg, problem):
 
 
 def plan_step(cfg, problem):
-    """Compile cfg.scheme for problem once; return its map step_fn(state, h, record)."""
+    """Compile cfg.scheme for problem once; return its map step_fn(u, t, h, record) -> u."""
     plan = compile_plan(cfg, problem)
 
-    def step_fn(state, h, record=None):
-        u = _run_stages(plan, problem, state.t, state.values, h, record)
-        return _finish(u, state.t + h)
+    def step_fn(u, t, h, record=None):
+        return _finish(_run_stages(plan, problem, t, u, h, record))
     return step_fn
 
 
@@ -179,13 +179,18 @@ def _run_stages(plan, problem, t_n, u, h, record):
     return u
 
 
-def _finish(u, t):
-    """The end of every public step: u checked finite, projected, as a State at t."""
+def _finish(u):
+    """The end of every public step: u checked finite and projected, in its own type;
+    a tuple entry z becomes complex(z.real), the bits of numpy's .real.astype(complex)."""
     # the kernels keep a non-finite state non-finite: one check per step
     # suffices; cmath checks the oscillator's (q, p) tuple faster than numpy
-    if not (all(map(cmath.isfinite, u)) if type(u) is tuple else np.isfinite(u).all()):
+    if type(u) is tuple:
+        if not all(map(cmath.isfinite, u)):
+            raise StepFailed("non-finite state")
+        return tuple([complex(z.real) for z in u])
+    if not np.isfinite(u).all():
         raise StepFailed("non-finite state")
-    return State(np.asarray(u, dtype=complex).real.astype(complex), t)
+    return np.asarray(u, dtype=complex).real.astype(complex)
 
 
 def extrapolate(cfg, problem):
@@ -197,18 +202,17 @@ def extrapolate(cfg, problem):
     """
     plan = compile_plan(cfg, problem)
 
-    def extrapolated(state, h, record=None):
-        t_n, u = state.t, state.values
-        half = _run_stages(plan, problem, t_n, u, 0.5 * h, record)
-        half = _run_stages(plan, problem, t_n + 0.5 * h, half, 0.5 * h, record)
-        whole = _run_stages(plan, problem, t_n, u, h, record)
+    def extrapolated(u, t, h, record=None):
+        half = _run_stages(plan, problem, t, u, 0.5 * h, record)
+        half = _run_stages(plan, problem, t + 0.5 * h, half, 0.5 * h, record)
+        whole = _run_stages(plan, problem, t, u, h, record)
         # CPython (to 3.13) multiplies a float by a complex as numpy does, as
         # complex(x, 0) * z: the tuple combination is numpy's, bit for bit
         if type(half) is tuple:
             u = tuple((4.0 / 3.0) * a - (1.0 / 3.0) * b for a, b in zip(half, whole))
         else:
             u = (4.0 / 3.0) * half - (1.0 / 3.0) * whole
-        return _finish(u, t_n + h)
+        return _finish(u)
     return extrapolated
 
 
@@ -218,16 +222,18 @@ def integrate(cfg, problem, u0, t0, tf, n_steps):
 
 
 def integrate_with(step_fn, u0, t0, tf, n_steps, method_name):
-    """Drive a one-step map step_fn(state, h, record) and fill the run record."""
+    """Drive a one-step map step_fn(u, t, h, record) -> u; one State and record a run."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     h = (tf - t0) / n_steps
     record = RunRecord(method=method_name, h=h, n_steps=n_steps)
-    state = State(np.asarray(u0, dtype=complex), t0)
+    u, t = np.asarray(u0, dtype=complex), t0
     start = time.perf_counter()
     # a step that overflows ends non-finite and fails: numpy's warning adds nothing
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(n_steps):
-            state = step_fn(state, h, record)
+            u = step_fn(u, t, h, record)
+            t = t + h
+    state = State(np.asarray(u, dtype=complex), t)
     record.wall_time = time.perf_counter() - start
     return state, record

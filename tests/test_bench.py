@@ -10,7 +10,7 @@ from cxsplit.errors import (CxsplitError, InsufficientData, NotInCatalog, ParseE
                             ValidationError)
 from cxsplit.problems import make_problem
 from cxsplit.schemes import serialize_scheme, builtin_scheme
-from cxsplit.stepper import RunRecord, State
+from cxsplit.stepper import RunRecord
 
 from conftest import assert_no_child_left, yoshida_text
 
@@ -22,7 +22,7 @@ def test_resolve_method_stage_counts(name, stages):
     fn = bench.resolve_method(name, problem, a_flow_kind="cf2")
     assert callable(fn)
     record = RunRecord()
-    fn(State(problem.u0(), 0.0), 0.01, record)
+    fn(problem.u0(), 0.0, 0.01, record)
     assert record.a_flow_evals == stages
 
 
@@ -31,7 +31,7 @@ def test_method_stages_count_one_step(name):
     problem = make_problem("osc")
     fn = bench.resolve_method(name, problem)
     record = RunRecord()
-    fn(State(problem.u0(), 0.0), 0.1, record)
+    fn(problem.u0(), 0.0, 0.1, record)
     assert record.a_flow_evals == bench.METHOD_STAGES[name]
 
 
@@ -41,7 +41,7 @@ def test_resolve_method_from_file(tmp_path):
     problem = make_problem("osc")
     fn = bench.resolve_method(str(path), problem)
     record = RunRecord()
-    fn(State(problem.u0(), 0.0), 0.1, record)
+    fn(problem.u0(), 0.0, 0.1, record)
     assert record.a_flow_evals == 3
 
 

@@ -96,12 +96,10 @@ def reference_method(name, problem, kind, freeze):
     cfg = StepperConfig(scheme, pinned or kind, freeze)
     plan = reference_compile(expand(scheme))
 
-    def step(state, h, record=None):
-        u = reference_run(cfg, problem, state.t, state.values, h, plan, record)
-        return _finish(u, state.t + h)
+    def step(u, t_n, h, record=None):
+        return _finish(reference_run(cfg, problem, t_n, u, h, plan, record))
 
-    def extrapolated(state, h, record=None):
-        t_n, u = state.t, state.values
+    def extrapolated(u, t_n, h, record=None):
         half = reference_run(cfg, problem, t_n, u, 0.5 * h, plan, record)
         half = reference_run(cfg, problem, t_n + 0.5 * h, half, 0.5 * h, plan, record)
         whole = reference_run(cfg, problem, t_n, u, h, plan, record)
@@ -109,7 +107,7 @@ def reference_method(name, problem, kind, freeze):
             u = tuple((4.0 / 3.0) * a - (1.0 / 3.0) * b for a, b in zip(half, whole))
         else:
             u = (4.0 / 3.0) * half - (1.0 / 3.0) * whole
-        return _finish(u, t_n + h)
+        return _finish(u)
     return extrapolated if ext else step
 
 

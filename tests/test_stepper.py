@@ -16,8 +16,9 @@ STRANG = builtin_scheme("Strang_BAB")
 
 
 def step(cfg, problem, state, h, record=None):
-    """One projected composition step of cfg.scheme on problem."""
-    return plan_step(cfg, problem)(state, h, record)
+    """One projected composition step of cfg.scheme on problem, as an ndarray State."""
+    u = plan_step(cfg, problem)(state.values, state.t, h, record)
+    return State(np.asarray(u, dtype=complex), state.t + h)
 
 
 def raw_step(cfg, problem, state, h, record=None):
@@ -84,11 +85,11 @@ def test_extrapolated_complex_kick_scheme_runs():
     problem = make_problem("parabolic")
     record = RunRecord()
     ext = extrapolate(StepperConfig(scheme=builtin_scheme("SM4")), problem)
-    state = State(problem.u0(), 0.0)
-    for _ in range(2):
-        state = ext(state, 0.125, record)
-    assert np.all(state.values.imag == 0.0)
-    assert np.all(np.isfinite(state.values))
+    u = problem.u0()
+    for t in (0.0, 0.125):
+        u = ext(u, t, 0.125, record)
+    assert np.all(u.imag == 0.0)
+    assert np.all(np.isfinite(u))
     assert record.a_flow_evals == 2 * 12
 
 
@@ -231,9 +232,9 @@ def test_a_failed_run_adds_the_counts_of_the_stages_before_it(method, kernel, fa
     stub = FailingKernel(kernel, fail_at)
     record = RunRecord()
     step_fn = bench.resolve_method(method, stub)
-    state = step_fn(State(np.ones(1, dtype=complex), 0.0), 0.1, record)
+    u = step_fn(np.ones(1, dtype=complex), 0.0, 0.1, record)
     with pytest.raises(StepFailed, match="math domain error") as info:
-        step_fn(state, 0.1, record)
+        step_fn(u, 0.1, 0.1, record)
     assert info.value.stage == stage
     assert (record.a_flow_evals, record.kernel_evals) == counts
 
@@ -296,7 +297,8 @@ def _assert_strang_plan(freeze, offset):
     cfg = StepperConfig(scheme=STRANG, a_flow_kind="cf2", freeze_convention=freeze)
     composed = step(cfg, problem, state, 0.05)
     assert np.max(np.abs(direct - composed.values)) < 1e-15
-    assert np.array_equal(method(state, 0.05, None).values, composed.values)
+    assert np.array_equal(np.asarray(method(state.values, state.t, 0.05, None)),
+                          composed.values)
 
 
 def test_strang_equals_scheme_strang_midpoint():
@@ -311,9 +313,9 @@ def test_ext4_counts_three_flows_and_projects():
     problem = make_problem("osc")
     record = RunRecord()
     ext4 = bench.resolve_method("ext4", problem)
-    state = ext4(State(problem.u0(), 0.0), 0.1, record)
+    u = ext4(problem.u0(), 0.0, 0.1, record)
     assert record.a_flow_evals == 3
-    assert np.all(state.values.imag == 0.0)
+    assert np.all(np.asarray(u).imag == 0.0)
 
 
 def test_ext4_is_the_richardson_combination_of_strang():
@@ -322,13 +324,14 @@ def test_ext4_is_the_richardson_combination_of_strang():
     cfg = StepperConfig(STRANG, "cf2")
     for problem in (make_problem("osc"), make_problem("parabolic")):
         ext4 = bench.resolve_method("ext4", problem)
-        state = State(problem.u0(), 0.0)
+        u, t = problem.u0(), 0.0
         for _ in range(32):
+            state = State(np.asarray(u, dtype=complex), t)
             half = raw_step(cfg, problem, raw_step(cfg, problem, state, 0.05), 0.05)
             whole = raw_step(cfg, problem, state, 0.1)
             combined = (4.0 / 3.0) * half.values - (1.0 / 3.0) * whole.values
-            state = ext4(state, 0.1, None)
-            assert state.values.tobytes() == combined.real.astype(complex).tobytes()
+            u, t = ext4(u, t, 0.1, None), t + 0.1
+            assert np.asarray(u).tobytes() == combined.real.astype(complex).tobytes()
 
 
 def test_exact_a_flow_kind_on_parabolic():
@@ -364,19 +367,39 @@ def test_a_flow_is_the_table_row_of_the_problem(problem, kind):
         assert stepper.a_flow(problem, kind) is flow
 
 
+#: method -> its step on a problem, compiled once per call
 OSC_STEPS = {
-    "sm4": lambda p, s: step(StepperConfig(scheme=builtin_scheme("SM4")), p, s, 0.1),
-    "strang": lambda p, s: bench.resolve_method("strang", p)(s, 0.1),
-    "ext4": lambda p, s: bench.resolve_method("ext4", p)(s, 0.1),
+    "sm4": lambda p: plan_step(StepperConfig(scheme=builtin_scheme("SM4")), p),
+    "strang": lambda p: bench.resolve_method("strang", p),
+    "ext4": lambda p: bench.resolve_method("ext4", p),
 }
 
 
 @pytest.mark.parametrize("method", sorted(OSC_STEPS))
 def test_osc_step_returns_complex_ndarray(method):
+    # the step maps (q, p) tuples; the run hands out its state as an ndarray
     problem = make_problem("osc")
-    state = OSC_STEPS[method](problem, State(problem.u0(), 0.0))
+    state, _ = integrate_with(OSC_STEPS[method](problem), problem.u0(), 0.0, 0.1, 1, method)
     assert isinstance(state.values, np.ndarray)
     assert state.values.dtype == complex and state.values.shape == (2,)
+
+
+@pytest.mark.parametrize("method", sorted(OSC_STEPS))
+def test_a_step_keeps_the_kernels_state_type(method):
+    # osc: a tuple of Python complex, each imaginary part +0.0, from the
+    # run's first ndarray on; parabolic: a complex ndarray
+    problem = make_problem("osc")
+    step_fn = OSC_STEPS[method](problem)
+    u = problem.u0()
+    for t in (0.0, 0.1):
+        u = step_fn(u, t, 0.1)
+        assert type(u) is tuple and len(u) == 2
+        assert all(type(z) is complex and math.copysign(1.0, z.imag) == 1.0
+                   and z.imag == 0.0 for z in u)
+    problem = make_problem("parabolic")
+    u = OSC_STEPS[method](problem)(problem.u0(), 0.0, 0.1)
+    assert type(u) is np.ndarray and u.dtype == complex and u.shape == (problem.n_grid,)
+    assert not np.signbit(u.imag).any() and np.all(u.imag == 0.0)
 
 
 @pytest.mark.parametrize("values", [[np.inf, 1.0], [0.0, 1e308j]],
@@ -387,7 +410,7 @@ def test_non_finite_osc_state_fails_the_step(method, values):
     # imaginary part) where np.sin returns inf or nan: still StepFailed
     problem = make_problem("osc")
     with pytest.raises(StepFailed):
-        OSC_STEPS[method](problem, State(np.array(values, dtype=complex), 0.0))
+        OSC_STEPS[method](problem)(np.array(values, dtype=complex), 0.0, 0.1)
 
 
 class NumpyFinish:
@@ -396,12 +419,12 @@ class NumpyFinish:
     def __init__(self):
         self.calls = 0
 
-    def __call__(self, u, t):
+    def __call__(self, u):
         self.calls += 1
         u = np.asarray(u, dtype=complex)
         if not np.isfinite(u).all():
             raise StepFailed("non-finite state")
-        return State(u.real.astype(complex), t)
+        return u.real.astype(complex)
 
 
 class TupleStub:
@@ -466,7 +489,7 @@ def test_ext4_fails_when_only_its_first_half_goes_non_finite(as_tuple):
     record = RunRecord()
     ext4 = bench.resolve_method("ext4", stub)
     with pytest.raises(StepFailed, match="^non-finite state$"):
-        ext4(State(np.ones(2, dtype=complex), 0.0), 0.1, record)
+        ext4(np.ones(2, dtype=complex), 0.0, 0.1, record)
     assert stub.kicks == 3 * 2      # all three Strang runs ran to their end
     assert (record.a_flow_evals, record.kernel_evals) == (3, 3)
 
@@ -498,6 +521,29 @@ def test_osc_runs_are_bitwise_those_of_the_numpy_check(method, monkeypatch):
     assert state.t == ref_state.t
     assert (record.a_flow_evals, record.kernel_evals) == (
         ref_record.a_flow_evals, ref_record.kernel_evals)
+
+
+class CountingState(State):
+    """stepper.State that counts the instances made."""
+
+    made = 0
+
+    def __init__(self, *args, **kwargs):
+        type(self).made += 1
+        super().__init__(*args, **kwargs)
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 33])
+@pytest.mark.parametrize("name", ["osc", "parabolic"])
+def test_integrate_with_makes_one_state_per_run(name, n_steps, monkeypatch):
+    problem = make_problem(name)
+    monkeypatch.setattr(stepper, "State", CountingState)
+    monkeypatch.setattr(CountingState, "made", 0)
+    state, record = integrate_with(bench.resolve_method("sm4", problem), problem.u0(),
+                                   0.0, 0.1, n_steps, "sm4")
+    assert CountingState.made == 1 and type(state) is CountingState
+    assert isinstance(state.values, np.ndarray) and state.values.dtype == complex
+    assert record.n_steps == n_steps
 
 
 def test_integrate_with_rejects_bad_n_steps():
