@@ -41,7 +41,7 @@ REF_MAGIC = b"CXSPLITR"
 # The cache format and oracle-kernel version: raise it with any change to the
 # format or to a kernel that moves the oracles' bits, so that older entries
 # are rebuilt instead of read as valid.
-REF_VERSION = 2
+REF_VERSION = 3
 # magic, version, key digest, payload bytes, oracle gap, build seconds
 REF_HEADER = struct.Struct("<8sQ16sQdd")
 
@@ -225,17 +225,22 @@ def make_problem(name, **overrides):
 # ---------------------------------------------------------------------------
 
 def rk4_integrate(rhs, u0, t0, tf, n_steps):
-    """Classical fourth-order one-step method on the full right-hand side rhs(t, u)."""
+    """Classical fourth-order one-step method on the full right-hand side rhs(t, u).
+
+    Step i runs from t0 + i h to t0 + (i + 1) h, indexed, not accumulated.
+    """
     u = np.asarray(u0).copy()
     h = (tf - t0) / n_steps
-    t = t0
+    t, i = t0, 0.0
     for _ in range(n_steps):
+        i += 1.0
+        t_next = t0 + i * h
         k1 = rhs(t, u)
         k2 = rhs(t + 0.5 * h, u + 0.5 * h * k1)
         k3 = rhs(t + 0.5 * h, u + 0.5 * h * k2)
-        k4 = rhs(t + h, u + h * k3)
+        k4 = rhs(t_next, u + h * k3)
         u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += h
+        t = t_next
     return u
 
 
@@ -244,13 +249,14 @@ def _rk4_osc(epsilon, q, p, t0, tf, n_steps):
 
     dq/dt = p, dp/dt = -Omega(t)^2 q - epsilon * (left-fold sum of the three
     sines).  -Omega(t)^2 and each omega_j t are computed once per time: the k2
-    and k3 stages share t + h/2, and the k4 stage's t + h is the next step's t.
+    and k3 stages share t + h/2, and the k4 stage's t0 + (i + 1) h is the next
+    step's t, indexed as in ``rk4_integrate``.
     """
     sin, cos = math.sin, math.cos
     w1, w2, w3 = OMEGA_J
     h = (tf - t0) / n_steps
     half, sixth = 0.5 * h, h / 6.0
-    t = t0
+    t, i = t0, 0.0
     neg_om_sq = -(1.0 + 0.5 * cos(1.5 * t)) ** 2
     y1, y2, y3 = w1 * t, w2 * t, w3 * t
     for _ in range(n_steps):
@@ -262,7 +268,8 @@ def _rk4_osc(epsilon, q, p, t0, tf, n_steps):
         k2p = neg_om_sq_mid * q2 - epsilon * (sin(q2 - x1) + sin(q2 - x2) + sin(q2 - x3))
         q3, k3q = q + half * k2q, p + half * k2p
         k3p = neg_om_sq_mid * q3 - epsilon * (sin(q3 - x1) + sin(q3 - x2) + sin(q3 - x3))
-        t = t + h
+        i += 1.0
+        t = t0 + i * h
         neg_om_sq = -(1.0 + 0.5 * cos(1.5 * t)) ** 2
         y1, y2, y3 = w1 * t, w2 * t, w3 * t
         q4, k4q = q + h * k3q, p + h * k3p

@@ -273,6 +273,29 @@ def test_rk4_float_pair_matches_array_loop(epsilon):
     assert np.array(pair).tobytes() == array.tobytes()
 
 
+def test_rk4_loop_indexes_its_clock():
+    # step i evaluates rhs at t0 + i h, t0 + i h + h/2 (twice) and t0 + (i + 1) h
+    t0, tf, n_steps = 0.5, 0.5 + TWO_PI, 1000
+    h = (tf - t0) / n_steps
+    times = []
+    rk4_integrate(lambda t, u: times.append(t) or u, np.zeros(1), t0, tf, n_steps)
+    expect = []
+    for i in range(n_steps):
+        t = t0 + i * h
+        expect += [t, t + 0.5 * h, t + 0.5 * h, t0 + (i + 1) * h]
+    assert times == expect
+
+
+@pytest.mark.parametrize("epsilon", [0.25, 0.1, 0.0])
+def test_osc_rk4_oracle_halves_h_to_round_off(epsilon):
+    # indexed, the RK4 clock leaves 2^14 and 2^15 steps about 1e-14 apart;
+    # accumulated, it drifted them about 2e-11 apart
+    problem = make_problem("osc", epsilon=epsilon)
+    runs = [_rk4_osc(epsilon, problem.q0, problem.p0, problem.t0, problem.tf, n)
+            for n in (2 ** 14, 2 ** 15)]
+    assert math.dist(*runs) <= 1e-12
+
+
 @pytest.mark.parametrize("name,params", [("osc", {}), ("parabolic", {"n_grid": 8}),
                                          ("fisher", {"n_grid": 8})])
 def test_classical_oracle_picks_the_loop(monkeypatch, name, params):
