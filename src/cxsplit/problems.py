@@ -1,11 +1,12 @@
 """The three benchmark problems and their high-accuracy reference oracle.
 
 Each problem supplies whether its A(t) commute, the frozen-exponential
-kernel for the dominant part, a B-kick valid for complex durations (closed forms, analytically continued
-in the duration), the full unsplit right-hand side for the classical
-cross-check integrator, initial data, and the RK4 step count of that
-integrator.  The problem data is fixed: only the oscillator's epsilon and
-initial point and the PDE grid size are settable.
+kernel for the dominant part, a B-kick valid for complex durations (closed
+forms, analytically continued in the duration), initial data, and the step
+count of its classical RK4 cross-check.  Only the PDEs supply an ``rhs``,
+the unsplit right-hand side; the oscillator's is written out in
+``_rk4_osc``.  Only the oscillator's epsilon and initial point and the PDE
+grid size are settable.
 """
 
 from __future__ import annotations
@@ -71,10 +72,6 @@ class OscillatorProblem:
         if not math.isfinite(self.epsilon):
             raise ValidationError(f"osc: epsilon must be finite, got {self.epsilon!r}")
 
-    @staticmethod
-    def big_omega(t):
-        return 1.0 + 0.5 * math.cos(1.5 * t)
-
     def u0(self):
         return np.array([self.q0, self.p0], dtype=complex)
 
@@ -89,8 +86,8 @@ class OscillatorProblem:
     # agree (bit for bit on x86-64 glibc).
 
     def a_frozen_exp(self, times, weights, duration, state):
-        # sum_i w_i A(t_i) = w_sum * [[0, 1], [-omega_sq / w_sum, 0]]; big_omega
-        # is written out: its call cost a third of this kernel's time
+        # sum_i w_i A(t_i) = w_sum * [[0, 1], [-omega_sq / w_sum, 0]], with
+        # Omega(t) = 1 + cos(1.5 t) / 2
         cos, omega_sq, w_sum = math.cos, 0.0, 0.0
         for t, w in zip(times, weights):
             omega_sq += w * (1.0 + 0.5 * cos(1.5 * t)) ** 2
@@ -106,12 +103,6 @@ class OscillatorProblem:
         for w in OMEGA_J:
             kick += cmath.sin(q - w * t_frozen)
         return q, p - tau * self.epsilon * kick
-
-    def rhs(self, t, u):
-        q, p = u
-        force = -self.big_omega(t) ** 2 * q \
-            - self.epsilon * sum(np.sin(q - w * t) for w in OMEGA_J)
-        return np.array([p, force], dtype=u.dtype)
 
     def key(self):
         return "osc"
@@ -225,10 +216,7 @@ def make_problem(name, **overrides):
 # ---------------------------------------------------------------------------
 
 def rk4_integrate(rhs, u0, t0, tf, n_steps):
-    """Classical fourth-order one-step method on the full right-hand side rhs(t, u).
-
-    Step i runs from t0 + i h to t0 + (i + 1) h, indexed, not accumulated.
-    """
+    """Classical RK4 on the full right-hand side rhs(t, u); step i starts at t0 + i h."""
     u = np.asarray(u0).copy()
     h = (tf - t0) / n_steps
     t, i = t0, 0.0
@@ -245,12 +233,11 @@ def rk4_integrate(rhs, u0, t0, tf, n_steps):
 
 
 def _rk4_osc(epsilon, q, p, t0, tf, n_steps):
-    """The RK4 loop with OscillatorProblem.rhs written out on local floats.
+    """The RK4 loop on the oscillator's right-hand side, written out on local floats.
 
     dq/dt = p, dp/dt = -Omega(t)^2 q - epsilon * (left-fold sum of the three
     sines).  -Omega(t)^2 and each omega_j t are computed once per time: the k2
-    and k3 stages share t + h/2, and the k4 stage's t0 + (i + 1) h is the next
-    step's t, indexed as in ``rk4_integrate``.
+    and k3 stages share t + h/2, and the k4 stage's t0 + (i + 1) h is the next's t.
     """
     sin, cos = math.sin, math.cos
     w1, w2, w3 = OMEGA_J

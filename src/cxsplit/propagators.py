@@ -85,14 +85,6 @@ class CirculantLaplacian:
         self.eigenvalues = (2.0 / self.dx ** 2) * (np.cos(2.0 * np.pi * k / self.n) - 1.0)
         self.lambda_min = float(self.eigenvalues.min())
 
-    def dense(self):
-        mat = np.zeros((self.n, self.n))
-        for i in range(self.n):
-            mat[i, i] = -2.0
-            mat[i, (i + 1) % self.n] = 1.0
-            mat[i, (i - 1) % self.n] = 1.0
-        return mat / self.dx ** 2
-
 
 def exp_circulant(lap, tau, state):
     """Apply exp(tau * Laplacian) spectrally; tau may be complex.

@@ -1,3 +1,4 @@
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cxsplit.problems import make_problem, reference_solution
+from cxsplit.problems import OMEGA_J, make_problem, reference_solution
 from cxsplit.schemes import Scheme, Stage, builtin_scheme, serialize_scheme
 from cxsplit.stepper import FREEZE_NODES, _run_stages, a_flow, compile_stages
 
@@ -128,3 +129,33 @@ def run_flow(kind, problem, t0, h, u, freeze="midpoint"):
     """One A-flow of `kind` over [t0, t0 + h] on problem: a one-stage plan run by the stepper."""
     plan = compile_stages((Stage("A", 1.0, 0.0),), a_flow(problem, kind), FREEZE_NODES[freeze])
     return _run_stages(plan, problem, t0, u, h, None)
+
+
+def big_omega(t):
+    """The oscillator's Omega(t), the square root of its A(t)'s restoring coefficient."""
+    return 1.0 + 0.5 * math.cos(1.5 * t)
+
+
+def osc_rhs(problem):
+    """The oscillator's full right-hand side rhs(t, u) on numpy arrays.
+
+    The reference of its kernels and of the float RK4 loop ``_rk4_osc``,
+    which writes this formula out: dq/dt = p, dp/dt = -Omega(t)^2 q -
+    epsilon * sum_j sin(q - omega_j t), the sum a left fold.
+    """
+    def rhs(t, u):
+        q, p = u
+        force = -big_omega(t) ** 2 * q \
+            - problem.epsilon * sum(np.sin(q - w * t) for w in OMEGA_J)
+        return np.array([p, force], dtype=u.dtype)
+    return rhs
+
+
+def dense_laplacian(lap):
+    """The dense matrix of a CirculantLaplacian: -2 on the diagonal, 1 beside it, periodic."""
+    mat = np.zeros((lap.n, lap.n))
+    for i in range(lap.n):
+        mat[i, i] = -2.0
+        mat[i, (i + 1) % lap.n] = 1.0
+        mat[i, (i - 1) % lap.n] = 1.0
+    return mat / lap.dx ** 2

@@ -18,7 +18,7 @@ from cxsplit.propagators import exp_circulant
 from cxsplit.schemes import builtin_scheme, expand, validate_scheme
 from cxsplit.stepper import StepperConfig, _run_stages, compile_plan
 
-from conftest import dense_expm
+from conftest import dense_expm, dense_laplacian
 
 SM4_A = (0.13505265889288437, 0.36494734110711563)
 SM4_B = (0.018329102861074364 - 0.10677008344599524j,
@@ -163,7 +163,7 @@ def test_criterion_6_oracle_equivalence():
     cfg = StepperConfig(scheme=scheme, a_flow_kind="cf4")
     stepped = _run_stages(compile_plan(cfg, problem), problem, 0.0, problem.u0(), h, None)
 
-    lap = problem.lap.dense()
+    lap = dense_laplacian(problem.lap)
     u = problem.u0().copy()
     offsets = (0.5 - np.sqrt(3) / 6.0, 0.5 + np.sqrt(3) / 6.0)
     for stage in expand(scheme):

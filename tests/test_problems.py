@@ -22,7 +22,8 @@ from cxsplit.problems import (KICK_FACTORS_KEPT, REF_AGREE_TOL, REF_HEADER,
                               rk4_integrate)
 from cxsplit.propagators import CF4_ALPHA, CF4_BETA, exp_2x2, exp_circulant
 
-from conftest import assert_no_child_left, dense_expm, run_flow
+from conftest import (assert_no_child_left, big_omega, dense_expm, dense_laplacian,
+                      osc_rhs, run_flow)
 
 
 def test_make_problem_dispatch():
@@ -37,17 +38,17 @@ def test_oscillator_rhs_splits_into_parts():
     problem = make_problem("osc")
     u = np.array([0.7, -0.4])
     t = 1.3
-    rhs = problem.rhs(t, u)
+    rhs = osc_rhs(problem)(t, u)
     assert rhs[0] == pytest.approx(u[1])
     kick_only = problem.b_kick(t, 1.0, u.astype(complex))
     frozen_force = (kick_only[1] - u[1]).real        # -eps * sum sin(...)
     assert rhs[1] == pytest.approx(
-        -problem.big_omega(t) ** 2 * u[0] + frozen_force)
+        -big_omega(t) ** 2 * u[0] + frozen_force)
 
 
 def test_oscillator_frozen_exp_is_exact_for_constant_omega():
     problem = make_problem("osc")
-    w = problem.big_omega(0.7)
+    w = big_omega(0.7)
     u = problem.a_frozen_exp((0.7,), (1.0,), 0.2, np.array([1.0, 0.0 + 0j]))
     assert u[0].real == pytest.approx(math.cos(0.2 * w))
     assert u[1].real == pytest.approx(-w * math.sin(0.2 * w))
@@ -56,8 +57,8 @@ def test_oscillator_frozen_exp_is_exact_for_constant_omega():
 def _dense_a(problem, t):
     """A(t) as a dense matrix: the generator that a_frozen_exp exponentiates."""
     if isinstance(problem, OscillatorProblem):
-        return np.array([[0.0, 1.0], [-problem.big_omega(t) ** 2, 0.0]])
-    return problem.alpha(t) ** 2 * problem.lap.dense()
+        return np.array([[0.0, 1.0], [-big_omega(t) ** 2, 0.0]])
+    return problem.alpha(t) ** 2 * dense_laplacian(problem.lap)
 
 
 @pytest.mark.parametrize("name", ["osc", "parabolic", "fisher"])
@@ -76,7 +77,7 @@ def test_a_frozen_exp_exponentiates_the_weighted_generator(name):
 
 def _numpy_a_frozen_exp(problem, times, weights, duration, state):
     """The osc A-kernel on numpy complex scalars: the reference for a_frozen_exp."""
-    omega_sq = sum(w * problem.big_omega(t) ** 2 for t, w in zip(times, weights))
+    omega_sq = sum(w * big_omega(t) ** 2 for t, w in zip(times, weights))
     q, p = exp_2x2(omega_sq, duration, (state[0], state[1]))
     return np.array([q, p], dtype=complex)
 
@@ -165,7 +166,7 @@ def test_parabolic_potential_matches_closed_form_bitwise():
 def test_parabolic_apply_laplacian_matches_dense():
     problem = make_problem("parabolic", n_grid=12)
     u = np.cos(2.0 * np.pi * problem.x)
-    assert np.allclose(problem.apply_laplacian(u), problem.lap.dense() @ u)
+    assert np.allclose(problem.apply_laplacian(u), dense_laplacian(problem.lap) @ u)
 
 
 def test_parabolic_exact_flow_matches_quadrature_limit():
@@ -268,7 +269,7 @@ def test_rk4_float_pair_matches_array_loop(epsilon):
     u0 = problem.u0().real.astype(float)
     args = (problem.t0, problem.tf, 2 ** 12)
     pair = _rk4_osc(epsilon, *map(float, u0), *args)
-    array = rk4_integrate(problem.rhs, u0, *args)
+    array = rk4_integrate(osc_rhs(problem), u0, *args)
     assert isinstance(pair, tuple) and all(type(x) is float for x in pair)
     assert np.array(pair).tobytes() == array.tobytes()
 
@@ -304,7 +305,8 @@ def test_classical_oracle_picks_the_loop(monkeypatch, name, params):
     import cxsplit.problems as mod
     problem = make_problem(name, **params)
     problem.rk4_steps = 2 ** 12 if name == "osc" else 64
-    array = rk4_integrate(problem.rhs, problem.u0().real, problem.t0, problem.tf,
+    rhs = osc_rhs(problem) if name == "osc" else problem.rhs
+    array = rk4_integrate(rhs, problem.u0().real, problem.t0, problem.tf,
                           problem.rk4_steps)
     calls = []
     monkeypatch.setattr(mod, "rk4_integrate",

@@ -7,7 +7,7 @@ from cxsplit.errors import StepTooLarge
 from cxsplit.propagators import (CF4_ALPHA, CF4_BETA, CirculantLaplacian,
                                  GAUSS_OFFSETS, exp_2x2, exp_circulant)
 
-from conftest import dense_expm, run_flow
+from conftest import dense_expm, dense_laplacian, run_flow
 
 
 def test_cf4_constants():
@@ -117,7 +117,7 @@ def test_exp_2x2_preserves_quadratic_invariant():
 
 def test_circulant_eigenvalues_and_dense_agree():
     lap = CirculantLaplacian(8, 0.125)
-    dense = lap.dense()
+    dense = dense_laplacian(lap)
     eig = np.sort(np.linalg.eigvalsh(dense))
     assert np.allclose(np.sort(lap.eigenvalues), eig, atol=1e-9)
     assert lap.eigenvalues[0] == 0.0
@@ -130,7 +130,7 @@ def test_exp_circulant_matches_dense_complex_tau():
     u = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     tau = 0.003 - 0.001j
     spectral = exp_circulant(lap, tau, u)
-    dense = dense_expm(tau * lap.dense()) @ u
+    dense = dense_expm(tau * dense_laplacian(lap)) @ u
     assert np.max(np.abs(spectral - dense)) < 1e-12
 
 
