@@ -264,6 +264,8 @@ def load_scheme(text):
         order = int(header["order"])
     except ValueError:
         raise ParseError(f"order must be an integer, got {header['order']!r}") from None
+    if order < 1:
+        raise ParseError(f"order must be at least 1, got {order}")
 
     stages = len(a_full) if pattern == "BAB" else len(b_full)
     if pattern == "BAB" and len(b_full) != len(a_full) + 1:

@@ -16,7 +16,7 @@ import pytest
 from conftest import (NON_FINITE_TEXTS, assert_no_child_left, near_tolerance_sm64_text,
                       yoshida_text)
 from cxsplit import bench, cli, designer, problems
-from cxsplit.errors import CxsplitError, DesignScanUnreliable, ValidationError
+from cxsplit.errors import CxsplitError, DesignScanUnreliable, ParseError, ValidationError
 from cxsplit.schemes import builtin_names, builtin_scheme, load_scheme, serialize_scheme
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -136,6 +136,53 @@ def test_validate_builtins_and_designs_keep_exit_zero(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["validate", *builtin_names(), str(sm4), str(sm64)]) == cli.EXIT_OK
     assert "INVALID" not in capsys.readouterr().out
+
+
+def _sm4_text(order):
+    """The SM4 builtin as a scheme file that claims `order`."""
+    return serialize_scheme(replace(builtin_scheme("SM4"), claimed_order=order))
+
+
+@pytest.mark.parametrize("order", [0, -1])
+def test_scheme_file_order_below_one_is_a_parse_error(order, tmp_path, capsys):
+    path = tmp_path / "sm4.txt"
+    path.write_text(_sm4_text(order))
+    message = f"order must be at least 1, got {order}"
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        load_scheme(path.read_text())
+    assert cli.main(["validate", str(path)]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().out == f"{path}: INVALID ({message})\n"
+    # a sweep resolves its methods before any reference or output
+    code = cli.main(["sweep", "--problem", "osc", "--methods", str(path), "--nsteps", "8"])
+    assert code == cli.EXIT_RUNTIME
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("order,code", [(4, cli.EXIT_OK), (5, cli.EXIT_VALIDATION),
+                                        (6, cli.EXIT_VALIDATION)])
+def test_validate_symmetric_file_claiming_order_five_needs_p_abaaa(order, code, tmp_path,
+                                                                   capsys):
+    # SM4 has p_aba = p_abb = 0 but |p_abaaa| = 6.24e-3, and p_abaaa (mu_4)
+    # vanishes for every symmetric scheme of order 5 or more
+    path = tmp_path / "sm4.txt"
+    path.write_text(_sm4_text(order))
+    assert cli.main(["validate", str(path)]) == code
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"SM4: pattern=BAB stages=4 order={order}"
+    assert out[3].endswith("  p_abaaa = 6.244846e-03")
+    invalid = f"SM4: INVALID (order {order} needs |p_abaaa| <= 1e-09)"
+    assert out[4:] == ([] if code == cli.EXIT_OK else [invalid])
+
+
+def test_python_dash_m_runs_the_command_line():
+    # a source checkout runs the command line without installing it
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "cxsplit", *argv], capture_output=True,
+                              text=True, timeout=120, env=_subprocess_env())
+    done = run("validate", "SM4")
+    assert done.returncode == cli.EXIT_OK, done.stderr
+    assert done.stdout.startswith("SM4: pattern=BAB stages=4 order=4\n")
+    assert run("validate", "no-such-scheme").returncode == cli.EXIT_VALIDATION
 
 
 def test_validate_unknown_scheme_exits_one(capsys):
