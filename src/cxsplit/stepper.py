@@ -184,12 +184,10 @@ def _finish(u):
     a tuple entry z becomes complex(z.real), the bits of numpy's .real.astype(complex)."""
     # the kernels keep a non-finite state non-finite: one check per step
     # suffices; cmath checks the oscillator's (q, p) tuple faster than numpy
-    if type(u) is tuple:
-        if not all(map(cmath.isfinite, u)):
-            raise StepFailed("non-finite state")
-        return tuple([complex(z.real) for z in u])
-    if not np.isfinite(u).all():
+    if not (all(map(cmath.isfinite, u)) if type(u) is tuple else np.isfinite(u).all()):
         raise StepFailed("non-finite state")
+    if type(u) is tuple:
+        return tuple([complex(z.real) for z in u])
     return np.asarray(u, dtype=complex).real.astype(complex)
 
 
