@@ -184,11 +184,12 @@ def _finish(u):
     a tuple entry z becomes complex(z.real), the bits of numpy's .real.astype(complex)."""
     # the kernels keep a non-finite state non-finite: one check per step
     # suffices; cmath checks the oscillator's (q, p) tuple faster than numpy
-    if not (all(map(cmath.isfinite, u)) if type(u) is tuple else np.isfinite(u).all()):
-        raise StepFailed("non-finite state")
     if type(u) is tuple:
-        return tuple([complex(z.real) for z in u])
-    return np.asarray(u, dtype=complex).real.astype(complex)
+        if all(map(cmath.isfinite, u)):
+            return tuple([complex(z.real) for z in u])
+    elif np.isfinite(u).all():
+        return np.asarray(u, dtype=complex).real.astype(complex)
+    raise StepFailed("non-finite state")
 
 
 def extrapolate(cfg, problem):
