@@ -77,13 +77,15 @@ class OscillatorProblem:
 
     # Both kernels take a (q, p) pair, the run's initial ndarray (read once,
     # with tolist) or a tuple (taken as given), and return a (q, p) tuple of
-    # Python complex: on a 2-component state numpy's per-call overhead would
+    # Python numbers: on a 2-component state numpy's per-call overhead would
     # be the whole cost.  The tuple passes from stage to stage and from step
-    # to step, projected by each step's finish; only the run's end makes it
-    # an ndarray.
+    # to step, projected by each step's finish onto floats; only the run's
+    # end makes it an ndarray.  A float pair stays floats through the A-flows
+    # and real kicks, and a complex kick makes it complex: on a float the
+    # arithmetic is the real part of the complex one, bit for bit.
     # The sums are left folds, the order sum() adds numpy scalars in, so the
-    # results equal numpy-scalar arithmetic wherever cmath.sin and np.sin
-    # agree (bit for bit on x86-64 glibc).
+    # results equal numpy-scalar arithmetic wherever math.sin, cmath.sin and
+    # np.sin agree (bit for bit on x86-64 glibc).
 
     def a_frozen_exp(self, times, weights, duration, state):
         # sum_i w_i A(t_i) = w_sum * [[0, 1], [-omega_sq / w_sum, 0]], with
@@ -99,9 +101,9 @@ class OscillatorProblem:
 
     def b_kick(self, t_frozen, tau, state):
         q, p = state if type(state) is tuple else state.tolist()
-        kick = 0j
-        for w in OMEGA_J:
-            kick += cmath.sin(q - w * t_frozen)
+        sin = math.sin if type(q) is float else cmath.sin
+        w1, w2, w3 = OMEGA_J
+        kick = 0.0 + sin(q - w1 * t_frozen) + sin(q - w2 * t_frozen) + sin(q - w3 * t_frozen)
         return q, p - tau * self.epsilon * kick
 
     def key(self):
@@ -184,11 +186,17 @@ class FisherProblem(ParabolicProblem):
     def b_kick(self, t_frozen, tau, state):
         # exact logistic flow with gamma frozen at a real time
         grow = cmath.exp(self.gamma(t_frozen) * tau)
-        denom = 1.0 + state * (grow - 1.0)
-        # fmin skips NaN entries, as a per-entry `<= 1e-12` test would
-        if np.fmin.reduce(np.abs(denom)) <= 1e-12:
+        d = state * (grow - 1.0)
+        # the denominator is 1 + d.  A squared norm |d|^2 < 0.81 puts every
+        # |1 + d_i| at 0.1 or more; a larger, NaN or infinite one runs the
+        # exact test, where fmin skips NaN entries as a per-entry
+        # `<= 1e-12` test would
+        if not abs(np.vdot(d, d)) < 0.81 and np.fmin.reduce(np.abs(d + 1.0)) <= 1e-12:
             raise StepFailed("singular logistic denominator")
-        return state * grow / denom
+        d += 1.0
+        out = state * grow
+        out /= d
+        return out
 
     def rhs(self, t, u):
         return self.alpha(t) ** 2 * self.apply_laplacian(u) + self.gamma(t) * u * (1.0 - u)

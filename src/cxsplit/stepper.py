@@ -15,23 +15,23 @@ runs the plan three times and combines the unprojected results.  A
 compiled step maps the kernels' own state, step(u, t_n, h, record) -> u:
 the stage runner ``_run_stages`` returns the state as the kernels hand it
 back, and ``_finish``, once per public step, checks it finite and projects
-it in its own type.  ``integrate_with`` makes a run's one ndarray
-``State`` after its last step.  A zero-duration flow calls no kernel but
-counts in ``a_flow_evals``.  A run adds its counts to the record once: on
-a failure, those of the stages before the failing one.
+it in its own type (a tuple onto floats).  ``integrate_with`` makes a
+run's one ndarray ``State`` after its last step.  A zero-duration flow
+calls no kernel but counts in ``a_flow_evals``.  A run adds its counts to
+the record once: on a failure, those of the stages before the failing one.
 
 Problem protocol: ``commuting`` (the A(t) commute: CF4 fuses into one
 exponential, and the exact flow exists); ``a_frozen_exp(times, weights,
 duration, state)``, exp(duration * sum_i weights_i A(times_i)); and
 ``b_kick(t, tau, state)``, the B-flow frozen at real time t for a complex
 duration tau.  The kernels may hand back any state that the next kernel
-accepts (an ndarray, or the oscillator's (q, p) tuple): it passes
-unchanged through the stages, EXT4's runs and combination and the finish
-to the next step.  Kernels keep a non-finite state non-finite, so the one
-check catches every stage.  A kernel that fails raises StepFailed
-(StepTooLarge is one) or one of KERNEL_ERRORS (``cmath`` raises ValueError
-or OverflowError where numpy returns inf or nan), which the step turns
-into StepFailed.
+accepts (an ndarray, or the oscillator's (q, p) tuple, of floats until a
+complex kick): it passes unchanged through the stages, EXT4's runs and
+combination and the finish to the next step.  Kernels keep a non-finite
+state non-finite, so the one check catches every stage.  A kernel that
+fails raises StepFailed (StepTooLarge is one) or one of KERNEL_ERRORS
+(``math`` and ``cmath`` raise ValueError or OverflowError where numpy
+returns inf or nan), which the step turns into StepFailed.
 """
 
 from __future__ import annotations
@@ -181,12 +181,13 @@ def _run_stages(plan, problem, t_n, u, h, record):
 
 def _finish(u):
     """The end of every public step: u checked finite and projected, in its own type;
-    a tuple entry z becomes complex(z.real), the bits of numpy's .real.astype(complex)."""
+    a tuple entry z becomes the float z.real, the bits of numpy's .real."""
     # the kernels keep a non-finite state non-finite: one check per step
-    # suffices; cmath checks the oscillator's (q, p) tuple faster than numpy
+    # suffices; cmath checks the oscillator's (q, p) tuple, of floats or
+    # complex, faster than numpy
     if type(u) is tuple:
         if all(map(cmath.isfinite, u)):
-            return tuple([complex(z.real) for z in u])
+            return tuple([z.real for z in u])
     elif np.isfinite(u).all():
         return np.asarray(u, dtype=complex).real.astype(complex)
     raise StepFailed("non-finite state")
@@ -206,7 +207,8 @@ def extrapolate(cfg, problem):
         half = _run_stages(plan, problem, t + 0.5 * h, half, 0.5 * h, record)
         whole = _run_stages(plan, problem, t, u, h, record)
         # CPython (to 3.13) multiplies a float by a complex as numpy does, as
-        # complex(x, 0) * z: the tuple combination is numpy's, bit for bit
+        # complex(x, 0) * z, and a float pair combines as the real parts of
+        # a complex one: the tuple combination is numpy's, bit for bit
         if type(half) is tuple:
             u = tuple((4.0 / 3.0) * a - (1.0 / 3.0) * b for a, b in zip(half, whole))
         else:

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -319,8 +320,8 @@ def test_ext4_counts_three_flows_and_projects():
 
 
 def test_ext4_is_the_richardson_combination_of_strang():
-    # the osc runs combine as Python complex tuples, bit for bit numpy's
-    # combination of the same runs as ndarrays
+    # the osc runs combine as Python float tuples, bit for bit the real part
+    # of numpy's combination of the same runs as ndarrays
     cfg = StepperConfig(STRANG, "cf2")
     for problem in (make_problem("osc"), make_problem("parabolic")):
         ext4 = bench.resolve_method("ext4", problem)
@@ -331,7 +332,9 @@ def test_ext4_is_the_richardson_combination_of_strang():
             whole = raw_step(cfg, problem, state, 0.1)
             combined = (4.0 / 3.0) * half.values - (1.0 / 3.0) * whole.values
             u, t = ext4(u, t, 0.1, None), t + 0.1
-            assert np.asarray(u).tobytes() == combined.real.astype(complex).tobytes()
+            assert type(u) is np.ndarray or all(type(z) is float for z in u)
+            assert (np.asarray(u, dtype=complex).tobytes()
+                    == combined.real.astype(complex).tobytes())
 
 
 def test_exact_a_flow_kind_on_parabolic():
@@ -386,16 +389,15 @@ def test_osc_step_returns_complex_ndarray(method):
 
 @pytest.mark.parametrize("method", sorted(OSC_STEPS))
 def test_a_step_keeps_the_kernels_state_type(method):
-    # osc: a tuple of Python complex, each imaginary part +0.0, from the
-    # run's first ndarray on; parabolic: a complex ndarray
+    # osc: a tuple of Python floats, the real parts, from the run's first
+    # ndarray on; parabolic: a complex ndarray
     problem = make_problem("osc")
     step_fn = OSC_STEPS[method](problem)
     u = problem.u0()
     for t in (0.0, 0.1):
         u = step_fn(u, t, 0.1)
         assert type(u) is tuple and len(u) == 2
-        assert all(type(z) is complex and math.copysign(1.0, z.imag) == 1.0
-                   and z.imag == 0.0 for z in u)
+        assert all(type(z) is float for z in u)
     problem = make_problem("parabolic")
     u = OSC_STEPS[method](problem)(problem.u0(), 0.0, 0.1)
     assert type(u) is np.ndarray and u.dtype == complex and u.shape == (problem.n_grid,)
@@ -411,6 +413,21 @@ def test_non_finite_osc_state_fails_the_step(method, values):
     problem = make_problem("osc")
     with pytest.raises(StepFailed):
         OSC_STEPS[method](problem)(np.array(values, dtype=complex), 0.0, 0.1)
+
+
+@pytest.mark.parametrize("values,t,h", [((math.inf, 1.0), 0.0, 0.1),
+                                         ((math.nan, 1.0), 0.0, 0.1),
+                                         ((1e308, 1e308), 2.0 * math.pi / 3.0 - 0.5, 1.0)],
+                         ids=["inf", "nan", "overflow"])
+@pytest.mark.parametrize("method", sorted(bench.METHODS))
+def test_non_finite_float_osc_state_fails_the_step(method, values, t, h):
+    # math.sin raises ValueError on an infinite argument, and a float that
+    # overflows becomes inf, which the finish catches.  (1e308, 1e308) stays
+    # finite over a step of 0.1 from t = 0; this step spans Omega's minimum
+    # 1/2 at t = 2 pi / 3, where the A-flow swings q past the largest float
+    problem = make_problem("osc")
+    with pytest.raises(StepFailed):
+        bench.resolve_method(method, problem)(values, t, h)
 
 
 class NumpyFinish:
@@ -517,6 +534,45 @@ def test_osc_runs_are_bitwise_those_of_the_numpy_check(method, monkeypatch):
     monkeypatch.setattr(stepper, "_finish", finish)
     ref_state, ref_record = run()
     assert finish.calls == 256      # the one finish of each public step ran
+    assert state.values.tobytes() == ref_state.values.tobytes()
+    assert state.t == ref_state.t
+    assert (record.a_flow_evals, record.kernel_evals) == (
+        ref_record.a_flow_evals, ref_record.kernel_evals)
+
+
+class ComplexFinish:
+    """stepper._finish with a tuple projected onto Python complex, complex(z.real):
+    the reference for the float projection; counts its calls."""
+
+    finish = staticmethod(stepper._finish)
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, u):
+        self.calls += 1
+        if type(u) is not tuple:
+            return self.finish(u)
+        if not all(map(cmath.isfinite, u)):
+            raise StepFailed("non-finite state")
+        return tuple([complex(z.real) for z in u])
+
+
+@pytest.mark.parametrize("method", sorted(bench.METHODS))
+def test_osc_float_runs_are_bitwise_the_complex_runs(method, monkeypatch):
+    # the float state of a real-coefficient scheme takes the real parts of
+    # the complex state's arithmetic, so the runs end on the same bits
+    problem = make_problem("osc")
+
+    def run():
+        return integrate_with(bench.resolve_method(method, problem), problem.u0(),
+                              problem.t0, problem.tf, 64, method)
+
+    state, record = run()
+    finish = ComplexFinish()
+    monkeypatch.setattr(stepper, "_finish", finish)
+    ref_state, ref_record = run()
+    assert finish.calls == 64
     assert state.values.tobytes() == ref_state.values.tobytes()
     assert state.t == ref_state.t
     assert (record.a_flow_evals, record.kernel_evals) == (
