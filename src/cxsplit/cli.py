@@ -12,9 +12,11 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import bench, designer
 from .errors import CxsplitError, ReferenceInconsistent
-from .order_conditions import residuals
+from .order_conditions import kicks_of, residuals
 from .problems import PROBLEMS, check_writable
 from .schemes import (builtin_names, check_scheme_name, expand, resolve_scheme,
                       serialize_scheme, validate_scheme)
@@ -41,9 +43,18 @@ def cmd_validate(args):
         print(f"  sum_a = {report.sum_a:.17g}  sum_b = {report.sum_b:.17g}")
         print(f"  min_re_a = {report.min_re_a:.6g}  min_re_b = {report.min_re_b:.6g}")
         if not scheme.symmetric:
-            # their zeros mean order 4 only within the symmetric family
-            print("  not symmetric: p_aba, p_abb and p_abaaa are conditions of "
-                  "symmetric schemes and are not checked")
+            # p_aba, p_abb and p_abaaa mean order 4 only within the symmetric
+            # family; the eps-linear conditions of order N are mu_k = 0, k < N
+            print("  not symmetric: checks mu_k = sum b_i c_i^k - 1/(k+1) for k < order; "
+                  "the eps^2 terms are not checked")
+            b, c = kicks_of(expand(scheme))
+            with np.errstate(over="ignore", invalid="ignore"):
+                for k in range(1, scheme.claimed_order):
+                    if not abs(complex((b * c ** k).sum()) - 1.0 / (k + 1)) <= tol:
+                        print(f"{scheme.name}: INVALID (order {scheme.claimed_order} "
+                              f"needs |mu_{k}| <= {tol:.0e})")
+                        status = EXIT_VALIDATION
+                        break
             continue
         res = residuals(expand(scheme))
         print(f"  p_aba = {abs(res.p_aba):.6e}  p_abb = {abs(res.p_abb):.6e}  "

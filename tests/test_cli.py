@@ -98,15 +98,21 @@ b 0.09959985404876036 0.0
 """
 
 
+NOT_SYMMETRIC_LINE = ("  not symmetric: checks mu_k = sum b_i c_i^k - 1/(k+1) for k < order; "
+                      "the eps^2 terms are not checked")
+
+
 def test_validate_does_not_print_symmetric_residuals_for_a_non_symmetric_file(
         tmp_path, capsys):
+    # the residuals of the symmetric family are zero, but mu_1 = 0.0137:
+    # the file's order=4 is invalid
     path = tmp_path / "nonsym.txt"
     path.write_text(NON_SYMMETRIC_TEXT)
-    assert cli.main(["validate", str(path)]) == cli.EXIT_OK
+    assert cli.main(["validate", str(path)]) == cli.EXIT_VALIDATION
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "nonsym: pattern=BAB stages=3 order=4"
-    assert out.splitlines()[-1] == ("  not symmetric: p_aba, p_abb and p_abaaa are "
-                                    "conditions of symmetric schemes and are not checked")
+    assert out.splitlines()[-2:] == [NOT_SYMMETRIC_LINE,
+                                     "nonsym: INVALID (order 4 needs |mu_1| <= 1e-09)"]
     assert "p_aba =" not in out
 
 
@@ -127,6 +133,33 @@ def test_validate_symmetric_file_claiming_order_four_needs_its_residuals(
     assert out[3] == "  p_aba = 8.333333e-02  p_abb = 4.166667e-02  p_abaaa = 3.000000e-01"
     invalid = f"strang4: INVALID (order {order} needs |p_aba| and |p_abb| <= 1e-09)"
     assert out[4:] == ([] if code == cli.EXIT_OK else [invalid])
+
+
+def _non_symmetric_text(which, order):
+    """The nonsym file, or Strang marked not symmetric, claiming `order`."""
+    if which == "nonsym":
+        return NON_SYMMETRIC_TEXT.replace("order=4", f"order={order}")
+    return STRANG_TEXT.format(order=order).replace("symmetric=true", "symmetric=false")
+
+
+@pytest.mark.parametrize("which,order,invalid", [
+    ("nonsym", 1, None), ("nonsym", 2, 1), ("nonsym", 5, 1),
+    ("strang", 2, None), ("strang", 3, 2), ("strang", 99999999999999999999, 2)])
+def test_validate_non_symmetric_file_needs_its_moment_conditions(which, order, invalid,
+                                                                  tmp_path, capsys):
+    # mu_k = sum b_i c_i^k - 1/(k+1) must vanish for k < order; Strang's
+    # kicks at c = 0 and 1 meet mu_1 but not mu_2
+    path = tmp_path / "nonsym.txt"
+    path.write_text(_non_symmetric_text(which, order))
+    code = cli.main(["validate", str(path)])
+    out = capsys.readouterr().out.splitlines()
+    name = out[0].split(":")[0]
+    assert out[3] == NOT_SYMMETRIC_LINE
+    if invalid is None:
+        assert code == cli.EXIT_OK and out[4:] == []
+    else:
+        assert code == cli.EXIT_VALIDATION
+        assert out[4:] == [f"{name}: INVALID (order {order} needs |mu_{invalid}| <= 1e-09)"]
 
 
 def test_validate_builtins_and_designs_keep_exit_zero(tmp_path, capsys):
