@@ -1,0 +1,43 @@
+"""The per-run line of tools/outputs_digest.py: the same on a rerun, moved by one ulp."""
+
+import importlib.util
+import math
+from pathlib import Path
+
+from cxsplit import problems
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "outputs_digest.py"
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("outputs_digest", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_run_digest_sees_a_one_ulp_kernel_change(monkeypatch):
+    tool = load_tool()
+    args = ("osc", "strang", "cf2", "midpoint", 16)
+    line = tool.run_line(*args)
+    fields = line.split()
+    assert fields[:6] == ["run", "osc", "strang", "cf2", "midpoint", "16"]
+    assert fields[6].startswith("sha256=") and len(fields[6]) == len("sha256=") + 64
+    assert fields[8:] == ["a_flow_evals=16", "kernel_evals=16"]
+    assert tool.run_line(*args) == line
+    exp_2x2 = problems.exp_2x2
+
+    def nudged(omega_sq, tau, state):
+        q, p = exp_2x2(omega_sq, tau, state)
+        return q, p + math.ulp(p.real)      # one ulp on the real part
+
+    monkeypatch.setattr(problems, "exp_2x2", nudged)
+    moved = tool.run_line(*args).split()
+    assert moved[6] != fields[6]        # the state's digest, and nothing else, moved
+    assert moved[:6] + moved[7:] == fields[:6] + fields[7:]
+
+
+def test_run_digest_reports_the_error():
+    line = load_tool().run_line("osc", "sm4", "exact", "literal", 16)
+    assert line == ("run osc sm4 exact literal 16 error ValidationError: "
+                    "OscillatorProblem has no exact A-flow (use cf2 or cf4)")
