@@ -187,10 +187,9 @@ class FisherProblem(ParabolicProblem):
         # exact logistic flow with gamma frozen at a real time
         grow = cmath.exp(self.gamma(t_frozen) * tau)
         d = state * (grow - 1.0)
-        # the denominator is 1 + d.  A squared norm |d|^2 < 0.81 puts every
-        # |1 + d_i| at 0.1 or more; a larger, NaN or infinite one runs the
-        # exact test, where fmin skips NaN entries as a per-entry
-        # `<= 1e-12` test would
+        # the denominator is 1 + d: |d|^2 < 0.81 puts every |1 + d_i| at 0.1 or
+        # more, and a larger, NaN or infinite norm runs the exact test (fmin
+        # skips NaN entries, as a per-entry `<= 1e-12` test would)
         if not abs(np.vdot(d, d)) < 0.81 and np.fmin.reduce(np.abs(d + 1.0)) <= 1e-12:
             raise StepFailed("singular logistic denominator")
         d += 1.0
