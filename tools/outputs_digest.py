@@ -27,8 +27,8 @@ import tempfile
 from pathlib import Path
 
 if __name__ == "__main__":      # the checkout to digest, put first before cxsplit is imported
-    CHECKOUT = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).parent.parent)
-    sys.path[:0] = [str(CHECKOUT.resolve() / "src"), str(CHECKOUT.resolve() / "perfbench")]
+    CHECKOUT = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).parent.parent).resolve()
+    sys.path[:0] = [str(CHECKOUT / "src"), str(CHECKOUT / "perfbench")]
 
 from cxsplit import bench, problems  # noqa: E402
 from cxsplit.errors import CxsplitError  # noqa: E402
