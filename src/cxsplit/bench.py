@@ -16,7 +16,7 @@ from .problems import REF_AGREE_TOL, make_problem, reference_solution, run_forke
 from .schemes import Scheme, builtin_scheme, resolve_scheme
 from .stepper import RunRecord, StepperConfig, extrapolate, integrate_with, plan_step
 
-_CF4_ONLY = Scheme("cf4", "ABA", 0, (1.0,), (), 4, False)
+_CF4_ONLY = Scheme("cf4", "ABA", (1.0,), (), 4, False)
 
 #: method name -> its row: (scheme, pinned A-flow kind or None, Richardson-extrapolated)
 METHODS = {

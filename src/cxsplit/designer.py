@@ -49,7 +49,7 @@ class DesignProblem:
 
     def scheme(self, b, name="designed"):
         """The BAB scheme with these flows and symmetry-reduced kicks b."""
-        return Scheme(name, "BAB", self.stages, tuple(self.fixed_a), tuple(b), 4, True)
+        return Scheme(name, "BAB", tuple(self.fixed_a), tuple(b), 4, True)
 
     @staticmethod
     def full_b(bu):

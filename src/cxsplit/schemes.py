@@ -23,12 +23,10 @@ FILE_TOL = 1e-9
 class Scheme:
     name: str
     pattern: str                 # "BAB" or "ABA"
-    stages: int                  # m = number of A-flow stages for BAB, B-kicks for ABA
     a: tuple                     # symmetry-reduced a coefficients (complex)
     b: tuple                     # symmetry-reduced b coefficients (complex)
     claimed_order: int
     symmetric: bool
-    effective_order: tuple | None = None
 
     def __post_init__(self):
         if self.pattern not in ("BAB", "ABA"):
@@ -36,10 +34,15 @@ class Scheme:
         na, nb = self.n_a, self.n_b
         need_a = _reduced_len(na) if self.symmetric else na
         need_b = _reduced_len(nb) if self.symmetric else nb
-        if len(self.a) != need_a or len(self.b) != need_b:
+        if self.stages < 0 or len(self.a) != need_a or len(self.b) != need_b:
             raise ValidationError(
-                f"{self.name}: expected {need_a} a and {need_b} b values, "
-                f"got {len(self.a)} and {len(self.b)}")
+                f"{self.name}: {len(self.a)} a and {len(self.b)} b values fit no "
+                f"{'symmetric ' if self.symmetric else ''}{self.pattern} scheme")
+
+    @property
+    def stages(self):
+        """m, the A-flows of BAB or B-kicks of ABA: 2m + 1 coefficients, m + 1 if symmetric."""
+        return (len(self.a) + len(self.b) - 1) // (1 if self.symmetric else 2)
 
     @property
     def n_a(self):
@@ -55,12 +58,6 @@ class Scheme:
 
     def expanded_b(self):
         return _expand_coeffs(self.b, self.n_b, self.symmetric)
-
-    def conjugate(self):
-        return Scheme(self.name, self.pattern, self.stages,
-                      tuple(complex(x).conjugate() for x in self.a),
-                      tuple(complex(x).conjugate() for x in self.b),
-                      self.claimed_order, self.symmetric, self.effective_order)
 
 
 def _reduced_len(n):
@@ -145,20 +142,16 @@ def validate_scheme(scheme, tol=BUILTIN_TOL):
 _SQRT5 = math.sqrt(5.0)
 
 _CATALOG = {
-    "STRANG_BAB": Scheme("Strang_BAB", "BAB", 1, (1.0,), (0.5,), 2, True),
-    "STRANG_ABA": Scheme("Strang_ABA", "ABA", 1, (0.5,), (1.0,), 2, True),
-    "S62": Scheme("S62", "BAB", 3,
-                  ((5.0 - _SQRT5) / 10.0, 1.0 / _SQRT5),
-                  (1.0 / 12.0, 5.0 / 12.0),
-                  2, True, effective_order=(6, 2)),
-    "SM4": Scheme("SM4", "BAB", 4,
-                  (0.13505265889288437, 0.36494734110711563),
+    "STRANG_BAB": Scheme("Strang_BAB", "BAB", (1.0,), (0.5,), 2, True),
+    "STRANG_ABA": Scheme("Strang_ABA", "ABA", (0.5,), (1.0,), 2, True),
+    "S62": Scheme("S62", "BAB", ((5.0 - _SQRT5) / 10.0, 1.0 / _SQRT5),
+                  (1.0 / 12.0, 5.0 / 12.0), 2, True),
+    "SM4": Scheme("SM4", "BAB", (0.13505265889288437, 0.36494734110711563),
                   (0.018329102861074364 - 0.10677008344599524j,
                    0.2784394345454581 + 0.20041452008768607j,
                    0.40646292518693505 - 0.18728887328338165j),
                   4, True),
-    "SM64": Scheme("SM64", "BAB", 6,
-                   (1.0 / 6.0, 1.0 / 6.0, 1.0 / 6.0),
+    "SM64": Scheme("SM64", "BAB", (1.0 / 6.0, 1.0 / 6.0, 1.0 / 6.0),
                    (0.05753968253968254 - 0.007886748775536424j,
                     0.20476190476190473 + 0.04732049265321855j,
                     0.16309523809523818 - 0.11830123163304637j,
@@ -267,7 +260,6 @@ def load_scheme(text):
     if order < 1:
         raise ParseError(f"order must be at least 1, got {order}")
 
-    stages = len(a_full) if pattern == "BAB" else len(b_full)
     if pattern == "BAB" and len(b_full) != len(a_full) + 1:
         raise ValidationError(f"BAB needs len(b) == len(a)+1, got {len(b_full)}, {len(a_full)}")
     if pattern == "ABA" and len(a_full) != len(b_full) + 1:
@@ -283,6 +275,6 @@ def load_scheme(text):
     else:
         a_red, b_red = tuple(a_full), tuple(b_full)
 
-    scheme = Scheme(header["name"], pattern, stages, a_red, b_red, order, symmetric)
+    scheme = Scheme(header["name"], pattern, a_red, b_red, order, symmetric)
     validate_scheme(scheme, FILE_TOL)
     return scheme

@@ -1,6 +1,7 @@
 import math
 import os
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -104,9 +105,14 @@ def yoshida_text():
     """
     cbrt2 = 2.0 ** (1.0 / 3.0)
     w1, w0 = 1.0 / (2.0 - cbrt2), -cbrt2 / (2.0 - cbrt2)
-    scheme = Scheme("yoshida", "BAB", 3, (w1, w0), (0.5 * w1, 0.5 * (w1 + w0)),
-                    4, True)
+    scheme = Scheme("yoshida", "BAB", (w1, w0), (0.5 * w1, 0.5 * (w1 + w0)), 4, True)
     return serialize_scheme(scheme)
+
+
+def conjugate(scheme):
+    """The scheme with every coefficient complex-conjugated: the other branch."""
+    return replace(scheme, a=tuple(complex(x).conjugate() for x in scheme.a),
+                   b=tuple(complex(x).conjugate() for x in scheme.b))
 
 
 def dense_expm(mat):

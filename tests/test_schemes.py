@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import NON_FINITE_TEXTS, near_tolerance_sm64_text
+from conftest import NON_FINITE_TEXTS, conjugate, near_tolerance_sm64_text
 from cxsplit.errors import NotInCatalog, ParseError, ValidationError
 from cxsplit.schemes import (BUILTIN_TOL, FILE_TOL, Scheme, builtin_names,
                              builtin_scheme, expand, load_scheme,
@@ -51,7 +51,7 @@ def test_builtins_are_consistent_and_symmetric(name):
 
 
 def test_validate_scheme_raises_on_a_consistency_defect():
-    scheme = Scheme("t", "BAB", 1, (1.0,), (0.4, 0.5), 2, False)
+    scheme = Scheme("t", "BAB", (1.0,), (0.4, 0.5), 2, False)
     with pytest.raises(ValidationError, match="consistency-b"):
         validate_scheme(scheme)
     # within a looser tolerance the same sums pass and are reported
@@ -93,16 +93,24 @@ def test_has_complex_b_and_conjugate():
     sm4 = builtin_scheme("SM4")
     assert any(complex(b).imag != 0.0 for b in sm4.expanded_b())
     assert all(complex(b).imag == 0.0 for b in builtin_scheme("S62").expanded_b())
-    conj = sm4.conjugate()
-    assert conj.b == tuple(complex(x).conjugate() for x in sm4.b)
+    # the other branch expands to the conjugate stages: same flows, same nodes
+    conj = conjugate(sm4)
     assert conj.a == sm4.a
+    assert [(st.role, st.coeff, st.c0) for st in expand(conj)] == [
+        (st.role, st.coeff.conjugate(), st.c0.conjugate()) for st in expand(sm4)]
 
 
 def test_bad_pattern_and_wrong_lengths():
     with pytest.raises(ValidationError):
-        Scheme("x", "BBA", 1, (1.0,), (0.5,), 2, True)
-    with pytest.raises(ValidationError):
-        Scheme("x", "BAB", 4, (0.1,), (0.1, 0.2, 0.3), 4, True)
+        Scheme("x", "BBA", (1.0,), (0.5,), 2, True)
+    # coefficient counts that fit no stage count, for each pattern and symmetry
+    for pattern, a, b, symmetric in (("BAB", (0.5, 0.5), (0.5,), True),
+                                     ("BAB", (1.0,), (0.5,), False),
+                                     ("BAB", (), (), True),
+                                     ("ABA", (0.5,), (0.5, 0.5), True),
+                                     ("ABA", (0.5, 0.5), (0.5, 0.5), False)):
+        with pytest.raises(ValidationError, match="fit no"):
+            Scheme("x", pattern, a, b, 2, symmetric)
 
 
 @pytest.mark.parametrize("name", ["SM4", "SM64", "S62", "Strang_ABA"])
@@ -197,4 +205,3 @@ def test_s62_closed_forms():
     s62 = builtin_scheme("S62")
     assert s62.a == ((5.0 - math.sqrt(5.0)) / 10.0, 1.0 / math.sqrt(5.0))
     assert s62.b == (1.0 / 12.0, 5.0 / 12.0)
-    assert s62.effective_order == (6, 2)

@@ -1,4 +1,4 @@
-"""Property test of the symmetry expansion over random BAB and ABA schemes."""
+"""Property test of the stage count and symmetry expansion over random BAB and ABA schemes."""
 
 import pytest
 
@@ -13,7 +13,7 @@ coeff = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=Fa
 @st.composite
 def schemes(draw):
     pattern = draw(st.sampled_from(("BAB", "ABA")))
-    stages = draw(st.integers(min_value=1, max_value=12))
+    stages = draw(st.integers(min_value=0, max_value=12))
     symmetric = draw(st.booleans())
     n_a, n_b = (stages, stages + 1) if pattern == "BAB" else (stages + 1, stages)
 
@@ -21,7 +21,7 @@ def schemes(draw):
         size = (n + 1) // 2 if symmetric else n
         return tuple(draw(st.lists(coeff, min_size=size, max_size=size)))
 
-    return Scheme("random", pattern, stages, reduced(n_a), reduced(n_b), 2, symmetric)
+    return stages, Scheme("random", pattern, reduced(n_a), reduced(n_b), 2, symmetric)
 
 
 def reference_expansion(reduced, n, symmetric):
@@ -53,7 +53,9 @@ def check_expansion(scheme):
 
 @hypothesis.settings(database=None, derandomize=True, deadline=None, max_examples=300)
 @hypothesis.given(schemes())
-def test_expand_matches_the_index_formula(scheme):
+def test_expand_matches_the_index_formula(drawn):
+    stages, scheme = drawn
+    assert scheme.stages == stages
     check_expansion(scheme)
 
 

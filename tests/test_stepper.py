@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import conjugate
 from cxsplit import bench, stepper
 from cxsplit.errors import RealTimeViolation, StepFailed, ValidationError
 from cxsplit.problems import make_problem
@@ -95,7 +96,7 @@ def test_extrapolated_complex_kick_scheme_runs():
 
 
 def test_complex_flow_coefficient_triggers_realness_guard():
-    bad = Scheme("bad", "BAB", 1, (1.0 + 0.2j,), (0.5 - 0.1j,), 2, True)
+    bad = Scheme("bad", "BAB", (1.0 + 0.2j,), (0.5 - 0.1j,), 2, True)
     problem = make_problem("osc")
     cfg = StepperConfig(scheme=bad)
     with pytest.raises(RealTimeViolation):
@@ -130,7 +131,7 @@ class CountingStub:
 
 
 def test_complex_flow_coefficient_rejected_before_any_kernel_call():
-    bad = Scheme("bad", "BAB", 1, (1.0 + 0.2j,), (0.5 - 0.1j,), 2, True)
+    bad = Scheme("bad", "BAB", (1.0 + 0.2j,), (0.5 - 0.1j,), 2, True)
     stub = CountingStub()
     with pytest.raises(RealTimeViolation):
         integrate(StepperConfig(scheme=bad), stub, np.ones(1), 0.0, 1.0, 4)
@@ -139,7 +140,7 @@ def test_complex_flow_coefficient_rejected_before_any_kernel_call():
 
 def test_nan_imaginary_flow_coefficient_rejected_before_any_kernel_call():
     # a NaN imaginary part is no more real than 0.2j: it fails the guard too
-    bad = Scheme("bad", "BAB", 1, (complex(1.0, math.nan),), (0.5,), 2, True)
+    bad = Scheme("bad", "BAB", (complex(1.0, math.nan),), (0.5,), 2, True)
     stub = CountingStub()
     with pytest.raises(RealTimeViolation, match="A-flow duration"):
         integrate(StepperConfig(scheme=bad), stub, np.ones(1), 0.0, 1.0, 4)
@@ -168,7 +169,7 @@ def test_nan_from_a_mid_step_kick_fails_the_step():
 
 
 # a BAB scheme whose first flow has zero duration
-ZERO_FLOW = Scheme("zero-flow", "BAB", 2, (0.0, 1.0), (0.5, 0.0, 0.5), 2, False)
+ZERO_FLOW = Scheme("zero-flow", "BAB", (0.0, 1.0), (0.5, 0.0, 0.5), 2, False)
 
 
 def _kernel_calls_per_flow(flow):
@@ -245,7 +246,7 @@ def test_conjugate_scheme_same_projected_step():
     problem = make_problem("osc")
     sm4 = builtin_scheme("SM4")
     s1 = step(StepperConfig(scheme=sm4), problem, State(problem.u0(), 0.0), 0.1)
-    s2 = step(StepperConfig(scheme=sm4.conjugate()), problem,
+    s2 = step(StepperConfig(scheme=conjugate(sm4)), problem,
               State(problem.u0(), 0.0), 0.1)
     assert np.max(np.abs(s1.values - s2.values)) < 1e-14
 
