@@ -42,31 +42,28 @@ def cmd_validate(args):
               f"order={scheme.claimed_order}")
         print(f"  sum_a = {report.sum_a:.17g}  sum_b = {report.sum_b:.17g}")
         print(f"  min_re_a = {report.min_re_a:.6g}  min_re_b = {report.min_re_b:.6g}")
-        if not scheme.symmetric:
+        if scheme.symmetric:
+            res = residuals(expand(scheme))
+            print(f"  p_aba = {abs(res.p_aba):.6e}  p_abb = {abs(res.p_abb):.6e}  "
+                  f"p_abaaa = {abs(res.p_abaaa):.6e}")
+            # p_abaaa (mu_4) vanishes for symmetric order >= 5
+            conditions = ((4, {"p_aba": res.p_aba, "p_abb": res.p_abb}),
+                          (5, {"p_abaaa": res.p_abaaa}))
+        else:
             # p_aba, p_abb and p_abaaa mean order 4 only within the symmetric
             # family; the eps-linear conditions of order N are mu_k = 0, k < N
             print("  not symmetric: checks mu_k = sum b_i c_i^k - 1/(k+1) for k < order; "
                   "the eps^2 terms are not checked")
             b, c = kicks_of(expand(scheme))
-            with np.errstate(over="ignore", invalid="ignore"):
-                for k in range(1, scheme.claimed_order):
-                    if not abs(complex((b * c ** k).sum()) - 1.0 / (k + 1)) <= tol:
-                        print(f"{scheme.name}: INVALID (order {scheme.claimed_order} "
-                              f"needs |mu_{k}| <= {tol:.0e})")
-                        status = EXIT_VALIDATION
-                        break
-            continue
-        res = residuals(expand(scheme))
-        print(f"  p_aba = {abs(res.p_aba):.6e}  p_abb = {abs(res.p_abb):.6e}  "
-              f"p_abaaa = {abs(res.p_abaaa):.6e}")
-        # the first unmet order; p_abaaa (mu_4) vanishes for symmetric order >= 5
-        for order, names in ((4, ("p_aba", "p_abb")), (5, ("p_abaaa",))):
-            if scheme.claimed_order >= order and not max(
-                    abs(getattr(res, n)) for n in names) <= tol:
-                print(f"{scheme.name}: INVALID (order {scheme.claimed_order} needs "
-                      f"{' and '.join(f'|{n}|' for n in names)} <= {tol:.0e})")
-                status = EXIT_VALIDATION
-                break
+            conditions = ((k + 1, {f"mu_{k}": complex((b * c ** k).sum()) - 1.0 / (k + 1)})
+                          for k in range(1, scheme.claimed_order))
+        with np.errstate(over="ignore", invalid="ignore"):     # the first unmet order
+            for order, named in conditions:
+                if scheme.claimed_order >= order and not max(map(abs, named.values())) <= tol:
+                    print(f"{scheme.name}: INVALID (order {scheme.claimed_order} needs "
+                          f"{' and '.join(f'|{n}|' for n in named)} <= {tol:.0e})")
+                    status = EXIT_VALIDATION
+                    break
     return status
 
 
@@ -230,7 +227,3 @@ def main(argv=None):
     except (CxsplitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-
-
-if __name__ == "__main__":
-    sys.exit(main())

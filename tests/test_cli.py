@@ -117,6 +117,8 @@ def test_validate_does_not_print_symmetric_residuals_for_a_non_symmetric_file(
 
 
 STRANG_TEXT = "name=strang4\npattern=BAB\norder={order}\nsymmetric=true\nb 0.5 0\na 1 0\nb 0.5 0\n"
+STRANG_ABA_TEXT = ("name=strangaba\npattern=ABA\norder={order}\nsymmetric=true\n"
+                   "a 0.5 0\nb 1 0\na 0.5 0\n")
 
 
 @pytest.mark.parametrize("order,code", [(2, cli.EXIT_OK), (3, cli.EXIT_OK),
@@ -124,31 +126,42 @@ STRANG_TEXT = "name=strang4\npattern=BAB\norder={order}\nsymmetric=true\nb 0.5 0
                                         (99999999999999999999, cli.EXIT_VALIDATION)])
 def test_validate_symmetric_file_claiming_order_four_needs_its_residuals(
         order, code, tmp_path, capsys):
-    # Strang's p_aba = 1/12 and p_abb = 1/24: a symmetric file that claims
-    # order 4 or more must have both within its tolerance
-    path = tmp_path / "strang.txt"
-    path.write_text(STRANG_TEXT.format(order=order))
-    assert cli.main(["validate", str(path)]) == code
-    out = capsys.readouterr().out.splitlines()
-    assert out[3] == "  p_aba = 8.333333e-02  p_abb = 4.166667e-02  p_abaaa = 3.000000e-01"
-    invalid = f"strang4: INVALID (order {order} needs |p_aba| and |p_abb| <= 1e-09)"
-    assert out[4:] == ([] if code == cli.EXIT_OK else [invalid])
+    # Strang's p_aba = 1/12 and p_abb = 1/24 (BAB), 1/24 and 1/12 (ABA): a
+    # symmetric file that claims order 4 or more must have both within its tolerance
+    bab, aba = tmp_path / "strang.txt", tmp_path / "strangaba.txt"
+    bab.write_text(STRANG_TEXT.format(order=order))
+    aba.write_text(STRANG_ABA_TEXT.format(order=order))
+    assert cli.main(["validate", str(bab), str(aba)]) == code
+    expected = []
+    for name, pattern, min_re, residuals in (
+            ("strang4", "BAB", "1  min_re_b = 0.5", "8.333333e-02  p_abb = 4.166667e-02  "
+             "p_abaaa = 3.000000e-01"),
+            ("strangaba", "ABA", "0.5  min_re_b = 1", "4.166667e-02  p_abb = 8.333333e-02  "
+             "p_abaaa = 1.375000e-01")):
+        expected += [f"{name}: pattern={pattern} stages=1 order={order}",
+                     "  sum_a = 1+0j  sum_b = 1+0j", f"  min_re_a = {min_re}",
+                     f"  p_aba = {residuals}"]
+        if code != cli.EXIT_OK:
+            expected.append(f"{name}: INVALID (order {order} needs |p_aba| and |p_abb| <= 1e-09)")
+    assert capsys.readouterr().out.splitlines() == expected
 
 
 def _non_symmetric_text(which, order):
-    """The nonsym file, or Strang marked not symmetric, claiming `order`."""
+    """The nonsym file, or Strang's BAB or ABA file marked not symmetric, claiming `order`."""
     if which == "nonsym":
         return NON_SYMMETRIC_TEXT.replace("order=4", f"order={order}")
-    return STRANG_TEXT.format(order=order).replace("symmetric=true", "symmetric=false")
+    text = STRANG_ABA_TEXT if which == "strangaba" else STRANG_TEXT
+    return text.format(order=order).replace("symmetric=true", "symmetric=false")
 
 
 @pytest.mark.parametrize("which,order,invalid", [
     ("nonsym", 1, None), ("nonsym", 2, 1), ("nonsym", 5, 1),
-    ("strang", 2, None), ("strang", 3, 2), ("strang", 99999999999999999999, 2)])
+    ("strang", 2, None), ("strang", 3, 2), ("strang", 99999999999999999999, 2),
+    ("strangaba", 2, None), ("strangaba", 4, 2)])
 def test_validate_non_symmetric_file_needs_its_moment_conditions(which, order, invalid,
                                                                   tmp_path, capsys):
     # mu_k = sum b_i c_i^k - 1/(k+1) must vanish for k < order; Strang's
-    # kicks at c = 0 and 1 meet mu_1 but not mu_2
+    # kicks at c = 0 and 1 (BAB) or at c = 1/2 (ABA) meet mu_1 but not mu_2
     path = tmp_path / "nonsym.txt"
     path.write_text(_non_symmetric_text(which, order))
     code = cli.main(["validate", str(path)])
@@ -555,7 +568,7 @@ def test_sweep_out_writes_an_undecodable_method_name_back_as_its_bytes(tmp_path,
         fh.write(serialize_scheme(builtin_scheme("SM4")))
     env = _subprocess_env(LC_ALL="C", PYTHONUTF8="0")
     env.pop("PYTHONIOENCODING", None)
-    argv = [sys.executable, "-m", "cxsplit.cli", "sweep", "--problem", "osc",
+    argv = [sys.executable, "-m", "cxsplit", "sweep", "--problem", "osc",
             "--methods", name, "--nsteps", "8,16"]
 
     def run(*extra):
