@@ -1,4 +1,4 @@
-"""The per-run line of tools/outputs_digest.py: the same on a rerun, moved by one ulp."""
+"""The per-run and command lines of tools/outputs_digest.py: the same on a rerun."""
 
 import importlib.util
 import math
@@ -41,3 +41,10 @@ def test_run_digest_reports_the_error():
     line = load_tool().run_line("osc", "sm4", "exact", "literal", 16)
     assert line == ("run osc sm4 exact literal 16 error ValidationError: "
                     "OscillatorProblem has no exact A-flow (use cf2 or cf4)")
+
+
+def test_command_digest_prints_the_validate_output():
+    tool = load_tool()
+    lines = tool.cli_lines("validate", "SM4")
+    assert lines[:2] == ["cli validate SM4 exit=0", "SM4: pattern=BAB stages=4 order=4"]
+    assert tool.cli_lines("validate", "SM4") == lines

@@ -6,6 +6,9 @@ CHECKOUT (default: the checkout this file is in) is the source tree whose
 ``src/cxsplit`` runs and whose ``perfbench/workloads.py`` gives the sweep
 grids.  Run it on two checkouts and ``diff`` the outputs.  It prints:
 
+- the exit code and output of ``validate`` on the builtin schemes, and of
+  ``design`` on perfbench's design-scan commands and the default 200-point
+  ``--scan``;
 - one line per ``integrate_with`` run: every method of ``bench.METHODS`` on
   every problem, A-flow kind and freeze convention, at n = 16 and 64 steps,
   with the final state's sha256, ``t``, ``a_flow_evals`` and
@@ -21,7 +24,9 @@ oracle, the fisher splitting oracle (about 10 s on 2 cores).
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import sys
 import tempfile
 from pathlib import Path
@@ -30,8 +35,9 @@ if __name__ == "__main__":      # the checkout to digest, put first before cxspl
     CHECKOUT = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).parent.parent).resolve()
     sys.path[:0] = [str(CHECKOUT / "src"), str(CHECKOUT / "perfbench")]
 
-from cxsplit import bench, problems  # noqa: E402
+from cxsplit import bench, cli, problems  # noqa: E402
 from cxsplit.errors import CxsplitError  # noqa: E402
+from cxsplit.schemes import builtin_names  # noqa: E402
 from cxsplit.stepper import A_FLOW_KINDS, FREEZE_NODES, integrate_with  # noqa: E402
 
 RUN_STEPS = (16, 64)
@@ -76,8 +82,25 @@ def sweep_lines(problem_name, methods, grid, kind, freeze, cache_dir):
                      for row in rows]
 
 
+def cli_lines(*argv):
+    """A line naming ``cxsplit argv`` and its exit code, then its stdout and stderr lines."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return [f"cli {' '.join(argv)} exit={code}", *out.getvalue().splitlines(),
+            *(f"stderr {line}" for line in err.getvalue().splitlines())]
+
+
 def main(argv):
-    from workloads import SWEEPS     # on the path only when run as a script
+    # on the path only when run as a script
+    from workloads import SCAN_GRID_POINTS, SWEEPS, load_expected
+    sm4_a1 = repr(load_expected()["sm4"]["a1"])
+    for command in (("validate", *builtin_names()),
+                    ("design", "--stages", "4", "--scan", "--grid-points", str(SCAN_GRID_POINTS)),
+                    ("design", "--stages", "4", "--a1", sm4_a1),
+                    ("design", "--stages", "6"),
+                    ("design", "--stages", "4", "--scan")):
+        print("\n".join(cli_lines(*command)), flush=True)
     for name in problems.PROBLEMS:
         for method in bench.METHODS:
             for kind in A_FLOW_KINDS:
