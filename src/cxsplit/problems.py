@@ -1,12 +1,10 @@
 """The three benchmark problems and their high-accuracy reference oracle.
 
-Each problem supplies whether its A(t) commute, the frozen-exponential
-kernel for the dominant part, a B-kick valid for complex durations (closed
-forms, analytically continued in the duration), initial data, and the step
-count of its classical RK4 cross-check.  Only the PDEs supply an ``rhs``,
-the unsplit right-hand side; the oscillator's is written out in
-``_rk4_osc``.  Only the oscillator's epsilon and initial point and the PDE
-grid size are settable.
+A problem is its data, its kernels and its classical right-hand side; the
+``Problem`` base derives the rest.  The kernels are whether its A(t) commute,
+the frozen-exponential kernel for the dominant part, and a B-kick valid for
+complex durations (closed forms, analytically continued in the duration).
+Only the oscillator's epsilon and initial point and the PDE grid size are settable.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ import signal
 import struct
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -39,9 +37,9 @@ REF_OSC_RK4_STEPS = 2 ** 20
 REF_PDE_RK4_MIN_STEPS = 2 ** 12
 REF_AGREE_TOL = 1e-10
 REF_MAGIC = b"CXSPLITR"
-# The cache format and oracle-kernel version: raise it with any change to the
-# format or to a kernel that moves the oracles' bits, so that older entries
-# are rebuilt instead of read as valid.
+# The cache format and oracle-kernel version.  Problem.params keys class data
+# and fields by itself; raise this with any change to the format or to a
+# kernel that moves the oracles' bits, so that older entries are rebuilt.
 REF_VERSION = 3
 # magic, version, key digest, payload bytes, oracle gap, build seconds
 REF_HEADER = struct.Struct("<8sQ16sQdd")
@@ -54,8 +52,26 @@ OMEGA_J = (7.0, 14.0, 21.0)
 KICK_FACTORS_KEPT = 16
 
 
+class Problem:
+    """A problem dataclass's cache identity, and its RK4 oracle on its rhs."""
+
+    def key(self):
+        """The name of the class, or of its nearest registered base, in PROBLEMS."""
+        return next(k for c in type(self).__mro__ for k, v in PROBLEMS.items() if v is c)
+
+    def params(self):
+        """The qualified class name, then each class datum and field as this instance reads it."""
+        data = {k: getattr(self, k) for c in reversed(type(self).__mro__)  # no method or property
+                for k, v in vars(c).items() if k[0] != "_" and not hasattr(v, "__get__")}
+        data.update((f.name, getattr(self, f.name)) for f in fields(self))
+        return (f"{type(self).__module__}.{type(self).__qualname__}", *data.items())
+
+    def rk4_oracle(self):
+        return rk4_integrate(self.rhs, self.u0().real, self.t0, self.tf, self.rk4_steps)
+
+
 @dataclass
-class OscillatorProblem:
+class OscillatorProblem(Problem):
     """Perturbed oscillator: q'' + Omega(t)^2 q = -eps * sum_j sin(q - omega_j t)."""
 
     epsilon: float = 0.25
@@ -106,15 +122,13 @@ class OscillatorProblem:
         kick = 0.0 + sin(q - w1 * t_frozen) + sin(q - w2 * t_frozen) + sin(q - w3 * t_frozen)
         return q, p - tau * self.epsilon * kick
 
-    def key(self):
-        return "osc"
-
-    def params(self):
-        return ("osc", self.epsilon, len(self.omega_j), self.q0, self.p0, self.t0, self.tf)
+    def rk4_oracle(self):   # floats: no numpy overhead on a 2-vector
+        return np.array(_rk4_osc(self.epsilon, *self.u0().real.tolist(), self.t0, self.tf,
+                                 self.rk4_steps))
 
 
 @dataclass
-class ParabolicProblem:
+class ParabolicProblem(Problem):
     """u_t = alpha(t)^2 Lap u + V(x, t) u on the periodic unit interval."""
 
     n_grid: int = 100
@@ -124,6 +138,9 @@ class ParabolicProblem:
     commuting = True
 
     def __post_init__(self):
+        if type(self.n_grid) is not int or self.n_grid < 1:
+            raise ValidationError(f"{self.key()}: n_grid must be an integer >= 1, "
+                                  f"got {self.n_grid!r}")
         self.dx = 1.0 / self.n_grid
         self.x = self.dx * np.arange(1, self.n_grid + 1)
         self.lap = CirculantLaplacian(self.n_grid, self.dx)
@@ -133,9 +150,8 @@ class ParabolicProblem:
         # stability bound of explicit RK4 on the diffusion spectrum; the
         # floor keeps the temporal error negligible on coarse grids, where
         # the stability bound alone would be accuracy-limited
-        alpha_sq_max = (0.25 + abs(self.mu)) ** 2
-        stiff = int(math.ceil(4.0 * (self.tf - self.t0) / self.dx ** 2 * alpha_sq_max))
-        self.rk4_steps = max(stiff, REF_PDE_RK4_MIN_STEPS)
+        stiff = 4.0 * (self.tf - self.t0) / self.dx ** 2 * (0.25 + abs(self.mu)) ** 2
+        self.rk4_steps = max(int(math.ceil(stiff)), REF_PDE_RK4_MIN_STEPS)
 
     def alpha(self, t):
         return 0.25 + self.mu * math.cos(self.w * t)
@@ -168,12 +184,6 @@ class ParabolicProblem:
     def rhs(self, t, u):
         return self.alpha(t) ** 2 * self.apply_laplacian(u) + self.potential(t) * u
 
-    def key(self):
-        return "parabolic"
-
-    def params(self):
-        return ("parabolic", self.n_grid, self.mu, self.w, self.t0, self.tf)
-
 
 class FisherProblem(ParabolicProblem):
     """u_t = alpha(t)^2 Lap u + gamma(t) u (1 - u), the Fisher reaction."""
@@ -200,16 +210,9 @@ class FisherProblem(ParabolicProblem):
     def rhs(self, t, u):
         return self.alpha(t) ** 2 * self.apply_laplacian(u) + self.gamma(t) * u * (1.0 - u)
 
-    def key(self):
-        return "fisher"
-
-    def params(self):
-        return ("fisher", self.n_grid, self.mu, self.w, self.beta, self.t0, self.tf)
-
 
 #: problem name -> class, in the order the command line lists them
-PROBLEMS = {"osc": OscillatorProblem, "parabolic": ParabolicProblem,
-            "fisher": FisherProblem}
+PROBLEMS = {"osc": OscillatorProblem, "parabolic": ParabolicProblem, "fisher": FisherProblem}
 
 
 def make_problem(name, **overrides):
@@ -285,10 +288,7 @@ def _splitting_oracle(problem):
 
 
 def _classical_oracle(problem):
-    t0, tf, n_steps = problem.t0, problem.tf, problem.rk4_steps
-    if isinstance(problem, OscillatorProblem):     # floats: no numpy overhead on a 2-vector
-        return np.array(_rk4_osc(problem.epsilon, *problem.u0().real.tolist(), t0, tf, n_steps))
-    return rk4_integrate(problem.rhs, problem.u0().real, t0, tf, n_steps)
+    return problem.rk4_oracle()
 
 
 def default_cache_dir():
@@ -310,7 +310,7 @@ def check_writable(path):
 
 
 def _cache_path(problem, cache_dir):
-    payload = repr(problem.params() + (REF_SPLIT_STEPS, problem.rk4_steps))
+    payload = repr(problem.params() + (REF_SPLIT_STEPS, REF_PDE_RK4_MIN_STEPS))
     digest = hashlib.sha256(payload.encode()).hexdigest()[:16]
     return Path(cache_dir) / f"{problem.key()}_{digest}.ref", digest
 

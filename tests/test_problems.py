@@ -13,7 +13,7 @@ from cxsplit.errors import (CxsplitError, DesignScanUnreliable, InsufficientData
                             NotInCatalog, ParseError, RealTimeViolation,
                             ReferenceInconsistent, StepFailed, StepTooLarge,
                             ValidationError)
-from cxsplit.problems import (KICK_FACTORS_KEPT, REF_AGREE_TOL, REF_HEADER,
+from cxsplit.problems import (KICK_FACTORS_KEPT, PROBLEMS, REF_AGREE_TOL, REF_HEADER,
                               REF_MAGIC, REF_OSC_RK4_STEPS, REF_PDE_RK4_MIN_STEPS,
                               REF_VERSION, TWO_PI, FisherProblem,
                               OscillatorProblem, ParabolicProblem, _cache_path,
@@ -323,6 +323,15 @@ def test_osc_rejects_non_finite_epsilon(epsilon):
         make_problem("osc", epsilon=epsilon)
 
 
+@pytest.mark.parametrize("name", ["parabolic", "fisher"])
+@pytest.mark.parametrize("n_grid", [0, -4, 2.5])
+def test_pde_rejects_a_bad_grid_size(name, n_grid):
+    # at construction, not as a ZeroDivisionError or a numpy error mid-run
+    with pytest.raises(ValidationError) as info:
+        make_problem(name, n_grid=n_grid)
+    assert str(info.value) == f"{name}: n_grid must be an integer >= 1, got {n_grid!r}"
+
+
 def test_stiff_rk4_steps_scales_with_grid():
     coarse = make_problem("parabolic", n_grid=100)
     fine = make_problem("parabolic", n_grid=200)
@@ -331,17 +340,46 @@ def test_stiff_rk4_steps_scales_with_grid():
     assert make_problem("parabolic", n_grid=8).rk4_steps == REF_PDE_RK4_MIN_STEPS
 
 
-@pytest.mark.parametrize("name,params,cache_file", [
-    ("osc", {}, "osc_8fd223ae5041c9c6.ref"),
-    ("osc", {"epsilon": 0.1}, "osc_5e2de432060c1063.ref"),
-    ("osc", {"epsilon": 0.0}, "osc_67c2f18f1aac0d2f.ref"),
-    ("parabolic", {}, "parabolic_c32372d88c413cf3.ref"),
-    ("parabolic", {"n_grid": 8}, "parabolic_4cda38c28a085d6f.ref"),
-    ("fisher", {}, "fisher_65a8cea540c67f5b.ref"),
-])
+PINNED_CACHE_FILES = [
+    ("osc", {}, "osc_502be4c73b84f5a0.ref"),
+    ("osc", {"epsilon": 0.1}, "osc_97eb10bd121f2d68.ref"),
+    ("osc", {"epsilon": 0.0}, "osc_d1f08c36d2c09b62.ref"),
+    ("parabolic", {}, "parabolic_56f24b2c3ddb6564.ref"),
+    ("parabolic", {"n_grid": 8}, "parabolic_74d83e05f58c4e82.ref"),
+    ("fisher", {}, "fisher_1ef479474aa8b295.ref"),
+]
+
+
+@pytest.mark.parametrize("name,params,cache_file", PINNED_CACHE_FILES)
 def test_cache_file_names_are_pinned(tmp_path, name, params, cache_file):
     # a new cache key orphans every cached reference: change these pins on purpose
     assert _cache_path(make_problem(name, **params), tmp_path)[0].name == cache_file
+
+
+class ScaledKickParabolic(ParabolicProblem):
+    """The parabolic problem with its potential scaled by 0.1: a kernel override only."""
+
+    def b_kick(self, t_frozen, tau, state):
+        return super().b_kick(t_frozen, 0.1 * tau, state)
+
+
+def test_problem_contract_is_derived(monkeypatch, tmp_path):
+    for name, cls in PROBLEMS.items():
+        params = cls().params()
+        assert cls().key() == name and cls().params() == params
+        # methods are no data: a wrapped kernel, as a tracer installs, keeps the key
+        kick = cls.__dict__["b_kick"]
+        monkeypatch.setattr(cls, "b_kick", lambda *args, kick=kick: kick(*args))
+        assert cls().params() == params
+    # class data set on an instance, as an oracle step count, is keyed as read
+    osc = make_problem("osc")
+    osc.rk4_steps = 64
+    assert osc.params() != make_problem("osc").params()
+    problems = [make_problem(name, **params) for name, params, _ in PINNED_CACHE_FILES]
+    problems.append(ScaledKickParabolic(n_grid=8))
+    assert problems[-1].key() == "parabolic"
+    paths = {_cache_path(problem, tmp_path)[0] for problem in problems}
+    assert len(paths) == len(PINNED_CACHE_FILES) + 1
 
 
 def test_cache_round_trip(tmp_path):
@@ -459,6 +497,18 @@ def test_reference_solution_caches(tmp_path, stub_oracles):
     assert path.stat().st_mtime_ns == before       # served from cache
     assert builds() == 2                           # both oracles ran once
     assert np.array_equal(ref1, ref2)
+
+
+def test_kernel_overriding_subclass_builds_its_own_reference(tmp_path, stub_oracles):
+    # a subclass keyed like its parent would be served the parent's reference
+    builds = stub_oracles()
+    parent, scaled = ParabolicProblem(n_grid=8), ScaledKickParabolic(n_grid=8)
+    reference_solution(parent, cache_dir=tmp_path)
+    assert builds() == 2
+    reference_solution(scaled, cache_dir=tmp_path)
+    assert builds() == 4
+    assert _cache_path(parent, tmp_path)[0] != _cache_path(scaled, tmp_path)[0]
+    assert len(list(tmp_path.iterdir())) == 2
 
 
 def test_unwritable_cache_fails_before_the_oracles(tmp_path, stub_oracles):
