@@ -1,11 +1,10 @@
 """Re-derivation of complex-kick BAB schemes.
 
-Fixing real, palindromic flow coefficients a_i leaves the k reduced kicks
-free to solve k order conditions: p_abb and the first k - 1 linear rows of
-``order_conditions``, which defines every row and target.  The linear rows
-put the solutions on a line along which p_abb is a quadratic: its two roots
-are every solution, found exactly.  The free a_1 of the 4-stage family is
-then tuned to minimise Re(p_abaaa), what survives the post-step projection.
+Real, palindromic flows a_i leave k reduced kicks for k order conditions:
+p_abb and the first k - 1 linear views of ``order_conditions``, which put
+the solutions on a line along which p_abb is a quadratic.  Its two roots
+are every solution, found exactly.  The 4-stage family's free a_1 then
+minimises Re(p_abaaa), what survives the post-step projection.
 """
 
 from __future__ import annotations
@@ -17,8 +16,8 @@ import numpy as np
 
 from .errors import (CxsplitError, DesignScanUnreliable, NoSolutionFound,
                      NoStableSolution, ValidationError)
-from .order_conditions import (ABB_TARGET, LINEAR_TARGETS, abb_form, kicks_of,
-                               linear_terms, order_poly_jacobian, order_polys)
+from .order_conditions import (TARGETS, abb_form, kicks_of, linear_terms,
+                               order_poly_jacobian, order_polys)
 from .schemes import Scheme, expand
 
 RESIDUAL_TOL = 1e-14         # largest residual of an accepted solution
@@ -89,9 +88,9 @@ def _roots(nodes):
     k = nodes.shape[-1] // 2
     base, basis, cols = _frame(k)
     c = nodes.real
-    rows = linear_terms(1.0, c)[:, :k - 1]
+    rows = linear_terms(c)[:, :k - 1]
     lin = rows @ basis.T
-    rhs = np.array(LINEAR_TARGETS[:k - 1]) - rows @ base
+    rhs = np.array((TARGETS.p_aba, TARGETS.p_abaaa)[:k - 1]) - rows @ base
     # the free unknown t is the one whose minor has the largest |det|: by
     # Cramer's rule no other unknown then moves faster than t along the line
     minors = lin[..., cols].swapaxes(-3, -2)
@@ -118,7 +117,7 @@ def _roots(nodes):
     # whose matrix is not finite (p0 = 0, an overflow) has no two roots
     x = w[:, [1, 0, 0]] * np.array([[0.5], [1.0], [0.5]])
     p = ((x[:, :, None] @ q[:, None]) @ w[:, [1, 1, 0], :, None])[..., 0, 0]
-    p[:, 2] -= ABB_TARGET
+    p[:, 2] -= TARGETS.p_abb
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         top = -p[:, 1:] / p[:, :1]
     keep = np.isfinite(top).all(axis=-1)

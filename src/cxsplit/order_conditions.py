@@ -1,48 +1,73 @@
-"""Perturbed-problem order-condition polynomials, defined once.
+"""Order conditions of splitting schemes for u' = A(t)u + eps B(t, u), generated.
 
-For a consistent symmetric composition with kicks b_i applied at nodes c_i
-(cumulative sums of the flow coefficients, with a leading zero for BAB),
-the residual polynomials are
+A composition with kicks b_i at nodes c_i (the flow coefficients summed
+before each kick), BAB or ABA, symmetric or not, has global error
+O(eps h^s + eps^2 h^n) for the effective order (s, n) (Blanes, Casas, Chartier
+& Murua, Math. Comp. 2013) that one condition per word with one or two B's sets:
 
-    p_aba   = 1/2 sum_i b_i c_i (1 - c_i) - 1/12     (linear_terms row 0)
-    p_abb   = 1/2 b^T Q b - 1/3, Q_ij = c_max(i, j)  (abb_form)
-    p_abaaa = sum_i b_i c_i^4 - 1/5                  (linear_terms row 1)
+    mu_k     = sum_i b_i c_i^k - 1/(k + 1)                 word length k + 1
+    delta_kl = sum_{i<j} b_i b_j c_j^k c_i^l + sum_i b_i^2 c_i^(k+l) / 2
+               - 1/((l + 1)(k + l + 2)),  k > l            word length k + l + 2
 
-whose simultaneous zeros characterise the fourth-order (and, for p_abaaa,
-the dominant-error-free) members of the family.  The checker, its Jacobian
-and the designer all read these rows and targets from here.  Consistency
-(sum a_i = sum b_i = 1) is checked by ``schemes.validate_scheme`` alone.
+s (n) is one less than the shortest word length of an unmet mu_k (delta_kl);
+eps^3 terms and consistency (``schemes.validate_scheme``) are not covered.
+The symmetric BAB family's views: p_aba = (mu_1 - mu_2)/2, p_abb = delta_10, p_abaaa = mu_4.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+import math
+from collections import namedtuple
 
 import numpy as np
 
 from .errors import InvalidSequence
 
-LINEAR_TARGETS = (1.0 / 12.0, 0.2)   # p_aba, p_abaaa
-ABB_TARGET = 1.0 / 3.0
-_TARGETS = np.array((*LINEAR_TARGETS, ABB_TARGET))
+LONGEST = 10                 # the longest word generated: the highest order checked
+Condition = namedtuple("Condition", "name length k l den")   # target 1/den; l None for mu_k
+Residuals = namedtuple("Residuals", "p_aba p_abb p_abaaa")   # the symmetric family's views
+# every condition up to word length LONGEST, by length: mu, then delta by falling k
+CONDITIONS = tuple(cond for m in range(2, LONGEST + 1) for cond in (
+    Condition(f"mu_{m - 1}", m, m - 1, None, m),
+    *(Condition(f"delta_{k}{m - 2 - k}", m, k, m - 2 - k, (m - 1 - k) * m)
+      for k in range(m - 2, (m - 2) // 2, -1))))
+_VIEWED = [cond for cond in CONDITIONS if cond.name in ("mu_1", "mu_2", "delta_10", "mu_4")]
 
 
-class Residuals(NamedTuple):
-    p_aba: complex
-    p_abb: complex
-    p_abaaa: complex
+def _views(mu_1, mu_2, delta_10, mu_4):
+    """The symmetric family's residuals from those of the generated conditions."""
+    return Residuals((mu_1 - mu_2) / 2, delta_10, mu_4)
 
 
-def linear_terms(b, c):
-    """Per-kick terms of the linear conditions, one row each: (..., (p_aba, p_abaaa), n)."""
-    return np.concatenate(((0.5 * b * c * (1.0 - c))[..., None, :], (b * c ** 4)[..., None, :]),
-                          axis=-2)
+_LCM = math.lcm(*(cond.den for cond in _VIEWED))     # over it the targets are exact
+TARGETS = Residuals(*(x / _LCM for x in _views(*(_LCM // cond.den for cond in _VIEWED))))
 
 
-def abb_form(c):
-    """Q with p_abb = b^T Q b / 2 - ABB_TARGET: Q_ij = c_max(i, j), (..., n, n)."""
-    idx = np.arange(c.shape[-1])
-    return c[..., np.maximum.outer(idx, idx)]
+def condition_residuals(b, c, conds=CONDITIONS):
+    """Residuals of kicks b at nodes c, both (n,) or stacked (B, n): (len(conds), ...)."""
+    b, c = np.asarray(b, dtype=complex), np.asarray(c, dtype=complex)
+    ls = {cond.l for cond in conds} - {None}
+    bc = {k: b * c ** k if k else b for k in {cond.k for cond in conds} | ls}
+    before = {l: np.zeros(b.shape, complex) for l in ls}   # sum_{i<j} b_i c_i^l, in O(n)
+    for l, out in before.items():
+        bc[l][..., :-1].cumsum(axis=-1, out=out[..., 1:])
+    terms = np.array([bc[k] if l is None else bc[k] * (0.5 * bc[l] + before[l])
+                      for _, _, k, l, _ in conds])
+    s = comp = np.zeros(terms.shape[:-1], complex)   # compensated: reproducible zero checks
+    for term in np.moveaxis(terms, -1, 0):
+        y = term - comp
+        tmp = s + y
+        s, comp = tmp, (tmp - s) - y
+    return (s.T - np.array([1.0 / x.den for x in conds])).T
+
+
+def effective_order(b, c, tol):
+    """(s, n) of kicks b at nodes c, LONGEST where all are met, and the first unmet name or None."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        unmet = [x for x, r in zip(CONDITIONS, condition_residuals(b, c)) if not abs(r) <= tol]
+    s, n = (next((x.length - 1 for x in unmet if (x.l is None) == is_mu), LONGEST)
+            for is_mu in (True, False))
+    return s, n, unmet[0].name if unmet else None
 
 
 def kicks_of(seq):
@@ -52,41 +77,32 @@ def kicks_of(seq):
     return np.asarray(b, dtype=complex), np.asarray(c, dtype=complex)
 
 
-def _kahan_sum(terms):
-    # compensated sums over the last axis keep the 1e-14 zero checks reproducible
-    sums = []
-    for row in terms.reshape(-1, terms.shape[-1]).tolist():
-        s = comp = 0j
-        for term in row:
-            y = term - comp
-            tmp = s + y
-            comp = (tmp - s) - y
-            s = tmp
-        sums.append(s)
-    return np.array(sums).reshape(terms.shape[:-1])
-
-
 def order_polys(b, c):
-    """Residuals of kicks b at nodes c, both (n,) or stacked designs (B, n)."""
-    b, c = np.asarray(b, dtype=complex), np.asarray(c, dtype=complex)
-    # the terms b_j c_j (b_j / 2 + sum_{i<j} b_i) sum b^T Q b / 2 in O(n)
-    before = np.zeros(b.shape, complex)
-    b[..., :-1].cumsum(axis=-1, out=before[..., 1:])
-    sums = _kahan_sum(np.concatenate(
-        (linear_terms(b, c), (b * c * (0.5 * b + before))[..., None, :]), axis=-2))
-    p_aba, p_abaaa, p_abb = (sums - _TARGETS).T
-    return Residuals(p_aba, p_abb, p_abaaa)
+    """The views of kicks b at nodes c, both (n,) or stacked designs (B, n)."""
+    return _views(*condition_residuals(b, c, _VIEWED))
 
 
 def residuals(seq):
-    """Order-condition residuals of a stage sequence."""
+    """The views of a stage sequence."""
     if not seq:
         raise InvalidSequence("empty stage sequence")
     return order_polys(*kicks_of(seq))
 
 
+# The designer's rows, factored by hand: their round-off decides its kicks' bits.
+def linear_terms(c):
+    """The linear views' coefficients of each kick, one row each: (..., (p_aba, p_abaaa), n)."""
+    return np.concatenate(((0.5 * c * (1.0 - c))[..., None, :], (c ** 4)[..., None, :]), axis=-2)
+
+
+def abb_form(c):
+    """Q with p_abb = b^T Q b / 2 - TARGETS.p_abb: Q_ij = c_max(i, j), (..., n, n)."""
+    idx = np.arange(c.shape[-1])
+    return c[..., np.maximum.outer(idx, idx)]
+
+
 def order_poly_jacobian(b, c):
     """Analytic d(p_aba, p_abb, p_abaaa)/db_i, one column per kick: (..., 3, n)."""
     b, c = np.asarray(b, dtype=complex), np.asarray(c, dtype=complex)
-    d_aba, d_abaaa = np.moveaxis(linear_terms(1.0, c), -2, 0)
+    d_aba, d_abaaa = np.moveaxis(linear_terms(c), -2, 0)
     return np.stack((d_aba, (abb_form(c) @ b[..., None])[..., 0], d_abaaa), axis=-2)

@@ -37,9 +37,9 @@ REF_OSC_RK4_STEPS = 2 ** 20
 REF_PDE_RK4_MIN_STEPS = 2 ** 12
 REF_AGREE_TOL = 1e-10
 REF_MAGIC = b"CXSPLITR"
-# The cache format and oracle-kernel version.  Problem.params keys class data
-# and fields by itself; raise this with any change to the format or to a
-# kernel that moves the oracles' bits, so that older entries are rebuilt.
+# The cache format and oracle-kernel version.  Problem.params keys class data,
+# fields and the RK4 step count itself; raise this with any change to the
+# format or to a kernel that moves the oracles' bits, so older entries rebuild.
 REF_VERSION = 3
 # magic, version, key digest, payload bytes, oracle gap, build seconds
 REF_HEADER = struct.Struct("<8sQ16sQdd")
@@ -60,10 +60,10 @@ class Problem:
         return next(k for c in type(self).__mro__ for k, v in PROBLEMS.items() if v is c)
 
     def params(self):
-        """The qualified class name, then each class datum and field as this instance reads it."""
+        """The qualified class name, then each class datum, field and the RK4 step count as read."""
         data = {k: getattr(self, k) for c in reversed(type(self).__mro__)  # no method or property
                 for k, v in vars(c).items() if k[0] != "_" and not hasattr(v, "__get__")}
-        data.update((f.name, getattr(self, f.name)) for f in fields(self))
+        data.update({f.name: getattr(self, f.name) for f in fields(self)}, rk4_steps=self.rk4_steps)
         return (f"{type(self).__module__}.{type(self).__qualname__}", *data.items())
 
     def rk4_oracle(self):

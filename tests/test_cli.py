@@ -17,6 +17,7 @@ from conftest import (NON_FINITE_TEXTS, assert_no_child_left, near_tolerance_sm6
                       yoshida_text)
 from cxsplit import bench, cli, designer, problems
 from cxsplit.errors import CxsplitError, DesignScanUnreliable, ParseError, ValidationError
+from cxsplit.order_conditions import LONGEST
 from cxsplit.schemes import builtin_names, builtin_scheme, load_scheme, serialize_scheme
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -40,7 +41,7 @@ def test_validate_builtins_ok(capsys):
     assert "SM4: pattern=BAB stages=4 order=4" in out
     assert "sum_a = 1" in out
     assert "min_re_b" in out
-    assert "p_abaaa" in out
+    assert "  effective order (s, n) = (4, 4), eps^3 terms not checked\n" in out
 
 
 def test_validate_bad_file_exits_one(tmp_path, capsys):
@@ -83,7 +84,7 @@ def test_non_finite_file_is_invalid_without_warnings(name, tmp_path, osc_ref, ca
 
 # A first-order BAB scheme whose kicks zero all three residual polynomials:
 # b solves sum b = 1, p_aba = p_abb = p_abaaa = 0 at equal flows a = 1/3, but
-# the odd moment sum b_i c_i is 0.5137, not 1/2, so it is not symmetric.
+# the odd moment sum b_i c_i is 0.5137, not 1/2 (mu_1 = 0.0137).
 NON_SYMMETRIC_TEXT = """name=nonsym
 pattern=BAB
 order=4
@@ -98,22 +99,18 @@ b 0.09959985404876036 0.0
 """
 
 
-NOT_SYMMETRIC_LINE = ("  not symmetric: checks mu_k = sum b_i c_i^k - 1/(k+1) for k < order; "
-                      "the eps^2 terms are not checked")
-
-
 def test_validate_does_not_print_symmetric_residuals_for_a_non_symmetric_file(
         tmp_path, capsys):
     # the residuals of the symmetric family are zero, but mu_1 = 0.0137:
-    # the file's order=4 is invalid
+    # the file's order=4 is invalid, and its effective order is (1, 3)
     path = tmp_path / "nonsym.txt"
     path.write_text(NON_SYMMETRIC_TEXT)
     assert cli.main(["validate", str(path)]) == cli.EXIT_VALIDATION
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "nonsym: pattern=BAB stages=3 order=4"
-    assert out.splitlines()[-2:] == [NOT_SYMMETRIC_LINE,
+    assert out.splitlines()[-2:] == ["  effective order (s, n) = (1, 3), eps^3 terms not checked",
                                      "nonsym: INVALID (order 4 needs |mu_1| <= 1e-09)"]
-    assert "p_aba =" not in out
+    assert "p_aba" not in out
 
 
 STRANG_TEXT = "name=strang4\npattern=BAB\norder={order}\nsymmetric=true\nb 0.5 0\na 1 0\nb 0.5 0\n"
@@ -121,28 +118,25 @@ STRANG_ABA_TEXT = ("name=strangaba\npattern=ABA\norder={order}\nsymmetric=true\n
                    "a 0.5 0\nb 1 0\na 0.5 0\n")
 
 
-@pytest.mark.parametrize("order,code", [(2, cli.EXIT_OK), (3, cli.EXIT_OK),
+@pytest.mark.parametrize("order,code", [(2, cli.EXIT_OK), (3, cli.EXIT_VALIDATION),
                                         (4, cli.EXIT_VALIDATION),
                                         (99999999999999999999, cli.EXIT_VALIDATION)])
 def test_validate_symmetric_file_claiming_order_four_needs_its_residuals(
         order, code, tmp_path, capsys):
-    # Strang's p_aba = 1/12 and p_abb = 1/24 (BAB), 1/24 and 1/12 (ABA): a
-    # symmetric file that claims order 4 or more must have both within its tolerance
+    # Strang's mu_2 = 1/6 (BAB) and -1/12 (ABA) leave it (2, 2): a file that
+    # claims order 3 or more, symmetric or not, is invalid
     bab, aba = tmp_path / "strang.txt", tmp_path / "strangaba.txt"
     bab.write_text(STRANG_TEXT.format(order=order))
     aba.write_text(STRANG_ABA_TEXT.format(order=order))
     assert cli.main(["validate", str(bab), str(aba)]) == code
     expected = []
-    for name, pattern, min_re, residuals in (
-            ("strang4", "BAB", "1  min_re_b = 0.5", "8.333333e-02  p_abb = 4.166667e-02  "
-             "p_abaaa = 3.000000e-01"),
-            ("strangaba", "ABA", "0.5  min_re_b = 1", "4.166667e-02  p_abb = 8.333333e-02  "
-             "p_abaaa = 1.375000e-01")):
+    for name, pattern, min_re in (("strang4", "BAB", "1  min_re_b = 0.5"),
+                                  ("strangaba", "ABA", "0.5  min_re_b = 1")):
         expected += [f"{name}: pattern={pattern} stages=1 order={order}",
                      "  sum_a = 1+0j  sum_b = 1+0j", f"  min_re_a = {min_re}",
-                     f"  p_aba = {residuals}"]
+                     "  effective order (s, n) = (2, 2), eps^3 terms not checked"]
         if code != cli.EXIT_OK:
-            expected.append(f"{name}: INVALID (order {order} needs |p_aba| and |p_abb| <= 1e-09)")
+            expected.append(f"{name}: INVALID (order {order} needs |mu_2| <= 1e-09)")
     assert capsys.readouterr().out.splitlines() == expected
 
 
@@ -161,13 +155,14 @@ def _non_symmetric_text(which, order):
 def test_validate_non_symmetric_file_needs_its_moment_conditions(which, order, invalid,
                                                                   tmp_path, capsys):
     # mu_k = sum b_i c_i^k - 1/(k+1) must vanish for k < order; Strang's
-    # kicks at c = 0 and 1 (BAB) or at c = 1/2 (ABA) meet mu_1 but not mu_2
+    # kicks at c = 0 and 1 (BAB) or at c = 1/2 (ABA) meet mu_1 but not mu_2,
+    # which comes before delta_10 of the same word length
     path = tmp_path / "nonsym.txt"
     path.write_text(_non_symmetric_text(which, order))
     code = cli.main(["validate", str(path)])
     out = capsys.readouterr().out.splitlines()
     name = out[0].split(":")[0]
-    assert out[3] == NOT_SYMMETRIC_LINE
+    assert out[3].startswith("  effective order (s, n) = ")
     if invalid is None:
         assert code == cli.EXIT_OK and out[4:] == []
     else:
@@ -208,16 +203,63 @@ def test_scheme_file_order_below_one_is_a_parse_error(order, tmp_path, capsys):
                                         (6, cli.EXIT_VALIDATION)])
 def test_validate_symmetric_file_claiming_order_five_needs_p_abaaa(order, code, tmp_path,
                                                                    capsys):
-    # SM4 has p_aba = p_abb = 0 but |p_abaaa| = 6.24e-3, and p_abaaa (mu_4)
-    # vanishes for every symmetric scheme of order 5 or more
+    # SM4 has p_aba = p_abb = 0 but |p_abaaa| = |mu_4| = 6.24e-3: its
+    # effective order is (4, 4)
     path = tmp_path / "sm4.txt"
     path.write_text(_sm4_text(order))
     assert cli.main(["validate", str(path)]) == code
     out = capsys.readouterr().out.splitlines()
     assert out[0] == f"SM4: pattern=BAB stages=4 order={order}"
-    assert out[3].endswith("  p_abaaa = 6.244846e-03")
-    invalid = f"SM4: INVALID (order {order} needs |p_abaaa| <= 1e-09)"
+    assert out[3] == "  effective order (s, n) = (4, 4), eps^3 terms not checked"
+    invalid = f"SM4: INVALID (order {order} needs |mu_4| <= 1e-09)"
     assert out[4:] == ([] if code == cli.EXIT_OK else [invalid])
+
+
+@pytest.mark.parametrize("order", [6, 8])
+def test_validate_sm64_claiming_order_six_or_more_is_invalid(order, tmp_path, capsys):
+    # SM64 meets every mu_k up to mu_5 but not delta_30: its effective order is (6, 4)
+    path = tmp_path / "sm64.txt"
+    path.write_text(serialize_scheme(replace(builtin_scheme("SM64"), claimed_order=order)))
+    assert cli.main(["validate", str(path)]) == cli.EXIT_VALIDATION
+    out = capsys.readouterr().out.splitlines()
+    assert out[3] == "  effective order (s, n) = (6, 4), eps^3 terms not checked"
+    assert out[4:] == [f"SM64: INVALID (order {order} needs |delta_30| <= 1e-09)"]
+
+
+def _gauss_text(symmetric):
+    """Kicks (0, 1/2, 1/2, 0) at the 2-point Gauss nodes, claiming order 4."""
+    c1, c2 = 0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0
+    rows = ["b 0 0", f"a {c1!r} 0", "b 0.5 0", f"a {c2 - c1!r} 0", "b 0.5 0",
+            f"a {1.0 - c2!r} 0", "b 0 0"]
+    return "\n".join(["name=gauss", "pattern=BAB", "order=4", f"symmetric={symmetric}",
+                      *rows]) + "\n"
+
+
+def test_validate_verdict_ignores_the_symmetric_header(tmp_path, capsys):
+    # the Gauss nodes meet mu_1 to mu_3, but the kicks miss delta_10: (s, n) = (4, 2)
+    outputs = []
+    for symmetric in ("true", "false"):
+        path = tmp_path / f"gauss_{symmetric}.txt"
+        path.write_text(_gauss_text(symmetric))
+        assert cli.main(["validate", str(path)]) == cli.EXIT_VALIDATION
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].splitlines()[3:] == [
+        "  effective order (s, n) = (4, 2), eps^3 terms not checked",
+        "gauss: INVALID (order 4 needs |delta_10| <= 1e-09)"]
+
+
+def test_validate_claim_past_the_generated_words_is_invalid(monkeypatch, tmp_path, capsys):
+    # a scheme that met every generated condition would still not certify a longer word
+    monkeypatch.setattr(cli, "effective_order", lambda b, c, tol: (LONGEST, LONGEST, None))
+    path = tmp_path / "sm4.txt"
+    path.write_text(_sm4_text(LONGEST))
+    assert cli.main(["validate", str(path)]) == cli.EXIT_OK
+    path.write_text(_sm4_text(LONGEST + 1))
+    assert cli.main(["validate", str(path)]) == cli.EXIT_VALIDATION
+    out = capsys.readouterr().out.splitlines()
+    assert out[3] == f"  effective order (s, n) = ({LONGEST}, {LONGEST}), eps^3 terms not checked"
+    assert out[-1] == f"SM4: INVALID (order {LONGEST + 1} needs words past length {LONGEST})"
 
 
 def test_python_dash_m_runs_the_command_line():

@@ -3,9 +3,9 @@ import pytest
 
 from conftest import conjugate
 from cxsplit.errors import InvalidSequence
-from cxsplit.order_conditions import (ABB_TARGET, LINEAR_TARGETS, abb_form,
-                                      kicks_of, linear_terms, order_poly_jacobian,
-                                      order_polys, residuals)
+from cxsplit.order_conditions import (CONDITIONS, LONGEST, TARGETS, abb_form, effective_order,
+                                      kicks_of, linear_terms, order_poly_jacobian, order_polys,
+                                      residuals)
 from cxsplit.schemes import builtin_scheme, expand
 
 
@@ -43,6 +43,25 @@ def test_conjugation_equivariance():
             complex(getattr(res, name)).conjugate(), abs=1e-15)
 
 
+def test_view_targets_are_generated_with_the_literals_bits():
+    assert TARGETS == (1.0 / 12.0, 1.0 / 3.0, 0.2)
+
+
+def test_one_condition_per_word_with_one_or_two_b():
+    # word length m: mu_{m-1}, then floor((m - 1)/2) delta_kl with k + l = m - 2, k > l
+    for m in range(2, LONGEST + 1):
+        conds = [cond for cond in CONDITIONS if cond.length == m]
+        assert [cond.name for cond in conds[:1]] == [f"mu_{m - 1}"]
+        assert [(cond.k, cond.l) for cond in conds[1:]] == [
+            (k, m - 2 - k) for k in range(m - 2, -1, -1) if k > m - 2 - k]
+
+
+@pytest.mark.parametrize("name,order", [("STRANG_BAB", (2, 2)), ("STRANG_ABA", (2, 2)),
+                                        ("S62", (6, 2)), ("SM4", (4, 4)), ("SM64", (6, 4))])
+def test_effective_order_of_the_builtins(name, order):
+    assert effective_order(*kicks_of(expand(builtin_scheme(name))), 1e-12)[:2] == order
+
+
 def test_kicks_of_extracts_nodes():
     seq = expand(builtin_scheme("S62"))
     b, c = kicks_of(seq)
@@ -65,7 +84,7 @@ def test_p_abb_is_the_double_sum(n):
         double_sum = (0.5 * sum(b[i] ** 2 * c[i] for i in range(n))
                       + sum(b[i] * b[j] * c[j] for j in range(n) for i in range(j))
                       - 1.0 / 3.0)
-        form = 0.5 * b @ abb_form(c) @ b - ABB_TARGET
+        form = 0.5 * b @ abb_form(c) @ b - TARGETS.p_abb
         for want in (double_sum, form):
             assert abs(order_polys(b, c)[1] - want) < 1e-14
 
@@ -74,9 +93,32 @@ def test_p_abb_is_the_double_sum(n):
 def test_linear_polys_are_the_linear_rows(n):
     for b, c in _random_kicks(n):
         got = order_polys(b, c)
-        want = linear_terms(1.0, c) @ b - np.array(LINEAR_TARGETS)
+        want = linear_terms(c) @ b - np.array((TARGETS.p_aba, TARGETS.p_abaaa))
         assert abs(got.p_aba - want[0]) < 1e-15
         assert abs(got.p_abaaa - want[1]) < 1e-15
+
+
+def _loop_kahan(terms):
+    """The compensated sum of Python complex numbers, one at a time."""
+    s = comp = 0j
+    for term in terms:
+        y = term - comp
+        tmp = s + y
+        comp = (tmp - s) - y
+        s = tmp
+    return s
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_p_abb_and_p_abaaa_keep_the_loop_bits(n):
+    # the designer's kicks and Re(p_abaaa) depend on these bits
+    for b, c in _random_kicks(n):
+        before = np.concatenate(([0.0], np.cumsum(b[:-1])))
+        got = order_polys(b, c)
+        want_abb = _loop_kahan((b * c * (0.5 * b + before)).tolist()) - 1.0 / 3.0
+        want_abaaa = _loop_kahan((b * c ** 4).tolist()) - 0.2
+        assert np.asarray(got.p_abb).tobytes() == np.asarray(want_abb).tobytes()
+        assert np.asarray(got.p_abaaa).tobytes() == np.asarray(want_abaaa).tobytes()
 
 
 def test_jacobian_matches_finite_differences():
@@ -109,6 +151,6 @@ def test_stacked_jacobian_rows_match_one_design_at_a_time(n):
 @pytest.mark.parametrize("n", range(2, 10))
 def test_one_design_jacobian_keeps_its_bits(n):
     for b, c in _random_kicks(n):
-        d_aba, d_abaaa = linear_terms(1.0, c)       # the one-design formula, row by row
+        d_aba, d_abaaa = linear_terms(c)       # the one-design formula, row by row
         want = np.stack((d_aba, abb_form(c) @ b, d_abaaa))
         assert order_poly_jacobian(b, c).tobytes() == want.tobytes()

@@ -344,9 +344,9 @@ PINNED_CACHE_FILES = [
     ("osc", {}, "osc_502be4c73b84f5a0.ref"),
     ("osc", {"epsilon": 0.1}, "osc_97eb10bd121f2d68.ref"),
     ("osc", {"epsilon": 0.0}, "osc_d1f08c36d2c09b62.ref"),
-    ("parabolic", {}, "parabolic_56f24b2c3ddb6564.ref"),
-    ("parabolic", {"n_grid": 8}, "parabolic_74d83e05f58c4e82.ref"),
-    ("fisher", {}, "fisher_1ef479474aa8b295.ref"),
+    ("parabolic", {}, "parabolic_2e9a6d769b416d3d.ref"),
+    ("parabolic", {"n_grid": 8}, "parabolic_7251782ded62f025.ref"),
+    ("fisher", {}, "fisher_051b0f5f05f4754e.ref"),
 ]
 
 
@@ -371,10 +371,13 @@ def test_problem_contract_is_derived(monkeypatch, tmp_path):
         kick = cls.__dict__["b_kick"]
         monkeypatch.setattr(cls, "b_kick", lambda *args, kick=kick: kick(*args))
         assert cls().params() == params
-    # class data set on an instance, as an oracle step count, is keyed as read
-    osc = make_problem("osc")
-    osc.rk4_steps = 64
-    assert osc.params() != make_problem("osc").params()
+    # an oracle step count set on an instance is keyed as read, whether it
+    # is class data (osc) or derived from the grid (parabolic, fisher)
+    for name in PROBLEMS:
+        problem = make_problem(name, **({} if name == "osc" else {"n_grid": 8}))
+        default = _cache_path(problem, tmp_path)[0]
+        problem.rk4_steps = 64
+        assert _cache_path(problem, tmp_path)[0] != default
     problems = [make_problem(name, **params) for name, params, _ in PINNED_CACHE_FILES]
     problems.append(ScaledKickParabolic(n_grid=8))
     assert problems[-1].key() == "parabolic"
