@@ -51,6 +51,7 @@ def cmd_validate(args):
 
 
 def cmd_design(args):
+    """Solve a design's kicks, or scan a1 (scan_a1 checks --grid-points), and print the scheme."""
     check_scheme_name(args.name)     # before the solve and any output
     if args.out:
         check_writable(args.out)
@@ -93,17 +94,6 @@ def _parse_fraction(text):
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
             f"expected a comma list of numbers or fractions p/q, got {text!r}") from None
-
-
-def _parse_count(text):
-    """--grid-points: an integer >= 2, the fewest points that bracket a root."""
-    try:
-        points = int(text)
-        if points >= 2:
-            return points
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected an integer >= 2, got {text!r}")
 
 
 def _parse_nsteps(text):
@@ -171,7 +161,7 @@ def build_parser():
                        help="comma list of fixed a values (p/q allowed)")
     fixed.add_argument("--scan", action="store_true",
                        help="optimize a1 over (0, 1/2) (4-stage only)")
-    p.add_argument("--grid-points", type=_parse_count, default=None)
+    p.add_argument("--grid-points", type=int, default=None)
     p.add_argument("--seed", type=int, default=0,
                    help="no effect: the design solve is exact")
     p.add_argument("--name", default="designed")

@@ -219,8 +219,9 @@ def serialize_scheme(scheme):
 
 
 def load_scheme(text):
+    """The Scheme a file's rows build (a symmetric file's first halves); they must expand it."""
     header = {}
-    a_full, b_full = [], []
+    rows = {"a": [], "b": []}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -241,14 +242,11 @@ def load_scheme(text):
             z = complex(float(parts[1]), float(parts[2]))
         except ValueError:
             raise ParseError(f"bad number in {raw!r}", line_no) from None
-        (a_full if parts[0] == "a" else b_full).append(z)
+        rows[parts[0]].append(z)
 
     for key in ("name", "pattern", "order"):
         if key not in header:
             raise ParseError(f"missing header field {key!r}")
-    pattern = header["pattern"].upper()
-    if pattern not in ("BAB", "ABA"):
-        raise ParseError(f"pattern must be BAB or ABA, got {header['pattern']!r}")
     try:
         symmetric = {"true": True, "false": False}[header.get("symmetric", "false").lower()]
     except KeyError:
@@ -260,21 +258,16 @@ def load_scheme(text):
     if order < 1:
         raise ParseError(f"order must be at least 1, got {order}")
 
-    if pattern == "BAB" and len(b_full) != len(a_full) + 1:
-        raise ValidationError(f"BAB needs len(b) == len(a)+1, got {len(b_full)}, {len(a_full)}")
-    if pattern == "ABA" and len(a_full) != len(b_full) + 1:
-        raise ValidationError(f"ABA needs len(a) == len(b)+1, got {len(a_full)}, {len(b_full)}")
-
-    if symmetric:
-        for tag, seq in (("a", a_full), ("b", b_full)):
-            for x, y in zip(seq, reversed(seq)):
-                if abs(x - y) >= FILE_TOL:
-                    raise ValidationError(f"symmetry-{tag}: defect {abs(x - y):.3e}")
-        a_red = tuple(a_full[:_reduced_len(len(a_full))])
-        b_red = tuple(b_full[:_reduced_len(len(b_full))])
-    else:
-        a_red, b_red = tuple(a_full), tuple(b_full)
-
-    scheme = Scheme(header["name"], pattern, a_red, b_red, order, symmetric)
+    a, b = (tuple(got[:_reduced_len(len(got))] if symmetric else got) for got in rows.values())
+    scheme = Scheme(header["name"], header["pattern"].upper(), a, b, order, symmetric)
+    want = scheme.expanded_a(), scheme.expanded_b()
+    if [len(x) for x in rows.values()] != [len(x) for x in want]:
+        raise ValidationError(f"{scheme.name}: {len(rows['a'])} a and {len(rows['b'])} b rows, "
+                              f"but their scheme expands to {len(want[0])} and {len(want[1])}")
+    for (tag, got), expanded in zip(rows.items(), want):
+        for i, (x, y) in enumerate(zip(got, expanded), start=1):
+            if abs(x - y) >= FILE_TOL:
+                raise ValidationError(f"{scheme.name}: {tag} row {i} differs by "
+                                      f"{abs(x - y):.3e} from their scheme's expansion")
     validate_scheme(scheme, FILE_TOL)
     return scheme

@@ -16,7 +16,8 @@ import pytest
 from conftest import (NON_FINITE_TEXTS, assert_no_child_left, near_tolerance_sm64_text,
                       yoshida_text)
 from cxsplit import bench, cli, designer, problems
-from cxsplit.errors import CxsplitError, DesignScanUnreliable, ParseError, ValidationError
+from cxsplit.errors import (CxsplitError, DesignScanUnreliable, ParseError,
+                            ReferenceInconsistent, ValidationError)
 from cxsplit.order_conditions import LONGEST
 from cxsplit.schemes import builtin_names, builtin_scheme, load_scheme, serialize_scheme
 
@@ -340,14 +341,11 @@ def test_design_bad_flow_coefficients_exit_runtime(flags, capsys):
 
 @pytest.mark.parametrize("flags,arg", [
     (["--stages", "6", "--a", "1/0,1/6,1/6"], "--a"), (["--a", "x"], "--a"),
-    (["--scan", "--grid-points", "-1"], "--grid-points"),
     (["--scan", "--grid-points", "x"], "--grid-points"),
     (["--stages", "6", "--scan"], "--scan"),
-    (["--a1", "0.2", "--grid-points", "5"], "--grid-points"),
-    (["--scan", "--grid-points", "1"], "--grid-points")],
-    ids=["a-zero-denominator", "a-not-a-number", "grid-points-negative",
-         "grid-points-not-an-integer", "scan-six-stages", "grid-points-without-scan",
-         "grid-points-one"])
+    (["--a1", "0.2", "--grid-points", "5"], "--grid-points")],
+    ids=["a-zero-denominator", "a-not-a-number", "grid-points-not-an-integer",
+         "scan-six-stages", "grid-points-without-scan"])
 def test_design_bad_arguments_are_usage_errors(flags, arg, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["design", *flags])
@@ -356,6 +354,24 @@ def test_design_bad_arguments_are_usage_errors(flags, arg, capsys):
     assert "Traceback" not in err
     assert err.startswith("usage: cxsplit design")
     assert err.strip().splitlines()[-1].startswith(f"cxsplit design: error: argument {arg}: ")
+
+
+@pytest.mark.parametrize("points", ["-1", "1"], ids=["grid-points-negative", "grid-points-one"])
+def test_design_scan_below_two_grid_points_is_one_error_line(points, capsys):
+    # the rule is scan_a1's: a bracket needs two grid points
+    assert cli.main(["design", "--scan", "--grid-points", points]) == cli.EXIT_RUNTIME
+    assert capsys.readouterr() == (
+        "", f"error: a scan needs at least 2 grid points, got {points}\n")
+
+
+def test_design_scan_prints_sm4(capsys):
+    # a1 within perfbench's 1e-6; the kicks move with a1, about 1e-7 off SM4's at 50 points
+    sm4 = builtin_scheme("SM4")
+    assert cli.main(["design", "--stages", "4", "--scan", "--grid-points", "50"]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert abs(float(out.split("a1_opt = ")[1].split()[0]) - sm4.a[0]) < 1e-6
+    scheme = load_scheme(out[out.index("name="):])
+    assert max(abs(x - y) for x, y in zip(scheme.b, sm4.b, strict=True)) < 1e-6
 
 
 def test_design_scan_grid_points_default_is_the_designers(monkeypatch):
@@ -741,6 +757,19 @@ def test_converge_prints_slope(osc_ref, capsys):
     out = capsys.readouterr().out
     slope = float(out.split("slope =")[1].split()[0])
     assert slope == pytest.approx(2.0, abs=0.2)
+
+
+@pytest.mark.parametrize("method", [["--methods", "strang"], ["--method", "strang"]],
+                         ids=["sweep", "converge"])
+def test_reference_inconsistency_exits_3(method, monkeypatch, capsys):
+    def reference_solution(problem, cache_dir=None):
+        raise ReferenceInconsistent("the oracles disagree")
+
+    monkeypatch.setattr(bench, "reference_solution", reference_solution)
+    cmd = "sweep" if method[0] == "--methods" else "converge"
+    code = cli.main([cmd, "--problem", "osc", *method, "--nsteps", "8,16,32,64"])
+    assert code == cli.EXIT_REFERENCE == 3
+    assert capsys.readouterr() == ("", "reference inconsistency: the oracles disagree\n")
 
 
 def test_converge_runtime_error_exit(capsys):

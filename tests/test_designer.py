@@ -155,6 +155,15 @@ def test_scan_counts_failed_grid_points(monkeypatch):
         scan_a1(grid_points=50)
 
 
+def test_scan_with_no_admissible_design_is_unreliable(monkeypatch):
+    # no failures, so the failed share passes; no grid point has a usable kick
+    monkeypatch.setattr(designer, "solve_designs",
+                        lambda problems: [NoStableSolution("Re(b) <= 0")] * len(problems))
+    with pytest.raises(DesignScanUnreliable,
+                       match="^no admissible solution anywhere on the grid$"):
+        scan_a1(grid_points=50)
+
+
 @pytest.mark.parametrize("scheme,fixed_a", [(SM4, (SM4.a[0],)), (SM64, (1 / 6, 1 / 6, 1 / 6))],
                          ids=["SM4", "SM64"])
 def test_solve_b_matches_a_40_digit_solve(scheme, fixed_a):

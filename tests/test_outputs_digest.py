@@ -48,3 +48,16 @@ def test_command_digest_prints_the_validate_output():
     lines = tool.cli_lines("validate", "SM4")
     assert lines[:2] == ["cli validate SM4 exit=0", "SM4: pattern=BAB stages=4 order=4"]
     assert tool.cli_lines("validate", "SM4") == lines
+
+
+def test_scheme_files_validate_as_written_from_run_to_run(tmp_path, monkeypatch):
+    tool = load_tool()
+    names = tool.scheme_files(tmp_path)
+    texts = [(tmp_path / name).read_text() for name in names]
+    assert len(names) == 5 * (2 + 3 + 4)    # per builtin: 2 unbroken, 3 + 4 faulty files
+    monkeypatch.chdir(tmp_path)
+    for name in names:
+        faulty = name.endswith(("-dropped.txt", "-added.txt", "-XYZ.txt", "-moved.txt"))
+        assert tool.cli_lines("validate", name)[0] == f"cli validate {name} exit={int(faulty)}"
+    assert tool.scheme_files(tmp_path) == names
+    assert [(tmp_path / name).read_text() for name in names] == texts

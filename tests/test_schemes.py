@@ -1,9 +1,9 @@
 import math
 
-import numpy as np
 import pytest
 
 from conftest import NON_FINITE_TEXTS, conjugate, near_tolerance_sm64_text
+from cxsplit.designer import DesignProblem, solve_b
 from cxsplit.errors import NotInCatalog, ParseError, ValidationError
 from cxsplit.schemes import (BUILTIN_TOL, FILE_TOL, Scheme, builtin_names,
                              builtin_scheme, expand, load_scheme,
@@ -113,15 +113,19 @@ def test_bad_pattern_and_wrong_lengths():
             Scheme("x", pattern, a, b, 2, symmetric)
 
 
-@pytest.mark.parametrize("name", ["SM4", "SM64", "S62", "Strang_ABA"])
+def _designed(stages):
+    """The scheme `design` prints for SM4's a1 (4 stages) or equal flows (6 stages)."""
+    fixed = (builtin_scheme("SM4").a[0],) if stages == 4 else (1.0 / 6.0,) * 3
+    problem = DesignProblem(stages, fixed)
+    return problem.scheme(solve_b(problem).b)
+
+
+@pytest.mark.parametrize("name", ["SM4", "SM64", "S62", "Strang_ABA", "Strang_BAB",
+                                  "design-4", "design-6"])
 def test_serialize_load_round_trip(name):
-    scheme = builtin_scheme(name)
-    loaded = load_scheme(serialize_scheme(scheme))
-    assert loaded.pattern == scheme.pattern
-    assert loaded.stages == scheme.stages
-    assert loaded.claimed_order == scheme.claimed_order
-    assert np.allclose(loaded.expanded_a(), scheme.expanded_a(), atol=1e-15)
-    assert np.allclose(loaded.expanded_b(), scheme.expanded_b(), atol=1e-15)
+    # the file holds every bit of the scheme: the loaded one is equal, field by field
+    scheme = _designed(int(name[-1])) if name.startswith("design") else builtin_scheme(name)
+    assert load_scheme(serialize_scheme(scheme)) == scheme
 
 
 def test_load_ignores_comments_and_blanks():
@@ -137,6 +141,19 @@ def test_load_parse_error_carries_line_number():
     with pytest.raises(ParseError) as info:
         load_scheme(text)
     assert info.value.line_no == 4
+
+
+def test_load_bad_number_carries_line_number():
+    text = "name=t\npattern=BAB\norder=2\nb 0.5 0.0\na 1.0 x\nb 0.5 0.0\n"
+    with pytest.raises(ParseError, match="^line 5: bad number in 'a 1.0 x'$") as info:
+        load_scheme(text)
+    assert info.value.line_no == 5
+
+
+def test_load_order_must_be_an_integer():
+    text = "name=t\npattern=BAB\norder=two\nb 0.5 0.0\na 1.0 0.0\nb 0.5 0.0\n"
+    with pytest.raises(ParseError, match="^order must be an integer, got 'two'$"):
+        load_scheme(text)
 
 
 def test_load_missing_header():
@@ -164,8 +181,62 @@ def test_load_rejects_near_tolerance_mirrored_rows():
 def test_load_symmetry_violation():
     text = ("name=t\npattern=BAB\norder=2\nsymmetric=true\n"
             "b 0.4 0.0\na 1.0 0.0\nb 0.6 0.0\n")
-    with pytest.raises(ValidationError, match="symmetry-b"):
+    with pytest.raises(ValidationError,
+                       match="^t: b row 2 differs by 2.000e-01 from their scheme's expansion$"):
         load_scheme(text)
+
+
+def _malformed_text(name, symmetric, fault=None):
+    """The builtin's file with symmetric= set, then one fault: the last row dropped or
+    repeated, pattern=XYZ, or the first row of the outer kind moved by 2 FILE_TOL."""
+    scheme = builtin_scheme(name)
+    lines = serialize_scheme(scheme).replace("symmetric=true", f"symmetric={symmetric}")
+    lines = lines.splitlines()
+    if fault == "row-dropped":
+        lines = lines[:-1]
+    elif fault == "row-added":
+        lines = lines + lines[-1:]
+    elif fault == "pattern-XYZ":
+        lines[1] = "pattern=XYZ"
+    elif fault == "row-moved":
+        i = next(i for i, line in enumerate(lines) if line[0] == scheme.pattern[0].lower())
+        tag, real, imag = lines[i].split()
+        lines[i] = f"{tag} {float(real) + 2 * FILE_TOL!r} {imag}"
+    return "\n".join(lines) + "\n"
+
+
+MOVED = "differs by 2.000e-09 from their scheme's expansion"
+# (builtin, symmetric=, fault): the message of the ValidationError the file raises
+MALFORMED = {
+    ("SM4", "true", "row-dropped"): "SM4: 4 a and 4 b rows, but their scheme expands to 3 and 4",
+    ("SM4", "true", "row-added"): "SM4: 4 a and 6 b rows, but their scheme expands to 4 and 5",
+    ("SM4", "true", "pattern-XYZ"): "unknown pattern 'XYZ'",
+    ("SM4", "true", "row-moved"): f"SM4: b row 5 {MOVED}",
+    ("SM4", "false", "row-dropped"): "SM4: 4 a and 4 b values fit no BAB scheme",
+    ("SM4", "false", "row-added"): "SM4: 4 a and 6 b values fit no BAB scheme",
+    ("SM4", "false", "pattern-XYZ"): "unknown pattern 'XYZ'",
+    ("Strang_ABA", "true", "row-dropped"):
+        "Strang_ABA: 2 a and 0 b rows, but their scheme expands to 1 and 0",
+    ("Strang_ABA", "true", "row-added"):
+        "Strang_ABA: 2 a and 2 b rows, but their scheme expands to 2 and 1",
+    ("Strang_ABA", "true", "pattern-XYZ"): "unknown pattern 'XYZ'",
+    ("Strang_ABA", "true", "row-moved"): f"Strang_ABA: a row 2 {MOVED}",
+    ("Strang_ABA", "false", "row-dropped"): "Strang_ABA: 2 a and 0 b values fit no ABA scheme",
+    ("Strang_ABA", "false", "row-added"): "Strang_ABA: 2 a and 2 b values fit no ABA scheme",
+    ("Strang_ABA", "false", "pattern-XYZ"): "unknown pattern 'XYZ'",
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED), ids="-".join)
+def test_load_rejects_rows_that_are_not_the_expansion(case):
+    # the file loads unbroken; each fault fails Scheme's checks or the row check
+    name, symmetric, _ = case
+    scheme, loaded = builtin_scheme(name), load_scheme(_malformed_text(name, symmetric))
+    assert loaded.expanded_a() == scheme.expanded_a()
+    assert loaded.expanded_b() == scheme.expanded_b()
+    with pytest.raises(ValidationError) as info:
+        load_scheme(_malformed_text(*case))
+    assert str(info.value) == MALFORMED[case]
 
 
 @pytest.mark.parametrize("name", sorted(NON_FINITE_TEXTS))

@@ -9,6 +9,9 @@ grids.  Run it on two checkouts and ``diff`` the outputs.  It prints:
 - the exit code and output of ``validate`` on the builtin schemes, and of
   ``design`` on perfbench's design-scan commands and the default 200-point
   ``--scan``;
+- the exit code and output of ``validate`` on each file of ``scheme_files``,
+  written to a temporary directory and named relative to it: every builtin
+  serialized with ``symmetric=true`` and ``false``, and malformed variants;
 - one line per ``integrate_with`` run: every method of ``bench.METHODS`` on
   every problem, A-flow kind and freeze convention, at n = 16 and 64 steps,
   with the final state's sha256, ``t``, ``a_flow_evals`` and
@@ -27,6 +30,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -37,7 +41,7 @@ if __name__ == "__main__":      # the checkout to digest, put first before cxspl
 
 from cxsplit import bench, cli, problems  # noqa: E402
 from cxsplit.errors import CxsplitError  # noqa: E402
-from cxsplit.schemes import builtin_names  # noqa: E402
+from cxsplit.schemes import FILE_TOL, builtin_names, builtin_scheme, serialize_scheme  # noqa: E402
 from cxsplit.stepper import A_FLOW_KINDS, FREEZE_NODES, integrate_with  # noqa: E402
 
 RUN_STEPS = (16, 64)
@@ -91,6 +95,33 @@ def cli_lines(*argv):
             *(f"stderr {line}" for line in err.getvalue().splitlines())]
 
 
+def scheme_files(directory):
+    """Write the validate file set into directory; return the file names in order.
+
+    Each builtin with ``symmetric=true`` and with ``false``, unbroken and with
+    one fault: its last row dropped or repeated, ``pattern=XYZ``, or (symmetric
+    only) the first row of its outer kind moved by 2 FILE_TOL off its mirror.
+    """
+    names = []
+    for name in builtin_names():
+        scheme = builtin_scheme(name)
+        for symmetric in ("true", "false"):
+            text = serialize_scheme(scheme).replace("symmetric=true", f"symmetric={symmetric}")
+            lines = text.splitlines()
+            files = {"": lines, "-row-dropped": lines[:-1], "-row-added": lines + lines[-1:],
+                     "-pattern-XYZ": [lines[0], "pattern=XYZ", *lines[2:]]}
+            if symmetric == "true":
+                i = next(i for i, line in enumerate(lines) if line[0] == scheme.pattern[0].lower())
+                tag, real, imag = lines[i].split()
+                files["-row-moved"] = [*lines[:i], f"{tag} {float(real) + 2 * FILE_TOL!r} {imag}",
+                                       *lines[i + 1:]]
+            for suffix, rows in files.items():
+                file_name = f"{name.lower()}-symmetric-{symmetric}{suffix}.txt"
+                (directory / file_name).write_text("\n".join(rows) + "\n", encoding="utf-8")
+                names.append(file_name)
+    return names
+
+
 def main(argv):
     # on the path only when run as a script
     from workloads import SCAN_GRID_POINTS, SWEEPS, load_expected
@@ -101,6 +132,14 @@ def main(argv):
                     ("design", "--stages", "6"),
                     ("design", "--stages", "4", "--scan")):
         print("\n".join(cli_lines(*command)), flush=True)
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory(prefix="cxsplit-schemes-") as directory:
+        os.chdir(directory)     # validate prints the relative names, the same on every run
+        try:
+            for file_name in scheme_files(Path(directory)):
+                print("\n".join(cli_lines("validate", file_name)), flush=True)
+        finally:
+            os.chdir(cwd)
     for name in problems.PROBLEMS:
         for method in bench.METHODS:
             for kind in A_FLOW_KINDS:
