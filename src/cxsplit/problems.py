@@ -5,6 +5,11 @@ A problem is its data, its kernels and its classical right-hand side; the
 the frozen-exponential kernel for the dominant part, and a B-kick valid for
 complex durations (closed forms, analytically continued in the duration).
 Only the oscillator's epsilon and initial point and the PDE grid size are settable.
+
+A PDE state is a float64 array until a complex kick: ``u0()`` is real, the
+spectral flow and a kick of real duration keep a float64 array real (``math``
+exponentials for a real duration), and a complex kick makes it a complex
+ndarray, as the oscillator's float pair becomes complex numbers.
 """
 
 from __future__ import annotations
@@ -160,12 +165,14 @@ class ParabolicProblem(Problem):
         return 0.1 * (3.0 * (1.0 - math.exp(-t)) + self.sin_2pi_x)
 
     def u0(self):
-        return self.sin_2pi_x.astype(complex)
+        return self.sin_2pi_x.copy()
 
     def a_frozen_exp(self, times, weights, duration, state):
-        coeff = 0.0     # a left fold: sum() rounds differently from Python 3.12 on
+        # alpha(t) ** 2 written out, cheaper than a method call per time, as
+        # a left fold: sum() rounds differently from Python 3.12 on
+        coeff, mu, w_t, cos = 0.0, self.mu, self.w, math.cos
         for t, w in zip(times, weights):
-            coeff += w * self.alpha(t) ** 2
+            coeff += w * (0.25 + mu * cos(w_t * t)) ** 2
         return exp_circulant(self.lap, duration * coeff, state)
 
     def b_kick(self, t_frozen, tau, state):
@@ -176,7 +183,8 @@ class ParabolicProblem(Problem):
             if len(self._kick_factors) >= KICK_FACTORS_KEPT:
                 self._kick_factors.clear()
             factor = self._kick_factors[tau] = np.exp(tau * (0.1 * self.sin_2pi_x))
-        return state * (cmath.exp(tau * (0.3 * (1.0 - math.exp(-t_frozen)))) * factor)
+        exp = math.exp if isinstance(tau, float) else cmath.exp    # keeps a real state real
+        return state * (exp(tau * (0.3 * (1.0 - math.exp(-t_frozen)))) * factor)
 
     def apply_laplacian(self, u):
         return (np.roll(u, 1) + np.roll(u, -1) - 2.0 * u) / self.dx ** 2
@@ -195,7 +203,8 @@ class FisherProblem(ParabolicProblem):
 
     def b_kick(self, t_frozen, tau, state):
         # exact logistic flow with gamma frozen at a real time
-        grow = cmath.exp(self.gamma(t_frozen) * tau)
+        exp = math.exp if isinstance(tau, float) else cmath.exp    # keeps a real state real
+        grow = exp(self.gamma(t_frozen) * tau)
         d = state * (grow - 1.0)
         # the denominator is 1 + d: |d|^2 < 0.81 puts every |1 + d_i| at 0.1 or
         # more, and a larger, NaN or infinite norm runs the exact test (fmin

@@ -15,23 +15,26 @@ runs the plan three times and combines the unprojected results.  A
 compiled step maps the kernels' own state, step(u, t_n, h, record) -> u:
 the stage runner ``_run_stages`` returns the state as the kernels hand it
 back, and ``_finish``, once per public step, checks it finite and projects
-it in its own type (a tuple onto floats).  ``integrate_with`` makes a
-run's one ndarray ``State`` after its last step.  A zero-duration flow
-calls no kernel but counts in ``a_flow_evals``.  A run adds its counts to
-the record once: on a failure, those of the stages before the failing one.
+it in its own type (a tuple onto floats; a float64 array is already real).
+``integrate_with`` makes a run's one complex ndarray ``State`` after its
+last step.  A zero-duration flow calls no kernel but counts in
+``a_flow_evals``.  A run adds its counts to the record once: on a failure,
+those of the stages before the failing one.
 
 Problem protocol: ``commuting`` (the A(t) commute: CF4 fuses into one
 exponential, and the exact flow exists); ``a_frozen_exp(times, weights,
 duration, state)``, exp(duration * sum_i weights_i A(times_i)); and
 ``b_kick(t, tau, state)``, the B-flow frozen at real time t for a complex
 duration tau.  The kernels may hand back any state that the next kernel
-accepts (an ndarray, or the oscillator's (q, p) tuple, of floats until a
-complex kick): it passes unchanged through the stages, EXT4's runs and
-combination and the finish to the next step.  Kernels keep a non-finite
-state non-finite, so the one check catches every stage.  A kernel that
-fails raises StepFailed (StepTooLarge is one) or one of KERNEL_ERRORS
-(``math`` and ``cmath`` raise ValueError or OverflowError where numpy
-returns inf or nan), which the step turns into StepFailed.
+accepts, real until a complex kick: the PDEs' float64 array, which a
+complex kick makes a complex ndarray, or the oscillator's (q, p) tuple of
+floats, which it makes complex numbers.  The state passes unchanged
+through the stages, EXT4's runs and combination and the finish to the next
+step.  Kernels keep a non-finite state non-finite, so the one check catches
+every stage.  A kernel that fails raises StepFailed (StepTooLarge is one)
+or one of KERNEL_ERRORS (``math`` and ``cmath`` raise ValueError or
+OverflowError where numpy returns inf or nan), which the step turns into
+StepFailed.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RealTimeViolation, StepFailed, ValidationError
-from .propagators import A_FLOWS, FREEZE
+from .propagators import A_FLOWS, FREEZE, REAL_DTYPE
 from .schemes import expand
 
 REAL_TIME_TOL = 1e-12
@@ -181,7 +184,9 @@ def _run_stages(plan, problem, t_n, u, h, record):
 
 def _finish(u):
     """The end of every public step: u checked finite and projected, in its own type;
-    a tuple entry z becomes the float z.real, the bits of numpy's .real."""
+    a tuple entry z becomes the float z.real, the bits of numpy's .real, a
+    float64 array is returned as it is, and any other array becomes a new
+    complex ndarray with imaginary part +0.0."""
     # the kernels keep a non-finite state non-finite: one check per step
     # suffices; cmath checks the oscillator's (q, p) tuple, of floats or
     # complex, faster than numpy
@@ -189,7 +194,7 @@ def _finish(u):
         if all(map(cmath.isfinite, u)):
             return tuple([z.real for z in u])
     elif np.isfinite(u).all():
-        return np.asarray(u, dtype=complex).real.astype(complex)
+        return u if u.dtype is REAL_DTYPE else np.asarray(u, dtype=complex).real.astype(complex)
     raise StepFailed("non-finite state")
 
 
@@ -223,12 +228,14 @@ def integrate(cfg, problem, u0, t0, tf, n_steps):
 
 
 def integrate_with(step_fn, u0, t0, tf, n_steps, method_name):
-    """Drive a one-step map step_fn(u, t, h, record) -> u; one State and record a run."""
+    """Drive a one-step map step_fn(u, t, h, record) -> u; one State and record a run.
+    A float64 array u0 is kept as it is, anything else is made complex."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     h = (tf - t0) / n_steps
     record = RunRecord(method=method_name, h=h, n_steps=n_steps)
-    u, t = np.asarray(u0, dtype=complex), t0
+    u = u0 if type(u0) is np.ndarray and u0.dtype is REAL_DTYPE else np.asarray(u0, dtype=complex)
+    t = t0
     start = time.perf_counter()
     # a step that overflows ends non-finite and fails: numpy's warning adds nothing
     with np.errstate(over="ignore", invalid="ignore"):

@@ -245,6 +245,47 @@ def test_fisher_kick_guard_threshold(gap, fails):
             assert not np.all(np.isfinite(problem.b_kick(0.2, tau, u)))
 
 
+@pytest.mark.parametrize("gap,fails", [(0.0, True), (0.9e-12, True), (1.1e-12, False)])
+def test_fisher_kick_guard_on_a_real_state(gap, fails):
+    # a real kick of a float64 state runs the same guard, in real arithmetic
+    problem = make_problem("fisher")
+    tau = 0.7
+    grow = math.exp(problem.gamma(0.2) * tau)
+    u = np.full(problem.n_grid, 0.5)
+    u[3] = (gap - 1.0) / (grow - 1.0)
+    if fails:
+        with pytest.raises(StepFailed, match="singular logistic denominator"):
+            problem.b_kick(0.2, tau, u)
+    else:
+        kicked = problem.b_kick(0.2, tau, u)
+        assert kicked.dtype == np.float64 and np.all(np.isfinite(kicked))
+    bad = np.full(problem.n_grid, -1.0 / (math.exp(problem.gamma(0.0)) - 1.0))
+    with pytest.raises(StepFailed):
+        problem.b_kick(0.0, 1.0, bad)
+
+
+@pytest.mark.parametrize("name", ["parabolic", "fisher"])
+def test_real_kicks_keep_a_float64_state(name):
+    # a real tau kicks a float64 state into a new float64 array, the real part
+    # of the same kick of the state as a complex array: bitwise on parabolic,
+    # whose kick is products only, and within an ulp on fisher, where numpy's
+    # complex division multiplies by a reciprocal
+    problem = make_problem(name)
+    rng = np.random.default_rng(7)
+    for t, tau in ((0.0, 0.013), (0.37, -0.004), (1.0, 0.25)):
+        u = rng.uniform(-1.0, 1.0, problem.n_grid)
+        before = u.copy()
+        got = problem.b_kick(t, tau, u)
+        assert type(got) is np.ndarray and got.dtype == np.float64
+        assert u.tobytes() == before.tobytes()
+        general = make_problem(name).b_kick(t, tau, u.astype(complex))
+        assert np.all(general.imag == 0.0)
+        if name == "parabolic":
+            assert got.tobytes() == general.real.tobytes()
+        else:
+            assert np.max(np.abs(got - general.real) / np.abs(got)) <= 2.3e-16
+
+
 def test_fisher_zero_reaction_reduces_to_diffusion():
     problem = make_problem("fisher")
     problem.gamma = lambda t: 0.0

@@ -148,39 +148,58 @@ def test_exp_circulant_overflow_guard():
         exp_circulant(lap, -10.0, np.ones(16))
 
 
+def _real_formula(lap, tau, u):
+    """exp(tau * Laplacian) u through numpy.fft's real transforms: the half spectrum."""
+    return np.fft.irfft(np.exp(tau * lap.eigenvalues[:lap.n // 2 + 1]) * np.fft.rfft(u), lap.n)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 100])
 def test_exp_circulant_real_tau_is_the_general_formula_bitwise(n):
-    # exp_circulant gives the bits of ifft(exp(tau * lambda) * fft(u)) through
-    # numpy.fft for a real and a complex tau, and for a complex array, a real
-    # array, a list and a strided view, into a new array; numpy's complex exp
-    # of x + 0j may differ from its real exp in the last bit, so complex(tau)
-    # is only ulp-close to tau.  Past 17 points tau shrinks with dx^2, so that
-    # tau * lambda_min stays in the range it has on 17 points.
+    # exp_circulant keeps a float64 array real for a real tau, with the bits
+    # of irfft(exp(tau * lambda_half) * rfft(u)) through numpy.fft, and gives
+    # the bits of ifft(exp(tau * lambda) * fft(u)) for a complex tau, a
+    # complex array and a list, each into a new array, strided views too, the
+    # state left as it was; numpy's complex exp of x + 0j may differ from its
+    # real exp in the last bit, so complex(tau) is only ulp-close to tau.
+    # Past 17 points tau shrinks with dx^2, so that tau * lambda_min stays in
+    # the range it has on 17 points.
     lap = CirculantLaplacian(n, 1.0 / n)
     scale = min(1.0, (17.0 / n) ** 2)
     rng = np.random.default_rng(n)
     for _ in range(50):
         big = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
-        for u in (big[:n].copy(), big.real[:n].copy(), big[:n].tolist(), big[::2]):
-            for tau in (rng.uniform(0.0, 0.01), -rng.uniform(0.0, 0.001),
+        for u in (big[:n].copy(), big.real[:n].copy(), big.real[::2], big[:n].tolist(),
+                  big[::2]):
+            before = np.array(u)
+            real_state = isinstance(u, np.ndarray) and u.dtype == np.float64
+            for tau in (0.0, rng.uniform(0.0, 0.01), -rng.uniform(0.0, 0.001),
                         np.float64(rng.uniform(-0.001, 0.01)),
                         complex(rng.uniform(-0.001, 0.01), rng.uniform(-0.01, 0.01))):
                 tau = tau * scale
                 got = exp_circulant(lap, tau, u)
-                general = np.fft.ifft(np.exp(tau * lap.eigenvalues)
-                                      * np.fft.fft(np.asarray(u)))
+                if real_state and isinstance(tau, float):
+                    general = np.fft.irfft(np.exp(tau * lap.eigenvalues[:n // 2 + 1])
+                                           * np.fft.rfft(u), n)
+                    assert got.dtype == np.float64
+                else:
+                    general = np.fft.ifft(np.exp(tau * lap.eigenvalues)
+                                          * np.fft.fft(np.asarray(u)))
                 assert got.tobytes() == general.tobytes()
                 assert not np.shares_memory(got, big) and not np.shares_memory(got, u)
                 via_complex = exp_circulant(lap, complex(tau), u)
                 assert np.max(np.abs(got - via_complex)) <= 1e-15 * np.max(np.abs(u)) * n
+            assert np.array(u).tobytes() == before.tobytes()
 
 
 def test_exp_circulant_rejects_a_state_of_another_length():
-    # the transforms alone would pad or cut the state to their output length
+    # the transforms alone would pad or cut the state to their output length:
+    # a float64 state with a real tau (the real path) fails as a complex one does
     lap = CirculantLaplacian(8, 0.125)
-    for n in (5, 12):
-        with pytest.raises(ValueError):
-            exp_circulant(lap, 0.01, np.ones(n))
+    for n in (5, 9, 12):
+        for u, tau in ((np.ones(n), 0.01), (np.ones(n), 0.01 + 0j),
+                       (np.ones(n, dtype=complex), 0.01), (np.ones(n, dtype=complex), 0.01j)):
+            with pytest.raises(ValueError):
+                exp_circulant(lap, tau, u)
 
 
 def test_exp_circulant_overflow_guard_real_tau_matches_the_array_max():

@@ -321,21 +321,24 @@ def test_ext4_counts_three_flows_and_projects():
 
 
 def test_ext4_is_the_richardson_combination_of_strang():
-    # the osc runs combine as Python float tuples, bit for bit the real part
-    # of numpy's combination of the same runs as ndarrays
+    # osc: the runs combine as Python float tuples, bit for bit the real part
+    # of numpy's combination of the same runs from a complex ndarray;
+    # parabolic: as float64 arrays, numpy's combination of the same real runs
     cfg = StepperConfig(STRANG, "cf2")
-    for problem in (make_problem("osc"), make_problem("parabolic")):
-        ext4 = bench.resolve_method("ext4", problem)
+    for problem, as_run in ((make_problem("osc"), lambda u: np.asarray(u, dtype=complex)),
+                            (make_problem("parabolic"), lambda u: u)):
+        plan, ext4 = compile_plan(cfg, problem), bench.resolve_method("ext4", problem)
         u, t = problem.u0(), 0.0
         for _ in range(32):
-            state = State(np.asarray(u, dtype=complex), t)
-            half = raw_step(cfg, problem, raw_step(cfg, problem, state, 0.05), 0.05)
-            whole = raw_step(cfg, problem, state, 0.1)
-            combined = (4.0 / 3.0) * half.values - (1.0 / 3.0) * whole.values
+            v = as_run(u)
+            half = _run_stages(plan, problem, t, v, 0.05, None)
+            half = np.asarray(_run_stages(plan, problem, t + 0.05, half, 0.05, None))
+            whole = np.asarray(_run_stages(plan, problem, t, v, 0.1, None))
+            combined = ((4.0 / 3.0) * half - (1.0 / 3.0) * whole).real
             u, t = ext4(u, t, 0.1, None), t + 0.1
             assert type(u) is np.ndarray or all(type(z) is float for z in u)
-            assert (np.asarray(u, dtype=complex).tobytes()
-                    == combined.real.astype(complex).tobytes())
+            assert np.asarray(u).dtype == np.float64
+            assert np.asarray(u).tobytes() == combined.tobytes()
 
 
 def test_exact_a_flow_kind_on_parabolic():
@@ -391,7 +394,8 @@ def test_osc_step_returns_complex_ndarray(method):
 @pytest.mark.parametrize("method", sorted(OSC_STEPS))
 def test_a_step_keeps_the_kernels_state_type(method):
     # osc: a tuple of Python floats, the real parts, from the run's first
-    # ndarray on; parabolic: a complex ndarray
+    # ndarray on; parabolic: the float64 array it starts from, until a
+    # complex kick (SM4) makes it a complex ndarray
     problem = make_problem("osc")
     step_fn = OSC_STEPS[method](problem)
     u = problem.u0()
@@ -401,7 +405,8 @@ def test_a_step_keeps_the_kernels_state_type(method):
         assert all(type(z) is float for z in u)
     problem = make_problem("parabolic")
     u = OSC_STEPS[method](problem)(problem.u0(), 0.0, 0.1)
-    assert type(u) is np.ndarray and u.dtype == complex and u.shape == (problem.n_grid,)
+    assert type(u) is np.ndarray and u.shape == (problem.n_grid,)
+    assert u.dtype == (complex if method == "sm4" else np.float64)
     assert not np.signbit(u.imag).any() and np.all(u.imag == 0.0)
 
 
@@ -603,3 +608,50 @@ def test_integrate_with_rejects_bad_n_steps():
     problem = make_problem("osc")
     with pytest.raises(ValueError):
         integrate_with(lambda *a: None, problem.u0(), 0.0, 1.0, 0, "x")
+
+
+@pytest.mark.parametrize("kind", stepper.A_FLOW_KINDS)
+@pytest.mark.parametrize("name", ["parabolic", "fisher"])
+@pytest.mark.parametrize("method", ["strang", "s62", "ext4", "cf4"])
+def test_real_schemes_keep_a_float64_pde_state(method, name, kind):
+    # every flow and kick of a real-coefficient scheme is real: the state is
+    # a float64 array at every step boundary, from u0() to the run's end
+    problem = make_problem(name)
+    step_fn = bench.resolve_method(method, problem, kind)
+    u = problem.u0()
+    assert u.dtype == np.float64
+    for k in range(8):
+        u = step_fn(u, k * 0.125, 0.125)
+        assert type(u) is np.ndarray and u.dtype == np.float64 and u.shape == (problem.n_grid,)
+    with pytest.raises(StepFailed, match="^non-finite state$"):
+        step_fn(np.full(problem.n_grid, math.nan), 0.0, 0.125)
+
+
+@pytest.mark.parametrize("kind", stepper.A_FLOW_KINDS)
+@pytest.mark.parametrize("name", ["parabolic", "fisher"])
+@pytest.mark.parametrize("method", ["sm4", "sm64"])
+def test_complex_kick_schemes_from_a_real_state_keep_their_bits(method, name, kind):
+    # the first kick of SM4 and SM64 is complex: it makes x the x + 0j that a
+    # complex initial state holds, so the runs end on the same bits
+    problem = make_problem(name)
+    step_fn = bench.resolve_method(method, problem, kind)
+    u0 = problem.u0()
+    real, _ = integrate_with(step_fn, u0, problem.t0, problem.tf, 16, method)
+    cplx, _ = integrate_with(step_fn, u0.astype(complex), problem.t0, problem.tf, 16, method)
+    assert real.values.tobytes() == cplx.values.tobytes()
+    assert step_fn(u0, 0.0, 0.125).dtype == complex
+
+
+def test_integrate_with_keeps_a_float64_state_and_makes_others_complex():
+    seen = []
+
+    def step_fn(u, t, h, record):
+        seen.append(u)
+        return u
+
+    u0 = np.ones(3)
+    state, _ = integrate_with(step_fn, u0, 0.0, 1.0, 2, "x")
+    assert seen[0] is u0 and state.values.dtype == complex
+    for other in ([1.0, 2.0], np.ones(2, dtype=np.float32), np.ones(2, dtype=complex)):
+        integrate_with(step_fn, other, 0.0, 1.0, 1, "x")
+        assert type(seen[-1]) is np.ndarray and seen[-1].dtype == complex
