@@ -177,12 +177,15 @@ class ParabolicProblem(Problem):
 
     def b_kick(self, t_frozen, tau, state):
         # exp(tau V(x, t)) = exp(0.3 tau (1 - e^-t)) * exp(0.1 tau sin(2 pi x)):
-        # the second factor depends only on tau = b_i h, which repeats every step
+        # the second factor depends only on tau = b_i h, which repeats every step.
+        # It is kept by tau's value, as the keys compare (complex(x) == x), so a
+        # real-valued tau gets the real exponential whatever its type
         factor = self._kick_factors.get(tau)
         if factor is None:
             if len(self._kick_factors) >= KICK_FACTORS_KEPT:
                 self._kick_factors.clear()
-            factor = self._kick_factors[tau] = np.exp(tau * (0.1 * self.sin_2pi_x))
+            factor = self._kick_factors[tau] = np.exp((tau if tau.imag else tau.real)
+                                                      * (0.1 * self.sin_2pi_x))
         exp = math.exp if isinstance(tau, float) else cmath.exp    # keeps a real state real
         return state * (exp(tau * (0.3 * (1.0 - math.exp(-t_frozen)))) * factor)
 

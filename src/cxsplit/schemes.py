@@ -1,9 +1,9 @@
 """Catalog of splitting schemes, coefficient-file IO, and structural validation.
 
-A scheme is an interleaved composition of A-flows (coefficients a_i) and
+A scheme is one alternating composition of A-flows (coefficients a_i) and
 B-kicks (coefficients b_i).  BAB compositions start and end with a kick,
-ABA compositions with a flow.  Symmetric schemes are stored with their
-unique (symmetry-reduced) coefficient values and expanded on demand.
+ABA compositions with a flow.  A symmetric scheme stores the first half of
+its sequence, centre included; ``expand`` mirrors it.
 """
 
 from __future__ import annotations
@@ -31,10 +31,8 @@ class Scheme:
     def __post_init__(self):
         if self.pattern not in ("BAB", "ABA"):
             raise ValidationError(f"unknown pattern {self.pattern!r}")
-        na, nb = self.n_a, self.n_b
-        need_a = _reduced_len(na) if self.symmetric else na
-        need_b = _reduced_len(nb) if self.symmetric else nb
-        if self.stages < 0 or len(self.a) != need_a or len(self.b) != need_b:
+        outer, inner = (self.b, self.a) if self.pattern == "BAB" else (self.a, self.b)
+        if not outer or len(outer) - len(inner) not in ((0, 1) if self.symmetric else (1,)):
             raise ValidationError(
                 f"{self.name}: {len(self.a)} a and {len(self.b)} b values fit no "
                 f"{'symmetric ' if self.symmetric else ''}{self.pattern} scheme")
@@ -49,25 +47,13 @@ class Scheme:
         """Length of the fully expanded a sequence."""
         return self.stages if self.pattern == "BAB" else self.stages + 1
 
-    @property
-    def n_b(self):
-        return self.stages + 1 if self.pattern == "BAB" else self.stages
-
+    # from a list: tuple() of a generator builds a fresh tuple by resizing, and
+    # on release CPython's free list keeps up to 2000 tuples of each length
     def expanded_a(self):
-        return _expand_coeffs(self.a, self.n_a, self.symmetric)
+        return tuple([s.coeff for s in expand(self) if s.role == "A"])
 
     def expanded_b(self):
-        return _expand_coeffs(self.b, self.n_b, self.symmetric)
-
-
-def _reduced_len(n):
-    return (n + 1) // 2
-
-
-def _expand_coeffs(reduced, n, symmetric):
-    if not symmetric:
-        return tuple(reduced)
-    return tuple(reduced) + tuple(reduced[:n // 2][::-1])
+        return tuple([s.coeff for s in expand(self) if s.role == "B"])
 
 
 class Stage(NamedTuple):
@@ -77,27 +63,23 @@ class Stage(NamedTuple):
 
 
 def expand(scheme):
-    """Symmetry-expand a scheme into its interleaved stage sequence.
+    """The stage sequence: the outer role's values (b of BAB, a of ABA) interleaved
+    with the inner role's, then, if symmetric, mirrored about the last of them.
 
     Nodes follow c_i = sum_{j<=i} a_j with c_0 = 0; B-kicks sit at the node
     reached by the preceding flows, A-flows span [c_{i-1}, c_i].
     """
-    a = [complex(x) for x in scheme.expanded_a()]
-    b = [complex(x) for x in scheme.expanded_b()]
-    nodes = [0.0 + 0.0j]
-    for ai in a:
-        nodes.append(nodes[-1] + ai)
-    stages = []
-    if scheme.pattern == "BAB":
-        for i, ai in enumerate(a):
-            stages.append(Stage("B", b[i], nodes[i]))
-            stages.append(Stage("A", ai, nodes[i]))
-        stages.append(Stage("B", b[-1], nodes[-1]))
-    else:
-        for i, bi in enumerate(b):
-            stages.append(Stage("A", a[i], nodes[i]))
-            stages.append(Stage("B", bi, nodes[i + 1]))
-        stages.append(Stage("A", a[-1], nodes[-2]))
+    outer, inner = (scheme.b, scheme.a) if scheme.pattern == "BAB" else (scheme.a, scheme.b)
+    stored = [None] * (len(outer) + len(inner))
+    stored[::2] = [(scheme.pattern[0], complex(x)) for x in outer]
+    stored[1::2] = [(scheme.pattern[1], complex(x)) for x in inner]
+    if scheme.symmetric:
+        stored += stored[-2::-1]
+    stages, node = [], 0.0 + 0.0j
+    for role, coeff in stored:
+        stages.append(Stage(role, coeff, node))
+        if role == "A":
+            node += coeff
     return tuple(stages)
 
 
@@ -117,8 +99,7 @@ def validate_scheme(scheme, tol=BUILTIN_TOL):
     symmetric scheme expands to an exact palindrome, so there is no symmetry
     to check here; load_scheme checks the file rows.
     """
-    a = [complex(x) for x in scheme.expanded_a()]
-    b = [complex(x) for x in scheme.expanded_b()]
+    a, b = scheme.expanded_a(), scheme.expanded_b()
     report = SchemeReport(
         sum_a=sum(a, 0.0 + 0.0j),
         sum_b=sum(b, 0.0 + 0.0j),
@@ -212,9 +193,7 @@ def serialize_scheme(scheme):
         f"symmetric={'true' if scheme.symmetric else 'false'}",
     ]
     for tag, seq in (("a", scheme.expanded_a()), ("b", scheme.expanded_b())):
-        for x in seq:
-            z = complex(x)
-            lines.append(f"{tag} {z.real!r} {z.imag!r}")
+        lines.extend(f"{tag} {z.real!r} {z.imag!r}" for z in seq)
     return "\n".join(lines) + "\n"
 
 
@@ -258,7 +237,7 @@ def load_scheme(text):
     if order < 1:
         raise ParseError(f"order must be at least 1, got {order}")
 
-    a, b = (tuple(got[:_reduced_len(len(got))] if symmetric else got) for got in rows.values())
+    a, b = (tuple(got[:(len(got) + 1) // 2] if symmetric else got) for got in rows.values())
     scheme = Scheme(header["name"], header["pattern"].upper(), a, b, order, symmetric)
     want = scheme.expanded_a(), scheme.expanded_b()
     if [len(x) for x in rows.values()] != [len(x) for x in want]:

@@ -1,10 +1,14 @@
 """The per-run and command lines of tools/outputs_digest.py: the same on a rerun."""
 
+import dataclasses
 import importlib.util
 import math
 from pathlib import Path
 
+import pytest
+
 from cxsplit import problems
+from cxsplit.schemes import builtin_scheme
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "outputs_digest.py"
 
@@ -35,6 +39,24 @@ def test_run_digest_sees_a_one_ulp_kernel_change(monkeypatch):
     moved = tool.run_line(*args).split()
     assert moved[6] != fields[6]        # the state's digest, and nothing else, moved
     assert moved[:6] + moved[7:] == fields[:6] + fields[7:]
+
+
+@pytest.mark.parametrize("name, kind, index", [("SM4", "a", 0), ("SM4", "b", -1),
+                                               ("Strang_ABA", "a", 0), ("S62", "b", 1)])
+def test_expand_digest_sees_a_one_ulp_coefficient_change(name, kind, index):
+    tool = load_tool()
+    scheme = builtin_scheme(name)
+    line = tool.expand_line(name, scheme)
+    fields = line.split()
+    assert fields[:3] == ["expand", name, f"length={2 * scheme.stages + 1}"]
+    assert fields[3].startswith("sha256=") and len(fields[3]) == len("sha256=") + 64
+    assert len(fields) == 4 and tool.expand_line(name, scheme) == line
+    stored = list(getattr(scheme, kind))
+    z = complex(stored[index])
+    stored[index] = complex(math.nextafter(z.real, math.inf), z.imag)    # one ulp up
+    moved = tool.expand_line(name, dataclasses.replace(scheme, **{kind: tuple(stored)})).split()
+    assert moved[3] != fields[3]        # the stages' digest, and nothing else, moved
+    assert moved[:3] == fields[:3] and len(moved) == 4
 
 
 def test_run_digest_reports_the_error():

@@ -156,6 +156,19 @@ def test_parabolic_kick_factors_stay_bounded():
         assert len(problem._kick_factors) <= KICK_FACTORS_KEPT
 
 
+@pytest.mark.parametrize("tau", [0.013, complex(0.013), 0.02 - 0.01j])
+def test_parabolic_kick_bits_do_not_depend_on_earlier_kicks(tau):
+    # the factors are kept by tau and complex(x) == x: a kick on a fresh problem
+    # keeps its bits after a kick by a tau of equal value and either type
+    u = make_problem("parabolic").u0()
+    fresh = make_problem("parabolic").b_kick(0.3, tau, u)
+    for earlier in (0.013, complex(0.013), tau):
+        used = make_problem("parabolic")
+        used.b_kick(0.3, earlier, u)
+        got = used.b_kick(0.3, tau, u)
+        assert got.dtype == fresh.dtype and got.tobytes() == fresh.tobytes()
+
+
 def test_parabolic_potential_matches_closed_form_bitwise():
     problem = make_problem("parabolic")
     for t in (0.0, 0.4, 1.0):

@@ -12,6 +12,9 @@ grids.  Run it on two checkouts and ``diff`` the outputs.  It prints:
 - the exit code and output of ``validate`` on each file of ``scheme_files``,
   written to a temporary directory and named relative to it: every builtin
   serialized with ``symmetric=true`` and ``false``, and malformed variants;
+- one line per ``expand`` of each builtin and of each unbroken file above,
+  with the length and the sha256 of the stage sequence (each stage's
+  role, then the bytes of its coefficient and node);
 - one line per ``integrate_with`` run: every method of ``bench.METHODS`` on
   every problem, A-flow kind and freeze convention, at n = 16 and 64 steps,
   with the final state's sha256, ``t``, ``a_flow_evals`` and
@@ -31,6 +34,7 @@ import contextlib
 import hashlib
 import io
 import os
+import struct
 import sys
 import tempfile
 from pathlib import Path
@@ -41,7 +45,8 @@ if __name__ == "__main__":      # the checkout to digest, put first before cxspl
 
 from cxsplit import bench, cli, problems  # noqa: E402
 from cxsplit.errors import CxsplitError  # noqa: E402
-from cxsplit.schemes import FILE_TOL, builtin_names, builtin_scheme, serialize_scheme  # noqa: E402
+from cxsplit.schemes import (FILE_TOL, builtin_names, builtin_scheme, expand,  # noqa: E402
+                             load_scheme, serialize_scheme)
 from cxsplit.stepper import A_FLOW_KINDS, FREEZE_NODES, integrate_with  # noqa: E402
 
 RUN_STEPS = (16, 64)
@@ -60,6 +65,16 @@ def run_line(problem_name, method, kind, freeze, n_steps):
     digest = hashlib.sha256(state.values.tobytes()).hexdigest()
     return (f"{head} sha256={digest} t={state.t!r} a_flow_evals={record.a_flow_evals} "
             f"kernel_evals={record.kernel_evals}")
+
+
+def expand_line(label, scheme):
+    """The sha256 of scheme's stages: each one's role, then its coefficient's and node's bytes."""
+    stages = expand(scheme)
+    digest = hashlib.sha256()
+    for stage in stages:
+        digest.update(stage.role.encode() + struct.pack(
+            "<4d", stage.coeff.real, stage.coeff.imag, stage.c0.real, stage.c0.imag))
+    return f"expand {label} length={len(stages)} sha256={digest.hexdigest()}"
 
 
 def reference_line(problem_name, cache_dir):
@@ -132,12 +147,17 @@ def main(argv):
                     ("design", "--stages", "6"),
                     ("design", "--stages", "4", "--scan")):
         print("\n".join(cli_lines(*command)), flush=True)
+    for name in builtin_names():
+        print(expand_line(name, builtin_scheme(name)), flush=True)
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory(prefix="cxsplit-schemes-") as directory:
         os.chdir(directory)     # validate prints the relative names, the same on every run
         try:
             for file_name in scheme_files(Path(directory)):
                 print("\n".join(cli_lines("validate", file_name)), flush=True)
+                if file_name.endswith(("-true.txt", "-false.txt")):     # an unbroken file
+                    scheme = load_scheme(Path(file_name).read_text(encoding="utf-8"))
+                    print(expand_line(file_name, scheme), flush=True)
         finally:
             os.chdir(cwd)
     for name in problems.PROBLEMS:
