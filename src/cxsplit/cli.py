@@ -26,8 +26,23 @@ EXIT_RUNTIME = 2
 EXIT_REFERENCE = 3
 
 
+def _stability_class(scheme):
+    """Whether every a is real and >= 0 and every Re(b) > 0, the class the paper
+    keeps stable, as "yes", or "no, " and the first a, else b, that breaks it."""
+    for i, a in enumerate(scheme.expanded_a(), 1):
+        if a.imag:
+            return f"no, a_{i} = {a.real:.6g}{a.imag:+.6g}j is not real"
+        if not a.real >= 0.0:
+            return f"no, a_{i} = {a.real:.6g} < 0"
+    for i, b in enumerate(scheme.expanded_b(), 1):
+        if not b.real > 0.0:
+            return f"no, Re(b_{i}) = {b.real:.6g} <= 0"
+    return "yes"
+
+
 def cmd_validate(args):
-    """Each scheme's sums, sign margins and effective order (s, n); INVALID past min(s, n)."""
+    """Each scheme's sums, sign margins, effective order (s, n) and stability class;
+    INVALID past min(s, n)."""
     status = EXIT_OK
     for name in args.schemes:
         try:
@@ -43,6 +58,7 @@ def cmd_validate(args):
         print(f"  min_re_a = {report.min_re_a:.6g}  min_re_b = {report.min_re_b:.6g}")
         s, n, unmet = effective_order(*kicks_of(expand(scheme)), tol)
         print(f"  effective order (s, n) = ({s}, {n}), eps^3 terms not checked")
+        print(f"  stable class (real a >= 0, Re(b) > 0): {_stability_class(scheme)}")
         if scheme.claimed_order > min(s, n):
             needs = f"|{unmet}| <= {tol:.0e}" if unmet else f"words past length {LONGEST}"
             print(f"{scheme.name}: INVALID (order {scheme.claimed_order} needs {needs})")

@@ -57,6 +57,10 @@ class ReferenceInconsistent(CxsplitError):
     """The two independent reference oracles disagree."""
 
 
+class ReferenceTooCostly(CxsplitError):
+    """A reference to build would take its RK4 oracle past the state-update budget."""
+
+
 class InsufficientData(CxsplitError):
     """Too few usable points for a slope fit."""
 

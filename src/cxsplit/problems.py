@@ -29,7 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CxsplitError, ReferenceInconsistent, StepFailed, ValidationError
+from .errors import (CxsplitError, ReferenceInconsistent, ReferenceTooCostly, StepFailed,
+                     ValidationError)
 from .propagators import CirculantLaplacian, exp_2x2, exp_circulant
 from .schemes import builtin_scheme
 from .stepper import StepperConfig, integrate
@@ -42,16 +43,25 @@ REF_OSC_RK4_STEPS = 2 ** 20
 REF_PDE_RK4_MIN_STEPS = 2 ** 12
 REF_AGREE_TOL = 1e-10
 REF_MAGIC = b"CXSPLITR"
+# A reference whose RK4 oracle makes more state updates (rk4_steps * dim) than
+# this is not built: the defaults make 2.1e6 (osc) and 6.9e5 (N = 100), a
+# PDE at N = 1024 makes 7.5e8.  A step of the array loop on a dim-point state
+# takes about REF_RK4_STEP_S + dim * REF_RK4_UPDATE_S seconds (2-core x86-64).
+REF_MAX_UPDATES = 10 ** 8
+REF_RK4_STEP_S, REF_RK4_UPDATE_S = 1.3e-4, 3e-8
 # The cache format and oracle-kernel version.  Problem.params keys class data,
 # fields and the RK4 step count itself; raise this with any change to the
 # format or to a kernel that moves the oracles' bits, so older entries rebuild.
-REF_VERSION = 3
+REF_VERSION = 4
 # magic, version, key digest, payload bytes, oracle gap, build seconds
 REF_HEADER = struct.Struct("<8sQ16sQdd")
 
-# The oscillator's forcing frequencies, read as a global by its kernels: a
-# global is read faster than a class attribute through an instance.
+# The oscillator's forcing frequencies.  They are an arithmetic progression,
+# so its kernels sum the three sines in closed form: sin(q - w_2 t) * (1 +
+# 2 cos(d t)) with d = w_2 - w_1, read here as globals, which are read faster
+# than class attributes through an instance.
 OMEGA_J = (7.0, 14.0, 21.0)
+OMEGA_MID, OMEGA_STEP = OMEGA_J[1], OMEGA_J[1] - OMEGA_J[0]
 # Parabolic kick factors kept per problem: one run of a scheme uses <= 4, a
 # sweep's share of (method, n_steps) points a few dozen (counts in CHANGES.md).
 KICK_FACTORS_KEPT = 16
@@ -104,16 +114,16 @@ class OscillatorProblem(Problem):
     # end makes it an ndarray.  A float pair stays floats through the A-flows
     # and real kicks, and a complex kick makes it complex: on a float the
     # arithmetic is the real part of the complex one, bit for bit.
-    # The sums are left folds, the order sum() adds numpy scalars in, so the
-    # results equal numpy-scalar arithmetic wherever math.sin, cmath.sin and
-    # np.sin agree (bit for bit on x86-64 glibc).
+    # Squares are products: x ** 2 calls libm's pow, slower than x * x and
+    # not always correctly rounded.
 
     def a_frozen_exp(self, times, weights, duration, state):
         # sum_i w_i A(t_i) = w_sum * [[0, 1], [-omega_sq / w_sum, 0]], with
         # Omega(t) = 1 + cos(1.5 t) / 2
         cos, omega_sq, w_sum = math.cos, 0.0, 0.0
         for t, w in zip(times, weights):
-            omega_sq += w * (1.0 + 0.5 * cos(1.5 * t)) ** 2
+            omega = 1.0 + 0.5 * cos(1.5 * t)
+            omega_sq += w * (omega * omega)
             w_sum += w
         q, p = state if type(state) is tuple else state.tolist()
         if w_sum == 0.0:   # [[0, 0], [-omega_sq, 0]] is nilpotent: exp is I + duration * it
@@ -123,8 +133,7 @@ class OscillatorProblem(Problem):
     def b_kick(self, t_frozen, tau, state):
         q, p = state if type(state) is tuple else state.tolist()
         sin = math.sin if type(q) is float else cmath.sin
-        w1, w2, w3 = OMEGA_J
-        kick = 0.0 + sin(q - w1 * t_frozen) + sin(q - w2 * t_frozen) + sin(q - w3 * t_frozen)
+        kick = sin(q - OMEGA_MID * t_frozen) * (1.0 + 2.0 * math.cos(OMEGA_STEP * t_frozen))
         return q, p - tau * self.epsilon * kick
 
     def rk4_oracle(self):   # floats: no numpy overhead on a 2-vector
@@ -257,32 +266,35 @@ def rk4_integrate(rhs, u0, t0, tf, n_steps):
 def _rk4_osc(epsilon, q, p, t0, tf, n_steps):
     """The RK4 loop on the oscillator's right-hand side, written out on local floats.
 
-    dq/dt = p, dp/dt = -Omega(t)^2 q - epsilon * (left-fold sum of the three
-    sines).  -Omega(t)^2 and each omega_j t are computed once per time: the k2
-    and k3 stages share t + h/2, and the k4 stage's t0 + (i + 1) h is the next's t.
+    dq/dt = p, dp/dt = -Omega(t)^2 q - epsilon * (1 + 2 cos(d t)) sin(q - w_2 t),
+    the forcing's closed form.  -Omega(t)^2, w_2 t and epsilon * (1 + 2 cos(d t))
+    are computed once per time: the k2 and k3 stages share t + h/2, and the k4
+    stage's t0 + (i + 1) h is the next's t.
     """
-    sin, cos = math.sin, math.cos
-    w1, w2, w3 = OMEGA_J
+    sin, cos, w_mid, w_step = math.sin, math.cos, OMEGA_MID, OMEGA_STEP
     h = (tf - t0) / n_steps
     half, sixth = 0.5 * h, h / 6.0
     t, i = t0, 0.0
-    neg_om_sq = -(1.0 + 0.5 * cos(1.5 * t)) ** 2
-    y1, y2, y3 = w1 * t, w2 * t, w3 * t
+    omega = 1.0 + 0.5 * cos(1.5 * t)
+    neg_om_sq, y = -(omega * omega), w_mid * t
+    force = epsilon * (1.0 + 2.0 * cos(w_step * t))
     for _ in range(n_steps):
-        k1p = neg_om_sq * q - epsilon * (sin(q - y1) + sin(q - y2) + sin(q - y3))
+        k1p = neg_om_sq * q - force * sin(q - y)
         t_mid = t + half
-        neg_om_sq_mid = -(1.0 + 0.5 * cos(1.5 * t_mid)) ** 2
-        x1, x2, x3 = w1 * t_mid, w2 * t_mid, w3 * t_mid
+        omega = 1.0 + 0.5 * cos(1.5 * t_mid)
+        neg_om_sq_mid, x = -(omega * omega), w_mid * t_mid
+        force_mid = epsilon * (1.0 + 2.0 * cos(w_step * t_mid))
         q2, k2q = q + half * p, p + half * k1p
-        k2p = neg_om_sq_mid * q2 - epsilon * (sin(q2 - x1) + sin(q2 - x2) + sin(q2 - x3))
+        k2p = neg_om_sq_mid * q2 - force_mid * sin(q2 - x)
         q3, k3q = q + half * k2q, p + half * k2p
-        k3p = neg_om_sq_mid * q3 - epsilon * (sin(q3 - x1) + sin(q3 - x2) + sin(q3 - x3))
+        k3p = neg_om_sq_mid * q3 - force_mid * sin(q3 - x)
         i += 1.0
         t = t0 + i * h
-        neg_om_sq = -(1.0 + 0.5 * cos(1.5 * t)) ** 2
-        y1, y2, y3 = w1 * t, w2 * t, w3 * t
+        omega = 1.0 + 0.5 * cos(1.5 * t)
+        neg_om_sq, y = -(omega * omega), w_mid * t
+        force = epsilon * (1.0 + 2.0 * cos(w_step * t))
         q4, k4q = q + h * k3q, p + h * k3p
-        k4p = neg_om_sq * q4 - epsilon * (sin(q4 - y1) + sin(q4 - y2) + sin(q4 - y3))
+        k4p = neg_om_sq * q4 - force * sin(q4 - y)
         q = q + sixth * (p + 2.0 * k2q + 2.0 * k3q + k4q)
         p = p + sixth * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
     return q, p
@@ -418,8 +430,9 @@ def reference_solution(problem, cache_dir=None):
     oracle two is a classical one-step method on the unsplit right-hand side.
     The two run at the same time in 2 processes: the classical oracle in a
     child made by POSIX fork, the splitting oracle in this process.
-    Disagreement beyond the tolerance is a hard failure, and a cache
-    directory that cannot be created or written fails before either oracle.
+    Disagreement beyond the tolerance is a hard failure.  A reference whose RK4
+    oracle would make more than REF_MAX_UPDATES state updates, and a cache
+    directory that cannot be created or written, fail before either oracle.
     """
     cache_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     path, digest = _cache_path(problem, cache_dir)
@@ -427,6 +440,13 @@ def reference_solution(problem, cache_dir=None):
         cached = _read_cache(path, digest, problem.dim)
         if cached is not None:
             return cached[0]
+    updates = problem.rk4_steps * problem.dim
+    if updates > REF_MAX_UPDATES:
+        est = problem.rk4_steps * (REF_RK4_STEP_S + problem.dim * REF_RK4_UPDATE_S)
+        raise ReferenceTooCostly(
+            f"{problem.key()}: reference not built: its RK4 oracle needs {problem.rk4_steps} "
+            f"steps on {problem.dim} components ({updates:.2e} state updates, about "
+            f"{est:.3g} s), over the budget of {REF_MAX_UPDATES:.0e} updates")
     cache_dir.mkdir(parents=True, exist_ok=True)
     check_writable(path)
     start = time.perf_counter()

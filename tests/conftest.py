@@ -147,12 +147,16 @@ def osc_rhs(problem):
 
     The reference of its kernels and of the float RK4 loop ``_rk4_osc``,
     which writes this formula out: dq/dt = p, dp/dt = -Omega(t)^2 q -
-    epsilon * sum_j sin(q - omega_j t), the sum a left fold.
+    epsilon * sum_j sin(q - omega_j t), the sum in its closed form
+    (1 + 2 cos(d t)) sin(q - w_2 t) for the progression w_j = w_2 + (j - 2) d.
     """
+    w_mid, w_step = OMEGA_J[1], OMEGA_J[1] - OMEGA_J[0]
+
     def rhs(t, u):
         q, p = u
-        force = -big_omega(t) ** 2 * q \
-            - problem.epsilon * sum(np.sin(q - w * t) for w in OMEGA_J)
+        omega = big_omega(t)
+        force = -(omega * omega) * q \
+            - problem.epsilon * (1.0 + 2.0 * math.cos(w_step * t)) * np.sin(q - w_mid * t)
         return np.array([p, force], dtype=u.dtype)
     return rhs
 

@@ -22,6 +22,10 @@ from cxsplit.order_conditions import LONGEST
 from cxsplit.schemes import builtin_names, builtin_scheme, load_scheme, serialize_scheme
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+# validate's stability-class line, and its verdict on a scheme with every a
+# real and >= 0 and every Re(b) > 0
+STABLE_CLASS = "  stable class (real a >= 0, Re(b) > 0): "
+STABLE = STABLE_CLASS + "yes"
 
 
 def _subprocess_env(**extra):
@@ -109,7 +113,8 @@ def test_validate_does_not_print_symmetric_residuals_for_a_non_symmetric_file(
     assert cli.main(["validate", str(path)]) == cli.EXIT_VALIDATION
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "nonsym: pattern=BAB stages=3 order=4"
-    assert out.splitlines()[-2:] == ["  effective order (s, n) = (1, 3), eps^3 terms not checked",
+    assert out.splitlines()[-3:] == ["  effective order (s, n) = (1, 3), eps^3 terms not checked",
+                                     STABLE,
                                      "nonsym: INVALID (order 4 needs |mu_1| <= 1e-09)"]
     assert "p_aba" not in out
 
@@ -135,7 +140,7 @@ def test_validate_symmetric_file_claiming_order_four_needs_its_residuals(
                                   ("strangaba", "ABA", "0.5  min_re_b = 1")):
         expected += [f"{name}: pattern={pattern} stages=1 order={order}",
                      "  sum_a = 1+0j  sum_b = 1+0j", f"  min_re_a = {min_re}",
-                     "  effective order (s, n) = (2, 2), eps^3 terms not checked"]
+                     "  effective order (s, n) = (2, 2), eps^3 terms not checked", STABLE]
         if code != cli.EXIT_OK:
             expected.append(f"{name}: INVALID (order {order} needs |mu_2| <= 1e-09)")
     assert capsys.readouterr().out.splitlines() == expected
@@ -165,10 +170,29 @@ def test_validate_non_symmetric_file_needs_its_moment_conditions(which, order, i
     name = out[0].split(":")[0]
     assert out[3].startswith("  effective order (s, n) = ")
     if invalid is None:
-        assert code == cli.EXIT_OK and out[4:] == []
+        assert code == cli.EXIT_OK and out[4:] == [STABLE]
     else:
         assert code == cli.EXIT_VALIDATION
-        assert out[4:] == [f"{name}: INVALID (order {order} needs |mu_{invalid}| <= 1e-09)"]
+        assert out[4:] == [STABLE,
+                           f"{name}: INVALID (order {order} needs |mu_{invalid}| <= 1e-09)"]
+
+
+@pytest.mark.parametrize("text,verdict", [
+    (yoshida_text(), "no, a_2 = -1.70241 < 0"),    # its Re(b_2) = -0.175604 comes after
+    ("name=t\npattern=BAB\norder=1\nsymmetric=false\n"
+     "b 0.25 0\na 0.5 0.1\nb 0.5 0\na 0.5 -0.1\nb 0.25 0\n", "no, a_1 = 0.5+0.1j is not real"),
+    ("name=t\npattern=BAB\norder=1\nsymmetric=false\n"
+     "b 0.6 0\na 0.5 0\nb -0.2 0.3\na 0.5 0\nb 0.6 -0.3\n", "no, Re(b_2) = -0.2 <= 0"),
+    ("name=t\npattern=ABA\norder=1\nsymmetric=false\na 0 0\nb 1 0\na 1 0\n", "yes")],
+    ids=["yoshida", "complex-a", "negative-re-b", "zero-a"])
+def test_validate_names_the_first_coefficient_outside_the_stable_class(text, verdict,
+                                                                      tmp_path, capsys):
+    # every a real and >= 0 (a zero flow too) and every Re(b) > 0, the a
+    # checked first; the line leaves the exit code as it was
+    path = tmp_path / "s.txt"
+    path.write_text(text)
+    assert cli.main(["validate", str(path)]) == cli.EXIT_OK
+    assert capsys.readouterr().out.splitlines()[4:] == [STABLE_CLASS + verdict]
 
 
 def test_validate_builtins_and_designs_keep_exit_zero(tmp_path, capsys):
@@ -177,7 +201,11 @@ def test_validate_builtins_and_designs_keep_exit_zero(tmp_path, capsys):
     assert cli.main(["design", "--stages", "6", "--out", str(sm64)]) == 0
     capsys.readouterr()
     assert cli.main(["validate", *builtin_names(), str(sm4), str(sm64)]) == cli.EXIT_OK
-    assert "INVALID" not in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "INVALID" not in out
+    # every one in the stable class
+    assert [line for line in out.splitlines() if line.startswith(STABLE_CLASS)] == \
+        [STABLE] * (len(builtin_names()) + 2)
 
 
 def _sm4_text(order):
@@ -213,7 +241,7 @@ def test_validate_symmetric_file_claiming_order_five_needs_p_abaaa(order, code, 
     assert out[0] == f"SM4: pattern=BAB stages=4 order={order}"
     assert out[3] == "  effective order (s, n) = (4, 4), eps^3 terms not checked"
     invalid = f"SM4: INVALID (order {order} needs |mu_4| <= 1e-09)"
-    assert out[4:] == ([] if code == cli.EXIT_OK else [invalid])
+    assert out[4:] == [STABLE] + ([] if code == cli.EXIT_OK else [invalid])
 
 
 @pytest.mark.parametrize("order", [6, 8])
@@ -224,7 +252,7 @@ def test_validate_sm64_claiming_order_six_or_more_is_invalid(order, tmp_path, ca
     assert cli.main(["validate", str(path)]) == cli.EXIT_VALIDATION
     out = capsys.readouterr().out.splitlines()
     assert out[3] == "  effective order (s, n) = (6, 4), eps^3 terms not checked"
-    assert out[4:] == [f"SM64: INVALID (order {order} needs |delta_30| <= 1e-09)"]
+    assert out[4:] == [STABLE, f"SM64: INVALID (order {order} needs |delta_30| <= 1e-09)"]
 
 
 def _gauss_text(symmetric):
@@ -247,6 +275,7 @@ def test_validate_verdict_ignores_the_symmetric_header(tmp_path, capsys):
     assert outputs[0] == outputs[1]
     assert outputs[0].splitlines()[3:] == [
         "  effective order (s, n) = (4, 2), eps^3 terms not checked",
+        "  stable class (real a >= 0, Re(b) > 0): no, Re(b_1) = 0 <= 0",
         "gauss: INVALID (order 4 needs |delta_10| <= 1e-09)"]
 
 

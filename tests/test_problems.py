@@ -11,12 +11,12 @@ from cxsplit import cli
 from cxsplit.errors import (CxsplitError, DesignScanUnreliable, InsufficientData,
                             InvalidSequence, NoSolutionFound, NoStableSolution,
                             NotInCatalog, ParseError, RealTimeViolation,
-                            ReferenceInconsistent, StepFailed, StepTooLarge,
-                            ValidationError)
-from cxsplit.problems import (KICK_FACTORS_KEPT, PROBLEMS, REF_AGREE_TOL, REF_HEADER,
-                              REF_MAGIC, REF_OSC_RK4_STEPS, REF_PDE_RK4_MIN_STEPS,
-                              REF_VERSION, TWO_PI, FisherProblem,
-                              OscillatorProblem, ParabolicProblem, _cache_path,
+                            ReferenceInconsistent, ReferenceTooCostly, StepFailed,
+                            StepTooLarge, ValidationError)
+from cxsplit.problems import (KICK_FACTORS_KEPT, OMEGA_J, OMEGA_MID, OMEGA_STEP, PROBLEMS,
+                              REF_AGREE_TOL, REF_HEADER, REF_MAGIC, REF_MAX_UPDATES,
+                              REF_OSC_RK4_STEPS, REF_PDE_RK4_MIN_STEPS, REF_VERSION, TWO_PI,
+                              FisherProblem, OscillatorProblem, ParabolicProblem, _cache_path,
                               _classical_oracle, _read_cache, _rk4_osc, _write_cache,
                               default_cache_dir, make_problem, reference_solution,
                               rk4_integrate)
@@ -90,9 +90,11 @@ def _numpy_b_kick(problem, t_frozen, tau, state):
 
 
 def test_osc_kernels_match_numpy_formulas():
-    # Bitwise equal on x86-64 with glibc (200k random calls checked); the
-    # bound leaves room for a last-bit difference between cmath.sin and
-    # np.sin, or CPython's and numpy's complex arithmetic, elsewhere.
+    # The kernels square by multiplication and sum the three sines in closed
+    # form, so they differ from these formulas by round-off: on these 300
+    # calls a_frozen_exp keeps every bit and b_kick is at most 2.9e-16 off
+    # (1.4e-15 over 1e5 calls of the same kind; the closed form itself is
+    # checked against the three sines in the next test).
     problem = make_problem("osc")
     rng = np.random.default_rng(20)
     rules = ((1.0,), (CF4_BETA, CF4_ALPHA), (CF4_ALPHA, CF4_BETA), (0.5, 0.5))
@@ -115,6 +117,33 @@ def test_osc_kernels_match_numpy_formulas():
                 err = np.max(np.abs(np.array(got) - expect))
                 worst = max(worst, err / max(1.0, np.max(np.abs(expect))))
     assert worst <= 1e-15
+
+
+def test_osc_forcing_closed_form_is_the_three_sine_sum():
+    # sum_j sin(q - w_j t) = sin(q - w_2 t) (1 + 2 cos(d t)) for w_j = w_2 + (j - 2) d.
+    # Rounding w_j t already costs each form up to about 5e-14 against a
+    # 40-digit sum; the two forms differ by at most 6.2e-14 over 2e5 such points.
+    assert OscillatorProblem.omega_j == OMEGA_J
+    assert OMEGA_J == (OMEGA_MID - OMEGA_STEP, OMEGA_MID, OMEGA_MID + OMEGA_STEP)
+    problem = make_problem("osc", epsilon=1.0)
+    rng = np.random.default_rng(36)
+    n = 10 ** 4
+    ts = rng.uniform(0.0, TWO_PI, n)
+    real_q = rng.uniform(-12.0, 12.0, n)
+
+    def three_sines(qs):
+        return 0.0 + np.sin(qs - 7.0 * ts) + np.sin(qs - 14.0 * ts) + np.sin(qs - 21.0 * ts)
+
+    for qs in (real_q, rng.uniform(-12.0, 12.0, n) + 1j * rng.uniform(-1.0, 1.0, n)):
+        # with epsilon = tau = 1 and p = 0 a kick returns p = -(the forcing), exactly
+        kicks = [-problem.b_kick(t, 1.0, (q, 0.0))[1] for t, q in zip(ts.tolist(), qs.tolist())]
+        assert np.max(np.abs(np.array(kicks) - three_sines(qs))) <= 1e-13
+    # the array right-hand side, which the RK4 loop is pinned to, on the real points
+    rhs = osc_rhs(problem)
+    for t, q, expect in zip(ts.tolist(), real_q.tolist(), three_sines(real_q).tolist()):
+        omega = big_omega(t)
+        force = rhs(t, np.array([q, 0.0]))[1]
+        assert abs(force - (-(omega * omega) * q - expect)) <= 1e-13
 
 
 def test_parabolic_kick_is_pointwise_exponential():
@@ -579,6 +608,36 @@ def test_unwritable_cache_fails_before_the_oracles(tmp_path, stub_oracles):
     assert builds() == 0
 
 
+def test_a_reference_over_the_update_budget_fails_before_the_oracles(tmp_path, stub_oracles):
+    # N = 1024: 728178 RK4 steps on 1024 points, 7.5e8 state updates
+    problem = make_problem("parabolic", n_grid=1024)
+    builds = stub_oracles()
+    with pytest.raises(ReferenceTooCostly, match=(
+            r"^parabolic: reference not built: its RK4 oracle needs 728178 steps on 1024 "
+            r"components \(7\.46e\+08 state updates, about 117 s\), over the budget of "
+            r"1e\+08 updates$")):
+        reference_solution(problem, cache_dir=tmp_path / "cache")
+    assert builds() == 0 and not (tmp_path / "cache").exists()
+    # a cache hit returns the entry as before
+    path, digest = _cache_path(problem, tmp_path)
+    _write_cache(path, digest, np.arange(1024.0), 0.0, 1.0)
+    assert np.array_equal(reference_solution(problem, cache_dir=tmp_path), np.arange(1024.0))
+    assert builds() == 0
+
+
+def test_a_reference_over_the_update_budget_exits_runtime(monkeypatch, tmp_path, capsys):
+    import cxsplit.problems as mod
+    monkeypatch.setattr(mod, "REF_MAX_UPDATES", 694499)
+    code = cli.main(["sweep", "--problem", "parabolic", "--methods", "sm4", "--nsteps", "8",
+                     "--cache-dir", str(tmp_path)])
+    assert code == cli.EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: parabolic: reference not built: its RK4 oracle "
+                                   "needs 6945 steps on 100 components (6.94e+05 state ")
+    assert not any(tmp_path.iterdir())
+
+
 def test_reference_inconsistency_is_fatal(tmp_path, stub_oracles):
     problem = make_problem("parabolic", n_grid=8)
     # The classical values cross from the child bit for bit: a gap one ulp
@@ -622,6 +681,9 @@ def test_default_params_match_benchmarks():
     assert fisher.gamma(0.0) == pytest.approx(0.01)
     assert (fisher.mu, fisher.w, fisher.beta) == (1.0 / 6.0, 2.0, 1.0)
     assert (fisher.t0, fisher.tf) == (0.0, 1.0)
+    # the RK4 oracles' state updates, far under the budget
+    assert [p.rk4_steps * p.dim for p in (osc, par, fisher)] == [2 ** 21, 694500, 694500]
+    assert 40 * 2 ** 21 < REF_MAX_UPDATES
 
 
 def test_classical_oracle_error_is_raised_in_the_parent(tmp_path, stub_oracles):
@@ -683,7 +745,7 @@ TYPED_ERRORS = [
 ] + [(cls("msg"), {}) for cls in (CxsplitError, NotInCatalog, ValidationError,
                                    InvalidSequence, NoSolutionFound,
                                    DesignScanUnreliable, ReferenceInconsistent,
-                                   InsufficientData, RealTimeViolation)]
+                                   ReferenceTooCostly, InsufficientData, RealTimeViolation)]
 
 
 @pytest.mark.parametrize("error, attrs", TYPED_ERRORS,
