@@ -1,10 +1,11 @@
 """Re-derivation of complex-kick BAB schemes.
 
-Real, palindromic flows a_i leave k reduced kicks for k order conditions:
-p_abb and the first k - 1 linear views of ``order_conditions``, which put
-the solutions on a line along which p_abb is a quadratic.  Its two roots
-are every solution, found exactly.  The 4-stage family's free a_1 then
-minimises Re(p_abaaa), what survives the post-step projection.
+Real, palindromic flows a_i of a 2k-stage BAB leave k reduced kicks for k
+generated conditions: mu_2, mu_4, ..., mu_2k-2, linear, which put the
+solutions on a line, and delta_10, a quadratic along it; the symmetry and
+sum(b) = 1 meet the rest of order (2k, 4).  Its two roots are every
+solution, found exactly.  The 4-stage family's free a_1 then minimises
+Re(mu_4) (``p_abaaa``), what survives the post-step projection.
 """
 
 from __future__ import annotations
@@ -16,19 +17,24 @@ import numpy as np
 
 from .errors import (CxsplitError, DesignScanUnreliable, NoSolutionFound,
                      NoStableSolution, ValidationError)
-from .order_conditions import (TARGETS, abb_form, kicks_of, linear_terms,
-                               order_poly_jacobian, order_polys)
+from .order_conditions import (CONDITIONS, condition_residuals, kicks_of, order_poly_jacobian,
+                               quadratic_form)
 from .schemes import Scheme, expand
 
 RESIDUAL_TOL = 1e-14         # largest residual of an accepted solution
 SCAN_MARGIN = 1e-3           # the scan grid spans [margin, 1/2 - margin]
-STAGES = (4, 6)              # k = stages/2 conditions: p_abb and k - 1 linear rows
+MAX_GRID_POINTS = 10 ** 5    # a scan holds its grid's designs at once, about 2.5 KB a point
+STAGES = (4, 6, 8)           # 10 stages would solve to about 1e-11 only
+# the conditions a design of each stage count solves, mu_2, ..., mu_(stages-2)
+# and delta_10, the quadratic, then mu_4: p_abaaa, the 4-stage objective
+DESIGN_CONDITIONS = {stages: tuple(next(x for x in CONDITIONS if x.name == name) for name in (
+    *(f"mu_{j}" for j in range(2, stages - 1, 2)), "delta_10", "mu_4")) for stages in STAGES}
 
 
 @dataclass
 class DesignProblem:
     stages: int                  # one of STAGES
-    fixed_a: tuple               # reduced real a values: (a1,) or (a1, a2, a3)
+    fixed_a: tuple               # reduced real a values: (a1,) or stages/2 of them
     k: int = field(init=False)   # unknown kicks b_1..b_k, as many as conditions
     nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -40,8 +46,8 @@ class DesignProblem:
                 or abs(sum(self.fixed_a) - 0.5) > 1e-13
                 or not all(0.0 < ai < 1.0 for ai in self.fixed_a)):
             raise ValidationError(
-                f"a {'- or '.join(map(str, STAGES))}-stage design needs stages/2 flow "
-                "coefficients in (0, 1) with sum 1/2, or a1 alone for 4 stages; got "
+                f"a {'-, '.join(map(str, STAGES[:-1]))}- or {STAGES[-1]}-stage design needs "
+                "stages/2 flow coefficients in (0, 1) with sum 1/2, or a1 alone for 4 stages; got "
                 f"stages={self.stages}, a={self.fixed_a}")
         # the kick nodes of the composition the stepper runs, rounding included
         self.nodes = kicks_of(expand(self.scheme((0.0,) * (self.k + 1))))[1]
@@ -88,9 +94,10 @@ def _roots(nodes):
     k = nodes.shape[-1] // 2
     base, basis, cols = _frame(k)
     c = nodes.real
-    rows = linear_terms(c)[:, :k - 1]
+    *linear, quadratic, _ = DESIGN_CONDITIONS[2 * k]
+    rows = np.stack([c ** cond.k for cond in linear], axis=-2)
     lin = rows @ basis.T
-    rhs = np.array((TARGETS.p_aba, TARGETS.p_abaaa)[:k - 1]) - rows @ base
+    rhs = np.array([1.0 / cond.den for cond in linear]) - rows @ base
     # the free unknown t is the one whose minor has the largest |det|: by
     # Cramer's rule no other unknown then moves faster than t along the line
     minors = lin[..., cols].swapaxes(-3, -2)
@@ -109,15 +116,15 @@ def _roots(nodes):
     w = (line[:, :, None] @ basis)[:, :, 0]
     w[:, 0] += base                         # the kicks w0 + t w1
     # matmul picks its kernel by memory layout, so each q is laid out in C
-    # order, as one design's is; a stack from abb_form's gather is not
-    q = np.ascontiguousarray(abb_form(c[at]))
-    # along the line p_abb = p0 t^2 + p1 t + p2 with p = (w1/2 q w1, w0 q w1,
+    # order, as one design's is; a stack from quadratic_form's gather is not
+    q = np.ascontiguousarray(quadratic_form(quadratic, c[at]))
+    # along the line delta_10 = p0 t^2 + p1 t + p2 with p = (w1/2 q w1, w0 q w1,
     # w0/2 q w0 - 1/3), each a vector-matrix product, then a dot; np.roots
     # takes its roots as the eigenvalues of the companion matrix, and a row
     # whose matrix is not finite (p0 = 0, an overflow) has no two roots
     x = w[:, [1, 0, 0]] * np.array([[0.5], [1.0], [0.5]])
     p = ((x[:, :, None] @ q[:, None]) @ w[:, [1, 1, 0], :, None])[..., 0, 0]
-    p[:, 2] -= TARGETS.p_abb
+    p[:, 2] -= 1.0 / quadratic.den
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         top = -p[:, 1:] / p[:, :1]
     keep = np.isfinite(top).all(axis=-1)
@@ -151,8 +158,8 @@ def solve_designs(problems):
         # canonical branch: Im(b1) <= 0 picks one of the conjugate pair deterministically
         best = np.where(best[:, :1].imag > 0.0, np.conjugate(best), best)
         b_full = DesignProblem.full_b(best)
-        polys = order_polys(b_full, nodes[at])
-        residual = np.abs(polys[:k]).max(axis=0)
+        *solved, mu_4 = condition_residuals(b_full, nodes[at], DESIGN_CONDITIONS[stages])
+        residual = np.abs(solved).max(axis=0)
         usable = accepted.any(axis=-1)
         for j, i in enumerate(at):
             all_reduced = [tuple(bu) for bu in full[j, :, :k + 1]]
@@ -165,7 +172,7 @@ def solve_designs(problems):
                     f"(stages={stages})")
             else:
                 outcomes[idx[i]] = DesignSolution(tuple(b_full[j, :k + 1]), float(residual[j]),
-                                                  float(polys.p_abaaa[j].real), all_reduced)
+                                                  float(mu_4[j].real), all_reduced)
     return outcomes
 
 
@@ -197,8 +204,8 @@ def _score(outcome):
 def _scan_points(a1s):
     """Outcomes of the 4-stage designs at a1s, solved as one stack, and dRe(p_abaaa)/da1.
 
-    The slope is exact, nan where no kick is usable.  The kicks keep p_aba =
-    p_abb = 0, so db/da1 = -F_b^-1 F_c dc/da1 (implicit function theorem),
+    The slope is exact, nan where no kick is usable.  The kicks keep mu_2 =
+    delta_10 = 0, so db/da1 = -F_b^-1 F_c dc/da1 (implicit function theorem),
     with F_b and F_c the conditions' derivatives by the unknowns and nodes.
     """
     problems = [DesignProblem(4, (a1,)) for a1 in a1s]
@@ -206,10 +213,11 @@ def _scan_points(a1s):
     at = [i for i, outcome in enumerate(outcomes) if isinstance(outcome, DesignSolution)]
     b = DesignProblem.full_b(np.reshape([outcomes[i].b[:2] for i in at], (-1, 2)))
     c = np.reshape([problems[i].nodes for i in at], (-1, 5))
-    # d(p_aba, p_abb, p_abaaa)/dc_i, then along dc/da1 = (0, 1, 0, -1, 0)
-    f_c = np.stack((0.5 * b * (1.0 - 2.0 * c), b * (np.cumsum(b, axis=-1) - 0.5 * b),
-                    4.0 * b * c ** 3), axis=-2) @ np.array([0.0, 1.0, 0.0, -1.0, 0.0])
-    f_u = order_poly_jacobian(b, c) @ _frame(2)[1].T
+    conds = DESIGN_CONDITIONS[4]
+    # d(mu_2, delta_10, mu_4)/dc_i, k b c^(k-1) for a mu_k, along dc/da1 = (0, 1, 0, -1, 0)
+    f_c = np.stack([x.k * b * c ** (x.k - 1) if x.l is None else b * (b.cumsum(-1) - 0.5 * b)
+                    for x in conds], axis=-2) @ np.array([0.0, 1.0, 0.0, -1.0, 0.0])
+    f_u = order_poly_jacobian(b, c, conds) @ _frame(2)[1].T
     du = np.linalg.solve(f_u[:, :2], -f_c[:, :2, None])
     slopes = np.full(len(problems), np.nan)
     slopes[at] = (f_u[:, 2:] @ du)[:, 0, 0].real + f_c[:, 2].real
@@ -221,10 +229,14 @@ def scan_a1(grid_points=200, seed=0):
 
     The least grid value and its neighbour downhill bracket the root;
     Illinois false position, or bisection while an end has no slope,
-    narrows the bracket to adjacent floats.  A bracket needs two grid points.
+    narrows the bracket until |slope| <= eps/2, one rounding unit of its O(1)
+    terms, past which its sign is noise, or to adjacent floats.  A bracket needs two grid points.
     """
     if grid_points < 2:
         raise ValidationError(f"a scan needs at least 2 grid points, got {grid_points}")
+    if grid_points > MAX_GRID_POINTS:      # before its designs fill the memory
+        raise ValidationError(
+            f"a scan holds at most {MAX_GRID_POINTS} grid points, got {grid_points}")
     grid = np.linspace(SCAN_MARGIN, 0.5 - SCAN_MARGIN, grid_points)
     outcomes, slopes = _scan_points(grid)
     values, failed = np.reshape([_score(outcome) for outcome in outcomes], (-1, 2)).T
@@ -241,7 +253,7 @@ def scan_a1(grid_points=200, seed=0):
         x = lo - w_lo * (hi - lo) / (w_hi - w_lo) if w_lo < 0.0 < w_hi else mid
         x = x if lo < x < hi else mid
         (outcome,), (slope,) = _scan_points([x])
-        if slope == 0.0:
+        if abs(slope) <= 0.5 * np.finfo(float).eps:
             return float(x), outcome
         # a negative slope replaces the left end, as does no slope where it has none
         side = int(not (slope < 0.0 or (np.isnan(slope) and np.isnan(ends[0][2]))))

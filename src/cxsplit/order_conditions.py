@@ -16,7 +16,6 @@ The symmetric BAB family's views: p_aba = (mu_1 - mu_2)/2, p_abb = delta_10, p_a
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 
 import numpy as np
@@ -32,15 +31,6 @@ CONDITIONS = tuple(cond for m in range(2, LONGEST + 1) for cond in (
     *(Condition(f"delta_{k}{m - 2 - k}", m, k, m - 2 - k, (m - 1 - k) * m)
       for k in range(m - 2, (m - 2) // 2, -1))))
 _VIEWED = [cond for cond in CONDITIONS if cond.name in ("mu_1", "mu_2", "delta_10", "mu_4")]
-
-
-def _views(mu_1, mu_2, delta_10, mu_4):
-    """The symmetric family's residuals from those of the generated conditions."""
-    return Residuals((mu_1 - mu_2) / 2, delta_10, mu_4)
-
-
-_LCM = math.lcm(*(cond.den for cond in _VIEWED))     # over it the targets are exact
-TARGETS = Residuals(*(x / _LCM for x in _views(*(_LCM // cond.den for cond in _VIEWED))))
 
 
 def condition_residuals(b, c, conds=CONDITIONS):
@@ -79,7 +69,8 @@ def kicks_of(seq):
 
 def order_polys(b, c):
     """The views of kicks b at nodes c, both (n,) or stacked designs (B, n)."""
-    return _views(*condition_residuals(b, c, _VIEWED))
+    mu_1, mu_2, delta_10, mu_4 = condition_residuals(b, c, _VIEWED)
+    return Residuals((mu_1 - mu_2) / 2, delta_10, mu_4)
 
 
 def residuals(seq):
@@ -89,20 +80,14 @@ def residuals(seq):
     return order_polys(*kicks_of(seq))
 
 
-# The designer's rows, factored by hand: their round-off decides its kicks' bits.
-def linear_terms(c):
-    """The linear views' coefficients of each kick, one row each: (..., (p_aba, p_abaaa), n)."""
-    return np.concatenate(((0.5 * c * (1.0 - c))[..., None, :], (c ** 4)[..., None, :]), axis=-2)
+def quadratic_form(cond, c):
+    """Q with delta_kl = b^T Q b / 2 - 1/den: Q_ij = c_max(i,j)^k c_min(i,j)^l, (..., n, n)."""
+    lo, hi = np.sort(np.indices(c.shape[-1:] * 2), axis=0)    # min(i, j), max(i, j)
+    return c[..., hi] ** cond.k * c[..., lo] ** cond.l
 
 
-def abb_form(c):
-    """Q with p_abb = b^T Q b / 2 - TARGETS.p_abb: Q_ij = c_max(i, j), (..., n, n)."""
-    idx = np.arange(c.shape[-1])
-    return c[..., np.maximum.outer(idx, idx)]
-
-
-def order_poly_jacobian(b, c):
-    """Analytic d(p_aba, p_abb, p_abaaa)/db_i, one column per kick: (..., 3, n)."""
+def order_poly_jacobian(b, c, conds):
+    """d(conds)/db_i, one column per kick: c^k for a mu_k, Q b for a delta_kl: (..., len, n)."""
     b, c = np.asarray(b, dtype=complex), np.asarray(c, dtype=complex)
-    d_aba, d_abaaa = np.moveaxis(linear_terms(c), -2, 0)
-    return np.stack((d_aba, (abb_form(c) @ b[..., None])[..., 0], d_abaaa), axis=-2)
+    return np.stack([c ** x.k if x.l is None else (quadratic_form(x, c) @ b[..., None])[..., 0]
+                     for x in conds], axis=-2)

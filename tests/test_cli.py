@@ -334,6 +334,21 @@ def test_design_six_stage_defaults_to_sixths(capsys):
     assert "|Re(p_abaaa)|" in out
 
 
+def test_design_eight_stage_validates_as_sm84(tmp_path, capsys):
+    out = tmp_path / "sm84.txt"
+    assert cli.main(["design", "--stages", "8", "--out", str(out)]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert cli.main(["validate", str(out)]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "designed: pattern=BAB stages=8 order=4"
+    assert lines[2].endswith("min_re_b = 0.0392903")
+    assert lines[3:] == ["  effective order (s, n) = (8, 4), eps^3 terms not checked", STABLE]
+    # a = 1/8: the kicks of SM(8,4), the conjugate branch with Im(b_1) <= 0
+    kicks = (0.03929 - 0.001957j, 0.17245 + 0.015656j, 0.090606 - 0.054797j,
+             0.123551 + 0.109595j, 0.148207 - 0.136994j)
+    assert np.max(np.abs(np.asarray(load_scheme(out.read_text()).b) - kicks)) < 1e-6
+
+
 def test_design_fraction_parsing(capsys):
     code = cli.main(["design", "--stages", "6", "--a", "1/6,1/6,1/6"])
     assert code == cli.EXIT_OK
@@ -364,7 +379,7 @@ def test_design_bad_flow_coefficients_exit_runtime(flags, capsys):
     assert cli.main(["design", *flags]) == cli.EXIT_RUNTIME
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: a 4- or 6-stage design needs")
+    assert captured.err.startswith("error: a 4-, 6- or 8-stage design needs")
     assert len(captured.err.splitlines()) == 1
 
 

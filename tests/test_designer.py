@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from cxsplit import designer
-from cxsplit.designer import (SCAN_MARGIN, DesignProblem, DesignSolution, _scan_points,
-                              _score, scan_a1, solve_b, solve_designs)
+from cxsplit.designer import (MAX_GRID_POINTS, SCAN_MARGIN, DesignProblem, DesignSolution,
+                              _scan_points, _score, scan_a1, solve_b, solve_designs)
 from cxsplit.errors import (CxsplitError, DesignScanUnreliable, NoSolutionFound,
                             NoStableSolution, ValidationError)
 from cxsplit.order_conditions import kicks_of, residuals
@@ -11,6 +11,9 @@ from cxsplit.schemes import builtin_scheme, expand, validate_scheme
 
 SM4 = builtin_scheme("SM4")
 SM64 = builtin_scheme("SM64")
+# SM(8,4) at a = 1/8: its reduced kicks to about 6 digits
+SM84_B = (0.03929 - 0.001957j, 0.17245 + 0.015656j, 0.090606 - 0.054797j,
+          0.123551 + 0.109595j, 0.148207 - 0.136994j)
 
 
 def test_design_problem_fills_a2():
@@ -27,6 +30,8 @@ def test_design_problem_rejects_bad_a():
         DesignProblem(6, (0.3, 0.3, -0.1))    # outside (0, 1)
     with pytest.raises(ValidationError):
         DesignProblem(5, (0.25, 0.25))
+    with pytest.raises(ValidationError):
+        DesignProblem(10, (0.1,) * 5)         # generated, but solved to about 1e-11 only
 
 
 def _mirrored_nodes(fixed_a):
@@ -111,7 +116,7 @@ A1_OPT = 0.13505259273331706       # the 50-digit stationary point of Re(p_abaaa
 
 
 def test_scan_optimum_is_pinned():
-    for grid_points, pinned in ((50, 0.13505259273331688), (200, 0.13505259273331718)):
+    for grid_points, pinned in ((50, 0.13505259273331716), (200, 0.13505259273331729)):
         a1_opt, sol = scan_a1(grid_points=grid_points)
         assert abs(a1_opt - pinned) < 1e-12
         assert abs(a1_opt - A1_OPT) < 1e-15
@@ -130,6 +135,17 @@ def test_scan_of_fewer_than_two_points_is_a_validation_error(grid_points):
     # one point cannot bracket the root of the slope
     with pytest.raises(ValidationError, match=f"at least 2 grid points, got {grid_points}$"):
         scan_a1(grid_points=grid_points)
+
+
+def test_scan_of_more_points_than_it_can_hold_fails_before_any_design(monkeypatch):
+    def built(*args):
+        raise AssertionError("a design was built")
+
+    monkeypatch.setattr(designer, "DesignProblem", built)
+    monkeypatch.setattr(designer, "solve_designs", built)
+    with pytest.raises(ValidationError,
+                       match=f"^a scan holds at most 100000 grid points, got 100001$"):
+        scan_a1(grid_points=MAX_GRID_POINTS + 1)
 
 
 @pytest.mark.parametrize("a1", [0.13, 0.2, 0.4])
@@ -164,26 +180,29 @@ def test_scan_with_no_admissible_design_is_unreliable(monkeypatch):
         scan_a1(grid_points=50)
 
 
-@pytest.mark.parametrize("scheme,fixed_a", [(SM4, (SM4.a[0],)), (SM64, (1 / 6, 1 / 6, 1 / 6))],
-                         ids=["SM4", "SM64"])
-def test_solve_b_matches_a_40_digit_solve(scheme, fixed_a):
+@pytest.mark.parametrize("stages,fixed_a,start,bound", [
+    (4, (SM4.a[0],), SM4.b, 3e-15), (6, (1 / 6, 1 / 6, 1 / 6), SM64.b, 3e-15),
+    (8, (1 / 8,) * 4, SM84_B, 3e-13)], ids=["SM4", "SM64", "SM84"])
+def test_solve_b_matches_a_40_digit_solve(stages, fixed_a, start, bound):
     mp = pytest.importorskip("mpmath").mp
-    problem = DesignProblem(scheme.stages, fixed_a)
+    problem = DesignProblem(stages, fixed_a)
     k = problem.k
     c = [mp.mpf(float(ci)) for ci in problem.nodes.real]     # the same float nodes
 
     def conditions(*bu):
+        # the views p_aba and p_abb, and mu_4 = p_abaaa, ..., mu_{2k-2}
         b = [*bu, 1 - 2 * sum(bu), *bu[::-1]]
         p_aba = sum(bi * ci * (1 - ci) for bi, ci in zip(b, c)) / 2 - mp.mpf(1) / 12
         p_abb = sum(bj * cj * (bj / 2 + sum(b[:j])) for j, (bj, cj) in enumerate(zip(b, c)))
-        p_abaaa = sum(bi * ci ** 4 for bi, ci in zip(b, c)) - mp.mpf(1) / 5
-        return [p_aba, p_abb - mp.mpf(1) / 3, p_abaaa][:k]
+        mus = [sum(bi * ci ** (2 * j) for bi, ci in zip(b, c)) - mp.mpf(1) / (2 * j + 1)
+               for j in range(2, k)]
+        return [p_aba, p_abb - mp.mpf(1) / 3, *mus]
 
     with mp.workdps(40):
-        root = mp.findroot(conditions, [mp.mpc(bi) for bi in scheme.b[:k]])
+        root = mp.findroot(conditions, [mp.mpc(bi) for bi in start[:k]])
         bu = [root[i] for i in range(k)]
         exact = [complex(bi) for bi in (*bu, 1 - 2 * sum(bu))]
-    assert np.max(np.abs(np.asarray(solve_b(problem).b) - exact)) < 3e-15
+    assert np.max(np.abs(np.asarray(solve_b(problem).b) - exact)) < bound
 
 
 def _alone(problem):

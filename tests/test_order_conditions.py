@@ -3,8 +3,8 @@ import pytest
 
 from conftest import conjugate
 from cxsplit.errors import InvalidSequence
-from cxsplit.order_conditions import (CONDITIONS, LONGEST, TARGETS, abb_form, effective_order,
-                                      kicks_of, linear_terms, order_poly_jacobian, order_polys,
+from cxsplit.order_conditions import (CONDITIONS, LONGEST, condition_residuals, effective_order,
+                                      kicks_of, order_poly_jacobian, order_polys, quadratic_form,
                                       residuals)
 from cxsplit.schemes import builtin_scheme, expand
 
@@ -43,10 +43,6 @@ def test_conjugation_equivariance():
             complex(getattr(res, name)).conjugate(), abs=1e-15)
 
 
-def test_view_targets_are_generated_with_the_literals_bits():
-    assert TARGETS == (1.0 / 12.0, 1.0 / 3.0, 0.2)
-
-
 def test_one_condition_per_word_with_one_or_two_b():
     # word length m: mu_{m-1}, then floor((m - 1)/2) delta_kl with k + l = m - 2, k > l
     for m in range(2, LONGEST + 1):
@@ -78,24 +74,32 @@ def _random_kicks(n):
                rng.uniform(size=n) + 1j * rng.uniform(size=n))
 
 
+DELTAS = [cond for cond in CONDITIONS if cond.l is not None]
+MUS = [cond for cond in CONDITIONS if cond.l is None]
+
+
 @pytest.mark.parametrize("n", range(2, 10))
 def test_p_abb_is_the_double_sum(n):
+    # every delta_kl, p_abb = delta_10 among them, is its double sum and b^T Q b / 2
     for b, c in _random_kicks(n):
-        double_sum = (0.5 * sum(b[i] ** 2 * c[i] for i in range(n))
-                      + sum(b[i] * b[j] * c[j] for j in range(n) for i in range(j))
-                      - 1.0 / 3.0)
-        form = 0.5 * b @ abb_form(c) @ b - TARGETS.p_abb
-        for want in (double_sum, form):
-            assert abs(order_polys(b, c)[1] - want) < 1e-14
+        got = condition_residuals(b, c, DELTAS)
+        for cond, residual in zip(DELTAS, got):
+            k, l = cond.k, cond.l
+            double_sum = (0.5 * sum(b[i] ** 2 * c[i] ** (k + l) for i in range(n))
+                          + sum(b[i] * b[j] * c[j] ** k * c[i] ** l
+                                for j in range(n) for i in range(j)) - 1.0 / cond.den)
+            form = 0.5 * b @ quadratic_form(cond, c) @ b - 1.0 / cond.den
+            for want in (double_sum, form):
+                assert abs(residual - want) < 2e-14, cond.name
+        assert order_polys(b, c).p_abb == got[0]     # delta_10 comes first
 
 
 @pytest.mark.parametrize("n", range(2, 10))
 def test_linear_polys_are_the_linear_rows(n):
     for b, c in _random_kicks(n):
-        got = order_polys(b, c)
-        want = linear_terms(c) @ b - np.array((TARGETS.p_aba, TARGETS.p_abaaa))
-        assert abs(got.p_aba - want[0]) < 1e-15
-        assert abs(got.p_abaaa - want[1]) < 1e-15
+        got = condition_residuals(b, c, MUS)
+        want = [c ** cond.k @ b - 1.0 / cond.den for cond in MUS]
+        assert np.abs(got - want).max() < 1e-14
 
 
 def _loop_kahan(terms):
@@ -126,13 +130,13 @@ def test_jacobian_matches_finite_differences():
     for n in range(2, 10):
         b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         c = np.sort(rng.uniform(size=n)).astype(complex)
-        jac = order_poly_jacobian(b, c)
+        jac = order_poly_jacobian(b, c, CONDITIONS)
         eps = 1e-7
         for k in range(n):
             bp, bm = b.copy(), b.copy()
             bp[k] += eps
             bm[k] -= eps
-            fd = (np.array(order_polys(bp, c)) - np.array(order_polys(bm, c))) / (2 * eps)
+            fd = (condition_residuals(bp, c) - condition_residuals(bm, c)) / (2 * eps)
             assert np.max(np.abs(jac[:, k] - fd)) < 1e-6, (n, k)
 
 
@@ -141,16 +145,18 @@ def test_stacked_jacobian_rows_match_one_design_at_a_time(n):
     rng = np.random.default_rng(n)
     b = rng.standard_normal((40, n)) + 1j * rng.standard_normal((40, n))
     c = np.sort(rng.uniform(size=(40, n)), axis=-1).astype(complex)
-    stacked = order_poly_jacobian(b, c)
-    alone = np.array([order_poly_jacobian(bi, ci) for bi, ci in zip(b, c)])
-    assert stacked.shape == (40, 3, n)
-    scale = np.abs(alone).max(axis=-1, keepdims=True)
+    stacked = order_poly_jacobian(b, c, CONDITIONS)
+    alone = np.array([order_poly_jacobian(bi, ci, CONDITIONS) for bi, ci in zip(b, c)])
+    assert stacked.shape == (40, len(CONDITIONS), n)
+    # each entry's sum of |terms|: the high powers' Q b cancel far below their row's largest
+    scale = order_poly_jacobian(np.abs(b), np.abs(c), CONDITIONS).real
     assert np.all(np.abs(stacked - alone) <= 1e-15 * scale)
 
 
 @pytest.mark.parametrize("n", range(2, 10))
 def test_one_design_jacobian_keeps_its_bits(n):
     for b, c in _random_kicks(n):
-        d_aba, d_abaaa = linear_terms(c)       # the one-design formula, row by row
-        want = np.stack((d_aba, abb_form(c) @ b, d_abaaa))
-        assert order_poly_jacobian(b, c).tobytes() == want.tobytes()
+        # the one-design formula, row by row: c^k for a mu_k, Q b for a delta_kl
+        want = np.stack([c ** x.k if x.l is None else quadratic_form(x, c) @ b
+                         for x in CONDITIONS])
+        assert order_poly_jacobian(b, c, CONDITIONS).tobytes() == want.tobytes()

@@ -7,8 +7,8 @@ CHECKOUT (default: the checkout this file is in) is the source tree whose
 grids.  Run it on two checkouts and ``diff`` the outputs.  It prints:
 
 - the exit code and output of ``validate`` on the builtin schemes, and of
-  ``design`` on perfbench's design-scan commands and the default 200-point
-  ``--scan``;
+  ``design`` on perfbench's design-scan commands, the default 200-point
+  ``--scan`` and the 8-stage design at equal flows;
 - the exit code and output of ``validate`` on each file of ``scheme_files``,
   written to a temporary directory and named relative to it: every builtin
   serialized with ``symmetric=true`` and ``false``, and malformed variants;
@@ -105,7 +105,10 @@ def cli_lines(*argv):
     """A line naming ``cxsplit argv`` and its exit code, then its stdout and stderr lines."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(list(argv))
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:       # a usage error, as on a checkout without the option
+            code = exc.code
     return [f"cli {' '.join(argv)} exit={code}", *out.getvalue().splitlines(),
             *(f"stderr {line}" for line in err.getvalue().splitlines())]
 
@@ -145,7 +148,8 @@ def main(argv):
                     ("design", "--stages", "4", "--scan", "--grid-points", str(SCAN_GRID_POINTS)),
                     ("design", "--stages", "4", "--a1", sm4_a1),
                     ("design", "--stages", "6"),
-                    ("design", "--stages", "4", "--scan")):
+                    ("design", "--stages", "4", "--scan"),
+                    ("design", "--stages", "8")):
         print("\n".join(cli_lines(*command)), flush=True)
     for name in builtin_names():
         print(expand_line(name, builtin_scheme(name)), flush=True)

@@ -1,4 +1,5 @@
-"""Print the microseconds per step of each method on osc and the PDEs, and the osc oracles' times.
+"""Print the microseconds per step of each method on osc and the PDEs, the osc oracles' times,
+and the designer's kick solve and a1 scan times.
 
     python tools/step_times.py [CHECKOUT] [--repeats R]
 
@@ -10,8 +11,13 @@ the line gives the fastest run's ``wall_time`` over its step count.  The
 step counts keep each run near 10 ms on one core.  Then each osc oracle,
 ``_splitting_oracle`` (SM4, 2^16 steps) and ``_classical_oracle`` (RK4,
 2^20 steps), is timed ORACLE_REPEATS times in this process, and its line
-gives the fastest build in seconds.  Alternate two checkouts' runs to
-compare them: the host's speed drifts.
+gives the fastest build in seconds.  Last come the designer's lines: the
+fastest of R timings of SOLVES ``solve_b`` calls, in microseconds per call,
+for each stage count of ``designer.STAGES`` (SM4's a1, else equal flows),
+and of one ``scan_a1`` at each of SCAN_GRIDS points, in milliseconds, with
+the count of one-design ``_scan_points`` calls the scan makes after its
+grid.  Alternate two checkouts' runs to compare them: the host's speed
+drifts.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ import argparse
 import platform
 import sys
 import time
+import timeit
 from pathlib import Path
 
 if __name__ == "__main__":      # the checkout to time, put first before cxsplit is imported
@@ -31,8 +38,9 @@ if __name__ == "__main__":      # the checkout to time, put first before cxsplit
 
 import numpy as np  # noqa: E402
 
-from cxsplit import bench, problems  # noqa: E402
+from cxsplit import bench, designer, problems  # noqa: E402
 from cxsplit.errors import StepFailed  # noqa: E402
+from cxsplit.schemes import builtin_scheme  # noqa: E402
 from cxsplit.stepper import integrate_with  # noqa: E402
 
 #: PDE grid size -> steps per timed run
@@ -41,6 +49,8 @@ GRIDS = {100: 256, 1024: 64, 8192: 8}
 RUNS = {"osc": {None: 512}, "parabolic": GRIDS, "fisher": GRIDS}
 ORACLES = {"split": problems._splitting_oracle, "rk4": problems._classical_oracle}
 ORACLE_REPEATS = 3
+SOLVES = 200                 # solve_b calls per timing
+SCAN_GRIDS = (50, 200)       # scan_a1 grid sizes
 
 
 def us_per_step(name, n_grid, method, n_steps, repeats):
@@ -65,6 +75,41 @@ def oracle_s(oracle, repeats):
     return best
 
 
+def solve_us(stages, repeats):
+    """The fastest of `repeats` timings of solve_b on a stages design, in microseconds per call."""
+    fixed = (builtin_scheme("SM4").a[0],) if stages == 4 else (1.0 / stages,) * (stages // 2)
+    problem = designer.DesignProblem(stages, fixed)
+    return 1e6 * min(timeit.repeat(lambda: designer.solve_b(problem), number=SOLVES,
+                                   repeat=repeats)) / SOLVES
+
+
+def scan_ms(grid_points, repeats):
+    """The fastest of `repeats` scans in milliseconds, and one scan's one-design solves."""
+    scan_points, sizes = designer._scan_points, []
+
+    def counted(a1s):
+        sizes.append(len(a1s))
+        return scan_points(a1s)
+
+    designer._scan_points = counted
+    try:
+        designer.scan_a1(grid_points)
+    finally:
+        designer._scan_points = scan_points
+    best = min(timeit.repeat(lambda: designer.scan_a1(grid_points), number=1, repeat=repeats))
+    return 1e3 * best, sizes.count(1)
+
+
+def designer_lines(repeats):
+    """Print the solve_b time of each stage count, then each scan's time and solve count."""
+    for stages in designer.STAGES:
+        print(f"designer solve_b stages={stages} {solve_us(stages, repeats):.1f} us", flush=True)
+    for grid_points in SCAN_GRIDS:
+        ms, solves = scan_ms(grid_points, repeats)
+        print(f"designer scan_a1 grid_points={grid_points} {ms:.2f} ms "
+              f"one_design_solves={solves}", flush=True)
+
+
 def main(args):
     print(f"# python {platform.python_version()}, numpy {np.__version__}, "
           f"src {Path(bench.__file__).parent}")
@@ -79,6 +124,7 @@ def main(args):
                 print(f"{name:<10} {n_grid or '-':>5} {method:<7} {cell}", flush=True)
     for kind, oracle in ORACLES.items():
         print(f"osc oracle {kind:<5} {oracle_s(oracle, ORACLE_REPEATS):.3f} s", flush=True)
+    designer_lines(args.repeats)
 
 
 if __name__ == "__main__":
