@@ -82,7 +82,8 @@ def residuals(seq):
 
 def quadratic_form(cond, c):
     """Q with delta_kl = b^T Q b / 2 - 1/den: Q_ij = c_max(i,j)^k c_min(i,j)^l, (..., n, n)."""
-    lo, hi = np.sort(np.indices(c.shape[-1:] * 2), axis=0)    # min(i, j), max(i, j)
+    idx = np.arange(c.shape[-1])
+    hi, lo = np.maximum.outer(idx, idx), np.minimum.outer(idx, idx)
     return c[..., hi] ** cond.k * c[..., lo] ** cond.l
 
 
