@@ -230,7 +230,8 @@ def scan_a1(grid_points=200, seed=0):
     The least grid value and its neighbour downhill bracket the root;
     Illinois false position, or bisection while an end has no slope,
     narrows the bracket until |slope| <= eps/2, one rounding unit of its O(1)
-    terms, past which its sign is noise, or to adjacent floats.  A bracket needs two grid points.
+    terms, past which its sign is noise, or to adjacent floats.  A bracket
+    needs two grid points.
     """
     if grid_points < 2:
         raise ValidationError(f"a scan needs at least 2 grid points, got {grid_points}")

@@ -89,6 +89,10 @@ def near_tolerance_sm64_text():
     return "\n".join(lines) + "\n"
 
 
+# SM(8,4), the 8-stage design at a = 1/8: its reduced kicks to about 6 digits,
+# the conjugate branch with Im(b_1) <= 0
+SM84_B = (0.03929 - 0.001957j, 0.17245 + 0.015656j, 0.090606 - 0.054797j,
+          0.123551 + 0.109595j, 0.148207 - 0.136994j)
 # BAB files with a non-finite coefficient: the sums they give are nan
 NON_FINITE_TEXTS = {
     "a_nan": "name=t\npattern=BAB\norder=2\nb 0.5 0\na nan 0\nb 0.5 0\n",

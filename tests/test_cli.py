@@ -13,8 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (NON_FINITE_TEXTS, assert_no_child_left, near_tolerance_sm64_text,
-                      yoshida_text)
+from conftest import (NON_FINITE_TEXTS, SM84_B, assert_no_child_left,
+                      near_tolerance_sm64_text, yoshida_text)
 from cxsplit import bench, cli, designer, problems
 from cxsplit.errors import (CxsplitError, DesignScanUnreliable, ParseError,
                             ReferenceInconsistent, ValidationError)
@@ -343,10 +343,7 @@ def test_design_eight_stage_validates_as_sm84(tmp_path, capsys):
     assert lines[0] == "designed: pattern=BAB stages=8 order=4"
     assert lines[2].endswith("min_re_b = 0.0392903")
     assert lines[3:] == ["  effective order (s, n) = (8, 4), eps^3 terms not checked", STABLE]
-    # a = 1/8: the kicks of SM(8,4), the conjugate branch with Im(b_1) <= 0
-    kicks = (0.03929 - 0.001957j, 0.17245 + 0.015656j, 0.090606 - 0.054797j,
-             0.123551 + 0.109595j, 0.148207 - 0.136994j)
-    assert np.max(np.abs(np.asarray(load_scheme(out.read_text()).b) - kicks)) < 1e-6
+    assert np.max(np.abs(np.asarray(load_scheme(out.read_text()).b) - SM84_B)) < 1e-6
 
 
 def test_design_fraction_parsing(capsys):

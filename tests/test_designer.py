@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import SM84_B
 from cxsplit import designer
 from cxsplit.designer import (MAX_GRID_POINTS, SCAN_MARGIN, DesignProblem, DesignSolution,
                               _scan_points, _score, scan_a1, solve_b, solve_designs)
@@ -11,9 +12,6 @@ from cxsplit.schemes import builtin_scheme, expand, validate_scheme
 
 SM4 = builtin_scheme("SM4")
 SM64 = builtin_scheme("SM64")
-# SM(8,4) at a = 1/8: its reduced kicks to about 6 digits
-SM84_B = (0.03929 - 0.001957j, 0.17245 + 0.015656j, 0.090606 - 0.054797j,
-          0.123551 + 0.109595j, 0.148207 - 0.136994j)
 
 
 def test_design_problem_fills_a2():
@@ -144,7 +142,7 @@ def test_scan_of_more_points_than_it_can_hold_fails_before_any_design(monkeypatc
     monkeypatch.setattr(designer, "DesignProblem", built)
     monkeypatch.setattr(designer, "solve_designs", built)
     with pytest.raises(ValidationError,
-                       match=f"^a scan holds at most 100000 grid points, got 100001$"):
+                       match="^a scan holds at most 100000 grid points, got 100001$"):
         scan_a1(grid_points=MAX_GRID_POINTS + 1)
 
 
