@@ -1,8 +1,9 @@
 """Re-derivation of complex-kick BAB schemes.
 
 Real, palindromic flows a_i of a 2k-stage BAB leave k reduced kicks for k
-generated conditions: mu_2, mu_4, ..., mu_2k-2, linear, which put the
-solutions on a line, and delta_10, a quadratic along it; the symmetry and
+generated conditions: mu_2, mu_4, ..., mu_2k-2, linear, solved as moments
+about 1/2, which put the solutions on a line, and delta_10, a quadratic
+along it; the symmetry and
 sum(b) = 1 meet the rest of order (2k, 4).  Its two roots are every
 solution, found exactly.  The 4-stage family's free a_1 then minimises
 Re(mu_4) (``p_abaaa``), what survives the post-step projection.
@@ -25,10 +26,12 @@ RESIDUAL_TOL = 1e-14         # largest residual of an accepted solution
 SCAN_MARGIN = 1e-3           # the scan grid spans [margin, 1/2 - margin]
 MAX_GRID_POINTS = 10 ** 5    # a scan holds its grid's designs at once, about 2.5 KB a point
 STAGES = (4, 6, 8)           # 10 stages would solve to about 1e-11 only
-# the conditions a design of each stage count solves, mu_2, ..., mu_(stages-2)
-# and delta_10, the quadratic, then mu_4: p_abaaa, the 4-stage objective
-DESIGN_CONDITIONS = {stages: tuple(next(x for x in CONDITIONS if x.name == name) for name in (
-    *(f"mu_{j}" for j in range(2, stages - 1, 2)), "delta_10", "mu_4")) for stages in STAGES}
+_NAMED = {cond.name: cond for cond in CONDITIONS}
+MU_4 = _NAMED["mu_4"]        # p_abaaa, the 4-stage objective
+# the conditions a design of each stage count solves: mu_2, ..., mu_(stages-2),
+# then delta_10, the quadratic
+DESIGN_CONDITIONS = {stages: tuple(_NAMED[name] for name in (
+    *(f"mu_{j}" for j in range(2, stages - 1, 2)), "delta_10")) for stages in STAGES}
 
 
 @dataclass
@@ -94,10 +97,12 @@ def _roots(nodes):
     k = nodes.shape[-1] // 2
     base, basis, cols = _frame(k)
     c = nodes.real
-    *linear, quadratic, _ = DESIGN_CONDITIONS[2 * k]
-    rows = np.stack([c ** cond.k for cond in linear], axis=-2)
+    *linear, quadratic = DESIGN_CONDITIONS[2 * k]
+    # each mu_k as its moment about 1/2, sum b_i (c_i - 1/2)^k = 2^-k/den: the
+    # same condition where nodes and kicks mirror, with smaller, better scaled rows
+    rows = np.stack([(c - 0.5) ** cond.k for cond in linear], axis=-2)
     lin = rows @ basis.T
-    rhs = np.array([1.0 / cond.den for cond in linear]) - rows @ base
+    rhs = np.array([0.5 ** cond.k / cond.den for cond in linear]) - rows @ base
     # the free unknown t is the one whose minor has the largest |det|: by
     # Cramer's rule no other unknown then moves faster than t along the line
     minors = lin[..., cols].swapaxes(-3, -2)
@@ -158,8 +163,10 @@ def solve_designs(problems):
         # canonical branch: Im(b1) <= 0 picks one of the conjugate pair deterministically
         best = np.where(best[:, :1].imag > 0.0, np.conjugate(best), best)
         b_full = DesignProblem.full_b(best)
-        *solved, mu_4 = condition_residuals(b_full, nodes[at], DESIGN_CONDITIONS[stages])
-        residual = np.abs(solved).max(axis=0)
+        conds = DESIGN_CONDITIONS[stages]
+        checked = conds if MU_4 in conds else (*conds, MU_4)
+        res = condition_residuals(b_full, nodes[at], checked)
+        residual, mu_4 = np.abs(res[:len(conds)]).max(axis=0), res[checked.index(MU_4)]
         usable = accepted.any(axis=-1)
         for j, i in enumerate(at):
             all_reduced = [tuple(bu) for bu in full[j, :, :k + 1]]
@@ -213,7 +220,7 @@ def _scan_points(a1s):
     at = [i for i, outcome in enumerate(outcomes) if isinstance(outcome, DesignSolution)]
     b = DesignProblem.full_b(np.reshape([outcomes[i].b[:2] for i in at], (-1, 2)))
     c = np.reshape([problems[i].nodes for i in at], (-1, 5))
-    conds = DESIGN_CONDITIONS[4]
+    conds = (*DESIGN_CONDITIONS[4], MU_4)
     # d(mu_2, delta_10, mu_4)/dc_i, k b c^(k-1) for a mu_k, along dc/da1 = (0, 1, 0, -1, 0)
     f_c = np.stack([x.k * b * c ** (x.k - 1) if x.l is None else b * (b.cumsum(-1) - 0.5 * b)
                     for x in conds], axis=-2) @ np.array([0.0, 1.0, 0.0, -1.0, 0.0])

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from cxsplit.designer import RESIDUAL_TOL, DesignProblem, solve_b
+from cxsplit.designer import DESIGN_CONDITIONS, RESIDUAL_TOL, DesignProblem, solve_b
 from cxsplit.errors import CxsplitError
-from cxsplit.order_conditions import order_polys
+from cxsplit.order_conditions import condition_residuals
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -14,8 +14,8 @@ weight = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
 designs = st.one_of(
     st.floats(min_value=0.0, max_value=0.5, exclude_min=True, exclude_max=True).map(
         lambda a1: (4, (a1,))),
-    st.tuples(weight, weight, weight).map(
-        lambda w: (6, tuple(np.divide(w, 2.0 * sum(w))))),
+    *(st.tuples(*[weight] * k).map(lambda w: (2 * len(w), tuple(np.divide(w, 2.0 * sum(w)))))
+      for k in (3, 4)),
 )
 
 
@@ -36,7 +36,7 @@ def test_every_design_is_solved_or_a_typed_error(design):
         b = np.concatenate((reduced, reduced[k - 1::-1]))
         # rounding in p_abb grows with |b|^2
         tol = RESIDUAL_TOL * max(1.0, np.abs(b).max() ** 2)
-        assert np.abs(order_polys(b, problem.nodes)[:k]).max() < tol
+        assert np.abs(condition_residuals(b, problem.nodes, DESIGN_CONDITIONS[stages])).max() < tol
     if any(np.iscomplex(reduced).any() for reduced in roots):
         assert len(roots) == 2
         assert np.array_equal(np.conjugate(roots[0]), roots[1])

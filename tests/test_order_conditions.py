@@ -99,8 +99,9 @@ def test_linear_polys_are_the_linear_rows(n):
     for b, c in _random_kicks(n):
         got = condition_residuals(b, c, MUS)
         want = [c ** cond.k @ b - 1.0 / cond.den for cond in MUS]
-        scale = [np.abs(c) ** cond.k @ np.abs(b) for cond in MUS]     # the sum of |terms|
-        assert np.all(np.abs(got - want) <= 1e-15 * np.array(scale))
+        scale = np.array([np.abs(c) ** cond.k @ np.abs(b) for cond in MUS])  # sum of |terms|
+        scale[:4] = np.minimum(scale[:4], 1.0)    # mu_1 to mu_4 also within 1e-15 absolute
+        assert np.all(np.abs(got - want) <= 1e-15 * scale)
 
 
 def _loop_kahan(terms):
@@ -152,6 +153,10 @@ def test_stacked_jacobian_rows_match_one_design_at_a_time(n):
     # each entry's sum of |terms|: the high powers' Q b cancel far below their row's largest
     scale = order_poly_jacobian(np.abs(b), np.abs(c), CONDITIONS).real
     assert np.all(np.abs(stacked - alone) <= 1e-15 * scale)
+    # the rows of delta_10 and mu_k, k <= 4, also within 1e-15 of their row's largest
+    low = [i for i, x in enumerate(CONDITIONS) if x.name == "delta_10" or (x.l is None and x.k <= 4)]
+    row_max = np.abs(alone[:, low]).max(axis=-1, keepdims=True)
+    assert np.all(np.abs(stacked - alone)[:, low] <= 1e-15 * row_max)
 
 
 @pytest.mark.parametrize("n", range(2, 10))
