@@ -28,8 +28,7 @@ MAX_GRID_POINTS = 10 ** 5    # a scan holds its grid's designs at once, about 2.
 STAGES = (4, 6, 8)           # 10 stages would solve to about 1e-11 only
 _NAMED = {cond.name: cond for cond in CONDITIONS}
 MU_4 = _NAMED["mu_4"]        # p_abaaa, the 4-stage objective
-# the conditions a design of each stage count solves: mu_2, ..., mu_(stages-2),
-# then delta_10, the quadratic
+# what a design of each stage count solves: mu_2, ..., mu_(stages-2), then delta_10
 DESIGN_CONDITIONS = {stages: tuple(_NAMED[name] for name in (
     *(f"mu_{j}" for j in range(2, stages - 1, 2)), "delta_10")) for stages in STAGES}
 
@@ -163,14 +162,12 @@ def solve_designs(problems):
         # canonical branch: Im(b1) <= 0 picks one of the conjugate pair deterministically
         best = np.where(best[:, :1].imag > 0.0, np.conjugate(best), best)
         b_full = DesignProblem.full_b(best)
-        conds = DESIGN_CONDITIONS[stages]
-        checked = conds if MU_4 in conds else (*conds, MU_4)
-        res = condition_residuals(b_full, nodes[at], checked)
-        residual, mu_4 = np.abs(res[:len(conds)]).max(axis=0), res[checked.index(MU_4)]
-        usable = accepted.any(axis=-1)
+        # the residuals, then the objective's, again where it is solved: one O(n) row
+        *solved, mu_4 = condition_residuals(b_full, nodes[at], (*DESIGN_CONDITIONS[stages], MU_4))
+        residual = np.abs(solved).max(axis=0)
         for j, i in enumerate(at):
             all_reduced = [tuple(bu) for bu in full[j, :, :k + 1]]
-            if not usable[j]:
+            if not accepted[j].any():
                 outcomes[idx[i]] = NoStableSolution("all solutions have some Re(b_i) <= 0",
                                                     all_reduced)
             elif not residual[j] <= RESIDUAL_TOL:

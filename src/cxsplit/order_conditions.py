@@ -82,9 +82,8 @@ def residuals(seq):
 
 def quadratic_form(cond, c):
     """Q with delta_kl = b^T Q b / 2 - 1/den: Q_ij = c_max(i,j)^k c_min(i,j)^l, (..., n, n)."""
-    idx = np.arange(c.shape[-1])
-    hi, lo = np.maximum.outer(idx, idx), np.minimum.outer(idx, idx)
-    return c[..., hi] ** cond.k * c[..., lo] ** cond.l
+    i = np.arange(c.shape[-1])
+    return c[..., np.maximum.outer(i, i)] ** cond.k * c[..., np.minimum.outer(i, i)] ** cond.l
 
 
 def order_poly_jacobian(b, c, conds):
