@@ -82,8 +82,9 @@ def residuals(seq):
 
 def quadratic_form(cond, c):
     """Q with delta_kl = b^T Q b / 2 - 1/den: Q_ij = c_max(i,j)^k c_min(i,j)^l, (..., n, n)."""
-    i = np.arange(c.shape[-1])
-    return c[..., np.maximum.outer(i, i)] ** cond.k * c[..., np.minimum.outer(i, i)] ** cond.l
+    idx = np.arange(c.shape[-1])
+    hi, lo = np.maximum.outer(idx, idx), np.minimum.outer(idx, idx)
+    return c[..., hi] ** cond.k * c[..., lo] ** cond.l
 
 
 def order_poly_jacobian(b, c, conds):
