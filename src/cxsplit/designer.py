@@ -12,19 +12,20 @@ Re(mu_4) (``p_abaaa``), what survives the post-step projection.
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (CxsplitError, DesignScanUnreliable, NoSolutionFound,
                      NoStableSolution, ValidationError)
-from .order_conditions import (CONDITIONS, condition_residuals, kicks_of, order_poly_jacobian,
+from .order_conditions import (CONDITIONS, condition_residuals, order_poly_jacobian,
                                quadratic_form)
-from .schemes import Scheme, expand
+from .schemes import Scheme
 
 RESIDUAL_TOL = 1e-14         # largest residual of an accepted solution
 SCAN_MARGIN = 1e-3           # the scan grid spans [margin, 1/2 - margin]
-MAX_GRID_POINTS = 10 ** 5    # a scan holds its grid's designs at once, about 2.5 KB a point
+MAX_GRID_POINTS = 10 ** 5    # a scan holds its grid's solve at once, about 2.0 KB a point
 STAGES = (4, 6, 8)           # 10 stages would solve to about 1e-11 only
 _NAMED = {cond.name: cond for cond in CONDITIONS}
 MU_4 = _NAMED["mu_4"]        # p_abaaa, the 4-stage objective
@@ -51,8 +52,7 @@ class DesignProblem:
                 f"a {'-, '.join(map(str, STAGES[:-1]))}- or {STAGES[-1]}-stage design needs "
                 "stages/2 flow coefficients in (0, 1) with sum 1/2, or a1 alone for 4 stages; got "
                 f"stages={self.stages}, a={self.fixed_a}")
-        # the kick nodes of the composition the stepper runs, rounding included
-        self.nodes = kicks_of(expand(self.scheme((0.0,) * (self.k + 1))))[1]
+        self.nodes = kick_nodes(np.array([self.fixed_a]))[0]
 
     def scheme(self, b, name="designed"):
         """The BAB scheme with these flows and symmetry-reduced kicks b."""
@@ -85,13 +85,25 @@ def _frame(k):
     return frame
 
 
-def _roots(nodes):
-    """Both solutions of B designs of one stage count, nodes (B, n).
+def kick_nodes(flows):
+    """The kick nodes (B, 2k + 1) of a (B, k) stack of reduced real flows: one running
+    sum over the palindromic flows, the sequential sums of ``schemes.expand``."""
+    steps = np.concatenate((np.zeros((len(flows), 1)), flows, flows[:, ::-1]), axis=-1)
+    return np.cumsum(steps, axis=-1).astype(complex)
 
-    Returns (at, u): the rows whose conditions do not degenerate, and their
-    solutions as unknown vectors (len(at), 2, k).  matmul, det, svd, solve
-    and eigvals loop over the leading axis with one row's kernels, so each
-    row gets the bits of its design solved alone.
+
+Solved = namedtuple("Solved", "b residual re_mu_4 status roots")
+SOLVED, UNSTABLE, DEGENERATE, INACCURATE = range(4)    # a status >= DEGENERATE failed
+
+
+def solve_stack(nodes):
+    """Solve a (B, 2k + 1) stack of one stage count's kick nodes, as arrays.
+
+    Returns Solved: per row the reduced kicks b (B, k + 1), the residual,
+    Re(mu_4), a status and both roots (B, 2, k + 1), nan where the row
+    degenerates; ``solve_b``'s choice of root and its checks.  matmul, det,
+    svd, solve and eigvals loop over the leading axis with one row's
+    kernels, so each row gets the bits of its design solved alone.
     """
     k = nodes.shape[-1] // 2
     base, basis, cols = _frame(k)
@@ -135,7 +147,37 @@ def _roots(nodes):
     companion = np.zeros((keep.sum(), 2, 2))
     companion[:, 0], companion[:, 1, 0] = top[keep], 1.0
     t = np.linalg.eigvals(companion).astype(complex)
-    return at[keep], line[keep, :1] + t[..., None] * line[keep, 1:]
+    at, roots = at[keep], line[keep, :1] + t[..., None] * line[keep, 1:]
+    # sorted by (Re b1, Im b1): numpy compares complex numbers in that order
+    roots = np.where((roots[:, 1, :1] < roots[:, 0, :1])[:, None], roots[:, ::-1], roots)
+    u = np.full((len(nodes), 2, k), np.nan, complex)
+    u[at] = roots
+    full = DesignProblem.full_b(u)
+    accepted = full.real.min(axis=-1) > 0.0
+    # min(accepted, key=Im(b1)): the first accepted root of least Im(b1)
+    best = u[np.arange(len(u)), np.where(accepted, u[..., 0].imag, np.inf).argmin(axis=-1)]
+    # canonical branch: Im(b1) <= 0 picks one of the conjugate pair deterministically
+    best = np.where(best[:, :1].imag > 0.0, np.conjugate(best), best)
+    b_full = DesignProblem.full_b(best)
+    # the residuals, then the objective's, again where it is solved: one O(n) row
+    *res, mu_4 = condition_residuals(b_full, nodes, (*DESIGN_CONDITIONS[2 * k], MU_4))
+    residual, status = np.abs(res).max(axis=0), np.full(len(nodes), DEGENERATE)
+    status[at] = np.where(~accepted[at].any(axis=-1), UNSTABLE,
+                          np.where(residual[at] <= RESIDUAL_TOL, SOLVED, INACCURATE))
+    return Solved(b_full[:, :k + 1], residual, mu_4.real, status, full[..., :k + 1])
+
+
+def _outcome(solved, i):
+    """Row i of a solved stack as solve_b's outcome: a DesignSolution, or its error unraised."""
+    b, residual, re_mu_4, status, roots = (column[i] for column in solved)
+    all_reduced = [tuple(reduced) for reduced in roots]
+    if status == SOLVED:
+        return DesignSolution(tuple(b), float(residual), float(re_mu_4), all_reduced)
+    if status == UNSTABLE:
+        return NoStableSolution("all solutions have some Re(b_i) <= 0", all_reduced)
+    why = (f"solution residual {residual:.3e} > {RESIDUAL_TOL:.0e}" if status == INACCURATE
+           else "degenerate linear order conditions")
+    return NoSolutionFound(f"{why} (stages={2 * len(b) - 2})")
 
 
 def solve_designs(problems):
@@ -148,35 +190,9 @@ def solve_designs(problems):
     outcomes = [None] * len(problems)
     for stages in {p.stages for p in problems}:
         idx = [i for i, p in enumerate(problems) if p.stages == stages]
-        for i in idx:      # replaced below wherever the conditions do not degenerate
-            outcomes[i] = NoSolutionFound(f"degenerate linear order conditions (stages={stages})")
-        nodes = np.array([problems[i].nodes for i in idx])
-        at, u = _roots(nodes)
-        k = u.shape[-1]
-        # sorted by (Re b1, Im b1): numpy compares complex numbers in that order
-        u = np.where((u[:, 1, :1] < u[:, 0, :1])[:, None], u[:, ::-1], u)
-        full = DesignProblem.full_b(u)
-        accepted = full.real.min(axis=-1) > 0.0
-        # min(accepted, key=Im(b1)): the first accepted root of least Im(b1)
-        best = u[np.arange(len(u)), np.where(accepted, u[..., 0].imag, np.inf).argmin(axis=-1)]
-        # canonical branch: Im(b1) <= 0 picks one of the conjugate pair deterministically
-        best = np.where(best[:, :1].imag > 0.0, np.conjugate(best), best)
-        b_full = DesignProblem.full_b(best)
-        # the residuals, then the objective's, again where it is solved: one O(n) row
-        *solved, mu_4 = condition_residuals(b_full, nodes[at], (*DESIGN_CONDITIONS[stages], MU_4))
-        residual = np.abs(solved).max(axis=0)
-        for j, i in enumerate(at):
-            all_reduced = [tuple(bu) for bu in full[j, :, :k + 1]]
-            if not accepted[j].any():
-                outcomes[idx[i]] = NoStableSolution("all solutions have some Re(b_i) <= 0",
-                                                    all_reduced)
-            elif not residual[j] <= RESIDUAL_TOL:
-                outcomes[idx[i]] = NoSolutionFound(
-                    f"solution residual {residual[j]:.3e} > {RESIDUAL_TOL:.0e} "
-                    f"(stages={stages})")
-            else:
-                outcomes[idx[i]] = DesignSolution(tuple(b_full[j, :k + 1]), float(residual[j]),
-                                                  float(mu_4[j].real), all_reduced)
+        solved = solve_stack(np.array([problems[i].nodes for i in idx]))
+        for row, i in enumerate(idx):
+            outcomes[i] = _outcome(solved, row)
     return outcomes
 
 
@@ -192,40 +208,29 @@ def solve_b(problem, starts=1, seed=0):
     return outcome
 
 
-def _score(outcome):
-    """(Re(p_abaaa), failed) of an outcome; the value is inf where no kick is usable.
-
-    Minimising the signed real part locates the interior stationary point of
-    Re(p_abaaa); the |Re| global minimum is a sign crossing elsewhere in
-    (0, 1/2) and not a useful design point.  An inadmissible design is
-    excluded, not a failure.
-    """
-    if isinstance(outcome, DesignSolution):
-        return outcome.re_p_abaaa, False
-    return np.inf, isinstance(outcome, NoSolutionFound)
-
-
 def _scan_points(a1s):
-    """Outcomes of the 4-stage designs at a1s, solved as one stack, and dRe(p_abaaa)/da1.
+    """The 4-stage designs at a1s, solved as one stack: (values, failed, slopes, solved).
 
-    The slope is exact, nan where no kick is usable.  The kicks keep mu_2 =
-    delta_10 = 0, so db/da1 = -F_b^-1 F_c dc/da1 (implicit function theorem),
-    with F_b and F_c the conditions' derivatives by the unknowns and nodes.
+    A value is Re(p_abaaa), whose signed least is the interior stationary point
+    (|Re|'s is a sign crossing), inf where no kick is usable: an inadmissible
+    design is excluded, not failed.  The exact slope dRe(p_abaaa)/da1, nan there,
+    keeps mu_2 = delta_10 = 0: db/da1 = -F_b^-1 F_c dc/da1 (implicit function
+    theorem), F_b and F_c the conditions' derivatives by the unknowns and nodes.
     """
-    problems = [DesignProblem(4, (a1,)) for a1 in a1s]
-    outcomes = solve_designs(problems)
-    at = [i for i, outcome in enumerate(outcomes) if isinstance(outcome, DesignSolution)]
-    b = DesignProblem.full_b(np.reshape([outcomes[i].b[:2] for i in at], (-1, 2)))
-    c = np.reshape([problems[i].nodes for i in at], (-1, 5))
+    nodes = kick_nodes(np.stack((a1s, np.subtract(0.5, a1s)), axis=-1))
+    solved = solve_stack(nodes)
+    at = np.flatnonzero(solved.status == SOLVED)
+    b, c = DesignProblem.full_b(solved.b[at, :2]), nodes[at]
     conds = (*DESIGN_CONDITIONS[4], MU_4)
     # d(mu_2, delta_10, mu_4)/dc_i, k b c^(k-1) for a mu_k, along dc/da1 = (0, 1, 0, -1, 0)
     f_c = np.stack([x.k * b * c ** (x.k - 1) if x.l is None else b * (b.cumsum(-1) - 0.5 * b)
                     for x in conds], axis=-2) @ np.array([0.0, 1.0, 0.0, -1.0, 0.0])
     f_u = order_poly_jacobian(b, c, conds) @ _frame(2)[1].T
     du = np.linalg.solve(f_u[:, :2], -f_c[:, :2, None])
-    slopes = np.full(len(problems), np.nan)
+    slopes = np.full(len(a1s), np.nan)
     slopes[at] = (f_u[:, 2:] @ du)[:, 0, 0].real + f_c[:, 2].real
-    return outcomes, slopes
+    values = np.where(solved.status == SOLVED, solved.re_mu_4, np.inf)
+    return values, solved.status >= DEGENERATE, slopes, solved
 
 
 def scan_a1(grid_points=200, seed=0):
@@ -243,26 +248,25 @@ def scan_a1(grid_points=200, seed=0):
         raise ValidationError(
             f"a scan holds at most {MAX_GRID_POINTS} grid points, got {grid_points}")
     grid = np.linspace(SCAN_MARGIN, 0.5 - SCAN_MARGIN, grid_points)
-    outcomes, slopes = _scan_points(grid)
-    values, failed = np.reshape([_score(outcome) for outcome in outcomes], (-1, 2)).T
+    values, failed, slopes, solved = _scan_points(grid)
     if failed.sum() > 0.1 * grid_points:
-        raise DesignScanUnreliable(f"{failed.sum():.0f}/{grid_points} grid points failed to solve")
+        raise DesignScanUnreliable(f"{failed.sum()}/{grid_points} grid points failed to solve")
     if not np.isfinite(values).any():
         raise DesignScanUnreliable("no admissible solution anywhere on the grid")
     idx = int(np.argmin(values))
     near = int(np.clip(idx - np.sign(slopes[idx]), 0, grid_points - 1))
-    # each end: a1, its false-position weight, its slope, its outcome
-    ends, last = [[grid[i], slopes[i], slopes[i], outcomes[i]] for i in sorted((idx, near))], None
+    # each end: a1, its false-position weight, its slope, its solved stack and row
+    ends, last = [[grid[i], slopes[i], slopes[i], solved, i] for i in sorted((idx, near))], None
     while ends[0][0] < (mid := 0.5 * (ends[0][0] + ends[1][0])) < ends[1][0]:
         (lo, w_lo, *_), (hi, w_hi, *_) = ends
         x = lo - w_lo * (hi - lo) / (w_hi - w_lo) if w_lo < 0.0 < w_hi else mid
         x = x if lo < x < hi else mid
-        (outcome,), (slope,) = _scan_points([x])
+        _, _, (slope,), solved = _scan_points([x])
         if abs(slope) <= 0.5 * np.finfo(float).eps:
-            return float(x), outcome
+            return float(x), _outcome(solved, 0)
         # a negative slope replaces the left end, as does no slope where it has none
         side = int(not (slope < 0.0 or (np.isnan(slope) and np.isnan(ends[0][2]))))
         ends[1 - side][1] *= 0.5 if side == last else 1.0    # Illinois: halve an end kept twice
-        ends[side], last = [x, slope, slope, outcome], side
-    a1_opt, _, _, sol = min(ends, key=lambda end: np.nan_to_num(abs(end[2]), nan=np.inf))
-    return float(a1_opt), sol
+        ends[side], last = [x, slope, slope, solved, 0], side
+    a1_opt, _, _, solved, row = min(ends, key=lambda end: np.nan_to_num(abs(end[2]), nan=np.inf))
+    return float(a1_opt), _outcome(solved, row)

@@ -3,8 +3,9 @@ import pytest
 
 from conftest import SM84_B
 from cxsplit import designer
-from cxsplit.designer import (MAX_GRID_POINTS, SCAN_MARGIN, DesignProblem, DesignSolution,
-                              _scan_points, _score, scan_a1, solve_b, solve_designs)
+from cxsplit.designer import (DEGENERATE, MAX_GRID_POINTS, SCAN_MARGIN, SOLVED, UNSTABLE,
+                              DesignProblem, DesignSolution, _scan_points, scan_a1, solve_b,
+                              solve_designs)
 from cxsplit.errors import (CxsplitError, DesignScanUnreliable, NoSolutionFound,
                             NoStableSolution, ValidationError)
 from cxsplit.order_conditions import kicks_of, residuals
@@ -139,8 +140,8 @@ def test_scan_of_more_points_than_it_can_hold_fails_before_any_design(monkeypatc
     def built(*args):
         raise AssertionError("a design was built")
 
-    monkeypatch.setattr(designer, "DesignProblem", built)
-    monkeypatch.setattr(designer, "solve_designs", built)
+    for name in ("DesignProblem", "solve_designs", "kick_nodes", "solve_stack"):
+        monkeypatch.setattr(designer, name, built)
     with pytest.raises(ValidationError,
                        match="^a scan holds at most 100000 grid points, got 100001$"):
         scan_a1(grid_points=MAX_GRID_POINTS + 1)
@@ -149,30 +150,36 @@ def test_scan_of_more_points_than_it_can_hold_fails_before_any_design(monkeypatc
 @pytest.mark.parametrize("a1", [0.13, 0.2, 0.4])
 def test_scan_slope_matches_a_central_difference(a1):
     h = 1e-6
-    (outcome,), (slope,) = _scan_points([a1])
-    assert isinstance(outcome, DesignSolution)
+    _, _, (slope,), solved = _scan_points([a1])
+    assert solved.status[0] == SOLVED
     fd = (solve_b(DesignProblem(4, (a1 + h,))).re_p_abaaa
           - solve_b(DesignProblem(4, (a1 - h,))).re_p_abaaa) / (2.0 * h)
     assert abs(slope - fd) < 1e-6 * abs(fd)
 
 
 def test_scan_slope_is_nan_where_no_kick_is_usable():
-    outcomes, slopes = _scan_points([0.05, 0.2, 5e-324])
-    assert [type(o) for o in outcomes] == [NoStableSolution, DesignSolution, NoSolutionFound]
+    values, failed, slopes, solved = _scan_points([0.05, 0.2, 5e-324])
+    assert list(solved.status) == [UNSTABLE, SOLVED, DEGENERATE]
+    assert list(failed) == [False, False, True] and np.isinf(values[[0, 2]]).all()
     assert np.isnan(slopes[[0, 2]]).all() and np.isfinite(slopes[1])
 
 
+def _every_row(monkeypatch, status):
+    """Make every row of each solved stack report status."""
+    solve_stack = designer.solve_stack
+    monkeypatch.setattr(designer, "solve_stack", lambda nodes: solve_stack(nodes)._replace(
+        status=np.full(len(nodes), status)))
+
+
 def test_scan_counts_failed_grid_points(monkeypatch):
-    monkeypatch.setattr(designer, "solve_designs",
-                        lambda problems: [NoSolutionFound("failed")] * len(problems))
+    _every_row(monkeypatch, DEGENERATE)
     with pytest.raises(DesignScanUnreliable, match="^50/50 grid points failed to solve$"):
         scan_a1(grid_points=50)
 
 
 def test_scan_with_no_admissible_design_is_unreliable(monkeypatch):
     # no failures, so the failed share passes; no grid point has a usable kick
-    monkeypatch.setattr(designer, "solve_designs",
-                        lambda problems: [NoStableSolution("Re(b) <= 0")] * len(problems))
+    _every_row(monkeypatch, UNSTABLE)
     with pytest.raises(DesignScanUnreliable,
                        match="^no admissible solution anywhere on the grid$"):
         scan_a1(grid_points=50)
@@ -226,15 +233,19 @@ def _assert_same_outcome(got, want):
 @pytest.mark.parametrize("grid_points", [50, 200])
 def test_batched_grid_scores_match_the_per_design_loop(grid_points):
     grid = np.linspace(SCAN_MARGIN, 0.5 - SCAN_MARGIN, grid_points)
-    batched = [_score(outcome) for outcome in
-               solve_designs([DesignProblem(4, (a1,)) for a1 in grid])]
-    # the reference: one design at a time
-    alone = [_score(_alone(DesignProblem(4, (a1,)))) for a1 in grid]
-    values, want = np.array([v for v, _ in batched]), np.array([v for v, _ in alone])
-    assert [f for _, f in batched] == [f for _, f in alone]
+    values, failed, slopes, _ = _scan_points(grid)
+    # the reference: one design at a time, Re(p_abaaa) where a kick is usable, else inf
+    alone = [_alone(DesignProblem(4, (a1,))) for a1 in grid]
+    want = np.array([o.re_p_abaaa if isinstance(o, DesignSolution) else np.inf for o in alone])
+    assert list(failed) == [isinstance(o, NoSolutionFound) for o in alone]
     assert np.argmin(values) == np.argmin(want)
     assert np.isfinite(want).sum() >= grid_points // 2
     assert values.tobytes() == want.tobytes()         # every value bit for bit, inf included
+    # a stacked order_poly_jacobian lays out its Q b products otherwise than one design's,
+    # so a slope may move by a rounding unit of its O(1) terms, the scan's stop rule
+    want = np.concatenate([_scan_points([a1])[2] for a1 in grid])
+    assert (np.isnan(slopes) == np.isnan(want)).all()
+    assert np.nanmax(np.abs(slopes - want)) <= np.finfo(float).eps
 
 
 def test_a_mixed_batch_gives_each_design_its_own_outcome():
@@ -248,7 +259,6 @@ def test_a_mixed_batch_gives_each_design_its_own_outcome():
     assert "degenerate" in str(outcomes[1]) and "residual" in str(outcomes[3])
     for problem, outcome in zip(problems, outcomes):
         _assert_same_outcome(outcome, _alone(problem))
-    assert [_score(o)[1] for o in outcomes] == [False, True, False, True, False, False]
 
 
 def test_random_six_stage_batch_matches_solve_b():

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from cxsplit.designer import DESIGN_CONDITIONS, RESIDUAL_TOL, DesignProblem, solve_b
+from cxsplit.designer import DESIGN_CONDITIONS, RESIDUAL_TOL, DesignProblem, kick_nodes, solve_b
 from cxsplit.errors import CxsplitError
-from cxsplit.order_conditions import condition_residuals
+from cxsplit.order_conditions import condition_residuals, kicks_of
+from cxsplit.schemes import expand
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -40,3 +41,26 @@ def test_every_design_is_solved_or_a_typed_error(design):
     if any(np.iscomplex(reduced).any() for reduced in roots):
         assert len(roots) == 2
         assert np.array_equal(np.conjugate(roots[0]), roots[1])
+
+
+# flows of one stage count, each flow at least 1/200 so that every design is valid
+stacks = st.one_of(
+    st.lists(st.floats(min_value=0.0, max_value=0.5, exclude_min=True, exclude_max=True).map(
+        lambda a1: (a1,)), min_size=1, max_size=8),
+    *(st.lists(st.tuples(*[st.floats(min_value=0.01, max_value=1.0)] * k).map(
+        lambda w: tuple(np.divide(w, 2.0 * sum(w)))), min_size=1, max_size=8) for k in (3, 4)),
+)
+
+
+# where mirroring rounds 1 ulp away from expand's sums (test_designer's _mirrored_nodes)
+@hypothesis.example([(0.01594,), (0.2,)])
+@hypothesis.example([(1 / 6, 1 / 6, 1 / 6)])
+@hypothesis.settings(database=None, derandomize=True, deadline=None, max_examples=200)
+@hypothesis.given(stacks)
+def test_stacked_kick_nodes_are_the_nodes_expand_makes(flows):
+    problems = [DesignProblem(2 * max(len(a), 2), a) for a in flows]
+    nodes = kick_nodes(np.array([problem.fixed_a for problem in problems]))
+    for problem, row in zip(problems, nodes):
+        want = kicks_of(expand(problem.scheme((0.1 - 0.2j,) * (problem.k + 1))))[1]
+        assert row.dtype == want.dtype
+        assert row.tobytes() == want.tobytes()

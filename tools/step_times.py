@@ -16,8 +16,11 @@ fastest of R timings of SOLVES ``solve_b`` calls, in microseconds per call,
 for each stage count of ``designer.STAGES`` (SM4's a1, else equal flows),
 and of one ``scan_a1`` at each of SCAN_GRIDS points, in milliseconds, with
 the count of one-design ``_scan_points`` calls the scan makes after its
-grid.  Alternate two checkouts' runs to compare them: the host's speed
-drifts.
+grid; then of ``_scan_points`` on the 50-point scan grid, and of scoring
+STACK seeded random 6-stage flows, from the flows array to each row's
+Re(p_abaaa) (inf where no kick is usable), both in milliseconds, with the
+count of rows scored finite.  Alternate two checkouts' runs to compare
+them: the host's speed drifts.
 """
 
 from __future__ import annotations
@@ -51,6 +54,8 @@ ORACLES = {"split": problems._splitting_oracle, "rk4": problems._classical_oracl
 ORACLE_REPEATS = 3
 SOLVES = 200                 # solve_b calls per timing
 SCAN_GRIDS = (50, 200)       # scan_a1 grid sizes
+POINTS_CALLS = 20            # _scan_points calls per timing
+STACK = 10 ** 4              # random 6-stage flows scored per timing
 
 
 def us_per_step(name, n_grid, method, n_steps, repeats):
@@ -100,14 +105,46 @@ def scan_ms(grid_points, repeats):
     return 1e3 * best, sizes.count(1)
 
 
+def points_ms(grid_points, repeats):
+    """The fastest of `repeats` timings of _scan_points on a scan grid, in ms per call."""
+    grid = np.linspace(designer.SCAN_MARGIN, 0.5 - designer.SCAN_MARGIN, grid_points)
+    return 1e3 * min(timeit.repeat(lambda: designer._scan_points(grid), number=POINTS_CALLS,
+                                   repeat=repeats)) / POINTS_CALLS
+
+
+def stack_scores(flows):
+    """Re(p_abaaa) of the 6-stage designs with reduced flows (B, 3), inf where no kick is
+    usable: kick_nodes and solve_stack, or DesignProblems and solve_designs in a checkout
+    that has no solve_stack."""
+    if hasattr(designer, "solve_stack"):
+        solved = designer.solve_stack(designer.kick_nodes(flows))
+        return np.where(solved.status == designer.SOLVED, solved.re_mu_4, np.inf)
+    outcomes = designer.solve_designs([designer.DesignProblem(6, tuple(a)) for a in flows])
+    return np.array([designer._score(outcome)[0] for outcome in outcomes])
+
+
+def stack_ms(repeats):
+    """The fastest of `repeats` scorings of STACK seeded random 6-stage flows in ms, and the
+    count of rows scored finite."""
+    weights = np.random.default_rng(0).uniform(0.02, 1.0, (STACK, 3))
+    flows = weights / (2.0 * weights.sum(axis=1, keepdims=True))
+    best = min(timeit.repeat(lambda: stack_scores(flows), number=1, repeat=repeats))
+    return 1e3 * best, int(np.isfinite(stack_scores(flows)).sum())
+
+
 def designer_lines(repeats):
-    """Print the solve_b time of each stage count, then each scan's time and solve count."""
+    """Print the solve_b time of each stage count, each scan's time and solve count, the
+    50-point _scan_points time and the 6-stage stack's scoring time."""
     for stages in designer.STAGES:
         print(f"designer solve_b stages={stages} {solve_us(stages, repeats):.1f} us", flush=True)
     for grid_points in SCAN_GRIDS:
         ms, solves = scan_ms(grid_points, repeats)
         print(f"designer scan_a1 grid_points={grid_points} {ms:.2f} ms "
               f"one_design_solves={solves}", flush=True)
+    print(f"designer _scan_points grid_points={SCAN_GRIDS[0]} "
+          f"{points_ms(SCAN_GRIDS[0], repeats):.3f} ms", flush=True)
+    ms, finite = stack_ms(repeats)
+    print(f"designer score stages=6 flows={STACK} {ms:.1f} ms finite={finite}", flush=True)
 
 
 def main(args):
