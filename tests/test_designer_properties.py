@@ -43,7 +43,7 @@ def test_every_design_is_solved_or_a_typed_error(design):
         assert np.array_equal(np.conjugate(roots[0]), roots[1])
 
 
-# flows of one stage count, each flow at least 1/200 so that every design is valid
+# stacks of one stage count: a1 alone for 4 stages, else weights >= 0.01, so every design is valid
 stacks = st.one_of(
     st.lists(st.floats(min_value=0.0, max_value=0.5, exclude_min=True, exclude_max=True).map(
         lambda a1: (a1,)), min_size=1, max_size=8),
@@ -58,7 +58,7 @@ stacks = st.one_of(
 @hypothesis.settings(database=None, derandomize=True, deadline=None, max_examples=200)
 @hypothesis.given(stacks)
 def test_stacked_kick_nodes_are_the_nodes_expand_makes(flows):
-    problems = [DesignProblem(2 * max(len(a), 2), a) for a in flows]
+    problems = [DesignProblem(4 if len(a) == 1 else 2 * len(a), a) for a in flows]
     nodes = kick_nodes(np.array([problem.fixed_a for problem in problems]))
     for problem, row in zip(problems, nodes):
         want = kicks_of(expand(problem.scheme((0.1 - 0.2j,) * (problem.k + 1))))[1]
