@@ -221,7 +221,8 @@ def _scan_points(a1s):
     """
     nodes = kick_nodes(np.stack((a1s, np.subtract(0.5, a1s)), axis=-1))
     solved = solve_stack(nodes)
-    at = np.flatnonzero(solved.status == SOLVED)
+    usable = solved.status == SOLVED
+    at = np.flatnonzero(usable)
     b, c = DesignProblem.full_b(solved.b[at, :2]), nodes[at]
     conds = (*DESIGN_CONDITIONS[4], MU_4)
     # d(mu_2, delta_10, mu_4)/dc_i, k b c^(k-1) for a mu_k, along dc/da1 = (0, 1, 0, -1, 0)
@@ -231,8 +232,7 @@ def _scan_points(a1s):
     du = np.linalg.solve(f_u[:, :2], -f_c[:, :2, None])
     slopes = np.full(len(a1s), np.nan)
     slopes[at] = (f_u[:, 2:] @ du)[:, 0, 0].real + f_c[:, 2].real
-    values = np.where(solved.status == SOLVED, solved.re_mu_4, np.inf)
-    return values, solved.status >= DEGENERATE, slopes, solved
+    return np.where(usable, solved.re_mu_4, np.inf), solved.status >= DEGENERATE, slopes, solved
 
 
 def scan_a1(grid_points=200, seed=0):
