@@ -2,8 +2,7 @@
 evolution equations, with the order-condition algebra to re-derive the
 fourth-order schemes and a benchmark harness."""
 
-from .designer import (DesignProblem, DesignSolution, scan_a1, solve_b,
-                       solve_designs)
+from .designer import DesignProblem, DesignSolution, scan_a1, solve_b
 from .order_conditions import Residuals, residuals
 from .problems import (FisherProblem, OscillatorProblem, ParabolicProblem,
                        make_problem, reference_solution)

@@ -182,29 +182,13 @@ def _outcome(solved, i):
     return NoSolutionFound(f"{why} (stages={2 * len(b) - 2})")
 
 
-def solve_designs(problems):
-    """Solve the kicks of many fixed-a designs at once, one outcome per design.
-
-    An outcome is the DesignSolution that ``solve_b`` returns for the design,
-    or the NoSolutionFound or NoStableSolution that it raises, unraised.
-    The designs of each stage count are solved as one stack.
-    """
-    outcomes = [None] * len(problems)
-    for stages in {p.stages for p in problems}:
-        idx = [i for i, p in enumerate(problems) if p.stages == stages]
-        solved = solve_stack(np.array([problems[i].nodes for i in idx]))
-        for row, i in enumerate(idx):
-            outcomes[i] = _outcome(solved, row)
-    return outcomes
-
-
 def solve_b(problem, starts=1, seed=0):
     """Solve the order conditions for the kicks of a fixed-a BAB design, exactly.
 
     ``starts`` and ``seed`` are accepted and unused, as are ``scan_a1``'s
     ``seed`` and ``design --seed``: perfbench and the acceptance test pass them.
     """
-    outcome, = solve_designs([problem])
+    outcome = _outcome(solve_stack(problem.nodes[None]), 0)
     if isinstance(outcome, CxsplitError):
         raise outcome
     return outcome

@@ -4,8 +4,8 @@ import pytest
 from conftest import SM84_B
 from cxsplit import designer
 from cxsplit.designer import (DEGENERATE, MAX_GRID_POINTS, SCAN_MARGIN, SOLVED, UNSTABLE,
-                              DesignProblem, DesignSolution, _scan_points, scan_a1, solve_b,
-                              solve_designs)
+                              DesignProblem, DesignSolution, _outcome, _scan_points, kick_nodes,
+                              scan_a1, solve_b, solve_stack)
 from cxsplit.errors import (CxsplitError, DesignScanUnreliable, NoSolutionFound,
                             NoStableSolution, ValidationError)
 from cxsplit.order_conditions import kicks_of, residuals
@@ -140,7 +140,7 @@ def test_scan_of_more_points_than_it_can_hold_fails_before_any_design(monkeypatc
     def built(*args):
         raise AssertionError("a design was built")
 
-    for name in ("DesignProblem", "solve_designs", "kick_nodes", "solve_stack"):
+    for name in ("DesignProblem", "kick_nodes", "solve_stack"):
         monkeypatch.setattr(designer, name, built)
     with pytest.raises(ValidationError,
                        match="^a scan holds at most 100000 grid points, got 100001$"):
@@ -248,12 +248,22 @@ def test_batched_grid_scores_match_the_per_design_loop(grid_points):
     assert np.nanmax(np.abs(slopes - want)) <= np.finfo(float).eps
 
 
+def _stack_outcomes(flows):
+    """Each row's outcome from one solve_stack call on the kick nodes of flows (B, k)."""
+    solved = solve_stack(kick_nodes(np.asarray(flows)))      # raises nothing for a failing row
+    return [_outcome(solved, i) for i in range(len(flows))]
+
+
 def test_a_mixed_batch_gives_each_design_its_own_outcome():
     designs = [(4, (SM4.a[0],)), (4, (5e-324,)), (4, (0.05,)),
                (6, (0.25002717906008337, 2.9600062037488e-13, 0.24997282093962064)),
                (6, (1 / 6, 1 / 6, 1 / 6)), (4, (0.3,))]
     problems = [DesignProblem(*design) for design in designs]
-    outcomes = solve_designs(problems)           # raises nothing for a failing row
+    outcomes = [None] * len(problems)
+    for stages in (4, 6):           # one stack per stage count
+        rows = [i for i, problem in enumerate(problems) if problem.stages == stages]
+        for i, outcome in zip(rows, _stack_outcomes([problems[i].fixed_a for i in rows])):
+            outcomes[i] = outcome
     assert [type(o) for o in outcomes] == [DesignSolution, NoSolutionFound, NoStableSolution,
                                            NoSolutionFound, DesignSolution, DesignSolution]
     assert "degenerate" in str(outcomes[1]) and "residual" in str(outcomes[3])
@@ -261,10 +271,11 @@ def test_a_mixed_batch_gives_each_design_its_own_outcome():
         _assert_same_outcome(outcome, _alone(problem))
 
 
-def test_random_six_stage_batch_matches_solve_b():
-    weights = np.random.default_rng(20).uniform(0.02, 1.0, (300, 3))
-    problems = [DesignProblem(6, tuple(w / (2.0 * w.sum()))) for w in weights]
-    outcomes = solve_designs(problems)
+@pytest.mark.parametrize("stages", [4, 6, 8])
+def test_random_batch_matches_solve_b(stages):
+    weights = np.random.default_rng(20).uniform(0.02, 1.0, (300, stages // 2))
+    flows = weights / (2.0 * weights.sum(axis=1, keepdims=True))
+    outcomes = _stack_outcomes(flows)
     assert sum(isinstance(o, DesignSolution) for o in outcomes) >= 100
-    for problem, outcome in zip(problems, outcomes):
-        _assert_same_outcome(outcome, _alone(problem))
+    for a, outcome in zip(flows, outcomes):
+        _assert_same_outcome(outcome, _alone(DesignProblem(stages, tuple(a))))

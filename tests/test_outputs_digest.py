@@ -59,6 +59,29 @@ def test_expand_digest_sees_a_one_ulp_coefficient_change(name, kind, index):
     assert moved[:3] == fields[:3] and len(moved) == 4
 
 
+# not SM(8,4): a 1-ulp change of one of its equal flows leaves every bit of its solution
+@pytest.mark.parametrize("index", [0, 2, 4], ids=["SM4", "unstable", "SM64"])
+def test_design_digest_sees_a_one_ulp_flow_change(index):
+    tool = load_tool()
+    stages, fixed_a = tool.DESIGNS[index]
+    line = tool.design_line(stages, fixed_a)
+    fields = line.split()
+    assert fields[:3] == ["solve_b", f"stages={stages}", f"a={','.join(map(repr, fixed_a))}"]
+    key, digest = fields[-1].split("=")
+    assert key == ("roots_sha256" if index == 2 else "sha256") and len(digest) == 64
+    assert tool.design_line(stages, fixed_a) == line
+    nudged = (math.nextafter(fixed_a[0], math.inf), *fixed_a[1:])     # one ulp up
+    moved = tool.design_line(stages, nudged).split()
+    assert moved[2] != fields[2] and moved[-1] != fields[-1]    # the flows and the digest moved
+    assert moved[:2] + moved[3:-1] == fields[:2] + fields[3:-1]
+
+
+def test_design_digest_reports_the_error():
+    assert load_tool().design_line(4, (5e-324,)) == (
+        "solve_b stages=4 a=5e-324 error NoSolutionFound: "
+        "degenerate linear order conditions (stages=4)")
+
+
 def test_run_digest_reports_the_error():
     line = load_tool().run_line("osc", "sm4", "exact", "literal", 16)
     assert line == ("run osc sm4 exact literal 16 error ValidationError: "

@@ -9,6 +9,9 @@ grids.  Run it on two checkouts and ``diff`` the outputs.  It prints:
 - the exit code and output of ``validate`` on the builtin schemes, and of
   ``design`` on perfbench's design-scan commands, the default 200-point
   ``--scan`` and the 8-stage design at equal flows;
+- one line per ``solve_b`` on each design of ``DESIGNS``: the error's type
+  and message, and for a ``NoStableSolution`` the sha256 of its roots, or
+  the sha256 of the solution's kicks, residual, Re(p_abaaa) and every root;
 - the exit code and output of ``validate`` on each file of ``scheme_files``,
   written to a temporary directory and named relative to it: every builtin
   serialized with ``symmetric=true`` and ``false``, and malformed variants;
@@ -39,17 +42,29 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 if __name__ == "__main__":      # the checkout to digest, put first before cxsplit is imported
     CHECKOUT = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).parent.parent).resolve()
     sys.path[:0] = [str(CHECKOUT / "src"), str(CHECKOUT / "perfbench")]
 
-from cxsplit import bench, cli, problems  # noqa: E402
-from cxsplit.errors import CxsplitError  # noqa: E402
+from cxsplit import bench, cli, designer, problems  # noqa: E402
+from cxsplit.errors import CxsplitError, NoStableSolution  # noqa: E402
 from cxsplit.schemes import (FILE_TOL, builtin_names, builtin_scheme, expand,  # noqa: E402
                              load_scheme, serialize_scheme)
 from cxsplit.stepper import A_FLOW_KINDS, FREEZE_NODES, integrate_with  # noqa: E402
 
 RUN_STEPS = (16, 64)
+#: (stages, fixed_a) of each solve_b line: SM4's a1, a degenerate, an unstable and an
+#: inaccurate design, equal 6-stage flows, an interior a1 and SM(8,4)'s equal flows
+DESIGNS = ((4, (builtin_scheme("SM4").a[0],)), (4, (5e-324,)), (4, (0.05,)),
+           (6, (0.25002717906008337, 2.9600062037488e-13, 0.24997282093962064)),
+           (6, (1 / 6,) * 3), (4, (0.3,)), (8, (1 / 8,) * 4))
+
+
+def _sha256(*arrays):
+    """The sha256 of the bytes of each array as complex, in order."""
+    return hashlib.sha256(b"".join(np.asarray(a, complex).tobytes() for a in arrays)).hexdigest()
 
 
 def run_line(problem_name, method, kind, freeze, n_steps):
@@ -65,6 +80,20 @@ def run_line(problem_name, method, kind, freeze, n_steps):
     digest = hashlib.sha256(state.values.tobytes()).hexdigest()
     return (f"{head} sha256={digest} t={state.t!r} a_flow_evals={record.a_flow_evals} "
             f"kernel_evals={record.kernel_evals}")
+
+
+def design_line(stages, fixed_a):
+    """The digest of solve_b on one design: its error, or its solution's bytes."""
+    head = f"solve_b stages={stages} a={','.join(map(repr, fixed_a))}"
+    try:
+        solution = designer.solve_b(designer.DesignProblem(stages, fixed_a))
+    except NoStableSolution as exc:
+        return f"{head} error NoStableSolution: {exc} roots_sha256={_sha256(exc.solutions)}"
+    except CxsplitError as exc:
+        return f"{head} error {type(exc).__name__}: {exc}"
+    digest = _sha256(solution.b, [solution.residual_norm, solution.re_p_abaaa],
+                     solution.all_solutions)
+    return f"{head} sha256={digest}"
 
 
 def expand_line(label, scheme):
@@ -151,6 +180,8 @@ def main(argv):
                     ("design", "--stages", "4", "--scan"),
                     ("design", "--stages", "8")):
         print("\n".join(cli_lines(*command)), flush=True)
+    for stages, fixed_a in DESIGNS:
+        print(design_line(stages, fixed_a), flush=True)
     for name in builtin_names():
         print(expand_line(name, builtin_scheme(name)), flush=True)
     cwd = os.getcwd()

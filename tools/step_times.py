@@ -114,13 +114,9 @@ def points_ms(grid_points, repeats):
 
 def stack_scores(flows):
     """Re(p_abaaa) of the 6-stage designs with reduced flows (B, 3), inf where no kick is
-    usable: kick_nodes and solve_stack, or DesignProblems and solve_designs in a checkout
-    that has no solve_stack."""
-    if hasattr(designer, "solve_stack"):
-        solved = designer.solve_stack(designer.kick_nodes(flows))
-        return np.where(solved.status == designer.SOLVED, solved.re_mu_4, np.inf)
-    outcomes = designer.solve_designs([designer.DesignProblem(6, tuple(a)) for a in flows])
-    return np.array([designer._score(outcome)[0] for outcome in outcomes])
+    usable: kick_nodes, then solve_stack."""
+    solved = designer.solve_stack(designer.kick_nodes(flows))
+    return np.where(solved.status == designer.SOLVED, solved.re_mu_4, np.inf)
 
 
 def stack_ms(repeats):
