@@ -19,19 +19,18 @@ import errno
 import hashlib
 import math
 import os
-import pickle
-import signal
 import struct
 import tempfile
 import time
 from dataclasses import dataclass, fields
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (CxsplitError, ReferenceInconsistent, ReferenceTooCostly, StepFailed,
-                     ValidationError)
-from .propagators import CirculantLaplacian, exp_2x2, exp_circulant
+from .errors import ReferenceInconsistent, ReferenceTooCostly, StepFailed, ValidationError
+from .forking import run_forked
+from .propagators import CirculantLaplacian, exp_2x2, exp_circulant, weighted_sum
 from .schemes import builtin_scheme
 from .stepper import StepperConfig, integrate
 
@@ -41,6 +40,8 @@ TWO_PI = 2.0 * math.pi
 REF_SPLIT_STEPS = 2 ** 16
 REF_OSC_RK4_STEPS = 2 ** 20
 REF_PDE_RK4_MIN_STEPS = 2 ** 12
+# The osc RK4 loop tabulates its time terms this many steps at a time
+RK4_CHUNK = 1024
 REF_AGREE_TOL = 1e-10
 REF_MAGIC = b"CXSPLITR"
 # A reference whose RK4 oracle makes more state updates (rk4_steps * dim) than
@@ -106,35 +107,52 @@ class OscillatorProblem(Problem):
     def u0(self):
         return np.array([self.q0, self.p0], dtype=complex)
 
-    # Both kernels take a (q, p) pair, the run's initial ndarray (read once,
-    # with tolist) or a tuple (taken as given), and return a (q, p) tuple of
-    # Python numbers: on a 2-component state numpy's per-call overhead would
-    # be the whole cost.  The tuple passes from stage to stage and from step
-    # to step, projected by each step's finish onto floats; only the run's
-    # end makes it an ndarray.  A float pair stays floats through the A-flows
-    # and real kicks, and a complex kick makes it complex: on a float the
-    # arithmetic is the real part of the complex one, bit for bit.
-    # Squares are products: x ** 2 calls libm's pow, slower than x * x and
-    # not always correctly rounded.
+    # A time half's rows are floats: (c, s, n) of exp = [[c, s], [n, c]] per A-call,
+    # (w_2 t, 1 + 2 cos(d t), tau * epsilon) per kick.  Both state halves take a (q, p)
+    # pair, the run's initial ndarray (read once, with tolist) or a tuple (taken as
+    # given), and return a (q, p) tuple of Python numbers: on a 2-component state
+    # numpy's per-call overhead would be the whole cost.  The tuple passes from stage
+    # to stage and from step to step, projected by each step's finish onto floats;
+    # only the run's end makes it an ndarray.  A float pair stays floats through the
+    # A-flows and real kicks, and a complex kick makes it complex: on a float the
+    # arithmetic is the real part of the complex one, bit for bit.  Squares are
+    # products: x ** 2 calls libm's pow, slower than x * x and not always correctly
+    # rounded.
 
-    def a_frozen_exp(self, times, weights, duration, state):
-        # sum_i w_i A(t_i) = w_sum * [[0, 1], [-omega_sq / w_sum, 0]], with
-        # Omega(t) = 1 + cos(1.5 t) / 2
-        cos, omega_sq, w_sum = math.cos, 0.0, 0.0
-        for t, w in zip(times, weights):
-            omega = 1.0 + 0.5 * cos(1.5 * t)
-            omega_sq += w * (omega * omega)
-            w_sum += w
+    def a_frozen_coeffs(self, times, calls, tau):
+        # Omega(t)^2 at each time, with Omega(t) = 1 + cos(1.5 t) / 2, for every
+        # call; sum_i w_i A(t_i) = w_sum * [[0, 1], [-omega_sq / w_sum, 0]]
+        cos = math.cos
+        squares = [[o * o for t in ts for o in [1.0 + 0.5 * cos(1.5 * t)]] for ts in times]
+        cols = []
+        for weights, factor in calls:
+            w_sum = 0.0
+            for w in weights:
+                w_sum += w
+            omega_sq = weighted_sum(squares, weights)
+            if w_sum == 0.0:    # [[0, 0], [-omega_sq, 0]] is nilpotent: exp is I + duration * it
+                cols.append(zip(repeat(1.0), repeat(0.0), [-(factor * tau * x) for x in omega_sq]))
+            else:
+                if w_sum != 1.0:    # x / 1.0 is x: the A_FLOWS weights sum to 1
+                    omega_sq = [x / w_sum for x in omega_sq]
+                cols.append(zip(*exp_2x2(omega_sq, factor * tau * w_sum)))
+        return cols
+
+    def b_kick_coeffs(self, t_frozen, tau):
+        cos, w_mid, w_step = math.cos, OMEGA_MID, OMEGA_STEP
+        return zip([w_mid * t for t in t_frozen], [1.0 + 2.0 * cos(w_step * t) for t in t_frozen],
+                   repeat(tau * self.epsilon))
+
+    def a_frozen_exp(self, row, state):
+        c, s, n = row
         q, p = state if type(state) is tuple else state.tolist()
-        if w_sum == 0.0:   # [[0, 0], [-omega_sq, 0]] is nilpotent: exp is I + duration * it
-            return q, p - duration * omega_sq * q
-        return exp_2x2(omega_sq / w_sum, duration * w_sum, (q, p))
+        return c * q + s * p, n * q + c * p
 
-    def b_kick(self, t_frozen, tau, state):
+    def b_kick(self, row, state):
+        y, force, tau_eps = row
         q, p = state if type(state) is tuple else state.tolist()
         sin = math.sin if type(q) is float else cmath.sin
-        kick = sin(q - OMEGA_MID * t_frozen) * (1.0 + 2.0 * math.cos(OMEGA_STEP * t_frozen))
-        return q, p - tau * self.epsilon * kick
+        return q, p - tau_eps * (sin(q - y) * force)
 
     def rk4_oracle(self):   # floats: no numpy overhead on a 2-vector
         return np.array(_rk4_osc(self.epsilon, *self.u0().real.tolist(), self.t0, self.tf,
@@ -176,27 +194,34 @@ class ParabolicProblem(Problem):
     def u0(self):
         return self.sin_2pi_x.copy()
 
-    def a_frozen_exp(self, times, weights, duration, state):
-        # alpha(t) ** 2 written out, cheaper than a method call per time, as
-        # a left fold: sum() rounds differently from Python 3.12 on
-        coeff, mu, w_t, cos = 0.0, self.mu, self.w, math.cos
-        for t, w in zip(times, weights):
-            coeff += w * (0.25 + mu * cos(w_t * t)) ** 2
-        return exp_circulant(self.lap, duration * coeff, state)
+    def a_frozen_coeffs(self, times, calls, tau):
+        # the durations factor tau sum_i w_i alpha(t_i) ** 2, alpha written out (cheaper than
+        # a method call), folded left: sum() rounds differently from Python 3.12 on
+        mu, w_t, cos = self.mu, self.w, math.cos
+        squares = [[(0.25 + mu * cos(w_t * t)) ** 2 for t in ts] for ts in times]
+        return [[factor * tau * x for x in weighted_sum(squares, weights)]
+                for weights, factor in calls]
 
-    def b_kick(self, t_frozen, tau, state):
-        # exp(tau V(x, t)) = exp(0.3 tau (1 - e^-t)) * exp(0.1 tau sin(2 pi x)):
-        # the second factor depends only on tau = b_i h, which repeats every step.
-        # It is kept by tau's value, as the keys compare (complex(x) == x), so a
-        # real-valued tau gets the real exponential whatever its type
+    def b_kick_coeffs(self, t_frozen, tau):
+        # exp(tau V(x, t)) = exp(0.3 tau (1 - e^-t)) * exp(0.1 tau sin(2 pi x)): a row
+        # is the first factor's exponent and the second factor, which depends only on
+        # tau = b_i h, which repeats every step.  It is kept by tau's value, as the keys
+        # compare (complex(x) == x), so a real tau gets the real exponential in any type
         factor = self._kick_factors.get(tau)
         if factor is None:
             if len(self._kick_factors) >= KICK_FACTORS_KEPT:
                 self._kick_factors.clear()
             factor = self._kick_factors[tau] = np.exp((tau if tau.imag else tau.real)
                                                       * (0.1 * self.sin_2pi_x))
-        exp = math.exp if isinstance(tau, float) else cmath.exp    # keeps a real state real
-        return state * (exp(tau * (0.3 * (1.0 - math.exp(-t_frozen)))) * factor)
+        return zip([tau * (0.3 * (1.0 - math.exp(-t))) for t in t_frozen], repeat(factor))
+
+    def a_frozen_exp(self, duration, state):
+        return exp_circulant(self.lap, duration, state)
+
+    def b_kick(self, row, state):
+        x, factor = row
+        exp = math.exp if isinstance(x, float) else cmath.exp    # keeps a real state real
+        return state * (exp(x) * factor)
 
     def apply_laplacian(self, u):
         return (np.roll(u, 1) + np.roll(u, -1) - 2.0 * u) / self.dx ** 2
@@ -213,10 +238,13 @@ class FisherProblem(ParabolicProblem):
     def gamma(self, t):
         return (2.0 - math.exp(-self.beta * t)) / 100.0
 
-    def b_kick(self, t_frozen, tau, state):
-        # exact logistic flow with gamma frozen at a real time
-        exp = math.exp if isinstance(tau, float) else cmath.exp    # keeps a real state real
-        grow = exp(self.gamma(t_frozen) * tau)
+    def b_kick_coeffs(self, t_frozen, tau):
+        # exact logistic flow with gamma frozen at a real time: a row is gamma(t) tau
+        return [self.gamma(t) * tau for t in t_frozen]
+
+    def b_kick(self, x, state):
+        exp = math.exp if isinstance(x, float) else cmath.exp    # keeps a real state real
+        grow = exp(x)
         d = state * (grow - 1.0)
         # the denominator is 1 + d: |d|^2 < 0.81 puts every |1 + d_i| at 0.1 or
         # more, and a larger, NaN or infinite norm runs the exact test (fmin
@@ -263,40 +291,43 @@ def rk4_integrate(rhs, u0, t0, tf, n_steps):
     return u
 
 
+def _osc_terms(epsilon, t):
+    """-Omega(t)^2, w_2 t and epsilon * (1 + 2 cos(d t)) at the times of the float64 array t,
+    as lists; np.cos gives the bits of math.cos."""
+    omega = 1.0 + 0.5 * np.cos(1.5 * t)
+    return [(-(omega * omega)).tolist(), (OMEGA_MID * t).tolist(),
+            (epsilon * (1.0 + 2.0 * np.cos(OMEGA_STEP * t))).tolist()]
+
+
 def _rk4_osc(epsilon, q, p, t0, tf, n_steps):
     """The RK4 loop on the oscillator's right-hand side, written out on local floats.
 
     dq/dt = p, dp/dt = -Omega(t)^2 q - epsilon * (1 + 2 cos(d t)) sin(q - w_2 t),
-    the forcing's closed form.  -Omega(t)^2, w_2 t and epsilon * (1 + 2 cos(d t))
-    are computed once per time: the k2 and k3 stages share t + h/2, and the k4
-    stage's t0 + (i + 1) h is the next's t.
+    the forcing's closed form.  Its time terms (``_osc_terms``) are tabulated
+    RK4_CHUNK steps at a time, at each step's end t0 + (i + 1) h and midpoint
+    t + h/2, shared by the k2 and k3 stages; a step's end is the next's t.
     """
-    sin, cos, w_mid, w_step = math.sin, math.cos, OMEGA_MID, OMEGA_STEP
+    sin = math.sin
     h = (tf - t0) / n_steps
     half, sixth = 0.5 * h, h / 6.0
-    t, i = t0, 0.0
-    omega = 1.0 + 0.5 * cos(1.5 * t)
-    neg_om_sq, y = -(omega * omega), w_mid * t
-    force = epsilon * (1.0 + 2.0 * cos(w_step * t))
-    for _ in range(n_steps):
-        k1p = neg_om_sq * q - force * sin(q - y)
-        t_mid = t + half
-        omega = 1.0 + 0.5 * cos(1.5 * t_mid)
-        neg_om_sq_mid, x = -(omega * omega), w_mid * t_mid
-        force_mid = epsilon * (1.0 + 2.0 * cos(w_step * t_mid))
-        q2, k2q = q + half * p, p + half * k1p
-        k2p = neg_om_sq_mid * q2 - force_mid * sin(q2 - x)
-        q3, k3q = q + half * k2q, p + half * k2p
-        k3p = neg_om_sq_mid * q3 - force_mid * sin(q3 - x)
-        i += 1.0
-        t = t0 + i * h
-        omega = 1.0 + 0.5 * cos(1.5 * t)
-        neg_om_sq, y = -(omega * omega), w_mid * t
-        force = epsilon * (1.0 + 2.0 * cos(w_step * t))
-        q4, k4q = q + h * k3q, p + h * k3p
-        k4p = neg_om_sq * q4 - force * sin(q4 - y)
-        q = q + sixth * (p + 2.0 * k2q + 2.0 * k3q + k4q)
-        p = p + sixth * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+    (neg_om_sq,), (y,), (force,) = _osc_terms(epsilon, np.array([t0]))
+    t = t0
+    for done in range(0, n_steps, RK4_CHUNK):
+        ends = t0 + np.arange(done + 1, min(done + RK4_CHUNK, n_steps) + 1, dtype=float) * h
+        mids = np.concatenate(([t], ends[:-1])) + half
+        t = ends[-1]
+        for neg_om_sq_mid, x, force_mid, neg_om_sq_end, y_end, force_end in zip(
+                *_osc_terms(epsilon, mids), *_osc_terms(epsilon, ends)):
+            k1p = neg_om_sq * q - force * sin(q - y)
+            q2, k2q = q + half * p, p + half * k1p
+            k2p = neg_om_sq_mid * q2 - force_mid * sin(q2 - x)
+            q3, k3q = q + half * k2q, p + half * k2p
+            k3p = neg_om_sq_mid * q3 - force_mid * sin(q3 - x)
+            neg_om_sq, y, force = neg_om_sq_end, y_end, force_end
+            q4, k4q = q + h * k3q, p + h * k3p
+            k4p = neg_om_sq * q4 - force * sin(q4 - y)
+            q = q + sixth * (p + 2.0 * k2q + 2.0 * k3q + k4q)
+            p = p + sixth * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
     return q, p
 
 
@@ -367,60 +398,6 @@ def _read_cache(path, digest, dim):
             or length != 8 * dim or len(blob) - REF_HEADER.size != length):
         return None
     return np.frombuffer(blob, dtype="<f8", offset=REF_HEADER.size).copy(), gap, build_s
-
-
-def run_forked(what, parent_fn, *child_fns):
-    """Run parent_fn() here while each child_fn() runs in a forked child.
-
-    Returns [parent_fn(), then each child_fn()'s value in order].  A child
-    sends ("ok", value) or ("err", exception) pickled down a pipe and leaves
-    by os._exit, so it runs none of the parent's exit handlers and flushes
-    none of its buffers; its exception is raised here.  When this process
-    fails, or a child's exception is raised, every child not yet reaped is
-    killed and reaped first.  A child that ends without a result raises
-    CxsplitError: "<what> ended without a result (exit code N)".
-    """
-    children = []       # (pid, reader) of each child not yet reaped
-    try:
-        for fn in child_fns:
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                status = 1
-                try:
-                    os.close(read_fd)
-                    try:
-                        result = ("ok", fn())
-                    except BaseException as exc:
-                        result = ("err", exc)
-                    with open(write_fd, "wb") as fh:
-                        fh.write(pickle.dumps(result))
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(write_fd)
-            children.append((pid, open(read_fd, "rb")))
-        results = [parent_fn()]
-        while children:
-            pid, reader = children[0]
-            with reader:
-                blob = reader.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[0]
-            if code != 0 or not blob:
-                how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
-                raise CxsplitError(f"{what} ended without a result ({how})")
-            kind, value = pickle.loads(blob)
-            if kind == "err":
-                raise value
-            results.append(value)
-    except BaseException:
-        for pid, reader in children:
-            reader.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        raise
-    return results
 
 
 def reference_solution(problem, cache_dir=None):

@@ -70,22 +70,37 @@ A_FLOWS = {
 }
 
 
-def exp_2x2(omega_sq, tau, state):
-    """Exact exponential of tau * [[0, 1], [-omega_sq, 0]] applied to (q, p).
+def exp_2x2(omega_sq, tau):
+    """exp(tau * [[0, 1], [-omega_sq, 0]]) = [[c, s], [n, c]] for each value of the
+    list omega_sq: the lists of c, of s and of n.
 
     Trigonometric for omega_sq > 0, hyperbolic for omega_sq < 0, shear in
     the |omega_sq| -> 0 limit.
     """
-    q, p = state
-    if omega_sq > SHEAR_THRESHOLD:
-        w = math.sqrt(omega_sq)
-        cos_, sin_ = math.cos(tau * w), math.sin(tau * w)
-        return (cos_ * q + (sin_ / w) * p, -w * sin_ * q + cos_ * p)
-    if omega_sq < -SHEAR_THRESHOLD:
-        w = math.sqrt(-omega_sq)
-        cosh_, sinh_ = math.cosh(tau * w), math.sinh(tau * w)
-        return (cosh_ * q + (sinh_ / w) * p, w * sinh_ * q + cosh_ * p)
-    return (q + tau * p, p)
+    cs, ss, ns = [], [], []
+    for x in omega_sq:
+        if x > SHEAR_THRESHOLD:
+            w = math.sqrt(x)
+            sin_ = math.sin(tau * w)
+            c, s, n = math.cos(tau * w), sin_ / w, -w * sin_
+        elif x < -SHEAR_THRESHOLD:
+            w = math.sqrt(-x)
+            sinh_ = math.sinh(tau * w)
+            c, s, n = math.cosh(tau * w), sinh_ / w, w * sinh_
+        else:
+            c, s, n = 1.0, tau, 0.0
+        cs.append(c)
+        ss.append(s)
+        ns.append(n)
+    return cs, ss, ns
+
+
+def weighted_sum(values, weights):
+    """Per step, sum_i weights_i values_i folded left from 0.0, values one list per weight."""
+    acc = [0.0] * len(values[0])
+    for vs, w in zip(values, weights):
+        acc = [a + w * v for a, v in zip(acc, vs)]
+    return acc
 
 
 class CirculantLaplacian:

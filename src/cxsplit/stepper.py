@@ -1,4 +1,4 @@
-"""Composition engine: apply a scheme to a problem one step at a time.
+"""Composition engine: apply a scheme to a problem, a chunk of steps at a time.
 
 A step alternates B-kicks (frozen real time, complex duration) with A-flows
 over real subintervals, projects onto the real axis after the full step
@@ -9,32 +9,42 @@ checked real and the A-flow is one that the problem has (``a_flow``), so
 compiling is the check.  A row (c0, d, flow) spans [t0, t0 + tau] with
 t0 = t_n + c0 h and tau = d h: a B-kick (flow None) is frozen at t0; an
 A-flow makes the kernel calls of its ``propagators.A_FLOWS`` flow at the
-times t0 + o tau, formed once per flow, each call for factor * tau.
-Strang is the STRANG_BAB plan with a CF2 flow; EXT4, its ``extrapolate``,
-runs the plan three times and combines the unprojected results.  A
-compiled step maps the kernels' own state, step(u, t_n, h, record) -> u:
-the stage runner ``_run_stages`` returns the state as the kernels hand it
-back, and ``_finish``, once per public step, checks it finite and projects
-it in its own type (a tuple onto floats; a float64 array is already real).
-``integrate_with`` makes a run's one complex ndarray ``State`` after its
-last step.  A zero-duration flow calls no kernel but counts in
-``a_flow_evals``.  A run adds its counts to the record once: on a failure,
-those of the stages before the failing one.
+times t0 + o tau, each call for factor * tau.  Strang is the STRANG_BAB
+plan with a CF2 flow; EXT4, its ``extrapolate``, runs the plan at (t_n,
+h/2), (t_n + h/2, h/2) and (t_n, h) and combines the unprojected results.
+
+Every time is real and known before the state, so the time-only work runs
+ahead of the state loop.  A compiled step, step(u, t, h, record) -> u, maps
+the kernels' own state over one step from t, or from each time of a list t
+in turn: ``_tabulate`` calls the problem's time halves once per stage on
+all the steps' times, the stage runner ``_run_stages`` applies the state
+halves, each to the next row of its call, and ``_finish``, once per step,
+checks the state finite and projects it in its own type (a tuple onto
+floats; a float64 array is already real).  ``integrate_with`` alone knows
+a run's length: it adds t + h as a loop does and hands the step lists of
+min(steps left, CHUNK_STEPS) times; a direct call is a chunk of one.  A
+zero-duration flow calls no kernel but counts in ``a_flow_evals``.  A run
+adds its counts to the record once: on a failure, those of the stages
+before the failing one.
 
 Problem protocol: ``commuting`` (the A(t) commute: CF4 fuses into one
-exponential, and the exact flow exists); ``a_frozen_exp(times, weights,
-duration, state)``, exp(duration * sum_i weights_i A(times_i)); and
-``b_kick(t, tau, state)``, the B-flow frozen at real time t for a complex
-duration tau.  The kernels may hand back any state that the next kernel
-accepts, real until a complex kick: the PDEs' float64 array, which a
-complex kick makes a complex ndarray, or the oscillator's (q, p) tuple of
-floats, which it makes complex numbers.  The state passes unchanged
-through the stages, EXT4's runs and combination and the finish to the next
-step.  Kernels keep a non-finite state non-finite, so the one check catches
-every stage.  A kernel that fails raises StepFailed (StepTooLarge is one)
-or one of KERNEL_ERRORS (``math`` and ``cmath`` raise ValueError or
-OverflowError where numpy returns inf or nan), which the step turns into
-StepFailed.
+exponential, and the exact flow exists) and two halves of each kernel.  The
+time halves return rows in step order: ``a_frozen_coeffs(times, calls,
+tau)`` those of each call (weights, factor) of a flow of real duration tau,
+exp(factor tau sum_i weights_i A(times_i)), times one list per offset o of
+the steps' t0 + o tau; ``b_kick_coeffs(t_frozen, tau)`` those of the B-flow
+frozen at each real time of t_frozen for the complex duration tau.  The
+state halves ``a_frozen_exp(row, state)`` and ``b_kick(row, state)`` apply
+one row and may hand back any state that the next accepts, real until a
+complex kick: the PDEs' float64 array, which a complex kick makes a complex
+ndarray, or the oscillator's (q, p) tuple of floats, which it makes complex
+numbers.  The state passes unchanged through the stages, EXT4's runs and
+the finish to the next step; a non-finite state stays non-finite, so the
+one check catches every stage.  A half that fails raises StepFailed
+(StepTooLarge is one) or one of KERNEL_ERRORS (``math`` and ``cmath`` raise
+ValueError or OverflowError where numpy returns inf or nan), which the step
+turns into StepFailed at its stage; a time half's failure re-runs its chunk
+one step at a time, so that it fails at its step, after the stages before it.
 """
 
 from __future__ import annotations
@@ -42,6 +52,7 @@ from __future__ import annotations
 import cmath
 import time
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -55,6 +66,8 @@ KERNEL_ERRORS = (FloatingPointError, ZeroDivisionError, OverflowError, ValueErro
 A_FLOW_KINDS = tuple(A_FLOWS)
 #: where a CF2 flow over [t0, t0 + h] freezes A, as a fraction of h
 FREEZE_NODES = {"midpoint": 0.5, "literal": 0.0}
+#: the most steps tabulated at once: more cost table memory, fewer set-up time per step
+CHUNK_STEPS = 32
 
 
 @dataclass
@@ -99,14 +112,13 @@ def compile_stages(seq, flow, node):
     """Compile an expanded stage sequence into a plan of (c0, coeff, flow) rows.
 
     An A-flow row holds a real start node, a real duration and the A_FLOWS
-    flow, a lazy rule made, a FREEZE offset set to node and its offsets
-    turned into a times map; a B-kick row a real node, its coefficient, a
-    float if it is real (numpy's complex exp differs from its real exp in
-    the last bit), and None.  Raises RealTimeViolation if a flow time has an
-    imaginary part.
+    flow, a lazy rule made and a FREEZE offset set to node; a B-kick row a
+    real node, its coefficient, a float if it is real (numpy's complex exp
+    differs from its real exp in the last bit), and None.  Raises
+    RealTimeViolation if a flow time has an imaginary part.
     """
     offsets, calls = flow() if callable(flow) else flow
-    flow = _times(tuple(node if o is FREEZE else o for o in offsets)), calls
+    flow = tuple(node if o is FREEZE else o for o in offsets), calls
     plan = []
     for stage in seq:
         if stage.role == "A":
@@ -117,18 +129,6 @@ def compile_stages(seq, flow, node):
             plan.append((_real(stage.c0, "B-kick node"),
                          coeff.real if coeff.imag == 0.0 else coeff, None))
     return tuple(plan)
-
-
-def _times(offsets):
-    """(t0, tau) -> the tuple of t0 + o * tau over offsets: written out for
-    the one and two offsets of CF2 and CF4, cheaper than a comprehension."""
-    if len(offsets) == 1:
-        (o,) = offsets
-        return lambda t0, tau: (t0 + o * tau,)
-    if len(offsets) == 2:
-        o1, o2 = offsets
-        return lambda t0, tau: (t0 + o1 * tau, t0 + o2 * tau)
-    return lambda t0, tau: tuple([t0 + o * tau for o in offsets])
 
 
 def a_flow(problem, kind):
@@ -149,36 +149,73 @@ def compile_plan(cfg, problem):
 def plan_step(cfg, problem):
     """Compile cfg.scheme for problem once; return its map step_fn(u, t, h, record) -> u."""
     plan = compile_plan(cfg, problem)
-
-    def step_fn(u, t, h, record=None):
-        return _finish(_run_stages(plan, problem, t, u, h, record))
-    return step_fn
+    return _chunk_step(lambda ts, h: _tabulate(plan, problem, ts, h),
+                       lambda table, u, record: _finish(_run_stages(table, u, record)))
 
 
-def _run_stages(plan, problem, t_n, u, h, record):
-    """Apply a plan once to u at time t_n; return the state as the last
-    kernel hands it back, unchecked and unprojected."""
+def _chunk_step(tabulate, one_step):
+    """The map step(u, t, h, record) -> u from t, or from each time of a list t in turn: one
+    tabulate(ts, h), then one_step(tables, u, record) a step, or each step alone if None."""
+    def step(u, t, h, record=None):
+        ts = t if type(t) is list else [t]
+        tables = tabulate(ts, h)
+        for t in ts:
+            u = step(u, t, h, record) if tables is None else one_step(tables, u, record)
+        return u
+    return step
+
+
+def _raise(exc, state):
+    raise exc
+
+
+def _tabulate(plan, problem, ts, h):
+    """A run of plan over the steps from the times ts: (calls, counts, before), its kernel
+    calls in order as (state half, next row, stage), its (A-flows, kernel calls) and
+    before[stage], those of the stages before it.  A time half that fails makes it None
+    over several steps; over one, a call at its stage that raises, as its kernel would."""
     # read per run, not bound at compile time: a kernel patched on the class is the one called
-    a_kernel, b_kick = problem.a_frozen_exp, problem.b_kick
-    flows = calls = 0       # of the stages run, added to record once
+    a_coeffs, a_kernel = problem.a_frozen_coeffs, problem.a_frozen_exp
+    b_coeffs, b_kick = problem.b_kick_coeffs, problem.b_kick
+    calls, before, flows, kernel_calls = [], [], 0, 0
     try:
         for stage, (c0, coeff, flow) in enumerate(plan):
+            before.append((flows, kernel_calls))
+            start = c0 * h
             if flow is None:
-                u = b_kick(t_n + c0 * h, coeff * h, u)
+                rows = b_coeffs([t + start for t in ts], coeff * h)
+                calls.append((b_kick, iter(rows).__next__, stage))
                 continue
             if (tau := coeff * h) != 0.0:     # a zero-duration flow is the identity
-                times_of, kernel_calls = flow
-                times = times_of(t_n + c0 * h, tau)
-                for weights, factor in kernel_calls:
-                    u = a_kernel(times, weights, factor * tau, u)
-                calls += len(kernel_calls)
+                offsets, flow_calls = flow
+                # t0 + o tau with t0 = t_n + c0 h, as one step forms them
+                times = [[t + start + shift for t in ts] for shift in [o * tau for o in offsets]]
+                calls += [(a_kernel, iter(rows).__next__, stage)
+                          for rows in a_coeffs(times, flow_calls, tau)]
+                kernel_calls += len(flow_calls)
             flows += 1
+    except (*KERNEL_ERRORS, StepFailed) as exc:
+        if len(ts) > 1:
+            return None
+        calls.append((_raise, repeat(exc).__next__, stage))
+    return calls, (flows, kernel_calls), before
+
+
+def _run_stages(table, u, record):
+    """Apply a tabulated run once to u, with the next row of each call; return the
+    state as the last kernel hands it back, unchecked and unprojected."""
+    calls, counts, before = table
+    try:
+        for kernel, next_row, stage in calls:
+            u = kernel(next_row(), u)
+        stage = None        # every stage ran
     except KERNEL_ERRORS as exc:
         raise StepFailed(str(exc), stage=stage) from exc
     finally:
-        if record is not None:
+        if record is not None:      # of the stages run, added to record once
+            flows, kernel_calls = counts if stage is None else before[stage]
             record.a_flow_evals += flows
-            record.kernel_evals += calls
+            record.kernel_evals += kernel_calls
     return u
 
 
@@ -207,19 +244,25 @@ def extrapolate(cfg, problem):
     """
     plan = compile_plan(cfg, problem)
 
-    def extrapolated(u, t, h, record=None):
-        half = _run_stages(plan, problem, t, u, 0.5 * h, record)
-        half = _run_stages(plan, problem, t + 0.5 * h, half, 0.5 * h, record)
-        whole = _run_stages(plan, problem, t, u, h, record)
+    def tabulate(ts, h):
+        half_h = 0.5 * h
+        tables = (_tabulate(plan, problem, ts, half_h),
+                  _tabulate(plan, problem, [t + half_h for t in ts], half_h),
+                  _tabulate(plan, problem, ts, h))
+        return None if None in tables else tables
+
+    def extrapolated(tables, u, record):
+        first, second, full = tables
+        half = _run_stages(first, u, record)
+        half = _run_stages(second, half, record)
+        whole = _run_stages(full, u, record)
         # CPython (to 3.13) multiplies a float by a complex as numpy does, as
         # complex(x, 0) * z, and a float pair combines as the real parts of
         # a complex one: the tuple combination is numpy's, bit for bit
         if type(half) is tuple:
-            u = tuple((4.0 / 3.0) * a - (1.0 / 3.0) * b for a, b in zip(half, whole))
-        else:
-            u = (4.0 / 3.0) * half - (1.0 / 3.0) * whole
-        return _finish(u)
-    return extrapolated
+            return _finish(tuple([(4.0 / 3.0) * a - (1.0 / 3.0) * b for a, b in zip(half, whole)]))
+        return _finish((4.0 / 3.0) * half - (1.0 / 3.0) * whole)
+    return _chunk_step(tabulate, extrapolated)
 
 
 def integrate(cfg, problem, u0, t0, tf, n_steps):
@@ -228,8 +271,8 @@ def integrate(cfg, problem, u0, t0, tf, n_steps):
 
 
 def integrate_with(step_fn, u0, t0, tf, n_steps, method_name):
-    """Drive a one-step map step_fn(u, t, h, record) -> u; one State and record a run.
-    A float64 array u0 is kept as it is, anything else is made complex."""
+    """Drive a step map step_fn(u, ts, h, record) -> u over chunks of start times ts; one
+    State and record a run.  A float64 array u0 is kept as it is, anything else is made complex."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     h = (tf - t0) / n_steps
@@ -239,9 +282,10 @@ def integrate_with(step_fn, u0, t0, tf, n_steps, method_name):
     start = time.perf_counter()
     # a step that overflows ends non-finite and fails: numpy's warning adds nothing
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(n_steps):
-            u = step_fn(u, t, h, record)
-            t = t + h
+        for done in range(0, n_steps, CHUNK_STEPS):
+            # the chunk's start times and the next chunk's: t + h as a loop adds it
+            *ts, t = accumulate(repeat(h, min(CHUNK_STEPS, n_steps - done)), initial=t)
+            u = step_fn(u, ts, h, record)
     state = State(np.asarray(u, dtype=complex), t)
     record.wall_time = time.perf_counter() - start
     return state, record

@@ -9,7 +9,7 @@ import pytest
 
 from cxsplit.problems import OMEGA_J, make_problem, reference_solution
 from cxsplit.schemes import Scheme, Stage, builtin_scheme, serialize_scheme
-from cxsplit.stepper import FREEZE_NODES, _run_stages, a_flow, compile_stages
+from cxsplit.stepper import FREEZE_NODES, _run_stages, _tabulate, a_flow, compile_stages
 
 try:
     import hypothesis
@@ -135,10 +135,52 @@ def dense_expm(mat):
     return out
 
 
+def run_stages(plan, problem, t, u, h, record=None):
+    """One unprojected run of plan on problem from t: the stage runner on a table of one step."""
+    return _run_stages(_tabulate(plan, problem, [t], h), u, record)
+
+
 def run_flow(kind, problem, t0, h, u, freeze="midpoint"):
     """One A-flow of `kind` over [t0, t0 + h] on problem: a one-stage plan run by the stepper."""
     plan = compile_stages((Stage("A", 1.0, 0.0),), a_flow(problem, kind), FREEZE_NODES[freeze])
-    return _run_stages(plan, problem, t0, u, h, None)
+    return run_stages(plan, problem, t0, u, h)
+
+
+def frozen_exp(problem, times, weights, duration, state):
+    """exp(duration * sum_i weights_i A(times_i)) on state: problem's two A-kernel halves
+    at one step, the time half for a call of factor 1."""
+    [[row]] = problem.a_frozen_coeffs([[t] for t in times], ((weights, 1.0),), duration)
+    return problem.a_frozen_exp(row, state)
+
+
+def kick(problem, t_frozen, tau, state):
+    """The B-kick frozen at t_frozen for the duration tau on state: problem's two kick
+    halves at one step."""
+    [row] = problem.b_kick_coeffs([t_frozen], tau)
+    return problem.b_kick(row, state)
+
+
+class OneCallKernels:
+    """The two-half kernel protocol over a stub's one-call kernels.
+
+    The time halves hand each call's arguments to the state halves as its rows,
+    and these call ``a_call(times, weights, duration, state)`` and
+    ``kick_call(t_frozen, tau, state)``, once per stage call as the stepper
+    makes them.
+    """
+
+    def a_frozen_coeffs(self, times, calls, tau):
+        return [[(step_times, weights, factor * tau) for step_times in zip(*times)]
+                for weights, factor in calls]
+
+    def b_kick_coeffs(self, t_frozen, tau):
+        return [(t, tau) for t in t_frozen]
+
+    def a_frozen_exp(self, row, state):
+        return self.a_call(*row, state)
+
+    def b_kick(self, row, state):
+        return self.kick_call(*row, state)
 
 
 def big_omega(t):

@@ -16,9 +16,9 @@ from cxsplit.problems import (REF_AGREE_TOL, _classical_oracle,
                               _splitting_oracle, make_problem)
 from cxsplit.propagators import exp_circulant
 from cxsplit.schemes import builtin_scheme, expand, validate_scheme
-from cxsplit.stepper import StepperConfig, _run_stages, compile_plan
+from cxsplit.stepper import StepperConfig, compile_plan
 
-from conftest import dense_expm, dense_laplacian
+from conftest import dense_expm, dense_laplacian, kick, run_stages
 
 SM4_A = (0.13505265889288437, 0.36494734110711563)
 SM4_B = (0.018329102861074364 - 0.10677008344599524j,
@@ -161,14 +161,14 @@ def test_criterion_6_oracle_equivalence():
     scheme = builtin_scheme("SM4")
     h = 0.1
     cfg = StepperConfig(scheme=scheme, a_flow_kind="cf4")
-    stepped = _run_stages(compile_plan(cfg, problem), problem, 0.0, problem.u0(), h, None)
+    stepped = run_stages(compile_plan(cfg, problem), problem, 0.0, problem.u0(), h)
 
     lap = dense_laplacian(problem.lap)
     u = problem.u0().copy()
     offsets = (0.5 - np.sqrt(3) / 6.0, 0.5 + np.sqrt(3) / 6.0)
     for stage in expand(scheme):
         if stage.role == "B":
-            u = problem.b_kick(stage.c0.real * h, stage.coeff * h, u)
+            u = kick(problem, stage.c0.real * h, stage.coeff * h, u)
         else:
             t0, dur = stage.c0.real * h, stage.coeff.real * h
             coeff = 0.5 * sum(problem.alpha(t0 + off * dur) ** 2

@@ -12,7 +12,7 @@ from cxsplit.problems import make_problem
 from cxsplit.schemes import serialize_scheme, builtin_scheme
 from cxsplit.stepper import RunRecord
 
-from conftest import assert_no_child_left, yoshida_text
+from conftest import assert_no_child_left, kick, yoshida_text
 
 
 @pytest.mark.parametrize("name,stages", sorted(bench.METHOD_STAGES.items()))
@@ -226,22 +226,22 @@ def test_a_sweep_compiles_one_plan_per_method(osc_ref, cores, monkeypatch, metho
 
 def test_an_a_flow_the_problem_lacks_fails_at_compile_time(monkeypatch):
     # the oscillator has no exact flow: making the step raises, and no
-    # kernel of the problem has run
+    # kernel half of the problem has run
     problem = make_problem("osc")
     calls = []
-    for name in ("a_frozen_exp", "b_kick"):
+    for name in ("a_frozen_coeffs", "b_kick_coeffs", "a_frozen_exp", "b_kick"):
         kernel = getattr(type(problem), name)
 
         def counted(*args, kernel=kernel):
             calls.append(kernel.__name__)
             return kernel(*args)
         monkeypatch.setattr(type(problem), name, counted)
-    problem.b_kick(0.0, 0.1, problem.u0())
-    assert calls == ["b_kick"]
+    kick(problem, 0.0, 0.1, problem.u0())
+    assert calls == ["b_kick_coeffs", "b_kick"]
     with pytest.raises(ValidationError) as info:
         bench.resolve_method("sm4", problem, "exact")
     assert str(info.value) == "OscillatorProblem has no exact A-flow (use cf2 or cf4)"
-    assert calls == ["b_kick"]
+    assert calls == ["b_kick_coeffs", "b_kick"]
 
 
 def test_self_converge_resolves_its_method_once(tmp_path, resolutions):

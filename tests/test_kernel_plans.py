@@ -7,6 +7,8 @@ reference: the plans must reproduce them bit for bit, in the kernel calls
 of each flow and in the final states and counts of whole runs.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -16,8 +18,10 @@ from cxsplit.problems import make_problem
 from cxsplit.propagators import A_FLOWS, CF4_ALPHA, CF4_BETA, GAUSS_OFFSETS
 from cxsplit.schemes import Stage, expand
 from cxsplit.stepper import (FREEZE_NODES, KERNEL_ERRORS, StepperConfig, _finish,
-                             _real, _run_stages, compile_plan, compile_stages,
-                             extrapolate, integrate_with, plan_step)
+                             _real, compile_plan, compile_stages, extrapolate,
+                             integrate_with, plan_step)
+
+from conftest import OneCallKernels, frozen_exp, kick, run_stages
 
 
 def cf2_step(t0, h, state, frozen_exponential, commuting, node):
@@ -76,11 +80,12 @@ def reference_run(cfg, problem, t_n, u, h, plan, record):
         for idx, (role, c0, dur) in enumerate(plan):
             if role == "A":
                 if (tau := dur * h) != 0.0:
-                    u = flow(t_n + c0 * h, tau, u, problem.a_frozen_exp, problem.commuting, node)
+                    u = flow(t_n + c0 * h, tau, u, partial(frozen_exp, problem),
+                             problem.commuting, node)
                     kernel_flows += 1
                 flows += 1
             else:
-                u = problem.b_kick(t_n + c0 * h, dur * h, u)
+                u = kick(problem, t_n + c0 * h, dur * h, u)
     except KERNEL_ERRORS as exc:
         raise StepFailed(str(exc), stage=idx) from exc
     finally:
@@ -108,7 +113,12 @@ def reference_method(name, problem, kind, freeze):
         else:
             u = (4.0 / 3.0) * half - (1.0 / 3.0) * whole
         return _finish(u)
-    return extrapolated if ext else step
+
+    def steps(u, ts, h, record=None):     # integrate_with hands out a chunk of start times
+        for t_n in ts:
+            u = (extrapolated if ext else step)(u, t_n, h, record)
+        return u
+    return steps
 
 
 def _outcome(resolve, problem, name, n_steps):
@@ -136,19 +146,19 @@ def test_plans_reproduce_the_flow_functions_bitwise(name, kind, freeze):
         assert got == expect, method
 
 
-class RecordingProblem:
+class RecordingProblem(OneCallKernels):
     """Identity kernels on a scalar state that record each A-kernel call bitwise."""
 
     def __init__(self, commuting):
         self.commuting = commuting
         self.calls = []
 
-    def a_frozen_exp(self, times, weights, duration, state):
+    def a_call(self, times, weights, duration, state):
         self.calls.append(([float(t).hex() for t in times],
                            [float(w).hex() for w in weights], duration.hex()))
         return state + 1.0
 
-    def b_kick(self, t_frozen, tau, state):
+    def kick_call(self, t_frozen, tau, state):
         raise AssertionError("no kick in a one-flow plan")
 
 
@@ -168,8 +178,8 @@ def test_each_flow_makes_the_kernel_calls_of_its_function(kind, commuting, freez
         c0, dur = rng.uniform(0.0, 1.0), rng.uniform(-0.5, 1.0)
         plan = compile_stages((Stage("A", dur, c0),), flow, node)
         got, expect = RecordingProblem(commuting), RecordingProblem(commuting)
-        u = _run_stages(plan, got, t_n, 0.0, h, None)
-        flow_fn(t_n + c0 * h, dur * h, 0.0, expect.a_frozen_exp, commuting, node)
+        u = run_stages(plan, got, t_n, 0.0, h)
+        flow_fn(t_n + c0 * h, dur * h, 0.0, expect.a_call, commuting, node)
         assert got.calls == expect.calls
         assert u == len(got.calls) == per_flow[commuting]
 

@@ -31,9 +31,9 @@ def test_run_digest_sees_a_one_ulp_kernel_change(monkeypatch):
     assert tool.run_line(*args) == line
     exp_2x2 = problems.exp_2x2
 
-    def nudged(omega_sq, tau, state):
-        q, p = exp_2x2(omega_sq, tau, state)
-        return q, p + math.ulp(p.real)      # one ulp on the real part
+    def nudged(omega_sq, tau):
+        c, s, n = exp_2x2(omega_sq, tau)
+        return c, s, [x + math.ulp(x) for x in n]     # one ulp on each p coefficient
 
     monkeypatch.setattr(problems, "exp_2x2", nudged)
     moved = tool.run_line(*args).split()

@@ -15,15 +15,15 @@ from cxsplit.errors import (CxsplitError, DesignScanUnreliable, InsufficientData
                             StepTooLarge, ValidationError)
 from cxsplit.problems import (KICK_FACTORS_KEPT, OMEGA_J, OMEGA_MID, OMEGA_STEP, PROBLEMS,
                               REF_AGREE_TOL, REF_HEADER, REF_MAGIC, REF_MAX_UPDATES,
-                              REF_OSC_RK4_STEPS, REF_PDE_RK4_MIN_STEPS, REF_VERSION, TWO_PI,
-                              FisherProblem, OscillatorProblem, ParabolicProblem, _cache_path,
-                              _classical_oracle, _read_cache, _rk4_osc, _write_cache,
+                              REF_OSC_RK4_STEPS, REF_PDE_RK4_MIN_STEPS, REF_VERSION, RK4_CHUNK,
+                              TWO_PI, FisherProblem, OscillatorProblem, ParabolicProblem,
+                              _cache_path, _classical_oracle, _read_cache, _rk4_osc, _write_cache,
                               default_cache_dir, make_problem, reference_solution,
                               rk4_integrate)
 from cxsplit.propagators import CF4_ALPHA, CF4_BETA, exp_2x2, exp_circulant
 
 from conftest import (assert_no_child_left, big_omega, dense_expm, dense_laplacian,
-                      osc_rhs, run_flow)
+                      frozen_exp, kick, osc_rhs, run_flow)
 
 
 def test_make_problem_dispatch():
@@ -40,7 +40,7 @@ def test_oscillator_rhs_splits_into_parts():
     t = 1.3
     rhs = osc_rhs(problem)(t, u)
     assert rhs[0] == pytest.approx(u[1])
-    kick_only = problem.b_kick(t, 1.0, u.astype(complex))
+    kick_only = kick(problem, t, 1.0, u.astype(complex))
     frozen_force = (kick_only[1] - u[1]).real        # -eps * sum sin(...)
     assert rhs[1] == pytest.approx(
         -big_omega(t) ** 2 * u[0] + frozen_force)
@@ -49,7 +49,7 @@ def test_oscillator_rhs_splits_into_parts():
 def test_oscillator_frozen_exp_is_exact_for_constant_omega():
     problem = make_problem("osc")
     w = big_omega(0.7)
-    u = problem.a_frozen_exp((0.7,), (1.0,), 0.2, np.array([1.0, 0.0 + 0j]))
+    u = frozen_exp(problem, (0.7,), (1.0,), 0.2, np.array([1.0, 0.0 + 0j]))
     assert u[0].real == pytest.approx(math.cos(0.2 * w))
     assert u[1].real == pytest.approx(-w * math.sin(0.2 * w))
 
@@ -71,15 +71,16 @@ def test_a_frozen_exp_exponentiates_the_weighted_generator(name):
         u = rng.standard_normal(problem.dim) + 1j * rng.standard_normal(problem.dim)
         generator = sum(w * _dense_a(problem, t) for t, w in zip(times, weights))
         expect = dense_expm(0.05 * generator) @ u
-        got = np.asarray(problem.a_frozen_exp(times, weights, 0.05, u), dtype=complex)
+        got = np.asarray(frozen_exp(problem, times, weights, 0.05, u), dtype=complex)
         assert np.max(np.abs(got - expect)) < 1e-12 * np.max(np.abs(expect))
 
 
 def _numpy_a_frozen_exp(problem, times, weights, duration, state):
     """The osc A-kernel on numpy complex scalars: the reference for a_frozen_exp."""
     omega_sq = sum(w * big_omega(t) ** 2 for t, w in zip(times, weights))
-    q, p = exp_2x2(omega_sq, duration, (state[0], state[1]))
-    return np.array([q, p], dtype=complex)
+    [c], [s], [n] = exp_2x2([omega_sq], duration)
+    q, p = state[0], state[1]
+    return np.array([c * q + s * p, n * q + c * p], dtype=complex)
 
 
 def _numpy_b_kick(problem, t_frozen, tau, state):
@@ -92,30 +93,36 @@ def _numpy_b_kick(problem, t_frozen, tau, state):
 def test_osc_kernels_match_numpy_formulas():
     # The kernels square by multiplication and sum the three sines in closed
     # form, so they differ from these formulas by round-off: on these 300
-    # calls a_frozen_exp keeps every bit and b_kick is at most 2.9e-16 off
-    # (1.4e-15 over 1e5 calls of the same kind; the closed form itself is
-    # checked against the three sines in the next test).
+    # steps, a chunk of 75 for each rule, tabulated by the time halves and
+    # applied by the state halves, a_frozen_exp keeps every bit and b_kick is
+    # at most 2.6e-16 off (1.4e-15 over 1e5 calls of the same kind; the closed
+    # form itself is checked against the three sines in the next test).
     problem = make_problem("osc")
     rng = np.random.default_rng(20)
     rules = ((1.0,), (CF4_BETA, CF4_ALPHA), (CF4_ALPHA, CF4_BETA), (0.5, 0.5))
     worst = 0.0
-    for _ in range(300):
-        state = rng.uniform(-12.0, 12.0, 2) + 1j * rng.uniform(-1.0, 1.0, 2)
-        t = rng.uniform(0.0, TWO_PI)
-        weights = rules[rng.integers(len(rules))]
-        times = tuple(t + 0.2 * rng.uniform(size=len(weights)))
+    for weights in rules:
+        states = rng.uniform(-12.0, 12.0, (75, 2)) + 1j * rng.uniform(-1.0, 1.0, (75, 2))
+        ts = rng.uniform(0.0, TWO_PI, 75)
+        times = [(ts + 0.2 * rng.uniform(size=75)).tolist() for _ in weights]
         duration = rng.uniform(-0.2, 0.2)
         tau = complex(rng.uniform(-0.2, 0.2), rng.uniform(-0.1, 0.1))
-        expect_a = _numpy_a_frozen_exp(problem, times, weights, duration, state)
-        expect_b = _numpy_b_kick(problem, t, tau, state)
-        for given in (state, tuple(map(complex, state))):
-            got_a = problem.a_frozen_exp(times, weights, duration, given)
-            got_b = problem.b_kick(t, tau, given)
-            for got, expect in ((got_a, expect_a), (got_b, expect_b)):
-                assert type(got) is tuple and len(got) == 2
-                assert all(type(x) is complex for x in got)
-                err = np.max(np.abs(np.array(got) - expect))
-                worst = max(worst, err / max(1.0, np.max(np.abs(expect))))
+        [a_rows] = problem.a_frozen_coeffs(times, ((weights, 1.0),), duration)
+        b_rows = problem.b_kick_coeffs(ts.tolist(), tau)
+        for i, (a_row, b_row) in enumerate(zip(a_rows, b_rows, strict=True)):
+            state = states[i]
+            expect_a = _numpy_a_frozen_exp(problem, [t[i] for t in times], weights, duration,
+                                           state)
+            expect_b = _numpy_b_kick(problem, ts[i], tau, state)
+            for given in (state, tuple(map(complex, state))):
+                got_a = problem.a_frozen_exp(a_row, given)
+                got_b = problem.b_kick(b_row, given)
+                for got, expect in ((got_a, expect_a), (got_b, expect_b)):
+                    assert type(got) is tuple and len(got) == 2
+                    assert all(type(x) is complex for x in got)
+                    err = np.max(np.abs(np.array(got) - expect))
+                    worst = max(worst, err / max(1.0, np.max(np.abs(expect))))
+                assert np.array(got_a).tobytes() == expect_a.tobytes()
     assert worst <= 1e-15
 
 
@@ -136,7 +143,7 @@ def test_osc_forcing_closed_form_is_the_three_sine_sum():
 
     for qs in (real_q, rng.uniform(-12.0, 12.0, n) + 1j * rng.uniform(-1.0, 1.0, n)):
         # with epsilon = tau = 1 and p = 0 a kick returns p = -(the forcing), exactly
-        kicks = [-problem.b_kick(t, 1.0, (q, 0.0))[1] for t, q in zip(ts.tolist(), qs.tolist())]
+        kicks = [-kick(problem, t, 1.0, (q, 0.0))[1] for t, q in zip(ts.tolist(), qs.tolist())]
         assert np.max(np.abs(np.array(kicks) - three_sines(qs))) <= 1e-13
     # the array right-hand side, which the RK4 loop is pinned to, on the real points
     rhs = osc_rhs(problem)
@@ -150,7 +157,7 @@ def test_parabolic_kick_is_pointwise_exponential():
     problem = make_problem("parabolic")
     u = problem.u0()
     tau = 0.02 - 0.01j
-    kicked = problem.b_kick(0.4, tau, u)
+    kicked = kick(problem, 0.4, tau, u)
     assert np.allclose(kicked, u * np.exp(tau * problem.potential(0.4)))
 
 
@@ -163,7 +170,7 @@ def test_parabolic_factored_kick_matches_the_pointwise_exponential(tau):
     for t in (0.0, 0.37, 1.0, 0.37):
         u = rng.standard_normal(problem.n_grid) + 1j * rng.standard_normal(problem.n_grid)
         expect = u * np.exp(tau * problem.potential(t))
-        got = problem.b_kick(t, tau, u)
+        got = kick(problem, t, tau, u)
         assert np.max(np.abs(got - expect) / np.abs(expect)) <= 1e-14
 
 
@@ -173,7 +180,7 @@ def test_parabolic_kick_factors_are_per_problem():
     for problem in (coarse, fine, coarse):
         u = problem.u0()
         expect = u * np.exp(0.25 * problem.potential(0.5))
-        assert np.allclose(problem.b_kick(0.5, 0.25, u), expect, rtol=1e-14, atol=0.0)
+        assert np.allclose(kick(problem, 0.5, 0.25, u), expect, rtol=1e-14, atol=0.0)
 
 
 def test_parabolic_kick_factors_stay_bounded():
@@ -181,7 +188,7 @@ def test_parabolic_kick_factors_stay_bounded():
     problem = make_problem("parabolic", n_grid=8)
     u = problem.u0()
     for k in range(5 * KICK_FACTORS_KEPT):
-        problem.b_kick(0.5, 1e-3 * (k + 1), u)
+        kick(problem, 0.5, 1e-3 * (k + 1), u)
         assert len(problem._kick_factors) <= KICK_FACTORS_KEPT
 
 
@@ -190,11 +197,11 @@ def test_parabolic_kick_bits_do_not_depend_on_earlier_kicks(tau):
     # the factors are kept by tau and complex(x) == x: a kick on a fresh problem
     # keeps its bits after a kick by a tau of equal value and either type
     u = make_problem("parabolic").u0()
-    fresh = make_problem("parabolic").b_kick(0.3, tau, u)
+    fresh = kick(make_problem("parabolic"), 0.3, tau, u)
     for earlier in (0.013, complex(0.013), tau):
         used = make_problem("parabolic")
-        used.b_kick(0.3, earlier, u)
-        got = used.b_kick(0.3, tau, u)
+        kick(used, 0.3, earlier, u)
+        got = kick(used, 0.3, tau, u)
         assert got.dtype == fresh.dtype and got.tobytes() == fresh.tobytes()
 
 
@@ -248,11 +255,11 @@ def test_fisher_kick_logistic_properties():
     problem = make_problem("fisher")
     ones = np.ones(problem.n_grid, dtype=complex)
     # u = 0 and u = 1 are fixed points of the logistic reaction
-    assert np.allclose(problem.b_kick(0.5, 0.3, 0.0 * ones), 0.0)
-    assert np.allclose(problem.b_kick(0.5, 0.3, ones), 1.0)
+    assert np.allclose(kick(problem, 0.5, 0.3, 0.0 * ones), 0.0)
+    assert np.allclose(kick(problem, 0.5, 0.3, ones), 1.0)
     # gamma > 0 grows states below the carrying capacity
     half = 0.5 * ones
-    assert np.all(problem.b_kick(0.5, 1.0, half).real > 0.5)
+    assert np.all(kick(problem, 0.5, 1.0, half).real > 0.5)
 
 
 def test_fisher_kick_singular_denominator_raises():
@@ -260,7 +267,7 @@ def test_fisher_kick_singular_denominator_raises():
     grow = math.exp(problem.gamma(0.0) * 1.0)
     bad = np.full(problem.n_grid, -1.0 / (grow - 1.0), dtype=complex)
     with pytest.raises(StepFailed):
-        problem.b_kick(0.0, 1.0, bad)
+        kick(problem, 0.0, 1.0, bad)
 
 
 @pytest.mark.parametrize("gap,fails", [(0.9e-12, True), (1.1e-12, False)])
@@ -274,17 +281,17 @@ def test_fisher_kick_guard_threshold(gap, fails):
     assert abs(1.0 + u[3] * (grow - 1.0)) == pytest.approx(gap, rel=1e-3)
     if fails:
         with pytest.raises(StepFailed, match="singular logistic denominator"):
-            problem.b_kick(0.2, tau, u)
+            kick(problem, 0.2, tau, u)
     else:
-        assert np.all(np.isfinite(problem.b_kick(0.2, tau, u)))
+        assert np.all(np.isfinite(kick(problem, 0.2, tau, u)))
     # a NaN entry neither masks a singular entry nor counts as one itself
     u[7] = complex(math.nan, 0.0)
     if fails:
         with pytest.raises(StepFailed, match="singular logistic denominator"):
-            problem.b_kick(0.2, tau, u)
+            kick(problem, 0.2, tau, u)
     else:
         with np.errstate(invalid="ignore"):
-            assert not np.all(np.isfinite(problem.b_kick(0.2, tau, u)))
+            assert not np.all(np.isfinite(kick(problem, 0.2, tau, u)))
 
 
 @pytest.mark.parametrize("gap,fails", [(0.0, True), (0.9e-12, True), (1.1e-12, False)])
@@ -297,13 +304,13 @@ def test_fisher_kick_guard_on_a_real_state(gap, fails):
     u[3] = (gap - 1.0) / (grow - 1.0)
     if fails:
         with pytest.raises(StepFailed, match="singular logistic denominator"):
-            problem.b_kick(0.2, tau, u)
+            kick(problem, 0.2, tau, u)
     else:
-        kicked = problem.b_kick(0.2, tau, u)
+        kicked = kick(problem, 0.2, tau, u)
         assert kicked.dtype == np.float64 and np.all(np.isfinite(kicked))
     bad = np.full(problem.n_grid, -1.0 / (math.exp(problem.gamma(0.0)) - 1.0))
     with pytest.raises(StepFailed):
-        problem.b_kick(0.0, 1.0, bad)
+        kick(problem, 0.0, 1.0, bad)
 
 
 @pytest.mark.parametrize("name", ["parabolic", "fisher"])
@@ -317,10 +324,10 @@ def test_real_kicks_keep_a_float64_state(name):
     for t, tau in ((0.0, 0.013), (0.37, -0.004), (1.0, 0.25)):
         u = rng.uniform(-1.0, 1.0, problem.n_grid)
         before = u.copy()
-        got = problem.b_kick(t, tau, u)
+        got = kick(problem, t, tau, u)
         assert type(got) is np.ndarray and got.dtype == np.float64
         assert u.tobytes() == before.tobytes()
-        general = make_problem(name).b_kick(t, tau, u.astype(complex))
+        general = kick(make_problem(name), t, tau, u.astype(complex))
         assert np.all(general.imag == 0.0)
         if name == "parabolic":
             assert got.tobytes() == general.real.tobytes()
@@ -332,7 +339,7 @@ def test_fisher_zero_reaction_reduces_to_diffusion():
     problem = make_problem("fisher")
     problem.gamma = lambda t: 0.0
     u = problem.u0()
-    assert np.allclose(problem.b_kick(0.3, 0.7, u), u)
+    assert np.allclose(kick(problem, 0.3, 0.7, u), u)
 
 
 def test_rk4_is_fourth_order_on_scalar():
@@ -347,14 +354,18 @@ def test_rk4_is_fourth_order_on_scalar():
 def test_rk4_float_pair_matches_array_loop(epsilon):
     # the (q, p) float loop with the rhs written out is the osc classical
     # oracle; the array loop on the numpy rhs is its reference, bitwise
-    # where math.sin and np.sin agree (as on x86-64 with glibc and numpy 2.4)
+    # where math.sin and np.sin agree (as on x86-64 with glibc and numpy 2.4):
+    # over whole chunks of the loop's time table, over a last partial one,
+    # and from t0 != 0
     problem = make_problem("osc", epsilon=epsilon)
     u0 = problem.u0().real.astype(float)
-    args = (problem.t0, problem.tf, 2 ** 12)
-    pair = _rk4_osc(epsilon, *map(float, u0), *args)
-    array = rk4_integrate(osc_rhs(problem), u0, *args)
-    assert isinstance(pair, tuple) and all(type(x) is float for x in pair)
-    assert np.array(pair).tobytes() == array.tobytes()
+    assert 2 ** 12 % RK4_CHUNK == 0 and 3001 % RK4_CHUNK and 1500 % RK4_CHUNK
+    for args in ((problem.t0, problem.tf, 2 ** 12), (problem.t0, problem.tf, 3001),
+                 (0.7, 0.7 + TWO_PI, 1500), (-1.3, 2.0, 1)):
+        pair = _rk4_osc(epsilon, *map(float, u0), *args)
+        array = rk4_integrate(osc_rhs(problem), u0, *args)
+        assert isinstance(pair, tuple) and all(type(x) is float for x in pair)
+        assert np.array(pair).tobytes() == array.tobytes(), args
 
 
 def test_rk4_loop_indexes_its_clock():
@@ -442,8 +453,8 @@ def test_cache_file_names_are_pinned(tmp_path, name, params, cache_file):
 class ScaledKickParabolic(ParabolicProblem):
     """The parabolic problem with its potential scaled by 0.1: a kernel override only."""
 
-    def b_kick(self, t_frozen, tau, state):
-        return super().b_kick(t_frozen, 0.1 * tau, state)
+    def b_kick_coeffs(self, t_frozen, tau):
+        return super().b_kick_coeffs(t_frozen, 0.1 * tau)
 
 
 def test_problem_contract_is_derived(monkeypatch, tmp_path):
@@ -451,8 +462,8 @@ def test_problem_contract_is_derived(monkeypatch, tmp_path):
         params = cls().params()
         assert cls().key() == name and cls().params() == params
         # methods are no data: a wrapped kernel, as a tracer installs, keeps the key
-        kick = cls.__dict__["b_kick"]
-        monkeypatch.setattr(cls, "b_kick", lambda *args, kick=kick: kick(*args))
+        state_half = cls.__dict__["b_kick"]
+        monkeypatch.setattr(cls, "b_kick", lambda *args, state_half=state_half: state_half(*args))
         assert cls().params() == params
     # an oracle step count set on an instance is keyed as read, whether it
     # is class data (osc) or derived from the grid (parabolic, fisher)

@@ -7,7 +7,7 @@ from cxsplit.errors import StepTooLarge
 from cxsplit.propagators import (CF4_ALPHA, CF4_BETA, CirculantLaplacian,
                                  GAUSS_OFFSETS, exp_2x2, exp_circulant)
 
-from conftest import dense_expm, dense_laplacian, run_flow
+from conftest import OneCallKernels, dense_expm, dense_laplacian, run_flow
 
 
 def test_cf4_constants():
@@ -32,18 +32,18 @@ def _frozen(times, weights, duration, u):
     return u * np.exp(duration * coeff)
 
 
-class ScalarModel:
+class ScalarModel(OneCallKernels):
     """u' = lam(t) u as a problem whose A(t) are taken to commute, or not; counts A calls."""
 
     def __init__(self, commuting=False):
         self.commuting = commuting
         self.calls = 0
 
-    def a_frozen_exp(self, times, weights, duration, u):
+    def a_call(self, times, weights, duration, u):
         self.calls += 1
         return _frozen(times, weights, duration, u)
 
-    def b_kick(self, t_frozen, tau, u):
+    def kick_call(self, t_frozen, tau, u):
         raise AssertionError("no kick in a one-flow plan")
 
 
@@ -95,12 +95,19 @@ def test_zero_step_is_identity():
     assert model.calls == 0
 
 
+def _apply_2x2(omega_sq, tau, state):
+    """exp_2x2's [[c, s], [n, c]] applied to the pair state, as the osc state half does."""
+    [c], [s], [n] = exp_2x2([omega_sq], tau)
+    q, p = state
+    return c * q + s * p, n * q + c * p
+
+
 @pytest.mark.parametrize("omega_sq", [4.0, -2.25, 0.0, 1e-16])
 def test_exp_2x2_matches_dense(omega_sq):
     tau = 0.37
     mat = np.array([[0.0, 1.0], [-omega_sq, 0.0]])
     expected = dense_expm(tau * mat) @ np.array([1.2, -0.7])
-    q, p = exp_2x2(omega_sq, tau, (1.2, -0.7))
+    q, p = _apply_2x2(omega_sq, tau, (1.2, -0.7))
     assert abs(q - expected[0]) < 1e-13
     assert abs(p - expected[1]) < 1e-13
 
@@ -110,7 +117,7 @@ def test_exp_2x2_preserves_quadratic_invariant():
     omega_sq = 3.1
     q, p = 0.4, -1.9
     for _ in range(5):
-        q, p = exp_2x2(omega_sq, 0.21, (q, p))
+        q, p = _apply_2x2(omega_sq, 0.21, (q, p))
     assert omega_sq * q ** 2 + p ** 2 == pytest.approx(
         omega_sq * 0.4 ** 2 + 1.9 ** 2, rel=1e-12)
 

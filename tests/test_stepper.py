@@ -4,13 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import conjugate
+from conftest import OneCallKernels, conjugate, frozen_exp, kick, run_stages
 from cxsplit import bench, stepper
 from cxsplit.errors import RealTimeViolation, StepFailed, ValidationError
 from cxsplit.problems import make_problem
 from cxsplit.propagators import A_FLOWS
 from cxsplit.schemes import Scheme, builtin_scheme, expand
-from cxsplit.stepper import (RunRecord, State, StepperConfig, _run_stages,
+from cxsplit.stepper import (RunRecord, State, StepperConfig,
                              compile_plan, compile_stages, extrapolate,
                              integrate, integrate_with, plan_step)
 
@@ -25,7 +25,7 @@ def step(cfg, problem, state, h, record=None):
 
 def raw_step(cfg, problem, state, h, record=None):
     """One unprojected composition step of cfg.scheme, as an ndarray State."""
-    u = _run_stages(compile_plan(cfg, problem), problem, state.t, state.values, h, record)
+    u = run_stages(compile_plan(cfg, problem), problem, state.t, state.values, h, record)
     return State(np.asarray(u, dtype=complex), state.t + h)
 
 
@@ -103,7 +103,7 @@ def test_complex_flow_coefficient_triggers_realness_guard():
         step(cfg, problem, State(problem.u0(), 0.0), 0.1)
 
 
-class CountingStub:
+class CountingStub(OneCallKernels):
     """A 1-component problem that counts kernel calls and records kick durations.
 
     ``calls`` counts both kernels, ``a_calls`` the A-kernel alone.  A
@@ -117,12 +117,12 @@ class CountingStub:
         self.a_calls = 0
         self.taus = []
 
-    def a_frozen_exp(self, times, weights, duration, state):
+    def a_call(self, times, weights, duration, state):
         self.calls += 1
         self.a_calls += 1
         return state
 
-    def b_kick(self, t_frozen, tau, state):
+    def kick_call(self, t_frozen, tau, state):
         self.calls += 1
         self.taus.append(tau)
         if self.poisoned and t_frozen > 0.0:
@@ -199,7 +199,7 @@ def test_kernel_evals_count_real_kernel_calls(kind, commuting, per_flow, scheme,
     assert record.a_flow_evals == 3 * scheme.n_a
 
 
-class FailingKernel:
+class FailingKernel(OneCallKernels):
     """Identity kernels on a 1-component state; call ``fail_at`` of ``kernel`` raises ValueError."""
 
     commuting = False
@@ -214,10 +214,10 @@ class FailingKernel:
             raise ValueError("math domain error")
         return state
 
-    def a_frozen_exp(self, times, weights, duration, state):
+    def a_call(self, times, weights, duration, state):
         return self._call("a_frozen_exp", state)
 
-    def b_kick(self, t_frozen, tau, state):
+    def kick_call(self, t_frozen, tau, state):
         return self._call("b_kick", state)
 
 
@@ -283,9 +283,9 @@ def test_freeze_convention_moves_cf2_flows_only():
 
 
 def _textbook_strang(problem, state, h, t_freeze):
-    u = problem.b_kick(state.t, 0.5 * h, state.values)
-    u = problem.a_frozen_exp((t_freeze,), (1.0,), h, u)
-    return np.asarray(problem.b_kick(state.t + h, 0.5 * h, u), dtype=complex).real
+    u = kick(problem, state.t, 0.5 * h, state.values)
+    u = frozen_exp(problem, (t_freeze,), (1.0,), h, u)
+    return np.asarray(kick(problem, state.t + h, 0.5 * h, u), dtype=complex).real
 
 
 def _assert_strang_plan(freeze, offset):
@@ -331,9 +331,9 @@ def test_ext4_is_the_richardson_combination_of_strang():
         u, t = problem.u0(), 0.0
         for _ in range(32):
             v = as_run(u)
-            half = _run_stages(plan, problem, t, v, 0.05, None)
-            half = np.asarray(_run_stages(plan, problem, t + 0.05, half, 0.05, None))
-            whole = np.asarray(_run_stages(plan, problem, t, v, 0.1, None))
+            half = run_stages(plan, problem, t, v, 0.05)
+            half = np.asarray(run_stages(plan, problem, t + 0.05, half, 0.05))
+            whole = np.asarray(run_stages(plan, problem, t, v, 0.1))
             combined = ((4.0 / 3.0) * half - (1.0 / 3.0) * whole).real
             u, t = ext4(u, t, 0.1, None), t + 0.1
             assert type(u) is np.ndarray or all(type(z) is float for z in u)
@@ -450,7 +450,7 @@ class NumpyFinish:
         return u.real.astype(complex)
 
 
-class TupleStub:
+class TupleStub(OneCallKernels):
     """A 2-component problem whose kernels pass (q, p) tuples, as the oscillator's do.
 
     Every kick returns ``poison`` in place of the state.
@@ -461,10 +461,10 @@ class TupleStub:
     def __init__(self, poison):
         self.poison = poison
 
-    def a_frozen_exp(self, times, weights, duration, state):
+    def a_call(self, times, weights, duration, state):
         return complex(state[0]), complex(state[1])
 
-    def b_kick(self, t_frozen, tau, state):
+    def kick_call(self, t_frozen, tau, state):
         return self.poison
 
 
@@ -480,7 +480,7 @@ def test_non_finite_tuple_state_fails_the_step(method, slot, part, bad):
         integrate_with(step_fn, np.ones(2), 0.0, 1.0, 2, method)
 
 
-class FirstKickPoisons:
+class FirstKickPoisons(OneCallKernels):
     """Identity kernels on a 2-component state, except that the first kick returns NaN.
 
     In an EXT4 step only the first half-step goes non-finite: the second
@@ -498,10 +498,10 @@ class FirstKickPoisons:
     def _out(self, state):
         return tuple(complex(z) for z in state) if self.as_tuple else np.asarray(state)
 
-    def a_frozen_exp(self, times, weights, duration, state):
+    def a_call(self, times, weights, duration, state):
         return self._out(state)
 
-    def b_kick(self, t_frozen, tau, state):
+    def kick_call(self, t_frozen, tau, state):
         self.kicks += 1
         return self._out(state) if self.kicks > 1 else self._out([math.nan, 1.0])
 
@@ -522,7 +522,7 @@ def test_stage_runner_returns_the_kernels_state(name, kind):
     # the runner neither converts nor checks nor projects: the finish does
     problem = make_problem(name)
     cfg = StepperConfig(scheme=builtin_scheme("SM4"))
-    u = _run_stages(compile_plan(cfg, problem), problem, 0.0, problem.u0(), 0.1, None)
+    u = run_stages(compile_plan(cfg, problem), problem, 0.0, problem.u0(), 0.1)
     assert type(u) is kind
     assert np.any(np.asarray(u).imag != 0.0)
 
@@ -655,3 +655,140 @@ def test_integrate_with_keeps_a_float64_state_and_makes_others_complex():
     for other in ([1.0, 2.0], np.ones(2, dtype=np.float32), np.ones(2, dtype=complex)):
         integrate_with(step_fn, other, 0.0, 1.0, 1, "x")
         assert type(seen[-1]) is np.ndarray and seen[-1].dtype == complex
+
+
+def _one_step_calls(step_fn, u0, t0, tf, n_steps):
+    """A run as repeated one-step calls of step_fn from the clock t + h: (state bytes, t,
+    a_flow_evals, kernel_evals), the integrate_with reference."""
+    h, record = (tf - t0) / n_steps, RunRecord()
+    u = u0 if type(u0) is np.ndarray and u0.dtype == np.float64 else np.asarray(u0, complex)
+    t = t0
+    for _ in range(n_steps):
+        u = step_fn(u, t, h, record)
+        t = t + h
+    return np.asarray(u, dtype=complex).tobytes(), t, record.a_flow_evals, record.kernel_evals
+
+
+def _run_outcome(step_fn, u0, t0, tf, n_steps):
+    state, record = integrate_with(step_fn, u0, t0, tf, n_steps, "x")
+    return state.values.tobytes(), state.t, record.a_flow_evals, record.kernel_evals
+
+
+@pytest.mark.parametrize("name", ["osc", "parabolic", "fisher"])
+@pytest.mark.parametrize("method", sorted(bench.METHODS))
+def test_a_chunked_run_is_bitwise_its_one_step_calls(method, name):
+    # integrate_with hands the step chunks of start times, which its time halves
+    # tabulate; the same step called once per step gives the same bytes and counts:
+    # over several chunks ending in a partial one, from t0 != 0, and within one chunk
+    problem = make_problem(name, **({} if name == "osc" else {"n_grid": 8}))
+    step_fn = bench.resolve_method(method, problem)
+    n_long = 2 * stepper.CHUNK_STEPS + 5
+    for t0, tf, n_steps in ((0.0, 1.0, n_long), (0.37, 2.1, n_long), (-0.2, 0.3, 3)):
+        args = (problem.u0(), t0, tf, n_steps)
+        assert _run_outcome(step_fn, *args) == _one_step_calls(step_fn, *args), (t0, n_steps)
+
+
+@pytest.mark.parametrize("name", ["osc", "parabolic", "fisher"])
+@pytest.mark.parametrize("method", sorted(bench.METHODS))
+def test_a_step_reused_after_a_run_with_another_h_keeps_its_bits(method, name):
+    # nothing a run tabulates outlives it: a step that ran with one h gives the
+    # bytes and counts of a fresh one with another
+    problem = make_problem(name, **({} if name == "osc" else {"n_grid": 8}))
+    used = bench.resolve_method(method, problem)
+    _run_outcome(used, problem.u0(), 0.0, 1.0, stepper.CHUNK_STEPS + 3)
+    fresh = bench.resolve_method(method, make_problem(problem.key(), **(
+        {} if name == "osc" else {"n_grid": 8})))
+    args = (problem.u0(), 0.1, 0.9, stepper.CHUNK_STEPS - 5)
+    assert _run_outcome(used, *args) == _run_outcome(fresh, *args)
+    assert _run_outcome(used, *args) == _one_step_calls(used, *args)
+
+
+class TimeHalfFails(OneCallKernels):
+    """Identity kernels on a 1-component state whose time half of ``kernel`` ("a" or "b")
+    fails, as ``math`` does on a huge time, once a time of its list reaches ``fail_from``.
+    A kick frozen at ``kick_fails_at`` fails in its state half."""
+
+    commuting = False
+
+    def __init__(self, kernel, fail_from, kick_fails_at=None):
+        self.kernel, self.fail_from, self.kick_fails_at = kernel, fail_from, kick_fails_at
+
+    def _check(self, kernel, times):
+        if kernel == self.kernel and max(times) >= self.fail_from:
+            raise OverflowError("math range error")
+
+    def a_frozen_coeffs(self, times, calls, tau):
+        self._check("a", [t for ts in times for t in ts])
+        return super().a_frozen_coeffs(times, calls, tau)
+
+    def b_kick_coeffs(self, t_frozen, tau):
+        self._check("b", t_frozen)
+        return super().b_kick_coeffs(t_frozen, tau)
+
+    def a_call(self, times, weights, duration, state):
+        return state
+
+    def kick_call(self, t_frozen, tau, state):
+        if t_frozen == self.kick_fails_at:
+            raise ValueError("math domain error")
+        return state
+
+
+def _failure(run):
+    with pytest.raises(StepFailed) as info:
+        run()
+    return type(info.value), str(info.value), info.value.stage
+
+
+def _clock(h, k):
+    t = 0.0
+    for _ in range(k):
+        t = t + h
+    return t
+
+
+@pytest.mark.parametrize("kernel,offset,stage,counts", [
+    # step k's first flow is the first call at t_k + o tau, o > 0: no stage of
+    # step k counts
+    ("a", 1e-12, 1, (0, 0)),
+    # the kick frozen at t_k + h/2 is SM4's stage 4, after two flows of 2 calls
+    ("b", 0.5, 4, (2, 4)),
+])
+def test_a_time_half_failing_inside_a_chunk_fails_at_its_step_and_stage(kernel, offset,
+                                                                       stage, counts):
+    # the chunk's tables fail before any of its steps runs; the step then runs the
+    # chunk one step at a time, so the run fails as a step-by-step run does: at step
+    # k, at the stage, with the counts of the k steps and the stages before it
+    n, k = 2 * stepper.CHUNK_STEPS + 5, stepper.CHUNK_STEPS + 7
+    h = 1.0 / n
+    stub = TimeHalfFails(kernel, _clock(h, k) + offset * h)
+    step_fn = bench.resolve_method("sm4", stub)
+    expect = (StepFailed, f"stage {stage}: math range error", stage)
+    assert _failure(lambda: integrate_with(step_fn, np.ones(1), 0.0, 1.0, n, "x")) == expect
+    record = RunRecord()
+    chunk = [_clock(h, i) for i in range(n)]
+    assert _failure(lambda: step_fn(np.ones(1), chunk, h, record)) == expect
+    assert (record.a_flow_evals, record.kernel_evals) == (4 * k + counts[0],
+                                                          8 * k + counts[1])
+    one_by_one = RunRecord()
+
+    def steps():
+        u = np.ones(1)
+        for t in chunk:
+            u = step_fn(u, t, h, one_by_one)
+    assert _failure(steps) == expect
+    assert one_by_one == record
+
+
+@pytest.mark.parametrize("method", sorted(bench.METHODS))
+def test_a_state_half_failing_before_a_time_half_wins(method):
+    # a step runs its stages in turn: the kick at t_n (stage 0) fails in its state
+    # half before any later stage's time half, which fails too, is reached
+    stub = TimeHalfFails("a", 0.0, kick_fails_at=0.0)
+    step_fn = bench.resolve_method(method, stub)
+    if method == "cf4":     # one flow and no kick: the time half's failure
+        expect = (StepFailed, "stage 0: math range error", 0)
+    else:
+        expect = (StepFailed, "stage 0: math domain error", 0)
+    for t in (0.0, [0.0, 0.1]):
+        assert _failure(lambda: step_fn(np.ones(1), t, 0.1)) == expect

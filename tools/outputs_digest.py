@@ -22,13 +22,15 @@ grids.  Run it on two checkouts and ``diff`` the outputs.  It prints:
   every problem, A-flow kind and freeze convention, at n = 16 and 64 steps,
   with the final state's sha256, ``t``, ``a_flow_evals`` and
   ``kernel_evals``, or the error's type and message;
-- one line per problem: the sha256 of its cold reference and its oracle gap;
+- one line per problem: the sha256 of its cold reference, its oracle gap
+  and the sha256 of its classical (RK4) oracle's state, run again here;
 - the sweep CSV rows without ``wall_time`` over perfbench's grids
   (``workloads.SWEEPS``), for every A-flow kind and freeze convention.
 
 The references are built cold in a temporary cache directory, removed at
 exit, never in ``~/.cache``.  The builds take about as long as the slowest
-oracle, the fisher splitting oracle (about 10 s on 2 cores).
+oracle, the fisher splitting oracle (about 10 s on 2 cores); the classical
+oracles' reruns add about 3 s.
 """
 
 from __future__ import annotations
@@ -107,13 +109,15 @@ def expand_line(label, scheme):
 
 
 def reference_line(problem_name, cache_dir):
-    """The sha256 of problem's cold reference and the oracle gap cached with it."""
+    """The sha256 of problem's cold reference, the oracle gap cached with it and the
+    sha256 of its classical (RK4) oracle's state."""
     problem = problems.make_problem(problem_name)
     values = problems.reference_solution(problem, cache_dir=cache_dir)
     path, key = problems._cache_path(problem, cache_dir)
     _, gap, _ = problems._read_cache(path, key, problem.dim)
     digest = hashlib.sha256(values.tobytes()).hexdigest()
-    return f"reference {problem_name} sha256={digest} gap={gap!r}"
+    classical = hashlib.sha256(problems._classical_oracle(problem).tobytes()).hexdigest()
+    return f"reference {problem_name} sha256={digest} gap={gap!r} classical_sha256={classical}"
 
 
 def sweep_lines(problem_name, methods, grid, kind, freeze, cache_dir):

@@ -8,7 +8,9 @@ CHECKOUT (default: the checkout this file is in) is the source tree whose
 (``make_problem(name, n_grid=N)``) and every method of ``bench.METHODS``, a
 run of ``integrate_with`` over [t0, tf] is timed R times (default 7), and
 the line gives the fastest run's ``wall_time`` over its step count.  The
-step counts keep each run near 10 ms on one core.  Then each osc oracle,
+step counts keep each run near 10 ms on one core.  A second column times
+runs of SHORT_STEPS steps, the smallest sweep-osc grid point, where a
+run's set-up (the tabulation of its first chunk) shows.  Then each osc oracle,
 ``_splitting_oracle`` (SM4, 2^16 steps) and ``_classical_oracle`` (RK4,
 2^20 steps), is timed ORACLE_REPEATS times in this process, and its line
 gives the fastest build in seconds.  Last come the designer's lines: the
@@ -50,6 +52,7 @@ from cxsplit.stepper import integrate_with  # noqa: E402
 GRIDS = {100: 256, 1024: 64, 8192: 8}
 #: problem -> {grid size, or None for osc: steps per timed run}
 RUNS = {"osc": {None: 512}, "parabolic": GRIDS, "fisher": GRIDS}
+SHORT_STEPS = 16
 ORACLES = {"split": problems._splitting_oracle, "rk4": problems._classical_oracle}
 ORACLE_REPEATS = 3
 SOLVES = 200                 # solve_b calls per timing
@@ -146,12 +149,14 @@ def designer_lines(repeats):
 def main(args):
     print(f"# python {platform.python_version()}, numpy {np.__version__}, "
           f"src {Path(bench.__file__).parent}")
-    print(f"{'problem':<10} {'N':>5} {'method':<7} {'us_per_step':>12}")
+    print(f"{'problem':<10} {'N':>5} {'method':<7} {'us_per_step':>12} "
+          f"{f'at_n{SHORT_STEPS}':>12}")
     for name, grids in RUNS.items():
         for n_grid, n_steps in grids.items():
             for method in bench.METHODS:
                 try:
-                    cell = f"{us_per_step(name, n_grid, method, n_steps, args.repeats):12.1f}"
+                    cell = " ".join(f"{us_per_step(name, n_grid, method, n, args.repeats):12.1f}"
+                                    for n in (n_steps, SHORT_STEPS))
                 except StepFailed as exc:
                     cell = f"failed: {exc}"
                 print(f"{name:<10} {n_grid or '-':>5} {method:<7} {cell}", flush=True)
