@@ -12,8 +12,7 @@ from functools import partial
 import numpy as np
 
 from .errors import InsufficientData, StepFailed
-from .forking import run_forked
-from .problems import REF_AGREE_TOL, make_problem, reference_solution
+from .problems import REF_AGREE_TOL, make_problem, reference_solution, run_forked
 from .schemes import Scheme, builtin_scheme, resolve_scheme
 from .stepper import RunRecord, StepperConfig, extrapolate, integrate_with, plan_step
 

@@ -19,6 +19,8 @@ import errno
 import hashlib
 import math
 import os
+import pickle
+import signal
 import struct
 import tempfile
 import time
@@ -28,8 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ReferenceInconsistent, ReferenceTooCostly, StepFailed, ValidationError
-from .forking import run_forked
+from .errors import (CxsplitError, ReferenceInconsistent, ReferenceTooCostly, StepFailed,
+                     ValidationError)
 from .propagators import CirculantLaplacian, exp_2x2, exp_circulant, weighted_sum
 from .schemes import builtin_scheme
 from .stepper import StepperConfig, integrate
@@ -398,6 +400,60 @@ def _read_cache(path, digest, dim):
             or length != 8 * dim or len(blob) - REF_HEADER.size != length):
         return None
     return np.frombuffer(blob, dtype="<f8", offset=REF_HEADER.size).copy(), gap, build_s
+
+
+def run_forked(what, parent_fn, *child_fns):
+    """Run parent_fn() here while each child_fn() runs in a forked child.
+
+    Returns [parent_fn(), then each child_fn()'s value in order].  A child
+    sends ("ok", value) or ("err", exception) pickled down a pipe and leaves
+    by os._exit, so it runs none of the parent's exit handlers and flushes
+    none of its buffers; its exception is raised here.  When this process
+    fails, or a child's exception is raised, every child not yet reaped is
+    killed and reaped first.  A child that ends without a result raises
+    CxsplitError: "<what> ended without a result (exit code N)".
+    """
+    children = []       # (pid, reader) of each child not yet reaped
+    try:
+        for fn in child_fns:
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read_fd)
+                    try:
+                        result = ("ok", fn())
+                    except BaseException as exc:
+                        result = ("err", exc)
+                    with open(write_fd, "wb") as fh:
+                        fh.write(pickle.dumps(result))
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb")))
+        results = [parent_fn()]
+        while children:
+            pid, reader = children[0]
+            with reader:
+                blob = reader.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[0]
+            if code != 0 or not blob:
+                how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
+                raise CxsplitError(f"{what} ended without a result ({how})")
+            kind, value = pickle.loads(blob)
+            if kind == "err":
+                raise value
+            results.append(value)
+    except BaseException:
+        for pid, reader in children:
+            reader.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raise
+    return results
 
 
 def reference_solution(problem, cache_dir=None):

@@ -160,7 +160,8 @@ def _chunk_step(tabulate, one_step):
         ts = t if type(t) is list else [t]
         tables = tabulate(ts, h)
         for t in ts:
-            u = step(u, t, h, record) if tables is None else one_step(tables, u, record)
+            # tabulating one step never gives None
+            u = one_step(tabulate([t], h) if tables is None else tables, u, record)
         return u
     return step
 

@@ -93,12 +93,40 @@ def _numpy_b_kick(problem, t_frozen, tau, state):
 def test_osc_kernels_match_numpy_formulas():
     # The kernels square by multiplication and sum the three sines in closed
     # form, so they differ from these formulas by round-off: on these 300
-    # steps, a chunk of 75 for each rule, tabulated by the time halves and
-    # applied by the state halves, a_frozen_exp keeps every bit and b_kick is
-    # at most 2.6e-16 off (1.4e-15 over 1e5 calls of the same kind; the closed
-    # form itself is checked against the three sines in the next test).
+    # calls, each one step through the time and state halves, a_frozen_exp
+    # keeps every bit and b_kick is at most 2.9e-16 off (1.4e-15 over 1e5
+    # calls of the same kind; the closed form itself is checked against the
+    # three sines in the next test).
     problem = make_problem("osc")
     rng = np.random.default_rng(20)
+    rules = ((1.0,), (CF4_BETA, CF4_ALPHA), (CF4_ALPHA, CF4_BETA), (0.5, 0.5))
+    worst = 0.0
+    for _ in range(300):
+        state = rng.uniform(-12.0, 12.0, 2) + 1j * rng.uniform(-1.0, 1.0, 2)
+        t = rng.uniform(0.0, TWO_PI)
+        weights = rules[rng.integers(len(rules))]
+        times = tuple(t + 0.2 * rng.uniform(size=len(weights)))
+        duration = rng.uniform(-0.2, 0.2)
+        tau = complex(rng.uniform(-0.2, 0.2), rng.uniform(-0.1, 0.1))
+        expect_a = _numpy_a_frozen_exp(problem, times, weights, duration, state)
+        expect_b = _numpy_b_kick(problem, t, tau, state)
+        for given in (state, tuple(map(complex, state))):
+            got_a = frozen_exp(problem, times, weights, duration, given)
+            got_b = kick(problem, t, tau, given)
+            for got, expect in ((got_a, expect_a), (got_b, expect_b)):
+                assert type(got) is tuple and len(got) == 2
+                assert all(type(x) is complex for x in got)
+                err = np.max(np.abs(np.array(got) - expect))
+                worst = max(worst, err / max(1.0, np.max(np.abs(expect))))
+    assert worst <= 1e-15
+
+
+def test_osc_kernel_halves_on_a_chunk_match_numpy_formulas():
+    # The time halves tabulate a chunk of 75 steps per rule at once; each row
+    # the state halves apply gives the one-step formulas above: a_frozen_exp
+    # bit for bit, b_kick within the same round-off bound.
+    problem = make_problem("osc")
+    rng = np.random.default_rng(21)
     rules = ((1.0,), (CF4_BETA, CF4_ALPHA), (CF4_ALPHA, CF4_BETA), (0.5, 0.5))
     worst = 0.0
     for weights in rules:
@@ -110,19 +138,15 @@ def test_osc_kernels_match_numpy_formulas():
         [a_rows] = problem.a_frozen_coeffs(times, ((weights, 1.0),), duration)
         b_rows = problem.b_kick_coeffs(ts.tolist(), tau)
         for i, (a_row, b_row) in enumerate(zip(a_rows, b_rows, strict=True)):
-            state = states[i]
+            state = tuple(map(complex, states[i]))
             expect_a = _numpy_a_frozen_exp(problem, [t[i] for t in times], weights, duration,
                                            state)
             expect_b = _numpy_b_kick(problem, ts[i], tau, state)
-            for given in (state, tuple(map(complex, state))):
-                got_a = problem.a_frozen_exp(a_row, given)
-                got_b = problem.b_kick(b_row, given)
-                for got, expect in ((got_a, expect_a), (got_b, expect_b)):
-                    assert type(got) is tuple and len(got) == 2
-                    assert all(type(x) is complex for x in got)
-                    err = np.max(np.abs(np.array(got) - expect))
-                    worst = max(worst, err / max(1.0, np.max(np.abs(expect))))
-                assert np.array(got_a).tobytes() == expect_a.tobytes()
+            got_a = problem.a_frozen_exp(a_row, state)
+            got_b = problem.b_kick(b_row, state)
+            assert np.array(got_a).tobytes() == expect_a.tobytes()
+            err = np.max(np.abs(np.array(got_b) - expect_b))
+            worst = max(worst, err / max(1.0, np.max(np.abs(expect_b))))
     assert worst <= 1e-15
 
 

@@ -1,5 +1,7 @@
 import cmath
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -701,6 +703,23 @@ def test_a_step_reused_after_a_run_with_another_h_keeps_its_bits(method, name):
     args = (problem.u0(), 0.1, 0.9, stepper.CHUNK_STEPS - 5)
     assert _run_outcome(used, *args) == _run_outcome(fresh, *args)
     assert _run_outcome(used, *args) == _one_step_calls(used, *args)
+
+
+@pytest.mark.parametrize("method", ["strang", "ext4", "sm4"])
+def test_a_step_is_freed_when_its_last_reference_goes(method):
+    # a compiled step holds its plan and problem (for a PDE, its spectra and
+    # kick factors): in a reference cycle they would wait for the cycle
+    # collector after every sweep point instead of going with the step
+    problem = make_problem("parabolic", n_grid=8)
+    step_fn = bench.resolve_method(method, problem)
+    integrate_with(step_fn, problem.u0(), 0.0, 1.0, stepper.CHUNK_STEPS + 3, method)
+    freed = weakref.ref(step_fn)
+    gc.disable()
+    try:
+        del step_fn
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 class TimeHalfFails(OneCallKernels):
