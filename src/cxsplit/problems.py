@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import (CxsplitError, ReferenceInconsistent, ReferenceTooCostly, StepFailed,
                      ValidationError)
-from .propagators import CirculantLaplacian, exp_2x2, exp_circulant, weighted_sum
+from .propagators import CirculantLaplacian, exp_2x2, exp_circulant, math_ufunc, weighted_sum
 from .schemes import builtin_scheme
 from .stepper import StepperConfig, integrate
 
@@ -109,41 +109,37 @@ class OscillatorProblem(Problem):
     def u0(self):
         return np.array([self.q0, self.p0], dtype=complex)
 
-    # A time half's rows are floats: (c, s, n) of exp = [[c, s], [n, c]] per A-call,
+    # A time half works on a chunk's float64 arrays (numpy's cos, sin and sqrt give math's
+    # bits here) and its rows are floats: (c, s, n) of exp = [[c, s], [n, c]] per A-call,
     # (w_2 t, 1 + 2 cos(d t), tau * epsilon) per kick.  Both state halves take a (q, p)
     # pair, the run's initial ndarray (read once, with tolist) or a tuple (taken as
-    # given), and return a (q, p) tuple of Python numbers: on a 2-component state
-    # numpy's per-call overhead would be the whole cost.  The tuple passes from stage
-    # to stage and from step to step, projected by each step's finish onto floats;
-    # only the run's end makes it an ndarray.  A float pair stays floats through the
+    # given), and return a (q, p) tuple of Python numbers: on a 2-component state numpy's
+    # per-call overhead would be the whole cost.  A float pair stays floats through the
     # A-flows and real kicks, and a complex kick makes it complex: on a float the
-    # arithmetic is the real part of the complex one, bit for bit.  Squares are
-    # products: x ** 2 calls libm's pow, slower than x * x and not always correctly
-    # rounded.
+    # arithmetic is the real part of the complex one, bit for bit.  Squares are products:
+    # x ** 2 calls libm's pow, slower than x * x and not always correctly rounded.
 
-    def a_frozen_coeffs(self, times, calls, tau):
-        # Omega(t)^2 at each time, with Omega(t) = 1 + cos(1.5 t) / 2, for every
-        # call; sum_i w_i A(t_i) = w_sum * [[0, 1], [-omega_sq / w_sum, 0]]
-        cos = math.cos
-        squares = [[o * o for t in ts for o in [1.0 + 0.5 * cos(1.5 * t)]] for ts in times]
-        cols = []
-        for weights, factor in calls:
-            w_sum = 0.0
-            for w in weights:
-                w_sum += w
-            omega_sq = weighted_sum(squares, weights)
-            if w_sum == 0.0:    # [[0, 0], [-omega_sq, 0]] is nilpotent: exp is I + duration * it
-                cols.append(zip(repeat(1.0), repeat(0.0), [-(factor * tau * x) for x in omega_sq]))
-            else:
-                if w_sum != 1.0:    # x / 1.0 is x: the A_FLOWS weights sum to 1
-                    omega_sq = [x / w_sum for x in omega_sq]
-                cols.append(zip(*exp_2x2(omega_sq, factor * tau * w_sum)))
-        return cols
+    def a_frozen_coeffs(self, times, calls, taus):
+        # Omega(t)^2 at each time, with Omega(t) = 1 + cos(1.5 t) / 2; each call's sum_i w_i
+        # A(t_i) = w_sum * [[0, 1], [-omega_sq / w_sum, 0]], one exp_2x2 for all the calls
+        omega = 1.0 + 0.5 * math_ufunc(np.cos, 1.5 * times)
+        squares = omega * omega
+        omega_sq, durations, nilpotent = np.empty((len(calls), *squares.shape[1:])), [], {}
+        for j, (weights, factor) in enumerate(calls):
+            w_sum, x = weighted_sum(repeat(1.0), weights), weighted_sum(squares, weights)
+            omega_sq[j] = x if w_sum in (0.0, 1.0) else x / w_sum   # x / 1.0 is x
+            durations.append([[factor * tau * w_sum] for tau in taus])
+            if w_sum == 0.0:    # [[0, 0], [-x, 0]] is nilpotent: exp is I + duration * it
+                nilpotent[j] = -factor * np.array(taus)[:, None] * x
+        c, s, n = exp_2x2(omega_sq, np.array(durations))
+        for j, flow_n in nilpotent.items():
+            c[j], s[j], n[j] = 1.0, 0.0, flow_n
+        return [list(map(zip, *col)) for col in zip(c.tolist(), s.tolist(), n.tolist())]
 
-    def b_kick_coeffs(self, t_frozen, tau):
-        cos, w_mid, w_step = math.cos, OMEGA_MID, OMEGA_STEP
-        return zip([w_mid * t for t in t_frozen], [1.0 + 2.0 * cos(w_step * t) for t in t_frozen],
-                   repeat(tau * self.epsilon))
+    def b_kick_coeffs(self, t_frozen, taus):
+        return list(map(zip, (OMEGA_MID * t_frozen).tolist(),
+                        (1.0 + 2.0 * math_ufunc(np.cos, OMEGA_STEP * t_frozen)).tolist(),
+                        [repeat(tau * self.epsilon) for tau in taus]))
 
     def a_frozen_exp(self, row, state):
         c, s, n = row
@@ -196,26 +192,30 @@ class ParabolicProblem(Problem):
     def u0(self):
         return self.sin_2pi_x.copy()
 
-    def a_frozen_coeffs(self, times, calls, tau):
+    def a_frozen_coeffs(self, times, calls, taus):
         # the durations factor tau sum_i w_i alpha(t_i) ** 2, alpha written out (cheaper than
         # a method call), folded left: sum() rounds differently from Python 3.12 on
         mu, w_t, cos = self.mu, self.w, math.cos
-        squares = [[(0.25 + mu * cos(w_t * t)) ** 2 for t in ts] for ts in times]
-        return [[factor * tau * x for x in weighted_sum(squares, weights)]
+        squares = np.array([[[(0.25 + mu * cos(w_t * t)) ** 2 for t in ts] for ts in flow_times]
+                            for flow_times in times.tolist()])
+        return [(factor * np.array(taus)[:, None] * weighted_sum(squares, weights)).tolist()
                 for weights, factor in calls]
 
-    def b_kick_coeffs(self, t_frozen, tau):
+    def b_kick_coeffs(self, t_frozen, taus):
         # exp(tau V(x, t)) = exp(0.3 tau (1 - e^-t)) * exp(0.1 tau sin(2 pi x)): a row
         # is the first factor's exponent and the second factor, which depends only on
         # tau = b_i h, which repeats every step.  It is kept by tau's value, as the keys
         # compare (complex(x) == x), so a real tau gets the real exponential in any type
-        factor = self._kick_factors.get(tau)
-        if factor is None:
-            if len(self._kick_factors) >= KICK_FACTORS_KEPT:
-                self._kick_factors.clear()
-            factor = self._kick_factors[tau] = np.exp((tau if tau.imag else tau.real)
-                                                      * (0.1 * self.sin_2pi_x))
-        return zip([tau * (0.3 * (1.0 - math.exp(-t))) for t in t_frozen], repeat(factor))
+        cols = []
+        for ts, tau in zip(t_frozen.tolist(), taus):
+            factor = self._kick_factors.get(tau)
+            if factor is None:
+                if len(self._kick_factors) >= KICK_FACTORS_KEPT:
+                    self._kick_factors.clear()
+                factor = self._kick_factors[tau] = np.exp((tau if tau.imag else tau.real)
+                                                          * (0.1 * self.sin_2pi_x))
+            cols.append(zip([tau * (0.3 * (1.0 - math.exp(-t))) for t in ts], repeat(factor)))
+        return cols
 
     def a_frozen_exp(self, duration, state):
         return exp_circulant(self.lap, duration, state)
@@ -240,9 +240,9 @@ class FisherProblem(ParabolicProblem):
     def gamma(self, t):
         return (2.0 - math.exp(-self.beta * t)) / 100.0
 
-    def b_kick_coeffs(self, t_frozen, tau):
+    def b_kick_coeffs(self, t_frozen, taus):
         # exact logistic flow with gamma frozen at a real time: a row is gamma(t) tau
-        return [self.gamma(t) * tau for t in t_frozen]
+        return [[self.gamma(t) * tau for t in ts] for ts, tau in zip(t_frozen.tolist(), taus)]
 
     def b_kick(self, x, state):
         exp = math.exp if isinstance(x, float) else cmath.exp    # keeps a real state real

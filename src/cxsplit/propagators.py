@@ -42,6 +42,7 @@ GAUSS_OFFSETS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 FREEZE = None
 
 SHEAR_THRESHOLD = 1e-14
+TRIG_MIN = math.nextafter(SHEAR_THRESHOLD, math.inf)    # exp_2x2's least trigonometric omega_sq
 EXP_OVERFLOW = 709.0
 
 
@@ -70,36 +71,47 @@ A_FLOWS = {
 }
 
 
-def exp_2x2(omega_sq, tau):
-    """exp(tau * [[0, 1], [-omega_sq, 0]]) = [[c, s], [n, c]] for each value of the
-    list omega_sq: the lists of c, of s and of n.
+def math_ufunc(ufunc, x):
+    """ufunc (np.sin or np.cos) of the float64 array x, with the bits of math's function on
+    this platform; where x is infinite, math's ValueError rather than NaN."""
+    y = ufunc(x)
+    if math.isnan(np.add.reduce(y, None)):
+        list(map(getattr(math, ufunc.__name__), x.ravel().tolist()))
+    return y
 
-    Trigonometric for omega_sq > 0, hyperbolic for omega_sq < 0, shear in
-    the |omega_sq| -> 0 limit.
+
+def _exp_2x2(x, tau):
+    """exp_2x2 of one omega_sq x by ``math``: (c, s, n)."""
+    if not abs(x) > SHEAR_THRESHOLD:    # the shear limit, or NaN
+        return 1.0, tau, 0.0
+    w = math.sqrt(abs(x))
+    sin, cos, n = (math.sin, math.cos, -w) if x > 0.0 else (math.sinh, math.cosh, w)
+    return cos(tau * w), sin(tau * w) / w, n * sin(tau * w)
+
+
+def exp_2x2(omega_sq, tau):
+    """exp(tau * [[0, 1], [-omega_sq, 0]]) = [[c, s], [n, c]] for each entry of the float64
+    array omega_sq, tau a float64 array that broadcasts to its shape: the arrays of c, s, n.
+
+    Trigonometric for omega_sq > 0, hyperbolic for omega_sq < 0, shear in the |omega_sq| -> 0
+    limit: if every entry is trigonometric, by numpy (``math_ufunc``), else entry by entry.
     """
-    cs, ss, ns = [], [], []
-    for x in omega_sq:
-        if x > SHEAR_THRESHOLD:
-            w = math.sqrt(x)
-            sin_ = math.sin(tau * w)
-            c, s, n = math.cos(tau * w), sin_ / w, -w * sin_
-        elif x < -SHEAR_THRESHOLD:
-            w = math.sqrt(-x)
-            sinh_ = math.sinh(tau * w)
-            c, s, n = math.cosh(tau * w), sinh_ / w, w * sinh_
-        else:
-            c, s, n = 1.0, tau, 0.0
-        cs.append(c)
-        ss.append(s)
-        ns.append(n)
-    return cs, ss, ns
+    # d = omega_sq - TRIG_MIN >= 0 where omega_sq > SHEAR_THRESHOLD, so |d| - d = 0 there,
+    # and all are 0 if their sum is (not if NaN); (-1.0 * w) * sin_ is (-w) * sin_, bit for bit
+    d = omega_sq - TRIG_MIN
+    if not np.add.reduce(np.abs(d) - d, None):
+        w = np.sqrt(omega_sq)
+        arg = tau * w
+        sin_ = math_ufunc(np.sin, arg)
+        return np.cos(arg), sin_ / w, -1.0 * w * sin_
+    return np.vectorize(_exp_2x2, otypes=(float,) * 3)(omega_sq, tau)
 
 
 def weighted_sum(values, weights):
-    """Per step, sum_i weights_i values_i folded left from 0.0, values one list per weight."""
-    acc = [0.0] * len(values[0])
+    """sum_i weights_i values_i folded left from 0.0, values float64 arrays, one per weight."""
+    acc = 0.0
     for vs, w in zip(values, weights):
-        acc = [a + w * v for a, v in zip(acc, vs)]
+        acc = acc + w * vs
     return acc
 
 

@@ -16,35 +16,35 @@ h/2), (t_n + h/2, h/2) and (t_n, h) and combines the unprojected results.
 Every time is real and known before the state, so the time-only work runs
 ahead of the state loop.  A compiled step, step(u, t, h, record) -> u, maps
 the kernels' own state over one step from t, or from each time of a list t
-in turn: ``_tabulate`` calls the problem's time halves once per stage on
-all the steps' times, the stage runner ``_run_stages`` applies the state
-halves, each to the next row of its call, and ``_finish``, once per step,
-checks the state finite and projects it in its own type (a tuple onto
-floats; a float64 array is already real).  ``integrate_with`` alone knows
-a run's length: it adds t + h as a loop does and hands the step lists of
-min(steps left, CHUNK_STEPS) times; a direct call is a chunk of one.  A
-zero-duration flow calls no kernel but counts in ``a_flow_evals``.  A run
-adds its counts to the record once: on a failure, those of the stages
-before the failing one.
+in turn: ``_tabulate`` calls each time half once for all the stages and runs
+of the steps, ``_run_stages`` applies the state halves, each to the next row
+of its call, and ``_finish``, once per step, checks the state finite and
+projects it in its own type (a tuple onto floats; a float64 array is already
+real).  ``integrate_with`` alone knows a run's length: it adds t + h as a
+loop does and hands the step lists of min(steps left, CHUNK_STEPS) times; a
+direct call is a chunk of one.  A zero-duration flow calls no kernel but
+counts in ``a_flow_evals``.  A run adds its counts to the record once: on a
+failure, those of the stages before the failing one.
 
 Problem protocol: ``commuting`` (the A(t) commute: CF4 fuses into one
 exponential, and the exact flow exists) and two halves of each kernel.  The
-time halves return rows in step order: ``a_frozen_coeffs(times, calls,
-tau)`` those of each call (weights, factor) of a flow of real duration tau,
-exp(factor tau sum_i weights_i A(times_i)), times one list per offset o of
-the steps' t0 + o tau; ``b_kick_coeffs(t_frozen, tau)`` those of the B-flow
-frozen at each real time of t_frozen for the complex duration tau.  The
-state halves ``a_frozen_exp(row, state)`` and ``b_kick(row, state)`` apply
-one row and may hand back any state that the next accepts, real until a
-complex kick: the PDEs' float64 array, which a complex kick makes a complex
-ndarray, or the oscillator's (q, p) tuple of floats, which it makes complex
-numbers.  The state passes unchanged through the stages, EXT4's runs and
-the finish to the next step; a non-finite state stays non-finite, so the
-one check catches every stage.  A half that fails raises StepFailed
-(StepTooLarge is one) or one of KERNEL_ERRORS (``math`` and ``cmath`` raise
-ValueError or OverflowError where numpy returns inf or nan), which the step
-turns into StepFailed at its stage; a time half's failure re-runs its chunk
-one step at a time, so that it fails at its step, after the stages before it.
+time halves take float64 arrays of real times, [stage][step], and a duration
+per stage, and return rows by stage in step order: ``a_frozen_coeffs(times,
+calls, taus)`` those of each call (weights, factor), exp(factor tau sum_i
+weights_i A(times_i)), [call][stage], times[o] the flows' t0 + o tau;
+``b_kick_coeffs(t_frozen, taus)`` those of the B-flows frozen at t_frozen for
+the complex taus.  The state halves ``a_frozen_exp(row, state)`` and
+``b_kick(row, state)`` apply one row and may hand back any state that the
+next accepts, real until a complex kick: the PDEs' float64 array, which a
+complex kick makes a complex ndarray, or the oscillator's (q, p) tuple of
+floats, which it makes complex numbers.  The state passes unchanged through
+the stages, EXT4's runs and the finish to the next step; a non-finite state
+stays non-finite, so the one check catches every stage.  A half that fails
+raises StepFailed (StepTooLarge is one) or one of KERNEL_ERRORS (``math`` and
+``cmath`` raise ValueError or OverflowError where numpy returns inf or nan),
+which the step turns into StepFailed at its stage; a time half's failure
+re-runs its chunk step by step, and a step stage by stage: it fails at its
+step and stage, after the stages before it.
 """
 
 from __future__ import annotations
@@ -149,8 +149,8 @@ def compile_plan(cfg, problem):
 def plan_step(cfg, problem):
     """Compile cfg.scheme for problem once; return its map step_fn(u, t, h, record) -> u."""
     plan = compile_plan(cfg, problem)
-    return _chunk_step(lambda ts, h: _tabulate(plan, problem, ts, h),
-                       lambda table, u, record: _finish(_run_stages(table, u, record)))
+    return _chunk_step(lambda ts, h: _tabulate(plan, problem, [(ts, h)]),
+                       lambda tables, u, record: _finish(_run_stages(tables[0], u, record)))
 
 
 def _chunk_step(tabulate, one_step):
@@ -170,36 +170,57 @@ def _raise(exc, state):
     raise exc
 
 
-def _tabulate(plan, problem, ts, h):
-    """A run of plan over the steps from the times ts: (calls, counts, before), its kernel
-    calls in order as (state half, next row, stage), its (A-flows, kernel calls) and
-    before[stage], those of the stages before it.  A time half that fails makes it None
-    over several steps; over one, a call at its stage that raises, as its kernel would."""
-    # read per run, not bound at compile time: a kernel patched on the class is the one called
-    a_coeffs, a_kernel = problem.a_frozen_coeffs, problem.a_frozen_exp
-    b_coeffs, b_kick = problem.b_kick_coeffs, problem.b_kick
-    calls, before, flows, kernel_calls = [], [], 0, 0
-    try:
+def _tabulate(plan, problem, runs):
+    """Per run (ts, h), plan over the steps from the times ts as a table (calls, counts, before):
+    its kernel calls in order as (state half, next row, stage), its (A-flows, kernel calls) and
+    before[stage], those of the stages before it.  A time half, called once for all the runs,
+    that fails makes it None over several steps; over one, the stages are tabulated one by one,
+    and the first that fails gets a call that raises, as its kernel would."""
+    tables, jobs = [], []   # (calls, stage, flow, run, c0 h, tau) of each stage with a kernel
+    for run, (ts, h) in enumerate(runs):
+        calls, before, flows, kernel_calls = [], [], 0, 0
         for stage, (c0, coeff, flow) in enumerate(plan):
             before.append((flows, kernel_calls))
-            start = c0 * h
-            if flow is None:
-                rows = b_coeffs([t + start for t in ts], coeff * h)
-                calls.append((b_kick, iter(rows).__next__, stage))
-                continue
-            if (tau := coeff * h) != 0.0:     # a zero-duration flow is the identity
-                offsets, flow_calls = flow
-                # t0 + o tau with t0 = t_n + c0 h, as one step forms them
-                times = [[t + start + shift for t in ts] for shift in [o * tau for o in offsets]]
-                calls += [(a_kernel, iter(rows).__next__, stage)
-                          for rows in a_coeffs(times, flow_calls, tau)]
-                kernel_calls += len(flow_calls)
-            flows += 1
-    except (*KERNEL_ERRORS, StepFailed) as exc:
-        if len(ts) > 1:
+            if flow is None or coeff * h != 0.0:     # a zero-duration flow is the identity
+                jobs.append((calls, stage, flow, run, c0 * h, coeff * h))
+                kernel_calls += 0 if flow is None else len(flow[1])
+            flows += flow is not None
+        tables.append((calls, (flows, kernel_calls), before))
+    steps = np.array([ts for ts, _ in runs])
+    try:
+        _add_calls(problem, steps, jobs)
+    except (*KERNEL_ERRORS, StepFailed):
+        if steps.shape[1] > 1:
             return None
-        calls.append((_raise, repeat(exc).__next__, stage))
-    return calls, (flows, kernel_calls), before
+        for job in jobs:
+            try:
+                _add_calls(problem, steps, [job])
+            except (*KERNEL_ERRORS, StepFailed) as exc:
+                job[0].append((_raise, repeat(exc).__next__, job[1]))
+                break
+    return tables
+
+
+def _add_calls(problem, steps, jobs):
+    """Add to the calls of each job (calls, stage, flow, run, c0 h, tau) those of its stage: rows
+    of one time half call at the A-flows' t_n + c0 h + o tau, one at the kicks' t_n + c0 h."""
+    flows = [job for job in jobs if job[2] is not None]
+    kicks = [job for job in jobs if job[2] is None]
+    t0 = (steps.take([job[3] for job in flows + kicks], 0)
+          + np.array([[job[4]] for job in flows + kicks]))
+    if flows:
+        offsets, calls = flows[0][2]
+        taus = [job[5] for job in flows]
+        times = t0[:len(flows)] + np.array([[[o * tau] for tau in taus] for o in offsets])
+        a_rows = zip(*problem.a_frozen_coeffs(times, calls, taus))
+    if kicks:
+        b_rows = iter(problem.b_kick_coeffs(t0[len(flows):], [job[5] for job in kicks]))
+    # read per run, not bound at compile time: a kernel patched on the class is the one called
+    for calls, stage, flow, *_ in jobs:
+        if flow is None:
+            calls.append((problem.b_kick, iter(next(b_rows)).__next__, stage))
+        else:
+            calls += [(problem.a_frozen_exp, iter(col).__next__, stage) for col in next(a_rows)]
 
 
 def _run_stages(table, u, record):
@@ -247,10 +268,8 @@ def extrapolate(cfg, problem):
 
     def tabulate(ts, h):
         half_h = 0.5 * h
-        tables = (_tabulate(plan, problem, ts, half_h),
-                  _tabulate(plan, problem, [t + half_h for t in ts], half_h),
-                  _tabulate(plan, problem, ts, h))
-        return None if None in tables else tables
+        return _tabulate(plan, problem, [(ts, half_h), ([t + half_h for t in ts], half_h),
+                                         (ts, h)])
 
     def extrapolated(tables, u, record):
         first, second, full = tables

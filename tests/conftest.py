@@ -137,7 +137,8 @@ def dense_expm(mat):
 
 def run_stages(plan, problem, t, u, h, record=None):
     """One unprojected run of plan on problem from t: the stage runner on a table of one step."""
-    return _run_stages(_tabulate(plan, problem, [t], h), u, record)
+    [table] = _tabulate(plan, problem, [([t], h)])
+    return _run_stages(table, u, record)
 
 
 def run_flow(kind, problem, t0, h, u, freeze="midpoint"):
@@ -149,14 +150,15 @@ def run_flow(kind, problem, t0, h, u, freeze="midpoint"):
 def frozen_exp(problem, times, weights, duration, state):
     """exp(duration * sum_i weights_i A(times_i)) on state: problem's two A-kernel halves
     at one step, the time half for a call of factor 1."""
-    [[row]] = problem.a_frozen_coeffs([[t] for t in times], ((weights, 1.0),), duration)
+    [[[row]]] = problem.a_frozen_coeffs(np.array([[[t]] for t in times]), ((weights, 1.0),),
+                                        [duration])
     return problem.a_frozen_exp(row, state)
 
 
 def kick(problem, t_frozen, tau, state):
     """The B-kick frozen at t_frozen for the duration tau on state: problem's two kick
     halves at one step."""
-    [row] = problem.b_kick_coeffs([t_frozen], tau)
+    [[row]] = problem.b_kick_coeffs(np.array([[t_frozen]]), [tau])
     return problem.b_kick(row, state)
 
 
@@ -169,12 +171,13 @@ class OneCallKernels:
     makes them.
     """
 
-    def a_frozen_coeffs(self, times, calls, tau):
-        return [[(step_times, weights, factor * tau) for step_times in zip(*times)]
+    def a_frozen_coeffs(self, times, calls, taus):
+        return [[[(step_times, weights, factor * tau) for step_times in zip(*flow_times)]
+                 for flow_times, tau in zip(zip(*times.tolist()), taus)]
                 for weights, factor in calls]
 
-    def b_kick_coeffs(self, t_frozen, tau):
-        return [(t, tau) for t in t_frozen]
+    def b_kick_coeffs(self, t_frozen, taus):
+        return [[(t, tau) for t in ts] for ts, tau in zip(t_frozen.tolist(), taus)]
 
     def a_frozen_exp(self, row, state):
         return self.a_call(*row, state)

@@ -5,6 +5,7 @@ import importlib.util
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cxsplit import problems
@@ -33,7 +34,7 @@ def test_run_digest_sees_a_one_ulp_kernel_change(monkeypatch):
 
     def nudged(omega_sq, tau):
         c, s, n = exp_2x2(omega_sq, tau)
-        return c, s, [x + math.ulp(x) for x in n]     # one ulp on each p coefficient
+        return c, s, np.nextafter(n, math.inf)     # one ulp up on each p coefficient
 
     monkeypatch.setattr(problems, "exp_2x2", nudged)
     moved = tool.run_line(*args).split()

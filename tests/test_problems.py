@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cxsplit import cli
+from cxsplit import bench, cli, problems, propagators
 from cxsplit.errors import (CxsplitError, DesignScanUnreliable, InsufficientData,
                             InvalidSequence, NoSolutionFound, NoStableSolution,
                             NotInCatalog, ParseError, RealTimeViolation,
@@ -21,6 +21,7 @@ from cxsplit.problems import (KICK_FACTORS_KEPT, OMEGA_J, OMEGA_MID, OMEGA_STEP,
                               default_cache_dir, make_problem, reference_solution,
                               rk4_integrate)
 from cxsplit.propagators import CF4_ALPHA, CF4_BETA, exp_2x2, exp_circulant
+from cxsplit.stepper import integrate_with
 
 from conftest import (assert_no_child_left, big_omega, dense_expm, dense_laplacian,
                       frozen_exp, kick, osc_rhs, run_flow)
@@ -78,7 +79,7 @@ def test_a_frozen_exp_exponentiates_the_weighted_generator(name):
 def _numpy_a_frozen_exp(problem, times, weights, duration, state):
     """The osc A-kernel on numpy complex scalars: the reference for a_frozen_exp."""
     omega_sq = sum(w * big_omega(t) ** 2 for t, w in zip(times, weights))
-    [c], [s], [n] = exp_2x2([omega_sq], duration)
+    [c], [s], [n] = exp_2x2(np.array([omega_sq]), duration)
     q, p = state[0], state[1]
     return np.array([c * q + s * p, n * q + c * p], dtype=complex)
 
@@ -135,8 +136,9 @@ def test_osc_kernel_halves_on_a_chunk_match_numpy_formulas():
         times = [(ts + 0.2 * rng.uniform(size=75)).tolist() for _ in weights]
         duration = rng.uniform(-0.2, 0.2)
         tau = complex(rng.uniform(-0.2, 0.2), rng.uniform(-0.1, 0.1))
-        [a_rows] = problem.a_frozen_coeffs(times, ((weights, 1.0),), duration)
-        b_rows = problem.b_kick_coeffs(ts.tolist(), tau)
+        [[a_rows]] = problem.a_frozen_coeffs(np.array([[t] for t in times]), ((weights, 1.0),),
+                                             [duration])
+        [b_rows] = problem.b_kick_coeffs(ts[None], [tau])
         for i, (a_row, b_row) in enumerate(zip(a_rows, b_rows, strict=True)):
             state = tuple(map(complex, states[i]))
             expect_a = _numpy_a_frozen_exp(problem, [t[i] for t in times], weights, duration,
@@ -148,6 +150,40 @@ def test_osc_kernel_halves_on_a_chunk_match_numpy_formulas():
             err = np.max(np.abs(np.array(got_b) - expect_b))
             worst = max(worst, err / max(1.0, np.max(np.abs(expect_b))))
     assert worst <= 1e-15
+
+
+def test_numpy_trig_has_math_bits_on_the_osc_time_half_arguments(monkeypatch):
+    # The oscillator's time halves take numpy's float64 cos, sin and sqrt for math's (and
+    # _osc_terms numpy's cos): this holds on the arguments of a sweep-osc run, every method
+    # of bench.METHODS at 16 to 1024 steps, or the osc outputs move with the platform
+    args = {"cos": [], "sin": [], "sqrt": []}
+    math_ufunc, exp = propagators.math_ufunc, problems.exp_2x2
+
+    def recorded_ufunc(ufunc, x):
+        args[ufunc.__name__].append(x.ravel())
+        return math_ufunc(ufunc, x)
+
+    def recorded_exp(omega_sq, tau):
+        args["sqrt"].append(omega_sq.ravel())
+        args["cos"].append((tau * np.sqrt(omega_sq)).ravel())
+        return exp(omega_sq, tau)
+    for module in (problems, propagators):
+        monkeypatch.setattr(module, "math_ufunc", recorded_ufunc)
+    monkeypatch.setattr(problems, "exp_2x2", recorded_exp)
+    problem = make_problem("osc")
+    for method in bench.METHODS:
+        step_fn = bench.resolve_method(method, problem)
+        for n_steps in (2 ** k for k in range(4, 11)):
+            integrate_with(step_fn, problem.u0(), problem.t0, problem.tf, n_steps, method)
+    for name, parts in args.items():
+        x = np.concatenate(parts)
+        assert x.size > 5 * 10 ** 4       # every method, at every step count
+        want = np.array(list(map(getattr(math, name), x.tolist())))
+        off = np.flatnonzero(getattr(np, name)(x).view(np.int64) != want.view(np.int64))
+        assert not off.size, (
+            f"numpy's float64 {name} differs from math.{name} in the last bits at "
+            f"{x[off[:3]].tolist()}: the premise of the oscillator's numpy time halves, "
+            f"that numpy gives math's bits, does not hold on this platform")
 
 
 def test_osc_forcing_closed_form_is_the_three_sine_sum():
@@ -477,8 +513,8 @@ def test_cache_file_names_are_pinned(tmp_path, name, params, cache_file):
 class ScaledKickParabolic(ParabolicProblem):
     """The parabolic problem with its potential scaled by 0.1: a kernel override only."""
 
-    def b_kick_coeffs(self, t_frozen, tau):
-        return super().b_kick_coeffs(t_frozen, 0.1 * tau)
+    def b_kick_coeffs(self, t_frozen, taus):
+        return super().b_kick_coeffs(t_frozen, [0.1 * tau for tau in taus])
 
 
 def test_problem_contract_is_derived(monkeypatch, tmp_path):
@@ -689,6 +725,29 @@ def test_reference_inconsistency_is_fatal(tmp_path, stub_oracles):
         ref = reference_solution(problem, cache_dir=cache_dir)
         assert np.array_equal(ref, np.linspace(0.0, 1.0, problem.dim))
         assert _cache_path(problem, cache_dir)[0].exists()
+
+
+def test_oracles_5e_10_apart_are_inconsistent(tmp_path, stub_oracles):
+    # a literal gap, not one relative to REF_AGREE_TOL: half the tolerance of 1e-10 passes,
+    # five times it fails, whatever the constant is set to
+    problem = make_problem("parabolic", n_grid=8)
+    stub_oracles(gap=5e-10)
+    with pytest.raises(ReferenceInconsistent, match="5.000e-10 > 1.0e-10"):
+        reference_solution(problem, cache_dir=tmp_path)
+    stub_oracles(gap=5e-11)
+    assert reference_solution(problem, cache_dir=tmp_path)[0] == 0.0
+
+
+def test_self_consistent_entry_of_the_wrong_length_is_not_read(tmp_path):
+    # header and payload agree with each other, but not with the problem's dimension
+    problem = make_problem("parabolic", n_grid=8)
+    path, digest = _cache_path(problem, tmp_path)
+    for dim in (problem.dim - 1, problem.dim + 1):
+        _write_cache(path, digest, np.linspace(0.0, 1.0, dim), 1e-12, 1.0)
+        assert len(path.read_bytes()) == REF_HEADER.size + 8 * dim
+        assert _read_cache(path, digest, problem.dim) is None
+    _write_cache(path, digest, np.linspace(0.0, 1.0, problem.dim), 1e-12, 1.0)
+    assert _read_cache(path, digest, problem.dim) is not None
 
 
 def test_nan_oracle_gap_is_fatal(tmp_path, stub_oracles):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cxsplit.errors import StepTooLarge
-from cxsplit.propagators import (CF4_ALPHA, CF4_BETA, CirculantLaplacian,
+from cxsplit.propagators import (CF4_ALPHA, CF4_BETA, SHEAR_THRESHOLD, CirculantLaplacian,
                                  GAUSS_OFFSETS, exp_2x2, exp_circulant)
 
 from conftest import OneCallKernels, dense_expm, dense_laplacian, run_flow
@@ -97,7 +97,7 @@ def test_zero_step_is_identity():
 
 def _apply_2x2(omega_sq, tau, state):
     """exp_2x2's [[c, s], [n, c]] applied to the pair state, as the osc state half does."""
-    [c], [s], [n] = exp_2x2([omega_sq], tau)
+    [c], [s], [n] = exp_2x2(np.array([omega_sq]), tau)
     q, p = state
     return c * q + s * p, n * q + c * p
 
@@ -110,6 +110,72 @@ def test_exp_2x2_matches_dense(omega_sq):
     q, p = _apply_2x2(omega_sq, tau, (1.2, -0.7))
     assert abs(q - expected[0]) < 1e-13
     assert abs(p - expected[1]) < 1e-13
+
+
+def _exp_2x2_by_math(x, tau):
+    """One entry of exp_2x2 as the scalar kernel had it, branch by branch with ``math``."""
+    if x > SHEAR_THRESHOLD:
+        w = math.sqrt(x)
+        sin_ = math.sin(tau * w)
+        return math.cos(tau * w), sin_ / w, -w * sin_
+    if x < -SHEAR_THRESHOLD:
+        w = math.sqrt(-x)
+        sinh_ = math.sinh(tau * w)
+        return math.cosh(tau * w), sinh_ / w, w * sinh_
+    return 1.0, tau, 0.0
+
+
+#: seeded omega_sq draws of each branch of exp_2x2, on 4 x 3 x 32 arrays
+BRANCH_DRAWS = {
+    "trigonometric": lambda rng, shape: np.exp(rng.uniform(-30.0, 9.0, shape)),
+    "hyperbolic": lambda rng, shape: -np.exp(rng.uniform(-30.0, 4.0, shape)),
+    "shear": lambda rng, shape: rng.uniform(-SHEAR_THRESHOLD, SHEAR_THRESHOLD, shape),
+    "all three": lambda rng, shape: rng.choice([-1.0, 1e-15, 1.0], shape) * np.exp(
+        rng.uniform(-30.0, 4.0, shape)),
+}
+
+
+@pytest.mark.parametrize("branch", BRANCH_DRAWS)
+def test_exp_2x2_on_arrays_is_the_math_kernel_bit_for_bit(branch):
+    # an array of trigonometric entries takes numpy's sqrt, sin and cos, any other array
+    # math's per entry: either way every entry has the bits of the scalar kernel
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        omega_sq = BRANCH_DRAWS[branch](rng, (4, 3, 32))
+        tau = rng.uniform(-2.0, 2.0, (4, 3, 1))
+        got = exp_2x2(omega_sq, tau)
+        want = zip(*map(_exp_2x2_by_math, omega_sq.ravel().tolist(),
+                        np.broadcast_to(tau, omega_sq.shape).ravel().tolist()))
+        for got_col, want_col in zip(got, want, strict=True):
+            assert got_col.shape == omega_sq.shape and got_col.dtype == np.float64
+            assert got_col.tobytes() == np.array(want_col).reshape(omega_sq.shape).tobytes()
+
+
+@pytest.mark.parametrize("omega_sq", [1e-8, -1e-8])
+def test_exp_2x2_near_the_shear_limit_is_the_closed_form(omega_sq):
+    # 1e-8 is far above SHEAR_THRESHOLD: still the trigonometric or hyperbolic exponential,
+    # within round-off, not the shear limit [[1, tau], [0, 1]] (c is 1 - 6.8e-10 off it)
+    tau = 0.37
+    w = math.sqrt(abs(omega_sq))
+    if omega_sq > 0.0:
+        want = (math.cos(tau * w), math.sin(tau * w) / w, -w * math.sin(tau * w))
+    else:
+        want = (math.cosh(tau * w), math.sinh(tau * w) / w, w * math.sinh(tau * w))
+    got = [col[0] for col in exp_2x2(np.array([omega_sq]), tau)]
+    for g, v in zip(got, want):
+        assert abs(g - v) <= 4e-16 * max(1.0, abs(v))
+    assert abs(got[0] - 1.0) > 6e-10
+
+
+def test_exp_2x2_raises_as_math_on_an_infinite_argument():
+    # numpy's sin is NaN at inf, math's raises: the array kernel raises as math does
+    for tau in (np.array([[0.1], [np.inf]]), np.array([[0.1], [-np.inf]])):
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(ValueError, match="math domain error"):
+                exp_2x2(np.full((2, 3), 2.0), tau)
+    with np.errstate(invalid="ignore"):
+        c, s, n = exp_2x2(np.array([2.0]), np.array([np.nan]))      # a NaN argument does not
+    assert np.isnan([c[0], s[0], n[0]]).all()
 
 
 def test_exp_2x2_preserves_quadratic_invariant():

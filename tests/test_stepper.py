@@ -11,7 +11,7 @@ from cxsplit import bench, stepper
 from cxsplit.errors import RealTimeViolation, StepFailed, ValidationError
 from cxsplit.problems import make_problem
 from cxsplit.propagators import A_FLOWS
-from cxsplit.schemes import Scheme, builtin_scheme, expand
+from cxsplit.schemes import Scheme, Stage, builtin_scheme, expand
 from cxsplit.stepper import (RunRecord, State, StepperConfig,
                              compile_plan, compile_stages, extrapolate,
                              integrate, integrate_with, plan_step)
@@ -150,6 +150,20 @@ def test_nan_imaginary_flow_coefficient_rejected_before_any_kernel_call():
     problem = make_problem("parabolic")
     with pytest.raises(RealTimeViolation, match="A-flow duration"):
         integrate(StepperConfig(scheme=bad), problem, problem.u0(), 0.0, 1.0, 4)
+
+
+@pytest.mark.parametrize("role", ["A", "B"])
+def test_a_flow_time_1e_9_off_the_real_axis_is_rejected(role):
+    # a literal imaginary part, not one relative to REAL_TIME_TOL: 1e-13 is real, 1e-9 is
+    # not, on an A-flow's duration and on a kick's node
+    def stage(imag):
+        if role == "A":
+            return Stage("A", complex(0.5, imag), 0.25)
+        return Stage("B", 0.5, complex(0.25, imag))
+    flow = A_FLOWS["cf2"][False]
+    assert compile_stages([stage(1e-13)], flow, 0.5)[0][:2] == (0.25, 0.5)
+    with pytest.raises(RealTimeViolation, match="imaginary part 1.000e-09"):
+        compile_stages([stage(1e-9)], flow, 0.5)
 
 
 @pytest.mark.parametrize("node", [0.2j, complex(0.0, math.nan)], ids=["complex", "nan-imag"])
@@ -736,13 +750,13 @@ class TimeHalfFails(OneCallKernels):
         if kernel == self.kernel and max(times) >= self.fail_from:
             raise OverflowError("math range error")
 
-    def a_frozen_coeffs(self, times, calls, tau):
-        self._check("a", [t for ts in times for t in ts])
-        return super().a_frozen_coeffs(times, calls, tau)
+    def a_frozen_coeffs(self, times, calls, taus):
+        self._check("a", times.ravel().tolist())
+        return super().a_frozen_coeffs(times, calls, taus)
 
-    def b_kick_coeffs(self, t_frozen, tau):
-        self._check("b", t_frozen)
-        return super().b_kick_coeffs(t_frozen, tau)
+    def b_kick_coeffs(self, t_frozen, taus):
+        self._check("b", t_frozen.ravel().tolist())
+        return super().b_kick_coeffs(t_frozen, taus)
 
     def a_call(self, times, weights, duration, state):
         return state

@@ -7,10 +7,12 @@ CHECKOUT (default: the checkout this file is in) is the source tree whose
 ``src/cxsplit`` runs.  For osc, every PDE grid size N
 (``make_problem(name, n_grid=N)``) and every method of ``bench.METHODS``, a
 run of ``integrate_with`` over [t0, tf] is timed R times (default 7), and
-the line gives the fastest run's ``wall_time`` over its step count.  The
-step counts keep each run near 10 ms on one core.  A second column times
-runs of SHORT_STEPS steps, the smallest sweep-osc grid point, where a
-run's set-up (the tabulation of its first chunk) shows.  Then each osc oracle,
+the line gives the fastest run's ``wall_time`` over its step count, and
+beside it the time that run spent tabulating its time halves
+(``stepper._tabulate``) over the same count.  The step counts keep each
+run near 10 ms on one core.  Two more columns time runs of SHORT_STEPS
+steps, the smallest sweep-osc grid point, where a run's set-up (the
+tabulation of its first chunk) shows.  Then each osc oracle,
 ``_splitting_oracle`` (SM4, 2^16 steps) and ``_classical_oracle`` (RK4,
 2^20 steps), is timed ORACLE_REPEATS times in this process, and its line
 gives the fastest build in seconds.  Last come the designer's lines: the
@@ -43,7 +45,7 @@ if __name__ == "__main__":      # the checkout to time, put first before cxsplit
 
 import numpy as np  # noqa: E402
 
-from cxsplit import bench, designer, problems  # noqa: E402
+from cxsplit import bench, designer, problems, stepper  # noqa: E402
 from cxsplit.errors import StepFailed  # noqa: E402
 from cxsplit.schemes import builtin_scheme  # noqa: E402
 from cxsplit.stepper import integrate_with  # noqa: E402
@@ -62,15 +64,30 @@ STACK = 10 ** 4              # random 6-stage flows scored per timing
 
 
 def us_per_step(name, n_grid, method, n_steps, repeats):
-    """The fastest of `repeats` runs of method on a fresh problem, in microseconds per step."""
+    """The fastest of `repeats` runs of method on a fresh problem: its microseconds per step,
+    and those of its tabulation of the time halves (``stepper._tabulate``) per step."""
     problem = problems.make_problem(name, **({} if n_grid is None else {"n_grid": n_grid}))
     step_fn = bench.resolve_method(method, problem)
-    best = float("inf")
-    for _ in range(repeats):
-        _, record = integrate_with(step_fn, problem.u0(), problem.t0, problem.tf,
-                                   n_steps, method)
-        best = min(best, record.wall_time)
-    return 1e6 * best / n_steps
+    tabulate, spent = stepper._tabulate, [0.0]
+
+    def timed(*args):
+        start = time.perf_counter()
+        try:
+            return tabulate(*args)
+        finally:
+            spent[0] += time.perf_counter() - start
+
+    best = (float("inf"), 0.0)
+    stepper._tabulate = timed       # the step functions read it at each call
+    try:
+        for _ in range(repeats):
+            spent[0] = 0.0
+            _, record = integrate_with(step_fn, problem.u0(), problem.t0, problem.tf,
+                                       n_steps, method)
+            best = min(best, (record.wall_time, spent[0]))
+    finally:
+        stepper._tabulate = tabulate
+    return tuple(1e6 * s / n_steps for s in best)
 
 
 def oracle_s(oracle, repeats):
@@ -149,14 +166,14 @@ def designer_lines(repeats):
 def main(args):
     print(f"# python {platform.python_version()}, numpy {np.__version__}, "
           f"src {Path(bench.__file__).parent}")
-    print(f"{'problem':<10} {'N':>5} {'method':<7} {'us_per_step':>12} "
-          f"{f'at_n{SHORT_STEPS}':>12}")
+    print(f"{'problem':<10} {'N':>5} {'method':<7} {'us_per_step':>12} {'tabulate_us':>12} "
+          f"{f'at_n{SHORT_STEPS}':>12} {'tabulate_us':>12}")
     for name, grids in RUNS.items():
         for n_grid, n_steps in grids.items():
             for method in bench.METHODS:
                 try:
-                    cell = " ".join(f"{us_per_step(name, n_grid, method, n, args.repeats):12.1f}"
-                                    for n in (n_steps, SHORT_STEPS))
+                    cell = " ".join(f"{us:12.1f}" for n in (n_steps, SHORT_STEPS)
+                                    for us in us_per_step(name, n_grid, method, n, args.repeats))
                 except StepFailed as exc:
                     cell = f"failed: {exc}"
                 print(f"{name:<10} {n_grid or '-':>5} {method:<7} {cell}", flush=True)
