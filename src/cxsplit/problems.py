@@ -120,20 +120,20 @@ class OscillatorProblem(Problem):
     # x ** 2 calls libm's pow, slower than x * x and not always correctly rounded.
 
     def a_frozen_coeffs(self, times, calls, taus):
-        # Omega(t)^2 at each time, with Omega(t) = 1 + cos(1.5 t) / 2; each call's sum_i w_i
-        # A(t_i) = w_sum * [[0, 1], [-omega_sq / w_sum, 0]], one exp_2x2 for all the calls
+        # Omega(t)^2 at each time, with Omega(t) = 1 + cos(1.5 t) / 2; a call's sum_i w_i
+        # A(t_i) = w_sum * [[0, 1], [-omega_sq / w_sum, 0]], every call's at once
         omega = 1.0 + 0.5 * math_ufunc(np.cos, 1.5 * times)
-        squares = omega * omega
-        omega_sq, durations, nilpotent = np.empty((len(calls), *squares.shape[1:])), [], {}
-        for j, (weights, factor) in enumerate(calls):
-            w_sum, x = weighted_sum(repeat(1.0), weights), weighted_sum(squares, weights)
-            omega_sq[j] = x if w_sum in (0.0, 1.0) else x / w_sum   # x / 1.0 is x
-            durations.append([[factor * tau * w_sum] for tau in taus])
+        weights = [np.array(w).reshape(-1, 1, 1) for w in zip(*[w for w, _ in calls])]
+        omega_sq = weighted_sum(omega * omega, weights)     # axes (call, A-flow, step)
+        w_sums = [weighted_sum(repeat(1.0), w) for w, _ in calls]
+        if any(w_sum not in (0.0, 1.0) for w_sum in w_sums):    # x / 1.0 is x
+            omega_sq = omega_sq / np.array([w_sum or 1.0 for w_sum in w_sums]).reshape(-1, 1, 1)
+        durations = [factor * tau * w_sum for (_, factor), w_sum in zip(calls, w_sums)
+                     for tau in taus]
+        c, s, n = exp_2x2(omega_sq, np.array(durations).reshape(len(calls), -1, 1))
+        for j, ((_, factor), w_sum) in enumerate(zip(calls, w_sums)):
             if w_sum == 0.0:    # [[0, 0], [-x, 0]] is nilpotent: exp is I + duration * it
-                nilpotent[j] = -factor * np.array(taus)[:, None] * x
-        c, s, n = exp_2x2(omega_sq, np.array(durations))
-        for j, flow_n in nilpotent.items():
-            c[j], s[j], n[j] = 1.0, 0.0, flow_n
+                c[j], s[j], n[j] = 1.0, 0.0, -factor * np.array(taus)[:, None] * omega_sq[j]
         return [list(map(zip, *col)) for col in zip(c.tolist(), s.tolist(), n.tolist())]
 
     def b_kick_coeffs(self, t_frozen, taus):

@@ -186,7 +186,7 @@ def _tabulate(plan, problem, runs):
                 kernel_calls += 0 if flow is None else len(flow[1])
             flows += flow is not None
         tables.append((calls, (flows, kernel_calls), before))
-    steps = np.array([ts for ts, _ in runs])
+    steps = np.array([ts for ts, _ in runs], dtype=float)
     try:
         _add_calls(problem, steps, jobs)
     except (*KERNEL_ERRORS, StepFailed):
@@ -206,21 +206,23 @@ def _add_calls(problem, steps, jobs):
     of one time half call at the A-flows' t_n + c0 h + o tau, one at the kicks' t_n + c0 h."""
     flows = [job for job in jobs if job[2] is not None]
     kicks = [job for job in jobs if job[2] is None]
-    t0 = (steps.take([job[3] for job in flows + kicks], 0)
-          + np.array([[job[4]] for job in flows + kicks]))
+    # flat lists and broadcasting: numpy reads nested lists slowly
+    base = steps if len(steps) == 1 else steps.take([job[3] for job in flows + kicks], 0)
+    t0 = base + np.array([job[4] for job in flows + kicks])[:, None]
     if flows:
         offsets, calls = flows[0][2]
         taus = [job[5] for job in flows]
-        times = t0[:len(flows)] + np.array([[[o * tau] for tau in taus] for o in offsets])
-        a_rows = zip(*problem.a_frozen_coeffs(times, calls, taus))
+        shifts = np.array([o * tau for o in offsets for tau in taus]).reshape(len(offsets), -1, 1)
+        a_rows = zip(*problem.a_frozen_coeffs(t0[:len(flows)] + shifts, calls, taus))
     if kicks:
         b_rows = iter(problem.b_kick_coeffs(t0[len(flows):], [job[5] for job in kicks]))
     # read per run, not bound at compile time: a kernel patched on the class is the one called
+    a_kernel, b_kick = problem.a_frozen_exp, problem.b_kick
     for calls, stage, flow, *_ in jobs:
         if flow is None:
-            calls.append((problem.b_kick, iter(next(b_rows)).__next__, stage))
+            calls.append((b_kick, iter(next(b_rows)).__next__, stage))
         else:
-            calls += [(problem.a_frozen_exp, iter(col).__next__, stage) for col in next(a_rows)]
+            calls += [(a_kernel, iter(col).__next__, stage) for col in next(a_rows)]
 
 
 def _run_stages(table, u, record):
