@@ -109,13 +109,12 @@ class OscillatorProblem(Problem):
     def u0(self):
         return np.array([self.q0, self.p0], dtype=complex)
 
-    # A time half works on a chunk's float64 arrays (numpy's cos, sin and sqrt give math's
-    # bits here) and its rows are floats: (c, s, n) of exp = [[c, s], [n, c]] per A-call,
-    # (w_2 t, 1 + 2 cos(d t), tau * epsilon) per kick.  Both state halves take a (q, p)
-    # pair, the run's initial ndarray (read once, with tolist) or a tuple (taken as
-    # given), and return a (q, p) tuple of Python numbers: on a 2-component state numpy's
-    # per-call overhead would be the whole cost.  A float pair stays floats through the
-    # A-flows and real kicks, and a complex kick makes it complex: on a float the
+    # A time half works on a chunk's float64 arrays, with math's bits (math_ufunc); its rows
+    # are floats: (c, s, n) of exp = [[c, s], [n, c]] per A-call, (w_2 t, 1 + 2 cos(d t),
+    # tau * epsilon) per kick.  Both state halves take a (q, p) pair, the run's ndarray
+    # (read once, with tolist) or a tuple, and return a (q, p) tuple of Python numbers:
+    # numpy's per-call overhead would be the whole cost.  A float pair stays floats
+    # through the A-flows and real kicks, a complex kick makes it complex: on a float the
     # arithmetic is the real part of the complex one, bit for bit.  Squares are products:
     # x ** 2 calls libm's pow, slower than x * x and not always correctly rounded.
 

@@ -42,7 +42,6 @@ GAUSS_OFFSETS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 FREEZE = None
 
 SHEAR_THRESHOLD = 1e-14
-TRIG_MIN = math.nextafter(SHEAR_THRESHOLD, math.inf)    # exp_2x2's least trigonometric omega_sq
 EXP_OVERFLOW = 709.0
 
 
@@ -72,8 +71,7 @@ A_FLOWS = {
 
 
 def math_ufunc(ufunc, x):
-    """ufunc (np.sin or np.cos) of the float64 array x, with the bits of math's function on
-    this platform; where x is infinite, math's ValueError rather than NaN."""
+    """np.sin or np.cos of the float64 array x, math's bits here; math's ValueError at inf."""
     y = ufunc(x)
     if math.isnan(np.add.reduce(y, None)):
         list(map(getattr(math, ufunc.__name__), x.ravel().tolist()))
@@ -94,11 +92,10 @@ def exp_2x2(omega_sq, tau):
     array omega_sq, tau a float64 array that broadcasts to its shape: the arrays of c, s, n.
 
     Trigonometric for omega_sq > 0, hyperbolic for omega_sq < 0, shear in the |omega_sq| -> 0
-    limit: if every entry is trigonometric, by numpy (``math_ufunc``), else entry by entry.
+    limit: if every entry is trigonometric (d >= 0, so |d| - d = 0 there, and all are 0 if their
+    sum is), by numpy (``math_ufunc``), else entry by entry.  (-1.0 * w) * sin_ is (-w) * sin_.
     """
-    # d = omega_sq - TRIG_MIN >= 0 where omega_sq > SHEAR_THRESHOLD, so |d| - d = 0 there,
-    # and all are 0 if their sum is (not if NaN); (-1.0 * w) * sin_ is (-w) * sin_, bit for bit
-    d = omega_sq - TRIG_MIN
+    d = omega_sq - math.nextafter(SHEAR_THRESHOLD, math.inf)
     if not np.add.reduce(np.abs(d) - d, None):
         w = np.sqrt(omega_sq)
         arg = tau * w

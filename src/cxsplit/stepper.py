@@ -13,38 +13,38 @@ times t0 + o tau, each call for factor * tau.  Strang is the STRANG_BAB
 plan with a CF2 flow; EXT4, its ``extrapolate``, runs the plan at (t_n,
 h/2), (t_n + h/2, h/2) and (t_n, h) and combines the unprojected results.
 
-Every time is real and known before the state, so the time-only work runs
-ahead of the state loop.  A compiled step, step(u, t, h, record) -> u, maps
-the kernels' own state over one step from t, or from each time of a list t
-in turn: ``_tabulate`` calls each time half once for all the stages and runs
-of the steps, ``_run_stages`` applies the state halves, each to the next row
-of its call, and ``_finish``, once per step, checks the state finite and
-projects it in its own type (a tuple onto floats; a float64 array is already
-real).  ``integrate_with`` alone knows a run's length: it adds t + h as a
-loop does and hands the step lists of min(steps left, CHUNK_STEPS) times; a
-direct call is a chunk of one.  A zero-duration flow calls no kernel but
-counts in ``a_flow_evals``.  A run adds its counts to the record once: on a
-failure, those of the stages before the failing one.
+Every time is real and known before the state, so the time-only work runs ahead
+of the state loop.  A compiled step, step(u, t, h, record) -> u, maps the
+kernels' own state over one step from t, or from each time of a list t in turn:
+``_tabulate`` calls each time half once for all the stages and runs of the
+steps, ``_run_stages`` applies the state halves, each to the next row of its
+call, and ``_finish``, once per step, checks the state finite and projects it
+in its own type (a tuple onto floats; a float64 array is already real).
+``integrate_with`` alone knows a run's length: it adds t + h as a loop does and
+hands the step lists of min(steps left, CHUNK_STEPS) times; a direct call is a
+chunk of one.  A zero-duration flow calls no kernel but counts in
+``a_flow_evals``.  A run adds its counts to the record once: on a failure,
+those of the stages before the failing one.
 
 Problem protocol: ``commuting`` (the A(t) commute: CF4 fuses into one
 exponential, and the exact flow exists) and two halves of each kernel.  The
-time halves take float64 arrays of real times, [stage][step], and a duration
-per stage, and return rows by stage in step order: ``a_frozen_coeffs(times,
-calls, taus)`` those of each call (weights, factor), exp(factor tau sum_i
-weights_i A(times_i)), [call][stage], times[o] the flows' t0 + o tau;
-``b_kick_coeffs(t_frozen, taus)`` those of the B-flows frozen at t_frozen for
-the complex taus.  The state halves ``a_frozen_exp(row, state)`` and
-``b_kick(row, state)`` apply one row and may hand back any state that the
-next accepts, real until a complex kick: the PDEs' float64 array, which a
-complex kick makes a complex ndarray, or the oscillator's (q, p) tuple of
-floats, which it makes complex numbers.  The state passes unchanged through
-the stages, EXT4's runs and the finish to the next step; a non-finite state
-stays non-finite, so the one check catches every stage.  A half that fails
-raises StepFailed (StepTooLarge is one) or one of KERNEL_ERRORS (``math`` and
-``cmath`` raise ValueError or OverflowError where numpy returns inf or nan),
-which the step turns into StepFailed at its stage; a time half's failure
-re-runs its chunk step by step, and a step stage by stage: it fails at its
-step and stage, after the stages before it.
+time halves take float64 arrays of real times [stage][step] and a duration per
+stage, and return rows by stage in step order: ``a_frozen_coeffs(times, calls,
+taus)`` by [call][stage], of exp(factor tau sum_i weights_i A(times_i)) for
+each call (weights, factor), times[o] the flows' t0 + o tau;
+``b_kick_coeffs(t_frozen, taus)`` of the B-flows frozen at t_frozen for complex
+taus.  The state halves ``a_frozen_exp(row, state)`` and ``b_kick(row, state)``
+apply one row and may hand back any state that the next accepts, real until a
+complex kick: the PDEs' float64 array, which a complex kick makes a complex
+ndarray, or the oscillator's (q, p) tuple of floats, which it makes complex
+numbers.  The state passes unchanged through the stages, EXT4's runs and the
+finish to the next step; a non-finite state stays non-finite, so the one check
+catches every stage.  A half that fails raises StepFailed (StepTooLarge is one)
+or one of KERNEL_ERRORS (``math`` and ``cmath`` raise ValueError or
+OverflowError where numpy returns inf or nan), which the step turns into
+StepFailed at its stage; a time half's failure re-runs its chunk step by step,
+and a step stage by stage: it fails at its step and stage, after the stages
+before it.
 """
 
 from __future__ import annotations
@@ -171,12 +171,13 @@ def _raise(exc, state):
 
 
 def _tabulate(plan, problem, runs):
-    """Per run (ts, h), plan over the steps from the times ts as a table (calls, counts, before):
-    its kernel calls in order as (state half, next row, stage), its (A-flows, kernel calls) and
-    before[stage], those of the stages before it.  A time half, called once for all the runs,
-    that fails makes it None over several steps; over one, the stages are tabulated one by one,
-    and the first that fails gets a call that raises, as its kernel would."""
-    tables, jobs = [], []   # (calls, stage, flow, run, c0 h, tau) of each stage with a kernel
+    """Per run (ts, h), plan over the steps from ts as a table (calls, counts, before): its kernel
+    calls in order as (state half, next row, stage), its (A-flows, kernel calls) and before[stage],
+    those of the stages before it.  A time half (one call for all runs) that fails makes it None
+    over several steps; over one, the stage that fails, tabulated alone, gets a call that raises."""
+    # each stage with a kernel as a job (calls, stage, flow, run, c0 h, tau), its times those of
+    # one step: t_n + c0 h for a kick, t_n + c0 h + o tau for an A-flow, t_n from runs[run]
+    tables, jobs = [], []
     for run, (ts, h) in enumerate(runs):
         calls, before, flows, kernel_calls = [], [], 0, 0
         for stage, (c0, coeff, flow) in enumerate(plan):
@@ -202,11 +203,9 @@ def _tabulate(plan, problem, runs):
 
 
 def _add_calls(problem, steps, jobs):
-    """Add to the calls of each job (calls, stage, flow, run, c0 h, tau) those of its stage: rows
-    of one time half call at the A-flows' t_n + c0 h + o tau, one at the kicks' t_n + c0 h."""
+    """Append each job's kernel calls, with rows from one call of each time half for all jobs."""
     flows = [job for job in jobs if job[2] is not None]
     kicks = [job for job in jobs if job[2] is None]
-    # flat lists and broadcasting: numpy reads nested lists slowly
     base = steps if len(steps) == 1 else steps.take([job[3] for job in flows + kicks], 0)
     t0 = base + np.array([job[4] for job in flows + kicks])[:, None]
     if flows:
