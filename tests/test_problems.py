@@ -186,6 +186,23 @@ def test_numpy_trig_has_math_bits_on_the_osc_time_half_arguments(monkeypatch):
             f"that numpy gives math's bits, does not hold on this platform")
 
 
+def test_osc_time_halves_raise_as_math_at_an_infinite_argument():
+    # numpy's cos is NaN at inf where math's raises: the halves raise as math does, and a
+    # step fails at its first stage; a NaN time is NaN in math as well, and does not raise
+    problem = make_problem("osc")
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(ValueError, match="math domain error"):
+            problem.b_kick_coeffs(np.array([[0.5, math.inf]]), [0.1])
+        with pytest.raises(ValueError, match="math domain error"):
+            problem.a_frozen_coeffs(np.array([[[0.5, 1.5e308]]]), (((1.0,), 1.0),), [0.1])
+        [rows] = problem.b_kick_coeffs(np.array([[math.nan]]), [0.1])
+    assert all(map(math.isnan, next(rows)[:2]))
+    step_fn = bench.resolve_method("sm4", problem)
+    with pytest.raises(StepFailed, match="^stage 0: math domain error$") as info:
+        integrate_with(step_fn, problem.u0(), 1.7e308, 1.7e308, 40, "sm4")
+    assert info.value.stage == 0
+
+
 def test_osc_forcing_closed_form_is_the_three_sine_sum():
     # sum_j sin(q - w_j t) = sin(q - w_2 t) (1 + 2 cos(d t)) for w_j = w_2 + (j - 2) d.
     # Rounding w_j t already costs each form up to about 5e-14 against a
