@@ -111,12 +111,11 @@ class OscillatorProblem(Problem):
 
     # A time half works on a chunk's float64 arrays, with math's bits (math_ufunc); its rows
     # are floats: (c, s, n) of exp = [[c, s], [n, c]] per A-call, (w_2 t, 1 + 2 cos(d t),
-    # tau * epsilon) per kick.  Both state halves take a (q, p) pair, the run's ndarray
-    # (read once, with tolist) or a tuple, and return a (q, p) tuple of Python numbers:
-    # numpy's per-call overhead would be the whole cost.  A float pair stays floats
-    # through the A-flows and real kicks, a complex kick makes it complex: on a float the
-    # arithmetic is the real part of the complex one, bit for bit.  Squares are products:
-    # x ** 2 calls libm's pow, slower than x * x and not always correctly rounded.
+    # tau * epsilon) per kick.  The state halves take a (q, p) pair, the run's ndarray (read
+    # once, with tolist) or a tuple, and return a tuple of Python numbers: on 2 components
+    # numpy's per-call overhead would be the whole cost.  A float pair stays floats until a
+    # complex kick: on a float the arithmetic is the real part of the complex one, bit for
+    # bit.  Squares are products: x ** 2 calls libm's pow, slower than x * x.
 
     def a_frozen_coeffs(self, times, calls, taus):
         # Omega(t)^2 at each time, with Omega(t) = 1 + cos(1.5 t) / 2; a call's sum_i w_i
@@ -195,10 +194,9 @@ class ParabolicProblem(Problem):
         # the durations factor tau sum_i w_i alpha(t_i) ** 2, alpha written out (cheaper than
         # a method call), folded left: sum() rounds differently from Python 3.12 on
         mu, w_t, cos = self.mu, self.w, math.cos
-        squares = np.array([[[(0.25 + mu * cos(w_t * t)) ** 2 for t in ts] for ts in flow_times]
-                            for flow_times in times.tolist()])
-        return [(factor * np.array(taus)[:, None] * weighted_sum(squares, weights)).tolist()
-                for weights, factor in calls]
+        squares = np.array([(0.25 + mu * cos(w_t * t)) ** 2 for t in times.ravel().tolist()])
+        squares, taus = squares.reshape(times.shape), np.array(taus)[:, None]
+        return [(factor * taus * weighted_sum(squares, w)).tolist() for w, factor in calls]
 
     def b_kick_coeffs(self, t_frozen, taus):
         # exp(tau V(x, t)) = exp(0.3 tau (1 - e^-t)) * exp(0.1 tau sin(2 pi x)): a row

@@ -92,9 +92,8 @@ def exp_2x2(omega_sq, tau):
     array omega_sq, tau a float64 array that broadcasts to its shape: the arrays of c, s, n.
 
     Trigonometric for omega_sq > 0, hyperbolic for omega_sq < 0, shear in the |omega_sq| -> 0
-    limit: if every entry is trigonometric (d >= 0, so |d| - d = 0 there, and all are 0 if their
-    sum is), by numpy (``math_ufunc``), else entry by entry.  (-1.0 * w) * sin_ is (-w) * sin_.
-    """
+    limit: by numpy (``math_ufunc``) if every entry is trigonometric (d >= 0, |d| - d = 0, sums
+    to 0), else entry by entry.  (-1.0 * w) * sin_ is (-w) * sin_, with no new numpy loop."""
     d = omega_sq - math.nextafter(SHEAR_THRESHOLD, math.inf)
     if not np.add.reduce(np.abs(d) - d, None):
         w = np.sqrt(omega_sq)

@@ -175,8 +175,7 @@ def _tabulate(plan, problem, runs):
     calls in order as (state half, next row, stage), its (A-flows, kernel calls) and before[stage],
     those of the stages before it.  A time half (one call for all runs) that fails makes it None
     over several steps; over one, the stage that fails, tabulated alone, gets a call that raises."""
-    # each stage with a kernel as a job (calls, stage, flow, run, c0 h, tau), its times those of
-    # one step: t_n + c0 h for a kick, t_n + c0 h + o tau for an A-flow, t_n from runs[run]
+    # jobs (calls, stage, flow, run, c0 h, tau): at t_n + c0 h (+ o tau), t_n of runs[run]
     tables, jobs = [], []
     for run, (ts, h) in enumerate(runs):
         calls, before, flows, kernel_calls = [], [], 0, 0
