@@ -208,10 +208,10 @@ def _add_calls(problem, steps, jobs):
     base = steps if len(steps) == 1 else steps.take([job[3] for job in flows + kicks], 0)
     t0 = base + np.array([job[4] for job in flows + kicks])[:, None]
     if flows:
-        offsets, calls = flows[0][2]
+        offsets, flow_calls = flows[0][2]
         taus = [job[5] for job in flows]
         shifts = np.array([o * tau for o in offsets for tau in taus]).reshape(len(offsets), -1, 1)
-        a_rows = zip(*problem.a_frozen_coeffs(t0[:len(flows)] + shifts, calls, taus))
+        a_rows = zip(*problem.a_frozen_coeffs(t0[:len(flows)] + shifts, flow_calls, taus))
     if kicks:
         b_rows = iter(problem.b_kick_coeffs(t0[len(flows):], [job[5] for job in kicks]))
     # read per run, not bound at compile time: a kernel patched on the class is the one called
