@@ -92,7 +92,7 @@ def exp_2x2(omega_sq, tau):
     array omega_sq, tau a float64 array that broadcasts to its shape: the arrays of c, s, n.
 
     Trigonometric for omega_sq > 0, hyperbolic for omega_sq < 0, shear in the |omega_sq| -> 0
-    limit: by numpy (``math_ufunc``) if every entry is trigonometric (d >= 0, |d| - d = 0, sums
+    limit: by numpy (``math_ufunc``) if every entry is trigonometric (every d >= 0: |d| - d sums
     to 0), else entry by entry.  (-1.0 * w) * sin_ is (-w) * sin_, with no new numpy loop."""
     d = omega_sq - math.nextafter(SHEAR_THRESHOLD, math.inf)
     if not np.add.reduce(np.abs(d) - d, None):
