@@ -187,17 +187,18 @@ def _tabulate(plan, problem, runs):
             flows += flow is not None
         tables.append((calls, (flows, kernel_calls), before))
     steps = np.array([ts for ts, _ in runs], dtype=float)
-    try:
-        _add_calls(problem, steps, jobs)
-    except (*KERNEL_ERRORS, StepFailed):
-        if steps.shape[1] > 1:
-            return None
-        for job in jobs:
-            try:
-                _add_calls(problem, steps, [job])
-            except (*KERNEL_ERRORS, StepFailed) as exc:
-                job[0].append((_raise, repeat(exc).__next__, job[1]))
-                break
+    with np.errstate(over="ignore", invalid="ignore"):     # overflow is quiet, as on floats
+        try:
+            _add_calls(problem, steps, jobs)
+        except (*KERNEL_ERRORS, StepFailed):
+            if steps.shape[1] > 1:
+                return None
+            for job in jobs:
+                try:
+                    _add_calls(problem, steps, [job])
+                except (*KERNEL_ERRORS, StepFailed) as exc:
+                    job[0].append((_raise, repeat(exc).__next__, job[1]))
+                    break
     return tables
 
 
