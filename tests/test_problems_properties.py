@@ -42,8 +42,8 @@ def assert_real_part(kernel, args, q, p):
 def assert_state_half_real_part(kernel, time_half, q, p):
     """The state half on a row of the time half (unless that fails, for any state) hands
     back the real parts of its complex call."""
-    # numpy's tables overflow to inf and NaN where Python floats do, and warn: a run
-    # tabulates under integrate_with's np.errstate, which silences the warnings
+    # numpy's tables overflow to inf and NaN where Python floats do, and warn: a step
+    # calls its time halves under np.errstate, which silences the warnings
     with np.errstate(over="ignore", invalid="ignore"):
         rows = outcome(lambda: list(time_half()))
     if not isinstance(rows, type):
