@@ -65,9 +65,6 @@ REF_HEADER = struct.Struct("<8sQ16sQdd")
 # than class attributes through an instance.
 OMEGA_J = (7.0, 14.0, 21.0)
 OMEGA_MID, OMEGA_STEP = OMEGA_J[1], OMEGA_J[1] - OMEGA_J[0]
-# Parabolic kick factors kept per problem: one run of a scheme uses <= 4, a
-# sweep's share of (method, n_steps) points a few dozen (counts in CHANGES.md).
-KICK_FACTORS_KEPT = 16
 
 
 class Problem:
@@ -118,20 +115,14 @@ class OscillatorProblem(Problem):
     # bit.  Squares are products: x ** 2 calls libm's pow, slower than x * x.
 
     def a_frozen_coeffs(self, times, calls, taus):
-        # Omega(t)^2 at each time, with Omega(t) = 1 + cos(1.5 t) / 2; a call's sum_i w_i
-        # A(t_i) = w_sum * [[0, 1], [-omega_sq / w_sum, 0]], every call's at once
+        # Omega(t)^2 at each time, with Omega(t) = 1 + cos(1.5 t) / 2; a call's weights sum to
+        # 1.0 (the rule of a non-commuting flow), so sum_i w_i A(t_i) = [[0, 1], [-omega_sq,
+        # 0]] with omega_sq = sum_i w_i Omega(t_i)^2, every call's at once
         omega = 1.0 + 0.5 * math_ufunc(np.cos, 1.5 * times)
         weights = [np.array(w).reshape(-1, 1, 1) for w in zip(*[w for w, _ in calls])]
         omega_sq = weighted_sum(omega * omega, weights)     # axes (call, A-flow, step)
-        w_sums = [weighted_sum(repeat(1.0), w) for w, _ in calls]
-        if any(w_sum not in (0.0, 1.0) for w_sum in w_sums):    # x / 1.0 is x
-            omega_sq = omega_sq / np.array([w_sum or 1.0 for w_sum in w_sums]).reshape(-1, 1, 1)
-        durations = [factor * tau * w_sum for (_, factor), w_sum in zip(calls, w_sums)
-                     for tau in taus]
-        c, s, n = exp_2x2(omega_sq, np.array(durations).reshape(len(calls), -1, 1))
-        for j, ((_, factor), w_sum) in enumerate(zip(calls, w_sums)):
-            if w_sum == 0.0:    # [[0, 0], [-x, 0]] is nilpotent: exp is I + duration * it
-                c[j], s[j], n[j] = 1.0, 0.0, -factor * np.array(taus)[:, None] * omega_sq[j]
+        durations = np.multiply.outer([factor for _, factor in calls], taus)
+        c, s, n = exp_2x2(omega_sq, durations[..., None])
         return [list(map(zip, *col)) for col in zip(c.tolist(), s.tolist(), n.tolist())]
 
     def b_kick_coeffs(self, t_frozen, taus):
@@ -174,7 +165,6 @@ class ParabolicProblem(Problem):
         self.lap = CirculantLaplacian(self.n_grid, self.dx)
         self.dim = self.n_grid
         self.sin_2pi_x = np.sin(TWO_PI * self.x)
-        self._kick_factors = {}     # tau -> exp(0.1 tau sin(2 pi x)); see b_kick
         # stability bound of explicit RK4 on the diffusion spectrum; the
         # floor keeps the temporal error negligible on coarse grids, where
         # the stability bound alone would be accuracy-limited
@@ -199,20 +189,14 @@ class ParabolicProblem(Problem):
         return [(factor * taus * weighted_sum(squares, w)).tolist() for w, factor in calls]
 
     def b_kick_coeffs(self, t_frozen, taus):
-        # exp(tau V(x, t)) = exp(0.3 tau (1 - e^-t)) * exp(0.1 tau sin(2 pi x)): a row
-        # is the first factor's exponent and the second factor, which depends only on
-        # tau = b_i h, which repeats every step.  It is kept by tau's value, as the keys
-        # compare (complex(x) == x), so a real tau gets the real exponential in any type
-        cols = []
-        for ts, tau in zip(t_frozen.tolist(), taus):
-            factor = self._kick_factors.get(tau)
-            if factor is None:
-                if len(self._kick_factors) >= KICK_FACTORS_KEPT:
-                    self._kick_factors.clear()
-                factor = self._kick_factors[tau] = np.exp((tau if tau.imag else tau.real)
-                                                          * (0.1 * self.sin_2pi_x))
-            cols.append(zip([tau * (0.3 * (1.0 - math.exp(-t))) for t in ts], repeat(factor)))
-        return cols
+        # exp(tau V(x, t)) = exp(0.3 tau (1 - e^-t)) * exp(0.1 tau sin(2 pi x)): a row is
+        # the first factor's exponent and the second factor, which depends only on tau =
+        # b_i h, taken once per distinct tau of the call.  The taus are told apart by value
+        # (complex(x) == x), so a real tau gets the real exponential in any type
+        sin_part = 0.1 * self.sin_2pi_x
+        factors = {tau: np.exp((tau if tau.imag else tau.real) * sin_part) for tau in set(taus)}
+        return [zip([tau * (0.3 * (1.0 - math.exp(-t))) for t in ts], repeat(factors[tau]))
+                for ts, tau in zip(t_frozen.tolist(), taus)]
 
     def a_frozen_exp(self, duration, state):
         return exp_circulant(self.lap, duration, state)

@@ -19,7 +19,9 @@ kernels' own state over one step from t, or from each time of a list t in turn:
 ``_tabulate`` calls each time half once for all the stages and runs of the
 steps, ``_run_stages`` applies the state halves, each to the next row of its
 call, and ``_finish``, once per step, checks the state finite and projects it
-in its own type (a tuple onto floats; a float64 array is already real).
+in its own type (a tuple onto floats; a float64 array is already real).  All
+three run under one ``np.errstate`` a call, quiet on overflow and invalid: an
+overflow ends non-finite and fails at the finish, as on Python floats.
 ``integrate_with`` alone knows a run's length: it adds t + h as a loop does and
 hands the step lists of min(steps left, CHUNK_STEPS) times; a direct call is a
 chunk of one.  A zero-duration flow calls no kernel but counts in
@@ -31,7 +33,8 @@ exponential, and the exact flow exists) and two halves of each kernel.  The
 time halves take float64 arrays of real times [stage][step] and a duration per
 stage, and return rows by stage in step order: ``a_frozen_coeffs(times, calls,
 taus)`` by [call][stage], of exp(factor tau sum_i weights_i A(times_i)) for
-each call (weights, factor), times[o] the flows' t0 + o tau;
+each call (weights, factor), times[o] the flows' t0 + o tau; where the A(t) do
+not commute, every call's weights fold (``weighted_sum``) to exactly 1.0;
 ``b_kick_coeffs(t_frozen, taus)`` of the B-flows frozen at t_frozen for complex
 taus.  The state halves ``a_frozen_exp(row, state)`` and ``b_kick(row, state)``
 apply one row and may hand back any state that the next accepts, real until a
@@ -158,10 +161,12 @@ def _chunk_step(tabulate, one_step):
     tabulate(ts, h), then one_step(tables, u, record) a step, or each step alone if None."""
     def step(u, t, h, record=None):
         ts = t if type(t) is list else [t]
-        tables = tabulate(ts, h)
-        for t in ts:
-            # tabulating one step never gives None
-            u = one_step(tabulate([t], h) if tables is None else tables, u, record)
+        # a step that overflows ends non-finite and fails: numpy's warning adds nothing
+        with np.errstate(over="ignore", invalid="ignore"):
+            tables = tabulate(ts, h)
+            for t in ts:
+                # tabulating one step never gives None
+                u = one_step(tabulate([t], h) if tables is None else tables, u, record)
         return u
     return step
 
@@ -187,18 +192,17 @@ def _tabulate(plan, problem, runs):
             flows += flow is not None
         tables.append((calls, (flows, kernel_calls), before))
     steps = np.array([ts for ts, _ in runs], dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):     # overflow is quiet, as on floats
-        try:
-            _add_calls(problem, steps, jobs)
-        except (*KERNEL_ERRORS, StepFailed):
-            if steps.shape[1] > 1:
-                return None
-            for job in jobs:
-                try:
-                    _add_calls(problem, steps, [job])
-                except (*KERNEL_ERRORS, StepFailed) as exc:
-                    job[0].append((_raise, repeat(exc).__next__, job[1]))
-                    break
+    try:
+        _add_calls(problem, steps, jobs)
+    except (*KERNEL_ERRORS, StepFailed):
+        if steps.shape[1] > 1:
+            return None
+        for job in jobs:
+            try:
+                _add_calls(problem, steps, [job])
+            except (*KERNEL_ERRORS, StepFailed) as exc:
+                job[0].append((_raise, repeat(exc).__next__, job[1]))
+                break
     return tables
 
 
@@ -301,12 +305,10 @@ def integrate_with(step_fn, u0, t0, tf, n_steps, method_name):
     u = u0 if type(u0) is np.ndarray and u0.dtype is REAL_DTYPE else np.asarray(u0, dtype=complex)
     t = t0
     start = time.perf_counter()
-    # a step that overflows ends non-finite and fails: numpy's warning adds nothing
-    with np.errstate(over="ignore", invalid="ignore"):
-        for done in range(0, n_steps, CHUNK_STEPS):
-            # the chunk's start times and the next chunk's: t + h as a loop adds it
-            *ts, t = accumulate(repeat(h, min(CHUNK_STEPS, n_steps - done)), initial=t)
-            u = step_fn(u, ts, h, record)
+    for done in range(0, n_steps, CHUNK_STEPS):
+        # the chunk's start times and the next chunk's: t + h as a loop adds it
+        *ts, t = accumulate(repeat(h, min(CHUNK_STEPS, n_steps - done)), initial=t)
+        u = step_fn(u, ts, h, record)
     state = State(np.asarray(u, dtype=complex), t)
     record.wall_time = time.perf_counter() - start
     return state, record

@@ -183,8 +183,10 @@ def test_validate_non_symmetric_file_needs_its_moment_conditions(which, order, i
      "b 0.25 0\na 0.5 0.1\nb 0.5 0\na 0.5 -0.1\nb 0.25 0\n", "no, a_1 = 0.5+0.1j is not real"),
     ("name=t\npattern=BAB\norder=1\nsymmetric=false\n"
      "b 0.6 0\na 0.5 0\nb -0.2 0.3\na 0.5 0\nb 0.6 -0.3\n", "no, Re(b_2) = -0.2 <= 0"),
-    ("name=t\npattern=ABA\norder=1\nsymmetric=false\na 0 0\nb 1 0\na 1 0\n", "yes")],
-    ids=["yoshida", "complex-a", "negative-re-b", "zero-a"])
+    ("name=t\npattern=ABA\norder=1\nsymmetric=false\na 0 0\nb 1 0\na 1 0\n", "yes"),
+    ("name=t\npattern=BAB\norder=1\nsymmetric=true\nb 0.25 0\na -1e-6 0\nb 0.25 0\n"
+     "a 1.000002 0\nb 0.25 0\na -1e-6 0\nb 0.25 0\n", "no, a_1 = -1e-06 < 0")],
+    ids=["yoshida", "complex-a", "negative-re-b", "zero-a", "slightly-negative-a"])
 def test_validate_names_the_first_coefficient_outside_the_stable_class(text, verdict,
                                                                       tmp_path, capsys):
     # every a real and >= 0 (a zero flow too) and every Re(b) > 0, the a

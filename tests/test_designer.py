@@ -111,6 +111,16 @@ def test_solve_b_without_an_accurate_solution_raises(stages, fixed_a, message):
         solve_b(DesignProblem(stages, fixed_a))
 
 
+def test_a_design_solved_to_within_1e_12_only_is_no_solution():
+    # a middle flow of 1e-6 leaves the 6-stage conditions near-degenerate: the solve misses
+    # them by 1.2e-13 here (1e-14 to 6e-13 over neighbouring first flows), too far for a
+    # design to be accepted, though within 1e-12
+    problem = DesignProblem(6, (0.2, 1e-6, 0.3 - 1e-6))
+    assert 1e-14 < solve_stack(problem.nodes[None]).residual[0] <= 1e-12
+    with pytest.raises(NoSolutionFound, match="^solution residual "):
+        solve_b(problem)
+
+
 A1_OPT = 0.13505259273331706       # the 50-digit stationary point of Re(p_abaaa)
 
 

@@ -2,6 +2,7 @@ import math
 import os
 import pickle
 import time
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -13,14 +14,15 @@ from cxsplit.errors import (CxsplitError, DesignScanUnreliable, InsufficientData
                             NotInCatalog, ParseError, RealTimeViolation,
                             ReferenceInconsistent, ReferenceTooCostly, StepFailed,
                             StepTooLarge, ValidationError)
-from cxsplit.problems import (KICK_FACTORS_KEPT, OMEGA_J, OMEGA_MID, OMEGA_STEP, PROBLEMS,
+from cxsplit.problems import (OMEGA_J, OMEGA_MID, OMEGA_STEP, PROBLEMS,
                               REF_AGREE_TOL, REF_HEADER, REF_MAGIC, REF_MAX_UPDATES,
                               REF_OSC_RK4_STEPS, REF_PDE_RK4_MIN_STEPS, REF_VERSION, RK4_CHUNK,
                               TWO_PI, FisherProblem, OscillatorProblem, ParabolicProblem,
                               _cache_path, _classical_oracle, _read_cache, _rk4_osc, _write_cache,
                               default_cache_dir, make_problem, reference_solution,
                               rk4_integrate)
-from cxsplit.propagators import CF4_ALPHA, CF4_BETA, exp_2x2, exp_circulant
+from cxsplit.propagators import (A_FLOWS, CF4_ALPHA, CF4_BETA, exp_2x2, exp_circulant,
+                                 weighted_sum)
 from cxsplit.stepper import integrate_with
 
 from conftest import (assert_no_child_left, big_omega, dense_expm, dense_laplacian,
@@ -64,16 +66,30 @@ def _dense_a(problem, t):
 
 @pytest.mark.parametrize("name", ["osc", "parabolic", "fisher"])
 def test_a_frozen_exp_exponentiates_the_weighted_generator(name):
-    # the protocol: exp(duration * sum_i w_i A(t_i)), whatever sum_i w_i is
+    # the protocol: exp(duration * sum_i w_i A(t_i)); on commuting A(t) whatever sum_i w_i
+    # is, on the oscillator's for weights that fold to 1.0, as every call of its flows does
     problem = make_problem(name) if name == "osc" else make_problem(name, n_grid=16)
     rng = np.random.default_rng(11)
-    for weights in ((1.0, 1.0), (0.3, 0.9, -0.4), (2.5,), (1.0, -1.0)):
+    rules = (((0.3, 0.9, -0.2), (1.0,), (CF4_BETA, CF4_ALPHA)) if name == "osc" else
+             ((1.0, 1.0), (0.3, 0.9, -0.4), (2.5,), (1.0, -1.0)))
+    for weights in rules:
+        assert name != "osc" or weighted_sum(repeat(1.0), weights) == 1.0
         times = tuple(rng.uniform(0.0, TWO_PI, len(weights)))
         u = rng.standard_normal(problem.dim) + 1j * rng.standard_normal(problem.dim)
         generator = sum(w * _dense_a(problem, t) for t, w in zip(times, weights))
         expect = dense_expm(0.05 * generator) @ u
         got = np.asarray(frozen_exp(problem, times, weights, 0.05, u), dtype=complex)
         assert np.max(np.abs(got - expect)) < 1e-12 * np.max(np.abs(expect))
+
+
+def test_non_commuting_flows_call_with_weights_that_sum_to_one():
+    # the oscillator's A-half exponentiates [[0, 1], [-sum_i w_i Omega(t_i)^2, 0]], which is
+    # sum_i w_i A(t_i) only where the weights fold to exactly 1.0: a flow that breaks the
+    # rule fails here
+    for kind, (flow, _) in A_FLOWS.items():
+        if flow is not None:
+            for weights, _ in (flow() if callable(flow) else flow)[1]:
+                assert weighted_sum(repeat(1.0), weights) == 1.0, (kind, weights)
 
 
 def _numpy_a_frozen_exp(problem, times, weights, duration, state):
@@ -197,7 +213,7 @@ def test_osc_time_halves_raise_as_math_at_an_infinite_argument():
             problem.a_frozen_coeffs(np.array([[[0.5, 1.5e308]]]), (((1.0,), 1.0),), [0.1])
         [rows] = problem.b_kick_coeffs(np.array([[math.nan]]), [0.1])
     assert all(map(math.isnan, next(rows)[:2]))
-    # a step called directly, outside integrate_with's errstate, is as quiet as on floats:
+    # a step called directly, outside integrate_with, is as quiet as on floats:
     # RuntimeWarning is an error in this suite
     step_fn = bench.resolve_method("sm4", problem)
     for run in (lambda: integrate_with(step_fn, problem.u0(), 1.7e308, 1.7e308, 40, "sm4"),
@@ -245,7 +261,7 @@ def test_parabolic_kick_is_pointwise_exponential():
 @pytest.mark.parametrize("tau", [0.013, -0.004, 0.02 - 0.01j, 0.005 + 0.003j])
 def test_parabolic_factored_kick_matches_the_pointwise_exponential(tau):
     # exp(tau V) as exp(0.3 tau (1 - e^-t)) * exp(0.1 tau sin(2 pi x)), the
-    # second factor kept per tau: within 1e-14 of the one-exponential kick
+    # second factor taken per tau: within 1e-14 of the one-exponential kick
     problem = make_problem("parabolic")
     rng = np.random.default_rng(4)
     for t in (0.0, 0.37, 1.0, 0.37):
@@ -256,7 +272,7 @@ def test_parabolic_factored_kick_matches_the_pointwise_exponential(tau):
 
 
 def test_parabolic_kick_factors_are_per_problem():
-    # sin(2 pi x) depends on n_grid: a factor kept by one grid must not serve another
+    # sin(2 pi x) depends on n_grid: each grid kicks with its own factor
     coarse, fine = make_problem("parabolic", n_grid=8), make_problem("parabolic", n_grid=12)
     for problem in (coarse, fine, coarse):
         u = problem.u0()
@@ -264,26 +280,17 @@ def test_parabolic_kick_factors_are_per_problem():
         assert np.allclose(kick(problem, 0.5, 0.25, u), expect, rtol=1e-14, atol=0.0)
 
 
-def test_parabolic_kick_factors_stay_bounded():
-    # a run whose h changes every step must not keep one factor per kick
-    problem = make_problem("parabolic", n_grid=8)
-    u = problem.u0()
-    for k in range(5 * KICK_FACTORS_KEPT):
-        kick(problem, 0.5, 1e-3 * (k + 1), u)
-        assert len(problem._kick_factors) <= KICK_FACTORS_KEPT
-
-
 @pytest.mark.parametrize("tau", [0.013, complex(0.013), 0.02 - 0.01j])
 def test_parabolic_kick_bits_do_not_depend_on_earlier_kicks(tau):
-    # the factors are kept by tau and complex(x) == x: a kick on a fresh problem
-    # keeps its bits after a kick by a tau of equal value and either type
-    u = make_problem("parabolic").u0()
-    fresh = kick(make_problem("parabolic"), 0.3, tau, u)
+    # a call takes each factor once per tau's value, and complex(x) == x: a kick keeps
+    # its bits after a kick of the same call by a tau of equal value and either type
+    problem = make_problem("parabolic")
+    u = problem.u0()
+    alone = kick(problem, 0.3, tau, u)
     for earlier in (0.013, complex(0.013), tau):
-        used = make_problem("parabolic")
-        kick(used, 0.3, earlier, u)
-        got = kick(used, 0.3, tau, u)
-        assert got.dtype == fresh.dtype and got.tobytes() == fresh.tobytes()
+        _, rows = problem.b_kick_coeffs(np.array([[0.3], [0.3]]), [earlier, tau])
+        got = problem.b_kick(next(rows), u)
+        assert got.dtype == alone.dtype and got.tobytes() == alone.tobytes()
 
 
 def test_parabolic_potential_matches_closed_form_bitwise():

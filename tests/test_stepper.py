@@ -1,6 +1,7 @@
 import cmath
 import gc
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -450,6 +451,19 @@ def test_non_finite_float_osc_state_fails_the_step(method, values, t, h):
     problem = make_problem("osc")
     with pytest.raises(StepFailed):
         bench.resolve_method(method, problem)(values, t, h)
+
+
+def test_a_direct_step_whose_state_half_overflows_fails_quietly():
+    # a step called directly, outside integrate_with, silences numpy as a run does: the
+    # spectral flow's transform of a 1e308 state overflows, and the step fails at its
+    # finish with no RuntimeWarning
+    problem = make_problem("parabolic", n_grid=8)
+    step_fn = bench.resolve_method("strang", problem)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(StepFailed, match="^non-finite state$"):
+            step_fn(np.full(8, 1e308), 0.0, 1.0)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 class NumpyFinish:

@@ -1,5 +1,5 @@
-"""Print the microseconds per step of each method on osc and the PDEs, the osc oracles' times,
-and the designer's kick solve and a1 scan times.
+"""Print the microseconds per step of each method on osc and the PDEs, each problem's oracle
+times, and the designer's kick solve and a1 scan times.
 
     python tools/step_times.py [CHECKOUT] [--repeats R]
 
@@ -12,10 +12,11 @@ beside it the time that run spent tabulating its time halves
 (``stepper._tabulate``) over the same count.  The step counts keep each
 run near 10 ms on one core.  Two more columns time runs of SHORT_STEPS
 steps, the smallest sweep-osc grid point, where a run's set-up (the
-tabulation of its first chunk) shows.  Then each osc oracle,
-``_splitting_oracle`` (SM4, 2^16 steps) and ``_classical_oracle`` (RK4,
-2^20 steps), is timed ORACLE_REPEATS times in this process, and its line
-gives the fastest build in seconds.  Last come the designer's lines: the
+tabulation of its first chunk) shows.  Then each oracle of each problem at
+its defaults, ``_splitting_oracle`` (SM4, 2^16 steps) and
+``_classical_oracle`` (RK4: 2^20 steps on osc, 6945 on the PDEs at N = 100),
+is timed ORACLE_REPEATS times in this process, and its line gives the
+fastest build in seconds.  Last come the designer's lines: the
 fastest of R timings of SOLVES ``solve_b`` calls, in microseconds per call,
 for each stage count of ``designer.STAGES`` (SM4's a1, else equal flows),
 and of one ``scan_a1`` at each of SCAN_GRIDS points, in milliseconds, with
@@ -90,12 +91,12 @@ def us_per_step(name, n_grid, method, n_steps, repeats):
     return tuple(1e6 * s / n_steps for s in best)
 
 
-def oracle_s(oracle, repeats):
-    """The fastest of `repeats` builds of an osc oracle, in seconds."""
+def oracle_s(name, oracle, repeats):
+    """The fastest of `repeats` builds of an oracle of problem `name`, in seconds."""
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        oracle(problems.make_problem("osc"))
+        oracle(problems.make_problem(name))
         best = min(best, time.perf_counter() - start)
     return best
 
@@ -177,8 +178,10 @@ def main(args):
                 except StepFailed as exc:
                     cell = f"failed: {exc}"
                 print(f"{name:<10} {n_grid or '-':>5} {method:<7} {cell}", flush=True)
-    for kind, oracle in ORACLES.items():
-        print(f"osc oracle {kind:<5} {oracle_s(oracle, ORACLE_REPEATS):.3f} s", flush=True)
+    for name in RUNS:
+        for kind, oracle in ORACLES.items():
+            print(f"{name} oracle {kind:<5} {oracle_s(name, oracle, ORACLE_REPEATS):.3f} s",
+                  flush=True)
     designer_lines(args.repeats)
 
 
